@@ -342,7 +342,7 @@ func BenchmarkScheduleLayer(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.ScheduleLayer(l, cfg, opts); err != nil {
+		if _, _, err := sched.ExploreLayer(l, cfg, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,13 +19,13 @@
 // default-adapter cell is always measured so trajectories stay
 // comparable PR over PR, and -backends adds extra cells per model.
 //
-// Beyond compile throughput the snapshot carries three more sections:
-// a "warm" run per cell (the same compile against a shared cross-compile
-// memo, the fleet steady state), an "axes" section pricing the
+// Beyond compile throughput the snapshot carries two more sections: a
+// "warm" run per cell (the same compile against a shared cross-compile
+// memo, the fleet steady state) and an "axes" section pricing the
 // traversal/mapping search axes at both retention design points (the RTC
 // win lives at the conventional 45µs interval, not RANA's extended
-// 734µs one), and a "latency" section measuring p50/p99 of concurrent
-// /v1/schedule requests against an in-process ranad.
+// 734µs one). Request latency through ranad is measured end to end by
+// perfbench, which keeps cold and warm traffic apart.
 package main
 
 import (
@@ -112,29 +112,14 @@ type AxesBench struct {
 	Winners           []string `json:"winners,omitempty"`
 }
 
-// LatencyBench is the concurrent-load section: Clients goroutines fire
-// Requests /v1/schedule calls (a model/options mix, so the in-process
-// ranad sees both plan-cache hits and full compiles) and the per-request
-// wall-clock distribution is summarized.
-type LatencyBench struct {
-	Clients  int     `json:"clients"`
-	Requests int     `json:"requests"`
-	P50Ms    float64 `json:"p50_ms"`
-	P90Ms    float64 `json:"p90_ms"`
-	P99Ms    float64 `json:"p99_ms"`
-	MaxMs    float64 `json:"max_ms"`
-	Errors   int     `json:"errors"`
-}
-
 // Snapshot is the BENCH_sched.json document.
 type Snapshot struct {
-	GeneratedAt string        `json:"generated_at"`
-	GoVersion   string        `json:"go_version"`
-	GOMAXPROCS  int           `json:"gomaxprocs"`
-	Iters       int           `json:"iters"`
-	Networks    []NetBench    `json:"networks"`
-	Axes        []AxesBench   `json:"axes,omitempty"`
-	Latency     *LatencyBench `json:"latency,omitempty"`
+	GeneratedAt string      `json:"generated_at"`
+	GoVersion   string      `json:"go_version"`
+	GOMAXPROCS  int         `json:"gomaxprocs"`
+	Iters       int         `json:"iters"`
+	Networks    []NetBench  `json:"networks"`
+	Axes        []AxesBench `json:"axes,omitempty"`
 }
 
 // run is the testable entry point.
@@ -146,8 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	modelsFlag := fs.String("models", "", "comma-separated zoo subset (default: every benchmark network)")
 	parallelism := fs.Int("parallelism", 0, "optimized run's search workers (0 = GOMAXPROCS)")
 	backendsFlag := fs.String("backends", "", `comma-separated memory backend specs ("name" or "name@point") measured per model; empty means the default technology adapter only`)
-	latClients := fs.Int("latency-clients", 8, "concurrent clients in the ranad latency section (0 skips it)")
-	latRequests := fs.Int("latency-requests", 200, "total /v1/schedule requests in the ranad latency section")
 	axes := fs.Bool("axes", true, "measure the traversal/mapping axis sweep section")
 	regress := fs.String("regress", "", "path to a prior snapshot: hard-fail when any cell's allocs/op exceed the prior value by more than 25%+32, warn when ns/op more than doubles")
 	if err := fs.Parse(args); err != nil {
@@ -258,17 +241,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *latClients > 0 && *latRequests > 0 {
-		lat, err := measureLatency(nets, *latClients, *latRequests)
-		if err != nil {
-			fmt.Fprintln(stderr, "rana-bench:", err)
-			return 1
-		}
-		snap.Latency = lat
-		fmt.Fprintf(stdout, "ranad latency (%d clients, %d requests): p50 %.2fms, p90 %.2fms, p99 %.2fms, max %.2fms, %d errors\n",
-			lat.Clients, lat.Requests, lat.P50Ms, lat.P90Ms, lat.P99Ms, lat.MaxMs, lat.Errors)
-	}
-
 	doc, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		fmt.Fprintln(stderr, "rana-bench:", err)
@@ -368,8 +340,8 @@ func benchOpts(spec string) sched.Options {
 // measureAxes prices one (network, refresh interval) cell of the
 // traversal/mapping sweep: the default-axes pruned optimum against the
 // same search with the RTC traversal ladder and every mapping policy
-// enabled. Both runs use the default pruned strategy — the axis oracle
-// (rana-verify -traversal) holds it byte-identical to exhaustive.
+// enabled. Both runs use the default pruned strategy — the differential
+// matrix (rana-verify -matrix) holds it byte-identical to exhaustive.
 func measureAxes(net models.Network, cfg hw.Config, scenario string, interval time.Duration) (AxesBench, error) {
 	opts := benchOpts("")
 	opts.RefreshInterval = interval

@@ -10,12 +10,9 @@
 //	rana-verify -patterns ID,OD,WD       # include the input-dominant pattern
 //	rana-verify -random 500 -seed 7      # randomized differential cases
 //	rana-verify -functional 5            # word-accurate cross-checks
-//	rana-verify -search 50               # search-strategy differential sweep
+//	rana-verify -matrix 50               # differential matrix: zoo + 50 random networks
 //	rana-verify -backends                # memory-backend differential sweep
-//	rana-verify -traversal               # traversal/mapping-axis differential sweep
 //	rana-verify -faults                  # fault-injection/error-budget differential sweep
-//	rana-verify -parallel                # parallel/memoized ≡ sequential bytes
-//	rana-verify -incremental             # incremental bound pricing ≡ stateless bytes + work
 //	rana-verify -nodes URL,URL -reference URL  # fleet nodes ≡ single-node bytes
 //
 // The first divergence is reported with a minimized reproducer and the
@@ -56,12 +53,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	random := fs.Int("random", 0, "number of additional randomized differential cases")
 	seed := fs.Uint64("seed", 1, "seed for the randomized cases")
 	functional := fs.Int("functional", 0, "number of word-accurate functional cross-checks")
-	searchN := fs.Int("search", 0, "strategy differential: check pruned ≡ exhaustive on the selected networks plus this many random networks")
-	backends := fs.Bool("backends", false, "backend differential: sweep the memory-backend registry (default ≡ legacy bytes, invariants and bounds at every admissible operating point, functional spot checks)")
-	traversal := fs.Bool("traversal", false, "traversal/mapping differential: default axes ≡ legacy bytes, pruned ≡ exhaustive across the RTC and mapping axes, every admitted reorder meets its retention deadlines in the cycle walker")
+	matrix := fs.Int("matrix", -1, "differential matrix: every strategy, worker-count, memo, incremental-pricing, axes and spelling variant against its shared reference, on the selected networks plus this many random networks (-1 skips it)")
+	backends := fs.Bool("backends", false, "backend differential: sweep the memory-backend registry (invariants and bounds at every admissible operating point, functional spot checks)")
 	faults := fs.Bool("faults", false, "fault differential: empirically validate error-budget admission under backend-derived bit flips (per-layer budgets, seeded mask stability, pretrained oracle, negative over-budget check, faulty-storage spot checks)")
-	parallel := fs.Bool("parallel", false, "parallelism differential: check parallel/memoized plans ≡ sequential exhaustive bytes on the selected networks")
-	incremental := fs.Bool("incremental", false, "incremental-pricing differential: check plans and per-layer work accounting are identical with incremental bound pricing on and off")
 	nodesList := fs.String("nodes", "", "cross-node conformance: comma-separated fleet node URLs; every node must answer the zoo byte-identically to -reference (runs only this sweep)")
 	refURL := fs.String("reference", "", "single-node ranad URL the -nodes sweep compares against")
 	verbose := fs.Bool("v", false, "report every case, not just failures")
@@ -158,28 +152,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cases += n
 		failures += f
 	}
-	if *searchN > 0 {
-		n, f := sweepStrategies(stdout, stderr, nets, cfg, opts, *searchN, *seed, *verbose)
-		cases += n
-		failures += f
-	}
-	if *parallel {
-		n, f := sweepParallelism(stdout, stderr, nets, cfg, opts, *verbose)
-		cases += n
-		failures += f
-	}
-	if *incremental {
-		n, f := sweepIncremental(stdout, stderr, nets, cfg, opts, *verbose)
+	if *matrix >= 0 {
+		n, f := sweepMatrix(stdout, stderr, nets, cfg, opts, *matrix, *seed, tol, *verbose)
 		cases += n
 		failures += f
 	}
 	if *backends {
 		n, f := sweepBackends(stdout, stderr, nets, cfg, opts, *seed, tol, *verbose)
-		cases += n
-		failures += f
-	}
-	if *traversal {
-		n, f := sweepTraversal(stdout, stderr, nets, cfg, opts, tol, *verbose)
 		cases += n
 		failures += f
 	}
@@ -258,14 +237,13 @@ func sweepFunctional(stdout, stderr io.Writer, count int, seed uint64, tol verif
 	return cases, failures
 }
 
-// sweepStrategies runs the search-strategy differential oracle: pruned
-// branch-and-bound must reproduce the exhaustive reference byte-for-byte
-// on every selected network and on `count` small random networks, while
-// evaluating no more candidates.
-func sweepStrategies(stdout, stderr io.Writer, nets []models.Network, cfg hw.Config, opts sched.Options, count int, seed uint64, verbose bool) (cases, failures int) {
-	check := func(name string, net models.Network, c hw.Config) {
+// sweepMatrix runs the differential matrix on every selected network
+// and on count small random networks over random accelerators.
+func sweepMatrix(stdout, stderr io.Writer, nets []models.Network, cfg hw.Config, opts sched.Options, count int, seed uint64, tol verify.Tolerances, verbose bool) (cases, failures int) {
+	m := verify.DefaultMatrix(tol)
+	check := func(net models.Network, c hw.Config) {
 		cases++
-		r, err := verify.CompareStrategies(net, c, opts)
+		r, err := m.Run(net, c, opts)
 		if err != nil {
 			fmt.Fprintln(stderr, "rana-verify:", err)
 			failures++
@@ -273,15 +251,15 @@ func sweepStrategies(stdout, stderr io.Writer, nets []models.Network, cfg hw.Con
 		}
 		if !r.OK() {
 			failures++
-			fmt.Fprintf(stdout, "FAIL %s search strategies\n%s\n", name, indent(r.String()))
+			fmt.Fprintf(stdout, "FAIL %s on %s\n%s\n", r.Subject, c.Name, indent(r.String()))
 			return
 		}
 		if verbose {
-			fmt.Fprintf(stdout, "ok   %s %s\n", name, r)
+			fmt.Fprintf(stdout, "ok   %s\n", r)
 		}
 	}
 	for _, net := range nets {
-		check(net.Name, net, cfg)
+		check(net, cfg)
 	}
 	g := gen.New(seed)
 	for i := 0; i < count; i++ {
@@ -290,65 +268,15 @@ func sweepStrategies(stdout, stderr io.Writer, nets []models.Network, cfg hw.Con
 		for j := 0; j < 1+i%3; j++ {
 			net.Layers = append(net.Layers, g.TinyLayer())
 		}
-		check(net.Name, net, c)
-	}
-	return cases, failures
-}
-
-// sweepParallelism runs the parallelism/memo differential oracle: every
-// worker count in the default sweep (1, 2, GOMAXPROCS), memo on and off,
-// must reproduce the sequential exhaustive plan byte-for-byte.
-func sweepParallelism(stdout, stderr io.Writer, nets []models.Network, cfg hw.Config, opts sched.Options, verbose bool) (cases, failures int) {
-	for _, net := range nets {
-		cases++
-		r, err := verify.CompareParallelism(net, cfg, opts)
-		if err != nil {
-			fmt.Fprintln(stderr, "rana-verify:", err)
-			failures++
-			continue
-		}
-		if !r.OK() {
-			failures++
-			fmt.Fprintf(stdout, "FAIL %s parallelism\n%s\n", net.Name, indent(r.String()))
-			continue
-		}
-		if verbose {
-			fmt.Fprintf(stdout, "ok   %s\n", r)
-		}
-	}
-	return cases, failures
-}
-
-// sweepIncremental runs the incremental-pricing differential oracle:
-// pruned and beam schedules with the incremental bound evaluator must
-// reproduce the stateless-bound plans byte-for-byte (sequential and
-// parallel), with identical per-layer work accounting.
-func sweepIncremental(stdout, stderr io.Writer, nets []models.Network, cfg hw.Config, opts sched.Options, verbose bool) (cases, failures int) {
-	for _, net := range nets {
-		cases++
-		r, err := verify.CompareIncremental(net, cfg, opts)
-		if err != nil {
-			fmt.Fprintln(stderr, "rana-verify:", err)
-			failures++
-			continue
-		}
-		if !r.OK() {
-			failures++
-			fmt.Fprintf(stdout, "FAIL %s incremental pricing\n%s\n", net.Name, indent(r.String()))
-			continue
-		}
-		if verbose {
-			fmt.Fprintf(stdout, "ok   %s\n", r)
-		}
+		check(net, c)
 	}
 	return cases, failures
 }
 
 // sweepBackends runs the memory-backend differential oracle on every
-// selected network — explicit default backend ≡ legacy bytes, the whole
-// registry's admissible operating points pass the invariant and bound
-// checks — plus a word-accurate functional spot check of every buffer
-// backend's failure injector on a tiny layer.
+// selected network — the whole registry's admissible operating points
+// pass the invariant and bound checks — plus a word-accurate functional
+// spot check of every buffer backend's failure injector on a tiny layer.
 func sweepBackends(stdout, stderr io.Writer, nets []models.Network, cfg hw.Config, opts sched.Options, seed uint64, tol verify.Tolerances, verbose bool) (cases, failures int) {
 	for _, net := range nets {
 		cases++
@@ -387,32 +315,6 @@ func sweepBackends(stdout, stderr io.Writer, nets []models.Network, cfg hw.Confi
 			if verbose {
 				fmt.Fprintf(stdout, "ok   functional %s\n", spec)
 			}
-		}
-	}
-	return cases, failures
-}
-
-// sweepTraversal runs the traversal/mapping-axis differential oracle on
-// every selected network: default-axis plans must be the legacy bytes,
-// the pruned search must reproduce the exhaustive plan across the RTC
-// and mapping axes, the beam must never beat it, and every admitted
-// reorder must meet its retention deadlines in the cycle walker.
-func sweepTraversal(stdout, stderr io.Writer, nets []models.Network, cfg hw.Config, opts sched.Options, tol verify.Tolerances, verbose bool) (cases, failures int) {
-	for _, net := range nets {
-		cases++
-		r, err := verify.CompareTraversal(net, cfg, opts, tol)
-		if err != nil {
-			fmt.Fprintln(stderr, "rana-verify:", err)
-			failures++
-			continue
-		}
-		if !r.OK() {
-			failures++
-			fmt.Fprintf(stdout, "FAIL %s traversal\n%s\n", net.Name, indent(r.String()))
-			continue
-		}
-		if verbose {
-			fmt.Fprintf(stdout, "ok   %s\n", r)
 		}
 	}
 	return cases, failures

@@ -84,15 +84,18 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
-// TestSweepStrategies covers the search-strategy differential path.
-func TestSweepStrategies(t *testing.T) {
+// TestSweepMatrix covers the differential-matrix path: one zoo network
+// plus random networks.
+func TestSweepMatrix(t *testing.T) {
 	var out, errb strings.Builder
-	code := run([]string{"-model", "AlexNet", "-search", "8", "-seed", "3", "-v"}, &out, &errb)
+	code := run([]string{"-model", "AlexNet", "-matrix", "8", "-seed", "3", "-v"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d: %s%s", code, out.String(), errb.String())
 	}
-	if !strings.Contains(out.String(), "strategies agree") {
-		t.Errorf("missing strategy agreement lines: %s", out.String())
+	for _, want := range []string{"ok   AlexNet matrix: ok", "ok   random-7 matrix: ok"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("missing %q: %s", want, out.String())
+		}
 	}
 	if strings.Contains(out.String(), "FAIL") {
 		t.Errorf("unexpected failures: %s", out.String())

@@ -116,7 +116,7 @@ func TestMemoKeySeparatesLayerBudgets(t *testing.T) {
 
 	// Without budgets, same-shaped layers share a key (the memo's whole
 	// point) and the signature is unchanged from the pre-budget form.
-	if keyFor(l, cfg, base) != keyFor(same, cfg, base) {
+	if testKey(l, cfg, base) != testKey(same, cfg, base) {
 		t.Fatal("same-shaped layers have different keys without budgets")
 	}
 
@@ -124,13 +124,13 @@ func TestMemoKeySeparatesLayerBudgets(t *testing.T) {
 	budgeted.LayerBudgets = map[string]float64{"a": 1e-7}
 	// Layer "a" is tightened, layer "b" is not: their keys must split so
 	// a memo hit cannot leak a plan across different admission spaces.
-	if keyFor(l, cfg, budgeted) == keyFor(same, cfg, budgeted) {
+	if testKey(l, cfg, budgeted) == testKey(same, cfg, budgeted) {
 		t.Fatal("different layer budgets collapsed onto one memo key")
 	}
 	// Two layers resolving to the same budget still share.
 	both := base
 	both.LayerBudgets = map[string]float64{"a": 1e-7, "b": 1e-7}
-	if keyFor(l, cfg, both) != keyFor(same, cfg, both) {
+	if testKey(l, cfg, both) != testKey(same, cfg, both) {
 		t.Fatal("equal resolved budgets should share a key")
 	}
 	// Budgets are invisible to the options JSON projection (the serving

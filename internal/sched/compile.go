@@ -143,7 +143,7 @@ func (s *exploreState) release() {
 
 // exploreLayerEnv runs one layer's exploration against a resolved
 // compile environment, leasing the goroutine's scratch arena from the
-// pool. This is the single exploration path: exploreLayer resolves a
+// pool. This is the single exploration path: ExploreLayer resolves a
 // standalone environment and lands here.
 func exploreLayerEnv(l models.ConvLayer, cfg hw.Config, opts Options, env compileEnv) (LayerPlan, search.Stats, error) {
 	s := exploreStatePool.Get().(*exploreState)
@@ -249,8 +249,8 @@ func (cs *compileState) grow(n int) {
 // internSignature rebuilds the options signature into the reused buffer
 // and re-interns the string only when the bytes changed — the common
 // case (same options compile after compile) costs zero allocations.
-func (cs *compileState) internSignature(opts Options) string {
-	cs.sigBuf = opts.appendSignature(cs.sigBuf[:0])
+func (cs *compileState) internSignature(opts Options, tech energy.BufferTech) string {
+	cs.sigBuf = opts.appendSignature(cs.sigBuf[:0], tech)
 	if string(cs.sigBuf) != cs.sig {
 		cs.sig = string(cs.sigBuf)
 	}
@@ -375,7 +375,7 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 	// Phase 1: the peek pass. Keys are built once and kept for the miss
 	// drain; completed memo entries are served inline.
 	if memo != nil {
-		sig := cs.internSignature(opts)
+		sig := cs.internSignature(opts, cfg.BufferTech)
 		for i, l := range net.Layers {
 			cs.keys[i] = keyWithSig(l, cfg, opts, sig)
 			if lp, ok := memo.peek(cs.keys[i], l); ok {

@@ -23,7 +23,9 @@ import (
 	"strconv"
 	"sync"
 
+	"rana/internal/energy"
 	"rana/internal/hw"
+	"rana/internal/mem"
 	"rana/internal/models"
 	"rana/internal/sched/search"
 )
@@ -109,23 +111,18 @@ func (m *Memo) Stats() MemoStats {
 	return MemoStats{Hits: m.hits, Misses: m.misses, Entries: len(m.entries)}
 }
 
-// signature is the canonical options form the memo keys on — the same
-// resolution rules as the serving cache hashing (resolved strategy
-// spelled out, beam width only under beam, effective guard band,
-// controller by name) so equivalent spellings collapse onto one entry.
-// Parallelism, Memo, Prefix, DisableMemo, DisableIncremental and Check
-// are deliberately absent: none of them changes a layer's resulting
-// plan bytes.
-func (o Options) signature() string {
-	return string(o.appendSignature(nil))
-}
-
-// appendSignature is signature writing into dst — the allocation-free
-// form the compile path builds its (interned) signature with. One
-// strconv.Append* call per component; %g floats spell identically to
-// the historical fmt.Fprintf form (both emit the shortest round-trip
-// representation).
-func (o Options) appendSignature(dst []byte) []byte {
+// appendSignature appends the canonical options form the memo keys on
+// to dst — the same resolution rules as the serving cache hashing
+// (resolved strategy spelled out, beam width only under beam, effective
+// guard band, controller by name, default backend spelling folded for
+// the configuration's buffer technology) so equivalent spellings
+// collapse onto one entry. Parallelism, Memo, Prefix, DisableMemo,
+// DisableIncremental and Check are deliberately absent: none of them
+// changes a layer's resulting plan bytes. One strconv.Append* call per
+// component keeps the compile path's (interned) build allocation-free;
+// %g floats spell identically to the historical fmt.Fprintf form (both
+// emit the shortest round-trip representation).
+func (o Options) appendSignature(dst []byte, tech energy.BufferTech) []byte {
 	for _, k := range o.Patterns {
 		dst = append(dst, k.String()...)
 		dst = append(dst, ',')
@@ -158,16 +155,15 @@ func (o Options) appendSignature(dst []byte) []byte {
 		dst = append(dst, "|beam="...)
 		dst = strconv.AppendInt(dst, int64(search.EffectiveWidth(o.BeamWidth)), 10)
 	}
-	// The memory-backend axis. The empty backend spelling is kept
-	// distinct from an explicit default name (normalizing would need
-	// the config, which is a separate key component) — that only costs
-	// a duplicate entry for equivalent spellings, never a wrong hit. A
-	// pinned point is likewise distinct from an unpinned search even
-	// when it is "nominal": pinning collapses the point axis, which on
-	// multi-point backends changes the plan space.
-	if o.Backend != "" {
+	// The memory-backend axis. The explicit default backend name folds
+	// onto the empty spelling (the technology is also a key component,
+	// so folding per technology is sound). A pinned point stays distinct
+	// from an unpinned search even when it is "nominal": pinning
+	// collapses the point axis, which on multi-point backends changes
+	// the plan space.
+	if b := mem.NormalizeName(o.Backend, tech); b != "" {
 		dst = append(dst, "|backend="...)
-		dst = append(dst, o.Backend...)
+		dst = append(dst, b...)
 	}
 	if o.OperatingPoint != "" {
 		dst = append(dst, "|op="...)
@@ -198,18 +194,11 @@ func (o Options) appendSignature(dst []byte) []byte {
 	return dst
 }
 
-// keyFor builds the memo key: layer identity and config name are
-// cleared (they do not influence exploration), and the options collapse
-// onto the canonical signature shared with the serving cache hashing —
-// resolved strategy spelled out, beam width only under beam, effective
-// guard band, controller by name.
-func keyFor(l models.ConvLayer, cfg hw.Config, opts Options) memoKey {
-	return keyWithSig(l, cfg, opts, opts.signature())
-}
-
-// keyWithSig is keyFor against a precomputed signature — the compile
-// path builds the signature once per network, not once per layer.
-// Per-layer error budgets are the one place identity does influence
+// keyWithSig builds the memo key against a precomputed signature (the
+// compile path builds it once per network, not once per layer): layer
+// identity and config name are cleared, since they do not influence
+// exploration, and the options enter through the signature. Per-layer
+// error budgets are the one place identity does influence
 // exploration, so the layer's *resolved* budget is folded into the
 // digest; with no per-layer budgets a zero budget word with a cleared
 // presence flag keeps legacy problems distinct from budgeted ones.
@@ -256,7 +245,7 @@ func keyWithSig(l models.ConvLayer, cfg hw.Config, opts Options, sig string) mem
 
 // peek returns the completed entry for key, patched to l's identity,
 // without blocking: in-flight entries and misses return false and the
-// caller takes the exploring path (explore/exploreEnv), which waits on
+// caller takes the exploring path (exploreEnv), which waits on
 // in-flight owners and keeps the hit accounting there. This is the
 // warm compile path's allocation-free fast lane — no goroutine, no
 // closure, no channel.
@@ -278,7 +267,7 @@ func (m *Memo) peek(key memoKey, l models.ConvLayer) (LayerPlan, bool) {
 }
 
 // memoMode classifies one acquire: served from an entry, saturated, or
-// owned (the caller must explore and publish through fill/fillEnv).
+// owned (the caller must explore and publish through fillEnv).
 type memoMode int
 
 const (
@@ -339,35 +328,13 @@ func (e *memoEntry) await(l models.ConvLayer) (LayerPlan, search.Stats, bool) {
 	return lp, e.stats, true
 }
 
-// explore returns the layer's plan through the memo: a completed entry
-// is returned with the layer identity patched in; otherwise the caller
-// explores (via compute) and publishes the result for same-shaped
-// layers. A nil memo degenerates to a plain compute call.
-func (m *Memo) explore(l models.ConvLayer, cfg hw.Config, opts Options,
-	compute func() (LayerPlan, search.Stats, error)) (LayerPlan, search.Stats, bool, error) {
-	if m == nil {
-		lp, stats, err := compute()
-		return lp, stats, false, err
-	}
-	key := keyFor(l, cfg, opts)
-	e, mode := m.acquire(key)
-	switch mode {
-	case memoWait:
-		if lp, stats, ok := e.await(l); ok {
-			return lp, stats, true, nil
-		}
-	case memoOwn:
-		lp, stats, err := m.fill(key, e, compute)
-		return lp, stats, false, err
-	}
-	lp, stats, err := compute()
-	return lp, stats, false, err
-}
-
-// exploreEnv is explore on the compile path: the key is prebuilt, and a
-// miss explores through the per-compile environment directly — no
-// compute closure, which is what keeps the cold optimized path's
-// allocations below the baseline's.
+// exploreEnv returns the layer's plan through the memo: a completed
+// entry is returned with the layer identity patched in; otherwise the
+// caller explores through the per-compile environment and publishes the
+// result for same-shaped layers. The key is prebuilt, and no compute
+// closure is involved, which is what keeps the cold optimized path's
+// allocations below the baseline's. A nil memo degenerates to a plain
+// exploration.
 func (m *Memo) exploreEnv(key memoKey, l models.ConvLayer, cfg hw.Config, opts Options,
 	env compileEnv) (LayerPlan, search.Stats, bool, error) {
 	if m == nil {
@@ -388,23 +355,11 @@ func (m *Memo) exploreEnv(key memoKey, l models.ConvLayer, cfg hw.Config, opts O
 	return lp, stats, false, err
 }
 
-// fill runs the owner's exploration and publishes (or withdraws) the
+// fillEnv runs the owner's exploration and publishes (or withdraws) the
 // entry. The deferred cleanup also fires on panic, so a poisoned
 // candidate cannot leave same-shaped waiters blocked forever. Results
 // are published under m.mu so peek can read completed entries without
 // waiting.
-func (m *Memo) fill(key memoKey, e *memoEntry,
-	compute func() (LayerPlan, search.Stats, error)) (lp LayerPlan, stats search.Stats, err error) {
-	defer m.finish(key, e)
-	lp, stats, err = compute()
-	if err != nil {
-		return lp, stats, err
-	}
-	m.publish(e, lp, stats)
-	return lp, stats, nil
-}
-
-// fillEnv is fill exploring through the compile environment.
 func (m *Memo) fillEnv(key memoKey, e *memoEntry, l models.ConvLayer, cfg hw.Config,
 	opts Options, env compileEnv) (lp LayerPlan, stats search.Stats, err error) {
 	defer m.finish(key, e)

@@ -3,13 +3,12 @@ package sched
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"rana/internal/hw"
+	"rana/internal/mem"
 	"rana/internal/models"
 	"rana/internal/sched/search"
 )
@@ -94,6 +93,28 @@ func TestMemoSharedAcrossCompiles(t *testing.T) {
 	}
 }
 
+// sigOf is the memo signature the compile path interns for opts on cfg.
+func sigOf(opts Options, cfg hw.Config) string {
+	return string(opts.appendSignature(nil, cfg.BufferTech))
+}
+
+// testKey is the memo key the compile path builds for one layer.
+func testKey(l models.ConvLayer, cfg hw.Config, opts Options) memoKey {
+	return keyWithSig(l, cfg, opts, sigOf(opts, cfg))
+}
+
+// exploreMemo drives one layer through the memo exactly as the compile
+// path does: prebuilt key, resolved environment, exploreEnv.
+func exploreMemo(t *testing.T, m *Memo, l models.ConvLayer, cfg hw.Config, opts Options) (LayerPlan, bool, error) {
+	t.Helper()
+	env, err := envFor(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp, _, hit, err := m.exploreEnv(testKey(l, cfg, opts), l, cfg, opts, env)
+	return lp, hit, err
+}
+
 // memoFixture returns a layer/config/options triple for direct explore
 // calls.
 func memoFixture(t *testing.T) (models.ConvLayer, hw.Config, Options) {
@@ -106,12 +127,11 @@ func memoFixture(t *testing.T) (models.ConvLayer, hw.Config, Options) {
 }
 
 // TestMemoDedupsConcurrentExplores: same-shaped layers racing through one
-// memo compute exactly once; every caller gets a plan carrying its own
-// layer identity.
+// memo explore exactly once — one owned miss, every other caller a
+// hit — and every caller gets a plan carrying its own layer identity.
 func TestMemoDedupsConcurrentExplores(t *testing.T) {
 	l, cfg, opts := memoFixture(t)
 	m := NewMemo(0)
-	var computes atomic.Int32
 	const callers = 16
 	var wg sync.WaitGroup
 	plans := make([]LayerPlan, callers)
@@ -121,12 +141,7 @@ func TestMemoDedupsConcurrentExplores(t *testing.T) {
 			defer wg.Done()
 			li := l
 			li.Name = "alias"
-			// As in ExploreNetworkContext, the compute closure explores
-			// exactly the layer handed to the memo.
-			lp, _, _, err := m.explore(li, cfg, opts, func() (LayerPlan, search.Stats, error) {
-				computes.Add(1)
-				return exploreLayer(li, cfg, opts)
-			})
+			lp, _, err := exploreMemo(t, m, li, cfg, opts)
 			if err != nil {
 				t.Error(err)
 				return
@@ -135,8 +150,8 @@ func TestMemoDedupsConcurrentExplores(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("computed %d times, want 1", n)
+	if ms := m.Stats(); ms.Misses != 1 || ms.Hits != callers-1 {
+		t.Fatalf("memo stats %+v, want 1 miss (one exploration) and %d hits", ms, callers-1)
 	}
 	for i, lp := range plans {
 		if lp.Analysis.Layer.Name != "alias" {
@@ -145,24 +160,28 @@ func TestMemoDedupsConcurrentExplores(t *testing.T) {
 	}
 }
 
-// TestMemoErrorsNeverCached: a failing compute must not poison the key —
-// the next caller recomputes and can succeed.
+// TestMemoErrorsNeverCached: a failing exploration must not poison the
+// key — the next caller under the same key recomputes and can succeed.
+// The failure is an unknown operating point explored under the good
+// options' key, standing in for a transient error.
 func TestMemoErrorsNeverCached(t *testing.T) {
 	l, cfg, opts := memoFixture(t)
 	m := NewMemo(0)
-	boom := errors.New("transient")
-	_, _, hit, err := m.explore(l, cfg, opts, func() (LayerPlan, search.Stats, error) {
-		return LayerPlan{}, search.Stats{}, boom
-	})
-	if !errors.Is(err, boom) || hit {
-		t.Fatalf("explore = hit=%v err=%v, want miss with the compute error", hit, err)
+	key := testKey(l, cfg, opts)
+	env, err := envFor(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := opts
+	bad.OperatingPoint = "no-such-point"
+	_, _, hit, err := m.exploreEnv(key, l, cfg, bad, env)
+	if err == nil || hit {
+		t.Fatalf("explore = hit=%v err=%v, want miss with the exploration error", hit, err)
 	}
 	if ms := m.Stats(); ms.Entries != 0 {
-		t.Fatalf("failed compute left %d entries", ms.Entries)
+		t.Fatalf("failed exploration left %d entries", ms.Entries)
 	}
-	lp, _, hit, err := m.explore(l, cfg, opts, func() (LayerPlan, search.Stats, error) {
-		return exploreLayer(l, cfg, opts)
-	})
+	lp, _, hit, err := m.exploreEnv(key, l, cfg, opts, env)
 	if err != nil || hit {
 		t.Fatalf("recompute after failure: hit=%v err=%v", hit, err)
 	}
@@ -180,9 +199,7 @@ func TestMemoCapacityFullComputesWithoutRecording(t *testing.T) {
 	opts := ranaOpts()
 	m := NewMemo(1)
 	for i, l := range net.Layers {
-		lp, _, _, err := m.explore(l, cfg, opts, func() (LayerPlan, search.Stats, error) {
-			return exploreLayer(l, cfg, opts)
-		})
+		lp, _, err := exploreMemo(t, m, l, cfg, opts)
 		if err != nil {
 			t.Fatalf("layer %d: %v", i, err)
 		}
@@ -199,9 +216,7 @@ func TestMemoCapacityFullComputesWithoutRecording(t *testing.T) {
 func TestMemoNilReceiverComputes(t *testing.T) {
 	l, cfg, opts := memoFixture(t)
 	var m *Memo
-	lp, _, hit, err := m.explore(l, cfg, opts, func() (LayerPlan, search.Stats, error) {
-		return exploreLayer(l, cfg, opts)
-	})
+	lp, hit, err := exploreMemo(t, m, l, cfg, opts)
 	if err != nil || hit {
 		t.Fatalf("nil memo: hit=%v err=%v", hit, err)
 	}
@@ -217,18 +232,50 @@ func TestMemoSignatureSeparatesPlanRelevantOptions(t *testing.T) {
 	b := ranaOpts()
 	b.Parallelism = 7
 	b.DisableMemo = true
-	if a.signature() != b.signature() {
+	cfg := hw.TestAcceleratorEDRAM()
+	if sigOf(a, cfg) != sigOf(b, cfg) {
 		t.Fatal("throughput knobs leaked into the memo signature")
 	}
 	c := ranaOpts()
 	c.Search = search.Beam
-	if a.signature() == c.signature() {
+	if sigOf(a, cfg) == sigOf(c, cfg) {
 		t.Fatal("search strategy missing from the memo signature")
 	}
 	d := ranaOpts()
 	d.NaturalTiling = true
-	if a.signature() == d.signature() {
+	if sigOf(a, cfg) == sigOf(d, cfg) {
 		t.Fatal("natural tiling missing from the memo signature")
+	}
+}
+
+// TestMemoFoldsDefaultBackendSpelling: the explicit default backend name
+// and the empty spelling are one scheduling problem, so a shared memo
+// must serve the second compile entirely from the first one's entries.
+func TestMemoFoldsDefaultBackendSpelling(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	net := models.AlexNet()
+	opts := ranaOpts()
+	opts.Memo = NewMemo(0)
+	ctx := context.Background()
+	p1, _, err := ExploreNetworkContext(ctx, net, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Backend = mem.DefaultName(cfg.BufferTech)
+	p2, s2, err := ExploreNetworkContext(ctx, net, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.MemoHits != 5 || s2.MemoMisses != 0 {
+		t.Fatalf("explicit-default compile: %d hits, %d misses, want 5 hits", s2.MemoHits, s2.MemoMisses)
+	}
+	if ms := opts.Memo.Stats(); ms.Entries != 5 {
+		t.Fatalf("memo holds %d entries, want 5 (one per AlexNet layer)", ms.Entries)
+	}
+	j1, _ := json.Marshal(Encode(p1))
+	j2, _ := json.Marshal(Encode(p2))
+	if string(j1) != string(j2) {
+		t.Fatal("explicit default backend changed plan bytes")
 	}
 }
 

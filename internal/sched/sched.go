@@ -127,8 +127,8 @@ type Options struct {
 	// Memo, when non-nil, shares completed layer-shape explorations
 	// across layers and across schedules (see Memo). When nil,
 	// ScheduleContext builds a private per-compile memo unless
-	// DisableMemo is set; the layer-level entry points (ScheduleLayer,
-	// ExploreLayer) never memoize on their own.
+	// DisableMemo is set; the layer-level entry point (ExploreLayer)
+	// never memoizes on its own.
 	Memo *Memo `json:"-"`
 
 	// DisableMemo turns off the implicit per-compile memo — the
@@ -146,8 +146,8 @@ type Options struct {
 	// per-goroutine pricing contexts and the prefix memo), forcing every
 	// lower-bound computation through the stateless reference evaluator.
 	// Plans are bit-identical either way — this is the baseline the
-	// incremental-pricing oracle (verify.CompareIncremental) and the
-	// benchmark harness compare against, not a semantic knob.
+	// differential matrix (verify.Matrix) and the benchmark harness
+	// compare against, not a semantic knob.
 	DisableIncremental bool
 
 	// Check, when non-nil, is invoked on the assembled plan before
@@ -160,10 +160,7 @@ type Options struct {
 // Guard returns the effective guard-band factor (the override, or the
 // package default) — the multiplier external checkers must apply when
 // re-deriving refresh decisions from lifetimes.
-func (o Options) Guard() float64 { return o.guard() }
-
-// guard returns the effective guard-band factor.
-func (o Options) guard() float64 {
+func (o Options) Guard() float64 {
 	if o.RetentionGuard > 0 {
 		return o.RetentionGuard
 	}
@@ -368,38 +365,16 @@ func ExploreNetworkContext(ctx context.Context, net models.Network, cfg hw.Confi
 	return p, ns, nil
 }
 
-// ScheduleLayer explores the configured pattern × tiling space for one
-// layer and returns the minimum-energy plan.
-func ScheduleLayer(l models.ConvLayer, cfg hw.Config, opts Options) (LayerPlan, error) {
-	if err := opts.Validate(); err != nil {
-		return LayerPlan{}, err
-	}
-	return scheduleLayer(l, cfg, opts)
-}
-
-// ExploreLayer is ScheduleLayer with the search statistics exposed:
+// ExploreLayer explores the configured pattern × tiling space for one
+// layer and returns the minimum-energy plan with the search statistics:
 // how many tilings were streamed, how many candidates the strategy
-// bounded, pruned and exactly priced. The verification harness's
-// strategy-differential oracle and the benchmarks consume the counters.
+// bounded, pruned and exactly priced. The verification matrix and the
+// benchmarks consume the counters. The network compile path resolves
+// the environment once and calls exploreLayerEnv directly.
 func ExploreLayer(l models.ConvLayer, cfg hw.Config, opts Options) (LayerPlan, search.Stats, error) {
 	if err := opts.Validate(); err != nil {
 		return LayerPlan{}, search.Stats{}, err
 	}
-	return exploreLayer(l, cfg, opts)
-}
-
-// scheduleLayer is ScheduleLayer without the options re-validation, for
-// callers that already validated once at the public entry point.
-func scheduleLayer(l models.ConvLayer, cfg hw.Config, opts Options) (LayerPlan, error) {
-	lp, _, err := exploreLayer(l, cfg, opts)
-	return lp, err
-}
-
-// exploreLayer runs one layer's exploration through the search engine
-// (or the legacy first-feasible loop in NaturalTiling mode) and returns
-// the chosen plan with the engine's work counters. The network compile
-// path resolves the environment once and calls exploreLayerEnv directly.
-func exploreLayer(l models.ConvLayer, cfg hw.Config, opts Options) (LayerPlan, search.Stats, error) {
 	env, err := envFor(opts)
 	if err != nil {
 		return LayerPlan{}, search.Stats{}, err
@@ -428,11 +403,11 @@ func naturalSchedule(l models.ConvLayer, cfg hw.Config, opts Options,
 		}
 	}
 	stats.Admitted = len(fit)
+	var lp LayerPlan
 	for _, k := range opts.Patterns {
 		for _, t := range fit {
 			stats.Candidates++
-			lp, err := evaluatePoint(l, k, t, cfg, opts, bk, pt)
-			if err != nil {
+			if err := evaluateCellInto(&lp, l, k, t, cfg, opts, bk, pt, pattern.Linear, RowMajorMapping); err != nil {
 				return LayerPlan{}, stats, err
 			}
 			stats.Evaluated++
@@ -457,40 +432,26 @@ func Evaluate(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Confi
 	if err != nil {
 		return LayerPlan{}, err
 	}
-	return evaluatePoint(l, k, t, cfg, opts, bk, points[0])
-}
-
-// evaluatePoint is Evaluate against one resolved (backend, operating
-// point) at the default traversal and mapping — the single-cell view
-// the baseline paths and external checkers price.
-func evaluatePoint(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config, opts Options,
-	bk mem.Backend, pt mem.OperatingPoint) (LayerPlan, error) {
-	return evaluateCell(l, k, t, cfg, opts, bk, pt, pattern.Linear, RowMajorMapping)
-}
-
-// evaluateCell characterizes and prices one full search cell — a
-// (pattern, tiling) candidate at one resolved (operating point,
-// traversal order, mapping policy): the single exact-pricing path every
-// strategy, baseline and axis combination goes through. The traversal
-// reshapes the analysis (lifetimes, DDR reloads); the mapping reshapes
-// the pricing table; defaults of both reproduce the pre-axis path bit
-// for bit.
-func evaluateCell(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config, opts Options,
-	bk mem.Backend, pt mem.OperatingPoint, trv pattern.Traversal, mp MappingPolicy) (LayerPlan, error) {
 	var lp LayerPlan
-	if err := evaluateCellInto(&lp, l, k, t, cfg, opts, bk, pt, trv, mp); err != nil {
+	if err := evaluateCellInto(&lp, l, k, t, cfg, opts, bk, points[0], pattern.Linear, RowMajorMapping); err != nil {
 		return LayerPlan{}, err
 	}
 	return lp, nil
 }
 
-// evaluateCellInto is evaluateCell writing into a caller-owned plan —
-// the form the search engine's scratch-Outcome contract needs on the
-// hot path, where returning the several-hundred-byte LayerPlan by
-// value dominated cold-compile profiles. Every LayerPlan field is
-// overwritten (Needs explicitly, since the refresh branch may not run),
-// so a reused *lp never leaks a previous candidate's state; on an error
-// *lp is unspecified.
+// evaluateCellInto characterizes and prices one full search cell — a
+// (pattern, tiling) candidate at one resolved (operating point,
+// traversal order, mapping policy) — into a caller-owned plan: the
+// single exact-pricing path every strategy, baseline and axis
+// combination goes through. The traversal reshapes the analysis
+// (lifetimes, DDR reloads); the mapping reshapes the pricing table;
+// defaults of both reproduce the pre-axis path bit for bit. Writing
+// through a pointer is what the search engine's scratch-Outcome
+// contract needs on the hot path, where returning the several-hundred-
+// byte LayerPlan by value dominated cold-compile profiles. Every
+// LayerPlan field is overwritten (Needs explicitly, since the refresh
+// branch may not run), so a reused *lp never leaks a previous
+// candidate's state; on an error *lp is unspecified.
 func evaluateCellInto(lp *LayerPlan, l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config, opts Options,
 	bk mem.Backend, pt mem.OperatingPoint, trv pattern.Traversal, mp MappingPolicy) error {
 	a, err := pattern.AnalyzeTraversal(l, k, t, cfg, trv)
@@ -512,7 +473,7 @@ func evaluateCellInto(lp *LayerPlan, l models.ConvLayer, k pattern.Kind, t patte
 		// curve left (RetentionScale), so the schedule's interval — a
 		// point on that curve — scales identically.
 		interval := scaleInterval(opts.RefreshInterval, pt.RetentionScale)
-		guarded := time.Duration(float64(interval) * opts.guard())
+		guarded := time.Duration(float64(interval) * opts.Guard())
 		lp.Needs = memctrl.NeedsFor(a.Lifetimes, guarded)
 		refreshes = memctrl.RefreshWords(opts.Controller, a.ExecTime, interval,
 			lp.Alloc, lp.Needs, cfg.Banks(), cfg.BankWords)
@@ -566,10 +527,10 @@ func candidateTilings(l models.ConvLayer, cfg hw.Config, opts Options) []pattern
 	if opts.NaturalTiling {
 		return naturalTilings(e, cfg)
 	}
-	tms := axisCandidates(e.M, cfg.ArrayM)
-	tns := axisCandidates(e.N, cfg.ArrayN)
-	trs := axisCandidates(e.R(), cfg.ArrayM)
-	tcs := axisCandidates(e.C(), cfg.ArrayN)
+	tms := search.Axis(e.M, cfg.ArrayM)
+	tns := search.Axis(e.N, cfg.ArrayN)
+	trs := search.Axis(e.R(), cfg.ArrayM)
+	tcs := search.Axis(e.C(), cfg.ArrayN)
 	out := make([]pattern.Tiling, 0, len(tms)*len(tns)*len(trs)*len(tcs))
 	for _, tm := range tms {
 		for _, tn := range tns {
@@ -616,7 +577,3 @@ func naturalTilings(l models.ConvLayer, cfg hw.Config) []pattern.Tiling {
 	}
 	return out
 }
-
-// axisCandidates returns the candidate tile sizes along one axis of
-// extent dim: powers of two up to dim, the array width, and dim itself.
-func axisCandidates(dim, array int) []int { return search.Axis(dim, array) }

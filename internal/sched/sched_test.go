@@ -50,7 +50,7 @@ func TestSchedulerIsOptimalOverItsSpace(t *testing.T) {
 	cfg := hw.TestAcceleratorEDRAM()
 	l, _ := models.VGG().Layer("conv4_2")
 	opts := ranaOpts()
-	best, err := ScheduleLayer(l, cfg, opts)
+	best, _, err := ExploreLayer(l, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +83,12 @@ func TestHybridBeatsSinglePattern(t *testing.T) {
 	odOnly.Patterns = []pattern.Kind{pattern.OD}
 	wdOnly.Patterns = []pattern.Kind{pattern.WD}
 	for _, l := range models.VGG().Layers {
-		h, err := ScheduleLayer(l, cfg, opts)
+		h, _, err := ExploreLayer(l, cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, single := range []Options{odOnly, wdOnly} {
-			s, err := ScheduleLayer(l, cfg, single)
+			s, _, err := ExploreLayer(l, cfg, single)
 			if err != nil {
 				continue // single pattern may be infeasible; hybrid still wins
 			}
@@ -142,11 +142,11 @@ func TestRefreshAccountingPerController(t *testing.T) {
 	conv.RefreshInterval = retention.TypicalRetentionTime
 	opt := conv
 	opt.Controller = memctrl.RefreshOptimized{}
-	cPlan, err := ScheduleLayer(l, cfg, conv)
+	cPlan, _, err := ExploreLayer(l, cfg, conv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oPlan, err := ScheduleLayer(l, cfg, opt)
+	oPlan, _, err := ExploreLayer(l, cfg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestNaturalModeTakesFirstFeasible(t *testing.T) {
 		Controller:      memctrl.Conventional{},
 		NaturalTiling:   true,
 	}
-	lp, err := ScheduleLayer(l, cfg, opts)
+	lp, _, err := ExploreLayer(l, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,20 +154,21 @@ func TestCanonicalSpecs(t *testing.T) {
 // axes: default spellings append nothing (legacy signatures stay
 // byte-identical), and equivalent spellings share a signature.
 func TestSignatureAxes(t *testing.T) {
-	legacy := ranaOpts().signature()
+	cfg := hw.TestAcceleratorEDRAM()
+	legacy := sigOf(ranaOpts(), cfg)
 	spelled := ranaOpts()
 	spelled.Traversal, spelled.Mapping = "linear", "row-major"
-	if got := spelled.signature(); got != legacy {
+	if got := sigOf(spelled, cfg); got != legacy {
 		t.Errorf("spelled-default signature %q != legacy %q", got, legacy)
 	}
 	rtc := ranaOpts()
 	rtc.Traversal, rtc.Mapping = "rtc", "all"
 	ladder := ranaOpts()
 	ladder.Traversal, ladder.Mapping = "blocked2,blocked4,blocked8", "interleave"
-	if rtc.signature() != ladder.signature() {
-		t.Errorf("equivalent axis spellings diverge:\n%q\n%q", rtc.signature(), ladder.signature())
+	if sigOf(rtc, cfg) != sigOf(ladder, cfg) {
+		t.Errorf("equivalent axis spellings diverge:\n%q\n%q", sigOf(rtc, cfg), sigOf(ladder, cfg))
 	}
-	if rtc.signature() == legacy {
+	if sigOf(rtc, cfg) == legacy {
 		t.Error("non-default axes did not change the signature")
 	}
 }
@@ -295,13 +296,13 @@ func TestMemoNearDuplicateShapesStayDistinct(t *testing.T) {
 		t.Fatalf("test premise broken: derived geometry differs (%d,%d) vs (%d,%d)",
 			base.R(), base.C(), padded.R(), padded.C())
 	}
-	if keyFor(base, cfg, opts) != keyFor(padded, cfg, opts) {
+	if testKey(base, cfg, opts) != testKey(padded, cfg, opts) {
 		t.Error("padding spellings with identical derived geometry got distinct memo keys")
 	}
 
 	wider := base
 	wider.Name, wider.M = "c", 100
-	if keyFor(base, cfg, opts) == keyFor(wider, cfg, opts) {
+	if testKey(base, cfg, opts) == testKey(wider, cfg, opts) {
 		t.Error("layers differing only in M share a memo key; M reaches the plan through Tm and the volumes")
 	}
 

@@ -76,8 +76,8 @@ func TestCanonicalKeyCollapsesEquivalentRequests(t *testing.T) {
 		l.Stage = "renamed-" + l.Stage // stage labels must not matter
 		spelled.Layers = append(spelled.Layers, l)
 	}
-	k1 := scheduleKey(named, cfg, defaultOpts())
-	k2 := scheduleKey(spelled, cfg, defaultOpts())
+	k1 := scheduleKey("schedule", named, cfg, defaultOpts())
+	k2 := scheduleKey("schedule", spelled, cfg, defaultOpts())
 	if k1 != k2 {
 		t.Error("equivalent networks hash differently")
 	}
@@ -85,7 +85,7 @@ func TestCanonicalKeyCollapsesEquivalentRequests(t *testing.T) {
 
 func TestCanonicalKeySeparatesDistinctRequests(t *testing.T) {
 	cfg := hw.TestAcceleratorEDRAM()
-	base := scheduleKey(models.AlexNet(), cfg, defaultOpts())
+	base := scheduleKey("schedule", models.AlexNet(), cfg, defaultOpts())
 	seen := map[string]string{base: "base"}
 	record := func(name, key string) {
 		if prev, ok := seen[key]; ok {
@@ -94,30 +94,30 @@ func TestCanonicalKeySeparatesDistinctRequests(t *testing.T) {
 		seen[key] = name
 	}
 
-	record("different network", scheduleKey(models.VGG(), cfg, defaultOpts()))
+	record("different network", scheduleKey("schedule", models.VGG(), cfg, defaultOpts()))
 
 	o := defaultOpts()
 	o.RefreshInterval = 45 * time.Microsecond
-	record("different interval", scheduleKey(models.AlexNet(), cfg, o))
+	record("different interval", scheduleKey("schedule", models.AlexNet(), cfg, o))
 
 	o = defaultOpts()
 	o.Controller = memctrl.Conventional{}
-	record("different controller", scheduleKey(models.AlexNet(), cfg, o))
+	record("different controller", scheduleKey("schedule", models.AlexNet(), cfg, o))
 
 	o = defaultOpts()
 	o.Patterns = []pattern.Kind{pattern.OD}
-	record("different patterns", scheduleKey(models.AlexNet(), cfg, o))
+	record("different patterns", scheduleKey("schedule", models.AlexNet(), cfg, o))
 
 	o = defaultOpts()
 	o.NaturalTiling = true
-	record("natural tiling", scheduleKey(models.AlexNet(), cfg, o))
+	record("natural tiling", scheduleKey("schedule", models.AlexNet(), cfg, o))
 
 	o = defaultOpts()
 	o.FixedTiling = &pattern.Tiling{Tm: 16, Tn: 16, Tr: 1, Tc: 16}
-	record("fixed tiling", scheduleKey(models.AlexNet(), cfg, o))
+	record("fixed tiling", scheduleKey("schedule", models.AlexNet(), cfg, o))
 
 	record("different capacity",
-		scheduleKey(models.AlexNet(), cfg.WithBufferWords(cfg.BufferWords*2), defaultOpts()))
+		scheduleKey("schedule", models.AlexNet(), cfg.WithBufferWords(cfg.BufferWords*2), defaultOpts()))
 
 	// The three ops namespace their keys.
 	record("compile", compileKey(models.AlexNet(), ""))
@@ -129,15 +129,15 @@ func TestCanonicalKeySeparatesDistinctRequests(t *testing.T) {
 	// and a raised budget are distinct computations.
 	o = defaultOpts()
 	o.Backend = "approx-dram"
-	record("approx backend", scheduleKey(models.AlexNet(), cfg, o))
+	record("approx backend", scheduleKey("schedule", models.AlexNet(), cfg, o))
 	o.OperatingPoint = "v0.8"
-	record("pinned point", scheduleKey(models.AlexNet(), cfg, o))
+	record("pinned point", scheduleKey("schedule", models.AlexNet(), cfg, o))
 	o.OperatingPoint = mem.Nominal
-	record("pinned nominal", scheduleKey(models.AlexNet(), cfg, o))
+	record("pinned nominal", scheduleKey("schedule", models.AlexNet(), cfg, o))
 	o = defaultOpts()
 	o.Backend = "approx-dram"
 	o.ErrorBudget = 1e-3
-	record("raised budget", scheduleKey(models.AlexNet(), cfg, o))
+	record("raised budget", scheduleKey("schedule", models.AlexNet(), cfg, o))
 	record("evaluate backend", evaluateKey("RANA*(E-5)", models.AlexNet(), "approx-dram", "v0.8"))
 }
 
@@ -148,17 +148,17 @@ func TestBackendKeyNormalization(t *testing.T) {
 	// spelling: on multi-point backends an open axis is a different
 	// search space.
 	cfg := hw.TestAcceleratorEDRAM()
-	legacy := scheduleKey(models.AlexNet(), cfg, defaultOpts())
+	legacy := scheduleKey("schedule", models.AlexNet(), cfg, defaultOpts())
 	o := defaultOpts()
 	o.Backend = mem.DefaultName(cfg.BufferTech)
-	if got := scheduleKey(models.AlexNet(), cfg, o); got != legacy {
+	if got := scheduleKey("schedule", models.AlexNet(), cfg, o); got != legacy {
 		t.Error("explicit default backend must share the legacy key")
 	}
 	o = defaultOpts()
 	o.Backend = "approx-dram"
-	open := scheduleKey(models.AlexNet(), cfg, o)
+	open := scheduleKey("schedule", models.AlexNet(), cfg, o)
 	o.OperatingPoint = mem.Nominal
-	if got := scheduleKey(models.AlexNet(), cfg, o); got == open {
+	if got := scheduleKey("schedule", models.AlexNet(), cfg, o); got == open {
 		t.Error("pinned nominal point must not share the open-axis key")
 	}
 }
@@ -185,7 +185,7 @@ func TestGuardDefaultCanonicalization(t *testing.T) {
 	implicit := defaultOpts()
 	explicit := defaultOpts()
 	explicit.RetentionGuard = sched.RetentionGuard
-	if scheduleKey(models.AlexNet(), cfg, implicit) != scheduleKey(models.AlexNet(), cfg, explicit) {
+	if scheduleKey("schedule", models.AlexNet(), cfg, implicit) != scheduleKey("schedule", models.AlexNet(), cfg, explicit) {
 		t.Error("default guard band hashes differently from explicit 0.9")
 	}
 }

@@ -196,14 +196,14 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 	}
 	opts.Memo = s.memo
 	opts.Prefix = s.prefix
+	op := "schedule"
 	switch {
 	case w.degraded:
-		w.key = scheduleDegradedKey(net, cfg, opts)
+		op = "schedule-degraded"
 	case w.budgetFallback:
-		w.key = scheduleBudgetFallbackKey(net, cfg, opts)
-	default:
-		w.key = scheduleKey(net, cfg, opts)
+		op = "schedule-budget-fallback"
 	}
+	w.key = scheduleKey(op, net, cfg, opts)
 	degraded := w.degraded
 	budgetFallback := w.budgetFallback
 	w.compute = func(ctx context.Context) ([]byte, error) {

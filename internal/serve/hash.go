@@ -190,35 +190,16 @@ func (c *canonicalRequest) key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// scheduleKey is the cache key of a resolved /v1/schedule request.
-func scheduleKey(net models.Network, cfg hw.Config, opts sched.Options) string {
-	c := canonicalRequest{Op: "schedule"}
-	c.canonicalNetwork(net)
-	c.canonicalConfig(cfg)
-	c.canonicalOptions(opts, cfg.BufferTech)
-	return c.key()
-}
-
-// scheduleDegradedKey keys a degraded /v1/schedule response. It must
-// differ from every full-search key even when the resolved options
-// coincide with the fallback options, because degraded bodies carry the
-// "degraded" marker and the cache guarantees byte-identical hits — so
-// the op string, not just the options, distinguishes the variants.
-func scheduleDegradedKey(net models.Network, cfg hw.Config, opts sched.Options) string {
-	c := canonicalRequest{Op: "schedule-degraded"}
-	c.canonicalNetwork(net)
-	c.canonicalConfig(cfg)
-	c.canonicalOptions(opts, cfg.BufferTech)
-	return c.key()
-}
-
-// scheduleBudgetFallbackKey keys a /v1/schedule response served via the
-// budget-fallback rung: the pinned point broke a per-layer error budget
-// and the nominal corner was substituted. The body carries the degraded
-// marker, so — like the degraded rung — the op string must separate it
-// from a genuine nominal-pinned request's entry.
-func scheduleBudgetFallbackKey(net models.Network, cfg hw.Config, opts sched.Options) string {
-	c := canonicalRequest{Op: "schedule-budget-fallback"}
+// scheduleKey is the cache key of a resolved /v1/schedule request
+// served under op: "schedule" for the full search, "schedule-degraded"
+// for the uniform-fallback rung and "schedule-budget-fallback" for the
+// error-budget rung (a pinned point broke a per-layer budget and the
+// nominal corner was substituted). The rungs' bodies carry the degraded
+// marker and the cache guarantees byte-identical hits, so the op string,
+// not just the options, must separate them from a full-search entry even
+// when the resolved options coincide.
+func scheduleKey(op string, net models.Network, cfg hw.Config, opts sched.Options) string {
+	c := canonicalRequest{Op: op}
 	c.canonicalNetwork(net)
 	c.canonicalConfig(cfg)
 	c.canonicalOptions(opts, cfg.BufferTech)

@@ -1,21 +1,15 @@
 package verify
 
-// The memory-backend differential oracle. The scheduler now prices plans
+// The memory-backend differential oracle. The scheduler prices plans
 // through pluggable technology backends (internal/mem) with discrete
-// operating points as a search axis. Two properties keep that seam
-// honest, and both are *checked* here rather than argued:
-//
-//   - the default backend is the historical hard-wired path, down to the
-//     bit: scheduling with an explicit default backend name must
-//     reproduce the legacy (empty-backend) plan byte-for-byte on the
-//     wire;
-//
-//   - every backend in the registry, and every admissible operating
-//     point, must yield plans that satisfy the full invariant suite and
-//     never report less energy than the admissible lower bound admits
-//     at the chosen point — an approximate point that "won" by pricing
-//     below its own bound would mean the branch-and-bound is unsound on
-//     that backend.
+// operating points as a search axis. Every backend in the registry, and
+// every admissible operating point, must yield plans that satisfy the
+// full invariant suite and never report less energy than the admissible
+// lower bound admits at the chosen point — an approximate point that
+// "won" by pricing below its own bound would mean the branch-and-bound
+// is unsound on that backend. (That the explicit default backend name is
+// the legacy path byte for byte is a spelling variant of the
+// differential matrix.)
 //
 // CompareBackendFunctional closes the loop end to end on one small
 // layer: the backend's own failure injector (its functional buffer,
@@ -25,9 +19,7 @@ package verify
 // reference word-for-word.
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"rana/internal/fixed"
@@ -41,47 +33,8 @@ import (
 	"rana/internal/verify/gen"
 )
 
-// BackendReport collects one network's backend divergences.
-type BackendReport struct {
-	Network string
-	// Swept lists the backend specs that were scheduled ("edram",
-	// "approx-dram@v0.8", ...), in sweep order.
-	Swept       []string
-	Divergences []Divergence
-}
-
-// OK reports whether the backends agreed.
-func (r *BackendReport) OK() bool { return len(r.Divergences) == 0 }
-
-// String summarizes the report, one divergence per line.
-func (r *BackendReport) String() string {
-	if r.OK() {
-		return fmt.Sprintf("%s: backends agree (%s)", r.Network, strings.Join(r.Swept, ", "))
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %d backend divergences\n", r.Network, len(r.Divergences))
-	for _, d := range r.Divergences {
-		fmt.Fprintf(&b, "  %s\n", d)
-	}
-	return strings.TrimRight(b.String(), "\n")
-}
-
-// diverge appends a divergence between two rendered values.
-func (r *BackendReport) diverge(check, wantModel, gotModel string, want, got any) {
-	r.Divergences = append(r.Divergences, Divergence{
-		Check:  check,
-		Models: [2]string{wantModel, gotModel},
-		Want:   fmt.Sprint(want),
-		Got:    fmt.Sprint(got),
-	})
-}
-
 // CompareBackends schedules one network across the whole backend
 // registry and reports every disagreement:
-//
-//   - the legacy spelling (no backend named) and the explicit default
-//     backend must produce byte-identical wire encodings — the backend
-//     seam is a pure refactor on the default path;
 //
 //   - every buffer backend, searched over its admissible operating
 //     points, must produce a plan that passes CheckPlan and whose
@@ -94,9 +47,11 @@ func (r *BackendReport) diverge(check, wantModel, gotModel string, want, got any
 //     technology-independent and must stay that way).
 //
 // opts.Backend and opts.OperatingPoint are overridden per run;
-// everything else is compared as given.
-func CompareBackends(net models.Network, cfg hw.Config, opts sched.Options, tol Tolerances) (*BackendReport, error) {
-	r := &BackendReport{Network: net.Name}
+// everything else is compared as given. The report's notes list the
+// backend specs scheduled ("edram", "approx-dram@v0.8", ...), in sweep
+// order.
+func CompareBackends(net models.Network, cfg hw.Config, opts sched.Options, tol Tolerances) (*Report, error) {
+	r := &Report{Subject: net.Name + " backends"}
 
 	withBackend := func(backend, point string) sched.Options {
 		o := opts
@@ -105,38 +60,11 @@ func CompareBackends(net models.Network, cfg hw.Config, opts sched.Options, tol 
 		return o
 	}
 
-	// The default backend is a pure refactor: empty spelling ≡ explicit
-	// default name, byte for byte on the wire.
-	legacyPlan, legacyErr := sched.Schedule(net, cfg, withBackend("", ""))
-	explicitPlan, explicitErr := sched.Schedule(net, cfg, withBackend(mem.DefaultName(cfg.BufferTech), ""))
-	if (legacyErr == nil) != (explicitErr == nil) {
-		r.diverge("backend/default-error", "legacy", "explicit", errString(legacyErr), errString(explicitErr))
-		return r, nil
-	}
-	if legacyErr != nil {
-		if legacyErr.Error() != explicitErr.Error() {
-			r.diverge("backend/default-error-text", "legacy", "explicit", legacyErr, explicitErr)
-		}
-		return r, nil
-	}
-	legacyJSON, err := json.Marshal(sched.Encode(legacyPlan))
-	if err != nil {
-		return nil, fmt.Errorf("verify: encoding legacy plan: %w", err)
-	}
-	explicitJSON, err := json.Marshal(sched.Encode(explicitPlan))
-	if err != nil {
-		return nil, fmt.Errorf("verify: encoding explicit-default plan: %w", err)
-	}
-	if string(legacyJSON) != string(explicitJSON) {
-		r.diverge("backend/default-bytes", "legacy", "explicit",
-			fmt.Sprintf("%.120s", legacyJSON), fmt.Sprintf("%.120s", explicitJSON))
-	}
-
 	// checkSpec schedules under one (backend, pinned point) and runs the
 	// invariant suite plus the per-layer bound check. walker additionally
 	// cross-checks each chosen candidate against the cycle walker.
 	checkSpec := func(spec string, o sched.Options, walker bool) error {
-		r.Swept = append(r.Swept, spec)
+		r.Notes = append(r.Notes, spec)
 		plan, err := sched.Schedule(net, cfg, o)
 		if err != nil {
 			r.diverge("backend/schedule/"+spec, "schedulable", spec, "ok", err)
@@ -216,7 +144,7 @@ func CompareBackendFunctional(spec string, l models.ConvLayer, cfg hw.Config, se
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Report{Layer: l, Config: cfg}
+	r := &Report{Subject: fmt.Sprintf("%s functional %s", spec, l.Name)}
 	banks, bankWords := cfg.Banks(), cfg.BankWords
 	din, dw, dout := int(l.InputWords()), int(l.WeightWords()), int(l.OutputWords())
 	if din+dw+dout > banks*bankWords {

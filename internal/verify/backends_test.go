@@ -44,16 +44,16 @@ func TestCompareBackendsSweepsNonNominalPoints(t *testing.T) {
 	if !r.OK() {
 		t.Fatal(r)
 	}
-	swept := strings.Join(r.Swept, " ")
+	swept := strings.Join(r.Notes, " ")
 	for _, want := range []string{"edram", "sram", "approx-dram", "approx-dram@v0.9", "approx-dram@v0.8", "reram@fast-write"} {
 		if !strings.Contains(swept, want) {
-			t.Errorf("sweep %v missed %q", r.Swept, want)
+			t.Errorf("sweep %v missed %q", r.Notes, want)
 		}
 	}
 	// v0.7's bit-error rate exceeds the default tolerable budget; the
 	// sweep must not schedule it.
 	if strings.Contains(swept, "v0.7") {
-		t.Errorf("sweep %v priced the over-budget v0.7 point", r.Swept)
+		t.Errorf("sweep %v priced the over-budget v0.7 point", r.Notes)
 	}
 }
 

@@ -121,41 +121,6 @@ func (o *FaultOracle) Relative(ber float64) (rel float64, deterministic bool) {
 	return p.rel, p.deterministic
 }
 
-// FaultReport collects one network's fault-differential divergences.
-type FaultReport struct {
-	Network string
-	// Swept lists the operating points exercised, in sweep order;
-	// negative-oracle rejections carry a "!" suffix.
-	Swept       []string
-	Divergences []Divergence
-}
-
-// OK reports whether every check passed.
-func (r *FaultReport) OK() bool { return len(r.Divergences) == 0 }
-
-// String summarizes the report, one divergence per line.
-func (r *FaultReport) String() string {
-	if r.OK() {
-		return fmt.Sprintf("%s: fault admission holds (%s)", r.Network, strings.Join(r.Swept, ", "))
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %d fault divergences\n", r.Network, len(r.Divergences))
-	for _, d := range r.Divergences {
-		fmt.Fprintf(&b, "  %s\n", d)
-	}
-	return strings.TrimRight(b.String(), "\n")
-}
-
-// diverge appends a divergence between two rendered values.
-func (r *FaultReport) diverge(check, wantModel, gotModel string, want, got any) {
-	r.Divergences = append(r.Divergences, Divergence{
-		Check:  check,
-		Models: [2]string{wantModel, gotModel},
-		Want:   fmt.Sprint(want),
-		Got:    fmt.Sprint(got),
-	})
-}
-
 // CompareFaults runs the fault-injection differential for one network:
 // derives the per-layer budgets at the constraint (<= 0 selects the
 // paper-reproducing 0.995), then checks plan-byte stability, admission
@@ -165,12 +130,14 @@ func (r *FaultReport) diverge(check, wantModel, gotModel string, want, got any) 
 // variant. opts.Backend, opts.OperatingPoint and opts.LayerBudgets are
 // overridden per run; everything else is compared as given. A nil
 // oracle skips the empirical probes (the structural checks still run).
+// The report's notes list the operating points exercised, in sweep
+// order; negative-oracle rejections carry a "!" suffix.
 func CompareFaults(net models.Network, cfg hw.Config, opts sched.Options, oracle *FaultOracle,
-	constraint float64, seed uint64) (*FaultReport, error) {
+	constraint float64, seed uint64) (*Report, error) {
 	if constraint <= 0 {
 		constraint = 0.995
 	}
-	r := &FaultReport{Network: net.Name}
+	r := &Report{Subject: net.Name + " faults"}
 
 	names := make([]string, len(net.Layers))
 	for i, l := range net.Layers {
@@ -242,7 +209,7 @@ func CompareFaults(net models.Network, cfg hw.Config, opts sched.Options, oracle
 			if p.BitErrorRate > budget {
 				// Negative oracle: the uniform budget must reject the
 				// point outright...
-				r.Swept = append(r.Swept, spec+"!")
+				r.Notes = append(r.Notes, spec+"!")
 				o := withFaults(bk.Name(), p.Name)
 				if _, err := sched.Schedule(net, cfg, o); err == nil {
 					r.diverge("fault/reject/"+spec, "rejected", spec, "schedule error", "admitted")
@@ -264,7 +231,7 @@ func CompareFaults(net models.Network, cfg hw.Config, opts sched.Options, oracle
 			if p.Name == mem.Nominal {
 				continue // fault-free by construction
 			}
-			r.Swept = append(r.Swept, spec)
+			r.Notes = append(r.Notes, spec)
 			plan, err := sched.Schedule(net, cfg, withFaults(bk.Name(), p.Name))
 			if err != nil {
 				r.diverge("fault/admit/"+spec, "admissible", spec, "ok", err)
@@ -351,7 +318,7 @@ func CompareFaultFunctional(spec string, l models.ConvLayer, cfg hw.Config, rate
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Report{Layer: l, Config: cfg}
+	r := &Report{Subject: fmt.Sprintf("%s fault-functional %s", spec, l.Name)}
 	banks, bankWords := cfg.Banks(), cfg.BankWords
 	din, dw, dout := int(l.InputWords()), int(l.WeightWords()), int(l.OutputWords())
 	if din+dw+dout > banks*bankWords {

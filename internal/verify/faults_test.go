@@ -38,7 +38,7 @@ func TestCompareFaultsAlexNet(t *testing.T) {
 	if !r.OK() {
 		t.Fatalf("fault differential diverged:\n%s", r)
 	}
-	swept := strings.Join(r.Swept, " ")
+	swept := strings.Join(r.Notes, " ")
 	// The admissible approximate points must have been exercised and the
 	// over-budget corner rejected.
 	for _, want := range []string{"approx-dram@v0.9", "approx-dram@v0.8", "approx-dram@v0.7!"} {

@@ -13,51 +13,10 @@ package verify
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"rana/internal/serve"
 )
-
-// NodesReport collects one request's divergences across a node set.
-type NodesReport struct {
-	// Path and Body identify the request that was replayed, e.g.
-	// "/v1/schedule" with `{"model": "AlexNet"}`.
-	Path string
-	Body string
-	// Reference is the single-node URL every node was compared against.
-	Reference string
-	// Nodes are the fleet URLs that were compared.
-	Nodes       []string
-	Divergences []Divergence
-}
-
-// OK reports whether every node reproduced the reference response.
-func (r *NodesReport) OK() bool { return len(r.Divergences) == 0 }
-
-// String summarizes the report, one divergence per line.
-func (r *NodesReport) String() string {
-	if r.OK() {
-		return fmt.Sprintf("%s %s: %d nodes byte-identical to the reference",
-			r.Path, r.Body, len(r.Nodes))
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %s: %d node divergences\n", r.Path, r.Body, len(r.Divergences))
-	for _, d := range r.Divergences {
-		fmt.Fprintf(&b, "  %s\n", d)
-	}
-	return strings.TrimRight(b.String(), "\n")
-}
-
-// diverge appends a divergence between the reference and one node.
-func (r *NodesReport) diverge(check, node string, want, got any) {
-	r.Divergences = append(r.Divergences, Divergence{
-		Check:  check,
-		Models: [2]string{"reference", node},
-		Want:   fmt.Sprint(want),
-		Got:    fmt.Sprint(got),
-	})
-}
 
 // defaultNodesClient keeps one conformance sweep from stalling for the
 // full 30 s client budget on a dead node.
@@ -76,16 +35,16 @@ func defaultNodesClient() *serve.RetryClient {
 // key, wherever the request lands, warm or cold — must reproduce the
 // reference bytes exactly; a 200 with different bytes and a non-200
 // where the reference succeeded are both divergences, not transport
-// errors.
+// errors. The report's notes list the nodes compared.
 //
 // client may be nil, selecting a short-budget RetryClient. An error is
 // returned only when the reference itself is unreachable — without its
 // answer there is nothing to conform to.
-func CompareNodes(ctx context.Context, client *serve.RetryClient, reference string, nodes []string, path string, body []byte) (*NodesReport, error) {
+func CompareNodes(ctx context.Context, client *serve.RetryClient, reference string, nodes []string, path string, body []byte) (*Report, error) {
 	if client == nil {
 		client = defaultNodesClient()
 	}
-	r := &NodesReport{Path: path, Body: string(body), Reference: reference, Nodes: nodes}
+	r := &Report{Subject: fmt.Sprintf("%s %s", path, body), Notes: nodes}
 
 	refBody, refStatus, err := client.PostJSON(ctx, reference+path, body)
 	if err != nil {
@@ -95,17 +54,17 @@ func CompareNodes(ctx context.Context, client *serve.RetryClient, reference stri
 	for _, node := range nodes {
 		got, status, err := client.PostJSON(ctx, node+path, body)
 		if err != nil {
-			r.diverge("nodes/transport", node, fmt.Sprintf("status %d", refStatus), err)
+			r.diverge("nodes/transport", "reference", node, fmt.Sprintf("status %d", refStatus), err)
 			continue
 		}
 		if status != refStatus {
-			r.diverge("nodes/status", node,
+			r.diverge("nodes/status", "reference", node,
 				fmt.Sprintf("%d: %.120s", refStatus, refBody),
 				fmt.Sprintf("%d: %.120s", status, got))
 			continue
 		}
 		if string(got) != string(refBody) {
-			r.diverge("nodes/body-bytes", node,
+			r.diverge("nodes/body-bytes", "reference", node,
 				fmt.Sprintf("%.120s", refBody), fmt.Sprintf("%.120s", got))
 		}
 	}

@@ -79,8 +79,8 @@ func TestCompareNodesZooAcrossRing(t *testing.T) {
 			if !r.OK() {
 				t.Errorf("%s", r)
 			}
-			if len(r.Nodes) != len(nodes) {
-				t.Errorf("%s %s: compared %d nodes, want %d", path, m.Name, len(r.Nodes), len(nodes))
+			if len(r.Notes) != len(nodes) {
+				t.Errorf("%s %s: compared %d nodes, want %d", path, m.Name, len(r.Notes), len(nodes))
 			}
 		}
 	}

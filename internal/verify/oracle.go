@@ -25,7 +25,7 @@ import (
 // the compulsory transfers). Inputs must be valid — Analyze and Walk
 // panic on malformed layers or tilings by design.
 func CompareLayer(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config, tol Tolerances) *Report {
-	r := &Report{Layer: l, Pattern: k, Tiling: t, Config: cfg}
+	r := &Report{Subject: caseSubject(l, k, t, cfg)}
 	a := pattern.MustAnalyze(l, k, t, cfg)
 	w := sim.Walk(l, k, t, cfg)
 
@@ -131,7 +131,7 @@ func CompareRefresh(a pattern.Analysis, cfg hw.Config, opts sched.Options, tol T
 	if opts.Controller == nil || opts.RefreshInterval <= 0 {
 		return nil, fmt.Errorf("verify: CompareRefresh needs a controller and a positive interval")
 	}
-	r := &Report{Layer: a.Layer, Pattern: a.Pattern, Tiling: a.Tiling, Config: cfg}
+	r := &Report{Subject: caseSubject(a.Layer, a.Pattern, a.Tiling, cfg)}
 	banks, bankWords := cfg.Banks(), cfg.BankWords
 
 	alloc := memctrl.Allocate(a.BufferStorage, bankWords, banks)
@@ -246,7 +246,7 @@ func CompareFunctional(l models.ConvLayer, cfg hw.Config, interval time.Duration
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Report{Layer: l, Config: cfg}
+	r := &Report{Subject: fmt.Sprintf("%s functional on %s", l.Name, cfg.Name)}
 	banks, bankWords := cfg.Banks(), cfg.BankWords
 	din, dw, dout := int(l.InputWords()), int(l.WeightWords()), int(l.OutputWords())
 	if din+dw+dout > banks*bankWords {

@@ -6,13 +6,18 @@
 // (sim.RunFunctional) — and every headline number (99.7% refresh removal,
 // 66.2% energy saving) silently depends on their agreement.
 //
-// The package provides three layers of checking:
+// The package provides four layers of checking:
 //
 //   - a differential oracle (CompareLayer, CompareRefresh,
 //     CompareFunctional) that runs two or more models on one
 //     (layer, pattern, tiling, config) and reports any disagreement on
 //     MAC counts, cycles, buffer traffic, data lifetimes, execution time
 //     and refresh-word counts within declared tolerances;
+//
+//   - the differential matrix (Matrix): every scheduler setting that
+//     claims a relation to another — search strategy, worker count,
+//     memo, incremental pricing, enlarged axes, spelled defaults — is
+//     one declarative variant compiled against a shared reference;
 //
 //   - runtime invariant checkers: CheckPlan validates every structural
 //     invariant of a schedule (bank allocations within the buffer,
@@ -102,26 +107,30 @@ func (d Divergence) String() string {
 	return fmt.Sprintf("%s: %s=%s, %s=%s", d.Check, d.Models[0], d.Want, d.Models[1], d.Got)
 }
 
-// Report collects a case's divergences.
+// Report is the outcome of one check, whatever checked it: the subject
+// (a layer case, a network's matrix run, a backend sweep, a replayed
+// request), notes on what the check exercised, and every divergence it
+// found. Every Compare* and Matrix.Run returns one.
 type Report struct {
-	Layer       models.ConvLayer
-	Pattern     pattern.Kind
-	Tiling      pattern.Tiling
-	Config      hw.Config
+	Subject     string
+	Notes       []string
 	Divergences []Divergence
 }
 
-// OK reports whether the case passed.
+// OK reports whether the check passed.
 func (r *Report) OK() bool { return len(r.Divergences) == 0 }
 
-// String summarizes the report, one divergence per line.
+// String summarizes the report: the notes when it passed, one
+// divergence per line when it did not.
 func (r *Report) String() string {
 	if r.OK() {
-		return fmt.Sprintf("%s %v %v: ok", r.Layer.Name, r.Pattern, r.Tiling)
+		if len(r.Notes) == 0 {
+			return r.Subject + ": ok"
+		}
+		return fmt.Sprintf("%s: ok (%s)", r.Subject, strings.Join(r.Notes, ", "))
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s %v %v on %s: %d divergences\n",
-		r.Layer.Name, r.Pattern, r.Tiling, r.Config.Name, len(r.Divergences))
+	fmt.Fprintf(&b, "%s: %d divergences\n", r.Subject, len(r.Divergences))
 	for _, d := range r.Divergences {
 		fmt.Fprintf(&b, "  %s\n", d)
 	}
@@ -136,6 +145,24 @@ func (r *Report) diverge(check, wantModel, gotModel string, want, got any) {
 		Want:   fmt.Sprint(want),
 		Got:    fmt.Sprint(got),
 	})
+}
+
+// note appends one line on what the check exercised.
+func (r *Report) note(format string, args ...any) {
+	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
+}
+
+// caseSubject names one (layer, pattern, tiling, config) case.
+func caseSubject(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config) string {
+	return fmt.Sprintf("%s %v %v on %s", l.Name, k, t, cfg.Name)
+}
+
+// errString renders an error for a divergence, mapping nil to "ok".
+func errString(err error) string {
+	if err == nil {
+		return "ok"
+	}
+	return err.Error()
 }
 
 // Violation is one broken runtime invariant.

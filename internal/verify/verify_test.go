@@ -282,7 +282,7 @@ func TestMinimizeShrinks(t *testing.T) {
 
 // TestDivergenceRendering: reports render the offending check for humans.
 func TestDivergenceRendering(t *testing.T) {
-	r := &Report{Layer: models.ConvLayer{Name: "l"}, Pattern: pattern.OD}
+	r := &Report{Subject: "l"}
 	r.diverge("cycles", "analytical", "walker", 10, 11)
 	if r.OK() {
 		t.Fatal("diverged report claims OK")
