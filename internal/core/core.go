@@ -50,8 +50,9 @@ type Framework struct {
 	// sequential reference path. Plans are byte-identical at every level.
 	Parallelism int
 	// Memo, when non-nil, shares layer-shape exploration results across
-	// compiles (sched.Options.Memo). Nil keeps the default per-compile
-	// memo; ranad installs a server-wide memo here.
+	// compiles (sched.Options.Memo); ranad installs a server-wide memo
+	// here. Repeated shapes inside one compile explore once either way
+	// (the scheduler's in-compile dedup), nil, warm or full.
 	Memo *sched.Memo
 	// Prefix, when non-nil, shares bound prefix sums across compiles
 	// (sched.Options.Prefix). Nil keeps the default per-compile prefix

@@ -81,8 +81,13 @@ func (c Config) PEs() int { return c.ArrayM * c.ArrayN }
 // Banks returns the number of buffer banks, rounding up so the last
 // partial bank still exists (and must be refreshed by a conventional
 // controller).
-func (c Config) Banks() int {
-	return int((c.BufferWords + uint64(c.BankWords) - 1) / uint64(c.BankWords))
+func (c Config) Banks() int { return BankCount(c.BufferWords, c.BankWords) }
+
+// BankCount is Banks for a buffer capacity and bank size given apart —
+// the form per-candidate pricing uses, since the value receiver copies
+// the whole configuration at every call.
+func BankCount(bufferWords uint64, bankWords int) int {
+	return int((bufferWords + uint64(bankWords) - 1) / uint64(bankWords))
 }
 
 // WithBufferWords returns a copy of the configuration with a different

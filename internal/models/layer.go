@@ -35,8 +35,10 @@ type ConvLayer struct {
 	Groups int
 }
 
-// groups returns the effective group count (>= 1).
-func (l ConvLayer) groups() int {
+// groups returns the effective group count (>= 1). A pointer receiver
+// because Validate runs once per priced scheduling candidate: a value
+// receiver copies the whole layer at every call, even inlined.
+func (l *ConvLayer) groups() int {
 	if l.Groups <= 1 {
 		return 1
 	}

@@ -13,7 +13,10 @@ import (
 // invariants — the MAC count is the layer's exact arithmetic, the cycle
 // count is achievable (at least MACs/PEs) and converts consistently to
 // wall time, utilization is a true ratio, no data lifetime outlives the
-// layer, and the storage footprint decides buffer fit.
+// layer, and the storage footprint decides buffer fit. The in-place
+// form (AnalyzeTraversalInto), written over the previous candidate's
+// result, also equals the value form field for field — on the layer
+// and a two-group variant, under every traversal the scheduler prices.
 func FuzzAnalyze(f *testing.F) {
 	f.Add(3, 4, 8, 3, 1, 1, 2, 2, 2, 2)
 	f.Add(1, 1, 1, 1, 1, 0, 1, 1, 1, 1)
@@ -70,6 +73,27 @@ func FuzzAnalyze(f *testing.F) {
 			if a.FitsBuffer != (a.BufferStorage.Total() <= cfg.BufferWords) {
 				t.Fatalf("%v: FitsBuffer=%v but storage %d of %d",
 					kind, a.FitsBuffer, a.BufferStorage.Total(), cfg.BufferWords)
+			}
+		}
+
+		grouped := l
+		grouped.N, grouped.M, grouped.Groups = 2*l.N, 2*l.M, 2
+		var dst Analysis
+		for _, layer := range []models.ConvLayer{l, grouped} {
+			for _, kind := range []Kind{ID, OD, WD} {
+				for _, blocks := range []int{0, 2, 4, 8} {
+					trv := Traversal{Blocks: blocks}
+					want, err := AnalyzeTraversal(layer, kind, ti, cfg, trv)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := AnalyzeTraversalInto(&dst, &layer, kind, ti, &cfg, trv); err != nil {
+						t.Fatal(err)
+					}
+					if dst != want {
+						t.Fatalf("%v %v groups=%d: in place %+v, value form %+v", kind, trv, layer.Groups, dst, want)
+					}
+				}
 			}
 		}
 	})

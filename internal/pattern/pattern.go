@@ -242,34 +242,43 @@ func Analyze(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config) (Analysis, err
 // traversal-invariant: blocking permutes the visit order of the same
 // tile set.
 func AnalyzeTraversal(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv Traversal) (Analysis, error) {
-	if err := l.Validate(); err != nil {
+	var a Analysis
+	if err := AnalyzeTraversalInto(&a, &l, k, t, &cfg, trv); err != nil {
 		return Analysis{}, err
+	}
+	return a, nil
+}
+
+// AnalyzeTraversalInto is AnalyzeTraversal writing into a caller-owned
+// Analysis, with the layer and configuration read through pointers:
+// the same checks in the same order, the same error text, the same
+// result bits. It is the exact evaluator's per-candidate form — the
+// value form copies the layer, the configuration and the several-
+// hundred-byte result on every call. Every field of *a is overwritten
+// on success, so a destination reused from another candidate never
+// leaks state; on an error *a is left untouched.
+func AnalyzeTraversalInto(a *Analysis, l *models.ConvLayer, k Kind, t Tiling, cfg *hw.Config, trv Traversal) error {
+	if err := l.Validate(); err != nil {
+		return err
 	}
 	if err := t.Validate(); err != nil {
-		return Analysis{}, err
+		return err
 	}
 	if err := trv.Validate(); err != nil {
-		return Analysis{}, err
+		return err
 	}
 	switch k {
 	case ID, OD, WD:
 	default:
-		return Analysis{}, fmt.Errorf("pattern: unknown kind %d", int(k))
+		return fmt.Errorf("pattern: unknown kind %d", int(k))
 	}
 	switch cfg.Mapping {
 	case hw.MapOutputPixel, hw.MapOutputInput:
 	default:
-		return Analysis{}, fmt.Errorf("pattern: unknown mapping %v", cfg.Mapping)
+		return fmt.Errorf("pattern: unknown mapping %v", cfg.Mapping)
 	}
-	g := l.Groups
-	if g <= 1 {
-		return analyzeUngrouped(l, k, t, cfg, trv, 1), nil
-	}
-	sub := l
-	sub.N /= g
-	sub.M /= g
-	sub.Groups = 1
-	return analyzeUngrouped(sub, k, t, cfg, trv, g), nil
+	analyzeInto(a, l, k, t, cfg, trv)
+	return nil
 }
 
 // MustAnalyze is Analyze for inputs known valid by construction — tests,
@@ -283,16 +292,30 @@ func MustAnalyze(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config) Analysis {
 	return a
 }
 
-// analyzeUngrouped does the real work on an ungrouped (sub-)layer and
-// scales whole-layer totals by the group count g. The reported Layer is
-// the original grouped layer reconstructed.
-func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv Traversal, g int) Analysis {
-	R, C := l.R(), l.C()
-	nM := ceilDiv(l.M, t.Tm)
-	nN := ceilDiv(l.N, t.Tn)
+// analyzeInto does the real work on the layer's per-group sub-problem
+// and scales whole-layer totals by the group count g. The sub-layer is
+// never materialized: its shape is read field by field into locals,
+// because ConvLayer's and Tiling's value-receiver helpers (R, C, MACs,
+// the word counts, Th, Tl) copy the whole layer on every call, even
+// inlined. The locals spell the same formulas; the reported Layer is
+// the caller's layer, grouped as given.
+func analyzeInto(a *Analysis, l *models.ConvLayer, k Kind, t Tiling, cfg *hw.Config, trv Traversal) {
+	g := 1
+	if l.Groups > 1 {
+		g = l.Groups
+	}
+	// The per-group sub-layer: N/g input channels, M/g kernels.
+	N, M := l.N/g, l.M/g
+	H, L, K, S := l.H, l.L, l.K, l.S
+	R := (H+2*l.P-K)/S + 1
+	C := (L+2*l.P-K)/S + 1
+	kk := uint64(K) * uint64(K)
+	nM := ceilDiv(M, t.Tm)
+	nN := ceilDiv(N, t.Tn)
 	nR := ceilDiv(R, t.Tr)
 	nC := ceilDiv(C, t.Tc)
-	th, tl := t.Th(l), t.Tl(l)
+	th, tl := (t.Tr-1)*S+K, (t.Tc-1)*S+K
+	bufWords := cfg.BufferWords
 
 	// Core tile time depends on the array's spatial mapping (hw.Mapping):
 	// spatial loop dimensions are ceil-divided over array lanes, temporal
@@ -303,48 +326,42 @@ func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv T
 		// Tm spatial over ArrayM rows, Tr·Tc pixels spatial over ArrayN
 		// columns; Tn and K² temporal.
 		perTile = uint64(ceilDiv(t.Tm, cfg.ArrayM)) * uint64(ceilDiv(t.Tr*t.Tc, cfg.ArrayN)) *
-			uint64(t.Tn) * uint64(l.K) * uint64(l.K)
+			uint64(t.Tn) * kk
 	case hw.MapOutputInput:
 		// Tm spatial over ArrayM, Tn spatial over ArrayN; Tr, Tc and K²
 		// temporal.
 		perTile = uint64(ceilDiv(t.Tm, cfg.ArrayM)) * uint64(ceilDiv(t.Tn, cfg.ArrayN)) *
-			uint64(t.Tr) * uint64(t.Tc) * uint64(l.K) * uint64(l.K)
+			uint64(t.Tr) * uint64(t.Tc) * kk
 	default:
-		// Invariant: Analyze validated the mapping before dispatching here.
+		// Invariant: AnalyzeTraversalInto validated the mapping first.
 		panic(fmt.Sprintf("pattern: unknown mapping %v", cfg.Mapping))
 	}
 	tiles := uint64(nM) * uint64(nN) * uint64(nR) * uint64(nC)
 	subCycles := tiles * perTile
 	cycles := subCycles * uint64(g)
 
-	macs := l.MACs() * uint64(g)
-	util := float64(macs) / (float64(cfg.PEs()) * float64(cycles))
+	// The sub-layer's MAC count M·N·R·C·K², scaled to the whole layer.
+	macs := uint64(M) * uint64(N) * uint64(R) * uint64(C) * kk * uint64(g)
 
 	// Per-tile transfer sizes (words).
 	inTile := uint64(t.Tn) * uint64(th) * uint64(tl)
-	wTile := uint64(t.Tm) * uint64(t.Tn) * uint64(l.K) * uint64(l.K)
+	wTile := uint64(t.Tm) * uint64(t.Tn) * kk
 	outTile := uint64(t.Tm) * uint64(t.Tr) * uint64(t.Tc)
 
 	// Whole-(sub)layer data volumes.
-	din := l.InputWords()
-	dw := l.WeightWords()
-	dout := l.OutputWords()
+	din := uint64(N) * uint64(H) * uint64(L)
+	dw := uint64(M) * uint64(N) * kk
+	dout := uint64(M) * uint64(R) * uint64(C)
 
-	a := Analysis{
-		Layer:       l,
-		Pattern:     k,
-		Tiling:      t,
-		Traversal:   trv,
-		MACs:        macs,
-		Cycles:      cycles,
-		ExecTime:    cyclesDur(cycles, cfg),
-		Utilization: util,
-	}
-	if g > 1 {
-		a.Layer.N *= g
-		a.Layer.M *= g
-		a.Layer.Groups = g
-	}
+	a.Layer = *l
+	a.Pattern = k
+	a.Tiling = t
+	a.Traversal = trv
+	a.MACs = macs
+	a.Cycles = cycles
+	a.ExecTime = cyclesDur(cycles, cfg.FrequencyHz)
+	// η = MACs / (PEs · Cycles), PEs = ArrayM·ArrayN.
+	a.Utilization = float64(macs) / (float64(cfg.ArrayM*cfg.ArrayN) * float64(cycles))
 
 	// Loop-level times for the sub-layer, in whole cycles. T1/T2/T3 are
 	// the completed durations of the 1st/2nd/3rd-level loops (Fig. 10);
@@ -357,14 +374,14 @@ func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv T
 		t2 = uint64(nR*nC) * t1
 		t3 = uint64(nM) * t2
 		a.BufferStorage = Storage{
-			Inputs:  din,                                // Eq. 1
-			Outputs: outTile,                            // Eq. 2
-			Weights: uint64(l.N) * uint64(t.Tm) * k2(l), // Eq. 3
+			Inputs:  din,                           // Eq. 1
+			Outputs: outTile,                       // Eq. 2
+			Weights: uint64(N) * uint64(t.Tm) * kk, // Eq. 3
 		}
 		a.Lifetimes = Lifetimes{
-			Input:  cyclesDur(t3, cfg), // Eq. 4
-			Weight: cyclesDur(t2, cfg), // Eq. 5
-			Output: 0,                  // accumulated in PEs, stored then shipped (§III-B2)
+			Input:  cyclesDur(t3, cfg.FrequencyHz), // Eq. 4
+			Weight: cyclesDur(t2, cfg.FrequencyHz), // Eq. 5
+			Output: 0,                              // accumulated in PEs, stored then shipped (§III-B2)
 		}
 		a.BufferTraffic = Storage{
 			Inputs:  tiles * inTile,
@@ -375,9 +392,9 @@ func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv T
 		// the output tile) must fit outright; inputs enjoy cross-Loop-M
 		// reuse only when everything fits (Eq. 1), otherwise the whole
 		// input set reloads once per output group ([11]-style model).
-		a.Feasible = a.BufferStorage.Weights+a.BufferStorage.Outputs <= cfg.BufferWords
+		a.Feasible = a.BufferStorage.Weights+a.BufferStorage.Outputs <= bufWords
 		a.DDRTraffic = Storage{Inputs: din, Weights: dw, Outputs: dout}
-		if !fits(a.BufferStorage, cfg) {
+		if !fits(a.BufferStorage, bufWords) {
 			a.DDRTraffic.Inputs = uint64(nM) * din
 		}
 
@@ -386,14 +403,14 @@ func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv T
 		t2 = uint64(nM) * t1
 		t3 = uint64(nN) * t2
 		a.BufferStorage = Storage{
-			Inputs:  uint64(t.Tn) * uint64(l.H) * uint64(l.L), // Eq. 6
-			Outputs: dout,                                     // Eq. 7
-			Weights: wTile,                                    // Eq. 8
+			Inputs:  uint64(t.Tn) * uint64(H) * uint64(L), // Eq. 6
+			Outputs: dout,                                 // Eq. 7
+			Weights: wTile,                                // Eq. 8
 		}
 		a.Lifetimes = Lifetimes{
-			Input:  cyclesDur(t2, cfg), // Eq. 9
-			Output: cyclesDur(t2, cfg), // Eq. 9 — self-refreshed every T2 by accumulation
-			Weight: cyclesDur(t1, cfg), // Eq. 10
+			Input:  cyclesDur(t2, cfg.FrequencyHz), // Eq. 9
+			Output: cyclesDur(t2, cfg.FrequencyHz), // Eq. 9 — self-refreshed every T2 by accumulation
+			Weight: cyclesDur(t1, cfg.FrequencyHz), // Eq. 10
 		}
 		if nN == 1 {
 			// A single input pass fully accumulates each output tile in
@@ -411,9 +428,9 @@ func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv T
 		// tile and an output tile) must fit outright; outputs enjoy
 		// on-chip accumulation only when everything fits (Eq. 7),
 		// otherwise partial sums spill once per remaining input pass.
-		a.Feasible = a.BufferStorage.Inputs+a.BufferStorage.Weights+outTile <= cfg.BufferWords
+		a.Feasible = a.BufferStorage.Inputs+a.BufferStorage.Weights+outTile <= bufWords
 		a.DDRTraffic = Storage{Inputs: din, Weights: dw, Outputs: dout}
-		if !fits(a.BufferStorage, cfg) {
+		if !fits(a.BufferStorage, bufWords) {
 			a.DDRTraffic.Outputs = dout + 2*uint64(nN-1)*dout
 		}
 
@@ -422,14 +439,14 @@ func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv T
 		t2 = uint64(nM) * t1
 		t3 = uint64(nR*nC) * t2
 		a.BufferStorage = Storage{
-			Inputs:  uint64(l.N) * uint64(th) * uint64(tl), // Eq. 11
-			Outputs: outTile,                               // Eq. 12
-			Weights: dw,                                    // Eq. 13
+			Inputs:  uint64(N) * uint64(th) * uint64(tl), // Eq. 11
+			Outputs: outTile,                             // Eq. 12
+			Weights: dw,                                  // Eq. 13
 		}
 		a.Lifetimes = Lifetimes{
-			Weight: cyclesDur(t3, cfg), // weights resident for the whole layer
-			Input:  cyclesDur(t2, cfg), // an input tile serves all M kernels
-			Output: 0,                  // finished within T1, shipped off chip
+			Weight: cyclesDur(t3, cfg.FrequencyHz), // weights resident for the whole layer
+			Input:  cyclesDur(t2, cfg.FrequencyHz), // an input tile serves all M kernels
+			Output: 0,                              // finished within T1, shipped off chip
 		}
 		a.BufferTraffic = Storage{
 			Inputs:  tiles * inTile,
@@ -444,19 +461,19 @@ func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv T
 		// from DDR with halo overlap. Weights enjoy whole-layer residency
 		// per Eq. 13 unless the storage requirement overflows, in which
 		// case they reload per tile position.
-		a.Feasible = a.BufferStorage.Inputs+a.BufferStorage.Outputs+wTile <= cfg.BufferWords
-		haloIn := uint64(nR*nC) * uint64(l.N) * uint64(th) * uint64(tl)
+		a.Feasible = a.BufferStorage.Inputs+a.BufferStorage.Outputs+wTile <= bufWords
+		haloIn := uint64(nR*nC) * uint64(N) * uint64(th) * uint64(tl)
 		switch {
-		case a.BufferStorage.Weights+a.BufferStorage.Outputs+din <= cfg.BufferWords:
+		case a.BufferStorage.Weights+a.BufferStorage.Outputs+din <= bufWords:
 			a.DDRTraffic = Storage{Inputs: din, Weights: dw, Outputs: dout}
-		case fits(a.BufferStorage, cfg):
+		case fits(a.BufferStorage, bufWords):
 			a.DDRTraffic = Storage{Inputs: haloIn, Weights: dw, Outputs: dout}
 		default:
 			a.DDRTraffic = Storage{Inputs: haloIn, Weights: uint64(nR*nC) * dw, Outputs: dout}
 		}
 
 	default:
-		// Invariant: Analyze validated the kind before dispatching here.
+		// Invariant: AnalyzeTraversalInto validated the kind first.
 		panic(fmt.Sprintf("pattern: unknown kind %d", int(k)))
 	}
 
@@ -476,12 +493,12 @@ func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv T
 			if nBlocks > 1 {
 				// A block's inputs stay staged across the whole M loop;
 				// each m's weights reload per block.
-				a.Lifetimes.Input = cyclesDur(uint64(nM)*uint64(blk)*t1, cfg)
-				a.Lifetimes.Weight = cyclesDur(uint64(blk)*t1, cfg)
+				a.Lifetimes.Input = cyclesDur(uint64(nM)*uint64(blk)*t1, cfg.FrequencyHz)
+				a.Lifetimes.Weight = cyclesDur(uint64(blk)*t1, cfg.FrequencyHz)
 				// Inputs stage per RC position with halo overlap — an
 				// upper bound on the sum of block footprints, independent
 				// of the block count, and ≥ din.
-				a.DDRTraffic.Inputs = uint64(nR*nC) * uint64(l.N) * uint64(th) * uint64(tl)
+				a.DDRTraffic.Inputs = uint64(nR*nC) * uint64(N) * uint64(th) * uint64(tl)
 				a.DDRTraffic.Weights = uint64(nBlocks) * dw
 			}
 		case OD: // blocked nest: M_blk (3rd), N, M_in, RC
@@ -490,9 +507,9 @@ func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv T
 				// An input slab serves one block per pass; outputs of a
 				// block self-refresh every pass over the block and finish
 				// (then ship) when the block's nN passes complete.
-				a.Lifetimes.Input = cyclesDur(uint64(blk)*t1, cfg)
+				a.Lifetimes.Input = cyclesDur(uint64(blk)*t1, cfg.FrequencyHz)
 				if nN > 1 {
-					a.Lifetimes.Output = cyclesDur(uint64(blk)*t1, cfg)
+					a.Lifetimes.Output = cyclesDur(uint64(blk)*t1, cfg.FrequencyHz)
 				}
 				a.DDRTraffic.Inputs = uint64(nBlocks) * din
 			}
@@ -502,13 +519,13 @@ func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv T
 				// A block's weights stay staged across the whole RC loop;
 				// an input tile serves only the block's kernels before
 				// re-streaming for the next block.
-				a.Lifetimes.Weight = cyclesDur(uint64(nR*nC)*uint64(blk)*t1, cfg)
-				a.Lifetimes.Input = cyclesDur(uint64(blk)*t1, cfg)
+				a.Lifetimes.Weight = cyclesDur(uint64(nR*nC)*uint64(blk)*t1, cfg.FrequencyHz)
+				a.Lifetimes.Input = cyclesDur(uint64(blk)*t1, cfg.FrequencyHz)
 				a.DDRTraffic.Inputs *= uint64(nBlocks)
 			}
 		}
 	}
-	a.FitsBuffer = fits(a.BufferStorage, cfg)
+	a.FitsBuffer = fits(a.BufferStorage, bufWords)
 
 	// Words written into the buffer array: every DDR fill lands in the
 	// buffer (the per-type DDR input/weight terms already carry the
@@ -520,7 +537,7 @@ func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv T
 	outWrites := a.BufferTraffic.Outputs
 	if k == OD {
 		outWrites = uint64(nN) * uint64(nM*nR*nC) * outTile
-		if !fits(a.BufferStorage, cfg) {
+		if !fits(a.BufferStorage, bufWords) {
 			outWrites += uint64(nN-1) * dout
 		}
 	}
@@ -533,20 +550,17 @@ func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv T
 		a.DDRTraffic = scaleStorage(a.DDRTraffic, uint64(g))
 		a.BufferWrites *= uint64(g)
 	}
-	return a
 }
 
-func fits(s Storage, cfg hw.Config) bool { return s.Total() <= cfg.BufferWords }
+func fits(s Storage, bufferWords uint64) bool { return s.Total() <= bufferWords }
 
 func scaleStorage(s Storage, k uint64) Storage {
 	return Storage{Inputs: s.Inputs * k, Outputs: s.Outputs * k, Weights: s.Weights * k}
 }
 
-func k2(l models.ConvLayer) uint64 { return uint64(l.K) * uint64(l.K) }
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // cyclesDur converts a cycle count to wall time at the accelerator clock.
-func cyclesDur(cycles uint64, cfg hw.Config) time.Duration {
-	return time.Duration(float64(cycles) / cfg.FrequencyHz * float64(time.Second))
+func cyclesDur(cycles uint64, hz float64) time.Duration {
+	return time.Duration(float64(cycles) / hz * float64(time.Second))
 }

@@ -1,13 +1,21 @@
 package sched
 
-// Allocation-regression gates for the pooled compile path. Two steady
-// states must stay allocation-free:
+// Allocation-regression gates for the pooled compile path. These
+// steady states must stay allocation-free:
 //
 //   - the warm-memo compile: every layer served from a shared Memo's
 //     completed entries through the peek pass;
 //   - the steady-state explore loop: an un-memoized sequential compile
 //     whose scratch (explore arenas, bound, pricing contexts, prefix
-//     memo, compile state) is all pooled.
+//     memo, compile state) is all pooled — under the default pruned
+//     strategy and under beam, whose survivor scratch is pooled too;
+//   - the saturated-memo compile: ranad's shared Memo and PrefixMemo,
+//     the Memo too full to record anything, so the in-compile dedup
+//     alone serves repeated shapes. The shared prefix memo is part of
+//     the setting, not a convenience: a pooled per-compile one is
+//     cleared between compiles, Go reseeds a cleared map, and refilling
+//     a table as large as ResNet's can then split it at random — a
+//     one-off allocation that has nothing to do with the dedup.
 //
 // testing.AllocsPerRun pins GOMAXPROCS to 1 and does a warmup run, so
 // the pools are primed before counting. The gates are skipped under the
@@ -19,6 +27,7 @@ import (
 
 	"rana/internal/hw"
 	"rana/internal/models"
+	"rana/internal/sched/search"
 )
 
 // TestWarmMemoCompileAllocFree gates the whole zoo, not one small net:
@@ -67,22 +76,34 @@ func TestSteadyStateExploreAllocFree(t *testing.T) {
 		t.Skip("allocation gates are meaningless under the race detector")
 	}
 	cfg := hw.TestAcceleratorEDRAM()
-	net := models.AlexNet()
-	opts := ranaOpts()
-	opts.DisableMemo = true
-	opts.Parallelism = 1
 	ctx := context.Background()
-
-	var p Plan
-	if _, err := ExploreNetworkInto(ctx, net, cfg, opts, &p); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := ExploreNetworkInto(ctx, net, cfg, opts, &p); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state explore compile allocated %.1f objects/op, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		net  models.Network
+		tune func(*testing.T, *Options)
+	}{
+		{"memo-off", models.AlexNet(), func(_ *testing.T, o *Options) { o.DisableMemo = true }},
+		{"beam", models.AlexNet(), func(_ *testing.T, o *Options) { o.DisableMemo = true; o.Search = search.Beam }},
+		{"saturated-memo", models.ResNet(), func(t *testing.T, o *Options) {
+			o.Memo, o.Prefix = saturatedMemo(t, cfg), NewPrefixMemo(0)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := ranaOpts()
+			opts.Parallelism = 1
+			tc.tune(t, &opts)
+			var p Plan
+			if _, err := ExploreNetworkInto(ctx, tc.net, cfg, opts, &p); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := ExploreNetworkInto(ctx, tc.net, cfg, opts, &p); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state explore compile allocated %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }

@@ -42,7 +42,7 @@ func BenchmarkScheduleLayerStrategies(b *testing.B) {
 // BenchmarkCompileNetwork times whole-network scheduling over the model
 // zoo in two configurations: the sequential un-memoized baseline
 // (Parallelism 1, DisableMemo) against the optimized default (pooled
-// workers + per-compile layer-shape memo). The evals/op and memohit/op
+// workers + in-compile shape dedup). The evals/op and memohit/op
 // metrics expose where the speedup comes from — ResNet and GoogLeNet
 // repeat shapes heavily, so their memoized runs evaluate a fraction of
 // the baseline's candidates.
@@ -63,8 +63,8 @@ func BenchmarkCompileNetwork(b *testing.B) {
 				b.ReportAllocs()
 				var ns NetworkStats
 				for i := 0; i < b.N; i++ {
-					// Each iteration gets a fresh implicit memo (Options.Memo
-					// stays nil), so hit rates measure one compile, not an
+					// Options.Memo stays nil: hits come from the in-compile
+					// dedup alone, so hit rates measure one compile, not an
 					// ever-warmer cache.
 					_, st, err := ExploreNetworkContext(context.Background(), net, cfg, opts)
 					if err != nil {

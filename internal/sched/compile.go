@@ -5,20 +5,21 @@ package sched
 // piece of per-compile scratch leased from sync.Pools:
 //
 //   - a compileState arena holds the per-layer result/err/key slices,
-//     the memo-signature build buffer and its interned string;
+//     the in-compile dedup's representative indices, the miss work
+//     list, the memo-signature build buffer and its interned string;
 //   - an exploreState arena (one per exploring goroutine) holds the
 //     candidate axis scratch, the streaming tiling space, the pooled
 //     bound evaluator, the backend point/table scratch and the four
 //     search closures, all created once and re-pointed per layer;
-//   - the implicit per-compile Memo and PrefixMemo are pooled too, and
-//     reset on release so per-compile hit rates stay honest.
+//   - the implicit per-compile PrefixMemo is pooled too, and reset on
+//     release so per-compile hit rates stay honest.
 //
 // Ownership: a leased arena belongs to exactly one compile (one
 // goroutine for exploreState) from Get to Put; nothing borrowed from an
 // arena may outlive the compile — results are *copied* into the Plan,
-// never aliased. The AllocsPerRun gates in alloc_test.go pin the two
-// steady states this buys: a warm-memo compile and the steady-state
-// explore loop both run allocation-free.
+// never aliased. The AllocsPerRun gates in alloc_test.go pin the steady
+// states this buys: a warm-memo compile, the steady-state explore loop
+// and a saturated-memo compile all run allocation-free.
 
 import (
 	"context"
@@ -104,12 +105,21 @@ type exploreState struct {
 
 func newExploreState() *exploreState {
 	s := &exploreState{}
-	s.admit = func(t pattern.Tiling) bool { return t.FitsCore(s.e, s.cfg) }
+	s.admit = func(t pattern.Tiling) bool {
+		// Tiling.FitsCore's three core limits on the effective layer,
+		// read in place: its value parameters copy the layer and the
+		// configuration once per scanned tiling.
+		e, cfg := &s.e, &s.cfg
+		th, tl := (t.Tr-1)*e.S+e.K, (t.Tc-1)*e.S+e.K
+		return t.Tn*th*tl <= cfg.LocalInput &&
+			t.Tm*t.Tr*t.Tc <= cfg.LocalOutput &&
+			t.Tm*t.Tn*e.K*e.K <= cfg.LocalWeight
+	}
 	s.boundFn = s.b.lower
 	s.newPricer = func() search.Pricer { return acquirePricer(&s.b, s.env.prefix) }
 	s.evaluate = func(k pattern.Kind, t pattern.Tiling, cell search.Cell, out *search.Outcome[LayerPlan]) error {
-		if err := evaluateCellInto(&out.Value, s.l, k, t, s.cfg, s.opts, s.bk,
-			s.points[cell.Point], s.env.travs[cell.Trav], s.env.maps[cell.Map]); err != nil {
+		if err := evaluateCellInto(&out.Value, &s.l, k, t, &s.cfg, &s.opts, s.bk,
+			&s.points[cell.Point], s.env.travs[cell.Trav], s.env.maps[cell.Map]); err != nil {
 			return err
 		}
 		out.Feasible = out.Value.Analysis.Feasible
@@ -212,11 +222,14 @@ func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, 
 
 // compileState is one compile's arena: the per-layer slices, the miss
 // work list and the signature build buffer with its interned string.
+// reps[i] is the earlier layer whose exploration layer i repeats (the
+// in-compile dedup), or -1 when layer i is served or explored itself.
 type compileState struct {
 	plans  []LayerPlan
 	stats  []search.Stats
 	hits   []bool
 	keys   []memoKey
+	reps   []int
 	errs   []error
 	miss   []int
 	sigBuf []byte
@@ -232,6 +245,7 @@ func (cs *compileState) grow(n int) {
 		cs.stats = make([]search.Stats, n)
 		cs.hits = make([]bool, n)
 		cs.keys = make([]memoKey, n)
+		cs.reps = make([]int, n)
 		cs.errs = make([]error, n)
 	}
 	cs.plans = cs.plans[:n]
@@ -241,6 +255,10 @@ func (cs *compileState) grow(n int) {
 	cs.hits = cs.hits[:n]
 	clear(cs.hits)
 	cs.keys = cs.keys[:n]
+	cs.reps = cs.reps[:n]
+	for i := range cs.reps {
+		cs.reps[i] = -1
+	}
 	cs.errs = cs.errs[:n]
 	clear(cs.errs)
 	cs.miss = cs.miss[:0]
@@ -257,16 +275,43 @@ func (cs *compileState) internSignature(opts Options, tech energy.BufferTech) st
 	return cs.sig
 }
 
-// runLayer explores one layer (through the memo when present) into the
-// arena's slot i, converting panics into structured per-layer errors so
-// long-lived callers (ranad) survive poisoned inputs.
+// repeatOf returns the queued miss whose memo key equals key, or -1.
+// A quadratic scan over the miss list rather than a map, as in
+// Network.Validate: networks have dozens of layers, and the compile
+// path must not allocate.
+func (cs *compileState) repeatOf(key memoKey) int {
+	for _, j := range cs.miss {
+		if cs.keys[j] == key {
+			return j
+		}
+	}
+	return -1
+}
+
+// fillRepeats copies each repeated layer's plan from the layer it
+// repeats, patching in its own identity exactly as a memo hit does,
+// and returns how many layers it filled.
+func (cs *compileState) fillRepeats(net models.Network) int {
+	n := 0
+	for i, j := range cs.reps {
+		if j < 0 {
+			continue
+		}
+		cs.plans[i] = cs.plans[j]
+		cs.plans[i].Analysis.Layer = net.Layers[i]
+		cs.hits[i] = true
+		n++
+	}
+	return n
+}
+
+// runLayer explores one layer (through the memo when present — a nil
+// memo explores directly) into the arena's slot i, converting panics
+// into structured per-layer errors so long-lived callers (ranad)
+// survive poisoned inputs.
 func (cs *compileState) runLayer(i int, l models.ConvLayer, cfg hw.Config, opts Options, memo *Memo, env compileEnv) {
 	defer cs.recoverLayer(i)
-	if memo != nil {
-		cs.plans[i], cs.stats[i], cs.hits[i], cs.errs[i] = memo.exploreEnv(cs.keys[i], l, cfg, opts, env)
-	} else {
-		cs.plans[i], cs.stats[i], cs.errs[i] = exploreLayerEnv(l, cfg, opts, env)
-	}
+	cs.plans[i], cs.stats[i], cs.hits[i], cs.errs[i] = memo.exploreEnv(cs.keys[i], l, cfg, opts, env)
 }
 
 // drainParallel fans the miss list across a bounded worker pool sharing
@@ -307,11 +352,8 @@ func (cs *compileState) recoverLayer(i int) {
 // releaseCompile returns the compile's leased arenas. Top-level (not a
 // closure) so the deferred call in ExploreNetworkInto stays open-coded
 // and allocation-free.
-func releaseCompile(cs *compileState, memo *Memo, pooledMemo bool, prefix *PrefixMemo, pooledPrefix bool) {
+func releaseCompile(cs *compileState, prefix *PrefixMemo, pooledPrefix bool) {
 	compileStatePool.Put(cs)
-	if pooledMemo {
-		putCompileMemo(memo)
-	}
 	if pooledPrefix {
 		putCompilePrefix(prefix)
 	}
@@ -324,11 +366,15 @@ func releaseCompile(cs *compileState, memo *Memo, pooledMemo bool, prefix *Prefi
 // fully overwritten; on error p is left in an unspecified state.
 //
 // The compile runs in two phases: a sequential peek pass serves every
-// layer whose shape the memo already holds (the warm path — no
-// goroutines, no closures, no allocations), then the misses drain
-// through a bounded worker pool (inline on this goroutine when one
-// worker suffices, which keeps the single-threaded explore loop
-// allocation-free too).
+// layer whose shape the shared memo already holds (the warm path — no
+// goroutines, no closures, no allocations) and marks every remaining
+// layer whose shape repeats an earlier miss of the same compile, then
+// only the first layer of each shape drains through a bounded worker
+// pool (inline on this goroutine when one worker suffices, which keeps
+// the single-threaded explore loop allocation-free too). The repeats
+// are filled from their representative afterwards — the in-compile
+// dedup, which needs no memo table and so holds whether the shared
+// memo is absent, warm or saturated.
 func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, opts Options, p *Plan) (NetworkStats, error) {
 	var ns NetworkStats
 	if err := net.Validate(); err != nil {
@@ -355,15 +401,12 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 	if !opts.DisableIncremental {
 		env.prefix = prefix
 	}
-	// Default-on per-compile memo: repeated shapes inside one network
-	// (ResNet bottlenecks, inception branches) schedule once. Shared
+	// Default-on in-compile dedup: repeated shapes inside one network
+	// (ResNet bottlenecks, inception branches) explore once. Shared
 	// cross-compile memos are opt-in via Options.Memo.
-	memo, pooledMemo := opts.Memo, false
-	if memo == nil && !opts.DisableMemo {
-		memo, pooledMemo = getCompileMemo(), true
-	}
+	memo, dedup := opts.Memo, !opts.DisableMemo
 	cs := compileStatePool.Get().(*compileState)
-	defer releaseCompile(cs, memo, pooledMemo, prefix, pooledPrefix)
+	defer releaseCompile(cs, prefix, pooledPrefix)
 
 	n := len(net.Layers)
 	cs.grow(n)
@@ -373,16 +416,23 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 	}
 
 	// Phase 1: the peek pass. Keys are built once and kept for the miss
-	// drain; completed memo entries are served inline.
-	if memo != nil {
+	// drain; completed memo entries are served inline, and a miss whose
+	// key repeats an earlier miss waits for that one's result.
+	if memo != nil || dedup {
 		sig := cs.internSignature(opts, cfg.BufferTech)
 		for i, l := range net.Layers {
 			cs.keys[i] = keyWithSig(l, cfg, opts, sig)
 			if lp, ok := memo.peek(cs.keys[i], l); ok {
 				cs.plans[i], cs.hits[i] = lp, true
-			} else {
-				cs.miss = append(cs.miss, i)
+				continue
 			}
+			if dedup {
+				if j := cs.repeatOf(cs.keys[i]); j >= 0 {
+					cs.reps[i] = j
+					continue
+				}
+			}
+			cs.miss = append(cs.miss, i)
 		}
 	} else {
 		for i := range net.Layers {
@@ -390,11 +440,13 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 		}
 	}
 
-	// Phase 2: drain the misses. Layers are independent optimization
-	// problems (Fig. 13 schedules them one by one); a canceled context
-	// stops admitting work, already-claimed layers finish (one layer's
-	// exploration is short), and the error reports how far the schedule
-	// got.
+	// Phase 2: drain the misses, one layer per distinct shape. Layers
+	// are independent optimization problems (Fig. 13 schedules them one
+	// by one); a canceled context stops admitting work, already-claimed
+	// layers finish (one layer's exploration is short), and the error
+	// reports how far the schedule got. A repeat records no error of its
+	// own: its representative comes earlier in layer order, so a failed
+	// representative is what the error sweep below reports.
 	if workers := min(runtime.GOMAXPROCS(0), len(cs.miss)); workers <= 1 {
 		for _, i := range cs.miss {
 			if err := ctx.Err(); err != nil {
@@ -419,6 +471,13 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 		}
 	}
 
+	// The repeats count as hits, in the compile's stats below and in
+	// the shared memo's counters, like any other layer served without
+	// exploring.
+	if filled := cs.fillRepeats(net); filled > 0 && memo != nil {
+		memo.countHits(filled)
+	}
+
 	// Assembly: copy the arena's results into the caller's plan and
 	// aggregate in layer order.
 	p.Network, p.Config, p.Options = net, cfg, opts
@@ -434,9 +493,9 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 		if cs.hits[i] {
 			ns.MemoHits++
 		} else {
-			// With no memo at all there are no misses to report — only
-			// the search work itself.
-			if memo != nil {
+			// With neither a memo nor the dedup there are no misses to
+			// report — only the search work itself.
+			if memo != nil || dedup {
 				ns.MemoMisses++
 			}
 			ns.Search.Add(cs.stats[i])

@@ -4,9 +4,10 @@ package sched
 // ResNet-50's bottleneck blocks and GoogLeNet's inception branches reuse
 // a handful of shapes dozens of times — and the Fig. 13 exploration
 // depends only on (layer shape, accelerator config, scheduling options),
-// never on the layer's name or position. A Memo keys completed per-layer
-// explorations on that triple so each distinct shape is explored once
-// per compile (and, when a Memo is shared, once per process).
+// never on the layer's name or position. Every compile dedups its own
+// repeated shapes on that triple without any table (compile.go); a
+// shared Memo keys completed per-layer explorations on it so each
+// distinct shape is explored once per process.
 //
 // Correctness: pattern.Analyze reconstructs Analysis.Layer equal to its
 // input layer, and every other LayerPlan field is a pure function of the
@@ -72,13 +73,12 @@ type memoEntry struct {
 	ok    bool
 }
 
-// Memo caches per-layer exploration results across the layers of one
-// compile and, when shared, across compiles. Safe for concurrent use.
-// The zero value is not usable; call NewMemo.
+// Memo caches per-layer exploration results across compiles — ranad
+// shares one server-wide. Safe for concurrent use. The zero value is
+// not usable; call NewMemo.
 type Memo struct {
 	mu      sync.Mutex
 	entries map[memoKey]*memoEntry
-	free    []*memoEntry // retired entries awaiting reuse (pooled memos)
 	cap     int
 	hits    uint64
 	misses  uint64
@@ -86,7 +86,9 @@ type Memo struct {
 
 // NewMemo returns a memo bounded to capacity entries (<= 0 selects
 // DefaultMemoCapacity). When the table is full, new shapes are explored
-// without being recorded — the memo degrades to a no-op, never evicts.
+// without being recorded — the memo degrades to a no-op for them, never
+// evicts; each compile's in-compile dedup still explores a shape it
+// repeats only once.
 func NewMemo(capacity int) *Memo {
 	if capacity <= 0 {
 		capacity = DefaultMemoCapacity
@@ -96,7 +98,9 @@ func NewMemo(capacity int) *Memo {
 
 // MemoStats is a point-in-time snapshot of a memo's effectiveness.
 type MemoStats struct {
-	// Hits counts lookups served from a completed (or in-flight) entry.
+	// Hits counts layers served without exploring: lookups served from
+	// a completed (or in-flight) entry, plus the layers a compile's
+	// in-compile dedup filled from a same-shaped layer.
 	Hits uint64
 	// Misses counts lookups that had to explore.
 	Misses uint64
@@ -287,30 +291,18 @@ func (m *Memo) acquire(key memoKey) (*memoEntry, memoMode) {
 		return e, memoWait
 	}
 	if len(m.entries) >= m.cap {
-		// Full: explore without recording. No counter bump — the
-		// table is saturated, hit/miss ratios stop being meaningful.
+		// Full: explore without recording, and count no miss — nothing
+		// was added. Same-shaped layers of the caller's compile still
+		// explore once (the in-compile dedup counts their hits).
 		m.mu.Unlock()
 		return nil, memoFull
 	}
-	e := m.newEntry()
+	e := &memoEntry{}
 	e.wg.Add(1)
 	m.entries[key] = e
 	m.misses++
 	m.mu.Unlock()
 	return e, memoOwn
-}
-
-// newEntry takes an entry off the free list (or allocates). Caller
-// holds m.mu.
-func (m *Memo) newEntry() *memoEntry {
-	if n := len(m.free); n > 0 {
-		e := m.free[n-1]
-		m.free[n-1] = nil
-		m.free = m.free[:n-1]
-		*e = memoEntry{}
-		return e
-	}
-	return &memoEntry{}
 }
 
 // await blocks on an in-flight (or completed) entry and returns the
@@ -330,11 +322,11 @@ func (e *memoEntry) await(l models.ConvLayer) (LayerPlan, search.Stats, bool) {
 
 // exploreEnv returns the layer's plan through the memo: a completed
 // entry is returned with the layer identity patched in; otherwise the
-// caller explores through the per-compile environment and publishes the
-// result for same-shaped layers. The key is prebuilt, and no compute
-// closure is involved, which is what keeps the cold optimized path's
-// allocations below the baseline's. A nil memo degenerates to a plain
-// exploration.
+// caller explores through the compile's environment and publishes the
+// result for same-shaped layers of other compiles. The key is
+// prebuilt, and no compute closure is involved, which is what keeps
+// the cold optimized path's allocations below the baseline's. A nil
+// memo degenerates to a plain exploration.
 func (m *Memo) exploreEnv(key memoKey, l models.ConvLayer, cfg hw.Config, opts Options,
 	env compileEnv) (LayerPlan, search.Stats, bool, error) {
 	if m == nil {
@@ -388,34 +380,12 @@ func (m *Memo) finish(key memoKey, e *memoEntry) {
 	e.wg.Done()
 }
 
-// resetForReuse retires every entry to the free list and zeroes the
-// counters — what returns a pooled per-compile memo to its cold state.
-// Only sound once no goroutine still references the entries (the
-// compile that leased the memo has fully finished). The table is
-// emptied with clear(), not per-key delete: delete leaves tombstones
-// behind and the next compile's inserts then allocate rehashing around
-// them, while clear resets the buckets in place and keeps the refill
-// allocation-free.
-func (m *Memo) resetForReuse() {
+// countHits records n layers a compile served without exploring by
+// copying a same-shaped layer's plan (the in-compile dedup), so the
+// hit counter /metrics exports keeps counting every layer served
+// without exploring, saturated table or not.
+func (m *Memo) countHits(n int) {
 	m.mu.Lock()
-	for _, e := range m.entries {
-		m.free = append(m.free, e)
-	}
-	clear(m.entries)
-	m.hits, m.misses = 0, 0
+	m.hits += uint64(n)
 	m.mu.Unlock()
-}
-
-// compileMemoPool recycles the implicit per-compile memos so the
-// steady-state compile path allocates neither the memo, its map buckets
-// nor its entries. Entries are retired on release — per-compile means
-// per-compile: cold hit rates must not be inflated by a previous
-// compile's entries.
-var compileMemoPool = sync.Pool{New: func() any { return NewMemo(0) }}
-
-func getCompileMemo() *Memo { return compileMemoPool.Get().(*Memo) }
-
-func putCompileMemo(m *Memo) {
-	m.resetForReuse()
-	compileMemoPool.Put(m)
 }

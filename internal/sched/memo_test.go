@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,9 +15,9 @@ import (
 )
 
 // TestMemoOnOffPlansIdentical is the satellite equality check: compiling
-// with the layer-shape memo enabled must produce wire bytes identical to
-// compiling with it disabled, on every zoo network, while actually
-// hitting on the shape-heavy models.
+// with the in-compile shape dedup enabled must produce wire bytes
+// identical to compiling with it disabled, on every zoo network, while
+// actually hitting on the shape-heavy models.
 func TestMemoOnOffPlansIdentical(t *testing.T) {
 	cfg := hw.TestAcceleratorEDRAM()
 	for _, net := range models.Benchmarks() {
@@ -290,5 +291,184 @@ func TestMemoKeyCoversAllFields(t *testing.T) {
 	}
 	if got, want := reflect.TypeOf(hw.Config{}).NumField(), 11; got != want {
 		t.Errorf("hw.Config has %d fields, keyWithSig encodes for %d — extend the digest encoding", got, want)
+	}
+}
+
+// wireBytes is the plan's wire encoding — what byte-identity means.
+func wireBytes(t *testing.T, p *Plan) string {
+	t.Helper()
+	raw, err := json.Marshal(Encode(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// saturatedMemo returns a one-entry shared memo already filled by an
+// AlexNet compile under the same options, so every later shape finds
+// it full — the state a long-running ranad's memo reaches.
+func saturatedMemo(t *testing.T, cfg hw.Config) *Memo {
+	t.Helper()
+	m := NewMemo(1)
+	opts := ranaOpts()
+	opts.Memo = m
+	if _, _, err := ExploreNetworkContext(context.Background(), models.AlexNet(), cfg, opts); err != nil {
+		t.Fatal(err)
+	}
+	if ms := m.Stats(); ms.Entries != 1 {
+		t.Fatalf("priming left %d entries, want a full one-entry memo", ms.Entries)
+	}
+	return m
+}
+
+// TestSaturatedMemoDedupsRepeatedShapes: a full shared memo records no
+// new shape, yet ResNet still explores each of its 20 distinct shapes
+// once — the in-compile dedup serves the other 33 layers, counts them
+// as hits in the compile's stats and the memo's counters, and the plan
+// is byte-identical to a compile on an empty memo.
+func TestSaturatedMemoDedupsRepeatedShapes(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	net := models.ResNet()
+	ctx := context.Background()
+
+	full := saturatedMemo(t, cfg)
+	before := full.Stats()
+	opts := ranaOpts()
+	opts.Memo = full
+	// One worker: the pruned/evaluated split is compared below, and it
+	// only repeats exactly on the sequential path.
+	opts.Parallelism = 1
+	p, ns, err := ExploreNetworkContext(ctx, net, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ns.MemoHits != 33 || ns.MemoMisses != 20 {
+		t.Fatalf("saturated-memo compile: %d hits, %d misses, want 33 and 20", ns.MemoHits, ns.MemoMisses)
+	}
+	after := full.Stats()
+	if after.Entries != 1 || after.Misses != before.Misses || after.Hits-before.Hits != 33 {
+		t.Fatalf("memo stats %+v -> %+v, want 33 more hits and nothing recorded", before, after)
+	}
+
+	empty := ranaOpts()
+	empty.Memo = NewMemo(0)
+	empty.Parallelism = 1
+	pe, nse, err := ExploreNetworkContext(ctx, net, cfg, empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nse.MemoHits != 33 || nse.MemoMisses != 20 {
+		t.Fatalf("empty-memo compile: %d hits, %d misses, want 33 and 20", nse.MemoHits, nse.MemoMisses)
+	}
+	if wireBytes(t, p) != wireBytes(t, pe) {
+		t.Fatal("saturated-memo plan differs from the empty-memo plan")
+	}
+	if ns.Search != nse.Search {
+		t.Fatalf("search work %+v on the saturated memo, %+v on the empty one", ns.Search, nse.Search)
+	}
+}
+
+// TestDedupConcurrentCompilesOnSharedMemos races 8 ResNet and GoogLeNet
+// compiles through one saturated and one warm shared memo: the dedup's
+// fills, the representatives' memo traffic and the hit counting all
+// run concurrently, and every plan must equal the sequential
+// un-memoized plan byte for byte.
+func TestDedupConcurrentCompilesOnSharedMemos(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	ctx := context.Background()
+	nets := []models.Network{models.ResNet(), models.GoogLeNet()}
+	want := make([]string, len(nets))
+	for i, net := range nets {
+		ref := ranaOpts()
+		ref.DisableMemo = true
+		ref.Parallelism = 1
+		p, _, err := ExploreNetworkContext(ctx, net, cfg, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = wireBytes(t, p)
+	}
+	// The warm memo holds ResNet's shapes, so ResNet compiles peek
+	// while GoogLeNet compiles race to own and wait on fresh entries.
+	warm := NewMemo(0)
+	prime := ranaOpts()
+	prime.Memo = warm
+	if _, _, err := ExploreNetworkContext(ctx, nets[0], cfg, prime); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		memo *Memo
+	}{
+		{"saturated", saturatedMemo(t, cfg)},
+		{"warm", warm},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const compiles = 8
+			var wg sync.WaitGroup
+			for c := 0; c < compiles; c++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					opts := ranaOpts()
+					opts.Memo = tc.memo
+					opts.Parallelism = 2
+					p, ns, err := ExploreNetworkContext(ctx, nets[i], cfg, opts)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					raw, err := json.Marshal(Encode(p))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if string(raw) != want[i] {
+						t.Errorf("%s: concurrent plan differs from the sequential one", nets[i].Name)
+					}
+					if ns.MemoHits+ns.MemoMisses != len(nets[i].Layers) {
+						t.Errorf("%s: %d hits + %d misses != %d layers", nets[i].Name, ns.MemoHits, ns.MemoMisses, len(nets[i].Layers))
+					}
+				}(c % len(nets))
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// TestDedupFailingRepresentativeFailsWithItsOwnError: when the first
+// layer of a repeated shape fails, the compile reports that layer's
+// error — the first error in layer order, as without the dedup.
+func TestDedupFailingRepresentativeFailsWithItsOwnError(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	l, ok := models.AlexNet().Layer("conv3")
+	if !ok {
+		t.Fatal("missing fixture layer")
+	}
+	net := models.Network{Name: "twins"}
+	for _, name := range []string{"first", "second", "third"} {
+		li := l
+		li.Name = name
+		net.Layers = append(net.Layers, li)
+	}
+	opts := ranaOpts()
+	opts.LayerBudgets = map[string]float64{"first": 1e-12, "third": 1e-12}
+	opts.Backend = "approx-dram"
+	opts.OperatingPoint = "v0.8"
+	var errs []string
+	for _, disable := range []bool{false, true} {
+		o := opts
+		o.DisableMemo = disable
+		_, _, err := ExploreNetworkContext(context.Background(), net, cfg, o)
+		if err == nil {
+			t.Fatalf("DisableMemo=%v: compile succeeded past an over-budget pinned point", disable)
+		}
+		errs = append(errs, err.Error())
+	}
+	if errs[0] != errs[1] {
+		t.Fatalf("dedup error %q, un-deduped error %q", errs[0], errs[1])
+	}
+	if !strings.Contains(errs[0], "twins/first") {
+		t.Fatalf("error %q does not name the first layer", errs[0])
 	}
 }

@@ -125,15 +125,19 @@ type Options struct {
 	Parallelism int
 
 	// Memo, when non-nil, shares completed layer-shape explorations
-	// across layers and across schedules (see Memo). When nil,
-	// ScheduleContext builds a private per-compile memo unless
-	// DisableMemo is set; the layer-level entry point (ExploreLayer)
-	// never memoizes on its own.
+	// across schedules (see Memo). Repeated shapes inside one compile
+	// need no memo: the network entry points explore each distinct
+	// shape once and copy its plan to the repeats (the in-compile
+	// dedup) unless DisableMemo is set, whether Memo is nil, warm or
+	// full. The layer-level entry point (ExploreLayer) never memoizes
+	// on its own.
 	Memo *Memo `json:"-"`
 
-	// DisableMemo turns off the implicit per-compile memo — the
-	// benchmark baseline and the memo-equality oracle use it to compare
-	// against un-memoized exploration.
+	// DisableMemo turns off the in-compile dedup, so every layer a
+	// shared Memo does not serve is explored — the benchmark baseline
+	// and the differential matrix's memo-off variants use it to compare
+	// against un-memoized exploration. A non-nil Memo is still
+	// consulted.
 	DisableMemo bool
 
 	// Prefix, when non-nil, shares bound prefix-sum computations
@@ -160,9 +164,14 @@ type Options struct {
 // Guard returns the effective guard-band factor (the override, or the
 // package default) — the multiplier external checkers must apply when
 // re-deriving refresh decisions from lifetimes.
-func (o Options) Guard() float64 {
-	if o.RetentionGuard > 0 {
-		return o.RetentionGuard
+func (o Options) Guard() float64 { return guardFactor(o.RetentionGuard) }
+
+// guardFactor resolves a guard-band override (zero selects the package
+// default) — Guard without the Options receiver copy, for the
+// per-candidate pricing path.
+func guardFactor(override float64) float64 {
+	if override > 0 {
+		return override
 	}
 	return RetentionGuard
 }
@@ -339,10 +348,12 @@ func ScheduleContext(ctx context.Context, net models.Network, cfg hw.Config, opt
 type NetworkStats struct {
 	// Search is the summed per-layer search work (Workers keeps the max).
 	Search search.Stats
-	// MemoHits counts layers served from the memo.
+	// MemoHits counts layers served without exploring: from the shared
+	// memo, or copied from an earlier same-shaped layer of the compile.
 	MemoHits int
 	// MemoMisses counts layers that had to explore. Hits + Misses equals
-	// the layer count unless the memo was nil, disabled or saturated.
+	// the layer count, saturated memo or not, unless DisableMemo was set
+	// with no shared memo (then both are zero).
 	MemoMisses int
 	// PrefixHits and PrefixMisses count the bound prefix-sum lookups the
 	// compile's exploration served from (respectively computed into) the
@@ -407,7 +418,7 @@ func naturalSchedule(l models.ConvLayer, cfg hw.Config, opts Options,
 	for _, k := range opts.Patterns {
 		for _, t := range fit {
 			stats.Candidates++
-			if err := evaluateCellInto(&lp, l, k, t, cfg, opts, bk, pt, pattern.Linear, RowMajorMapping); err != nil {
+			if err := evaluateCellInto(&lp, &l, k, t, &cfg, &opts, bk, &pt, pattern.Linear, RowMajorMapping); err != nil {
 				return LayerPlan{}, stats, err
 			}
 			stats.Evaluated++
@@ -433,7 +444,7 @@ func Evaluate(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Confi
 		return LayerPlan{}, err
 	}
 	var lp LayerPlan
-	if err := evaluateCellInto(&lp, l, k, t, cfg, opts, bk, points[0], pattern.Linear, RowMajorMapping); err != nil {
+	if err := evaluateCellInto(&lp, &l, k, t, &cfg, &opts, bk, &points[0], pattern.Linear, RowMajorMapping); err != nil {
 		return LayerPlan{}, err
 	}
 	return lp, nil
@@ -445,24 +456,27 @@ func Evaluate(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Confi
 // single exact-pricing path every strategy, baseline and axis
 // combination goes through. The traversal reshapes the analysis
 // (lifetimes, DDR reloads); the mapping reshapes the pricing table;
-// defaults of both reproduce the pre-axis path bit for bit. Writing
-// through a pointer is what the search engine's scratch-Outcome
-// contract needs on the hot path, where returning the several-hundred-
-// byte LayerPlan by value dominated cold-compile profiles. Every
-// LayerPlan field is overwritten (Needs explicitly, since the refresh
-// branch may not run), so a reused *lp never leaks a previous
-// candidate's state; on an error *lp is unspecified.
-func evaluateCellInto(lp *LayerPlan, l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config, opts Options,
-	bk mem.Backend, pt mem.OperatingPoint, trv pattern.Traversal, mp MappingPolicy) error {
-	a, err := pattern.AnalyzeTraversal(l, k, t, cfg, trv)
-	if err != nil {
+// defaults of both reproduce the pre-axis path bit for bit.
+//
+// Nothing large is copied per candidate: the analysis is written in
+// place (pattern.AnalyzeTraversalInto), and the layer, configuration,
+// options and operating point are read through pointers, never through
+// their value-receiver helpers (Banks, Guard), which copy the whole
+// struct even when inlined. Every LayerPlan field is overwritten (Needs
+// explicitly, since the refresh branch may not run), so a reused *lp
+// never leaks a previous candidate's state; on an error *lp is
+// unspecified.
+func evaluateCellInto(lp *LayerPlan, l *models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg *hw.Config, opts *Options,
+	bk mem.Backend, pt *mem.OperatingPoint, trv pattern.Traversal, mp MappingPolicy) error {
+	a := &lp.Analysis
+	if err := pattern.AnalyzeTraversalInto(a, l, k, t, cfg, trv); err != nil {
 		return err
 	}
-	lp.Analysis = a
+	banks := hw.BankCount(cfg.BufferWords, cfg.BankWords)
 	lp.Point = mem.NormalizePoint(pt.Name)
 	lp.Traversal = traversalName(trv)
 	lp.Mapping = mappingName(mp)
-	lp.Alloc = memctrl.Allocate(a.BufferStorage, cfg.BankWords, cfg.Banks())
+	lp.Alloc = memctrl.Allocate(a.BufferStorage, cfg.BankWords, banks)
 	lp.Needs = memctrl.Needs{}
 	var refreshes uint64
 	if opts.Controller != nil && bk.Refreshes() {
@@ -473,10 +487,10 @@ func evaluateCellInto(lp *LayerPlan, l models.ConvLayer, k pattern.Kind, t patte
 		// curve left (RetentionScale), so the schedule's interval — a
 		// point on that curve — scales identically.
 		interval := scaleInterval(opts.RefreshInterval, pt.RetentionScale)
-		guarded := time.Duration(float64(interval) * opts.Guard())
+		guarded := time.Duration(float64(interval) * guardFactor(opts.RetentionGuard))
 		lp.Needs = memctrl.NeedsFor(a.Lifetimes, guarded)
 		refreshes = memctrl.RefreshWords(opts.Controller, a.ExecTime, interval,
-			lp.Alloc, lp.Needs, cfg.Banks(), cfg.BankWords)
+			lp.Alloc, lp.Needs, banks, cfg.BankWords)
 	}
 	lp.Counts = energy.Counts{
 		MACs:           a.MACs,

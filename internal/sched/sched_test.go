@@ -342,3 +342,36 @@ func TestScheduleContextBackgroundMatchesSchedule(t *testing.T) {
 		t.Error("ScheduleContext diverged from Schedule")
 	}
 }
+
+// TestAdmitMatchesFitsCore: the explore arena's in-place core-limit
+// check admits exactly the tilings Tiling.FitsCore admits, on every
+// zoo layer's candidate space, under the test accelerator and under
+// one with a quarter of its core storage.
+func TestAdmitMatchesFitsCore(t *testing.T) {
+	roomy := hw.TestAcceleratorEDRAM()
+	tight := roomy
+	tight.LocalInput, tight.LocalOutput, tight.LocalWeight = roomy.LocalInput/4, roomy.LocalOutput/4, roomy.LocalWeight/4
+	s := newExploreState()
+	admitted, rejected := 0, 0
+	for _, cfg := range []hw.Config{roomy, tight} {
+		for _, net := range models.Benchmarks() {
+			for _, l := range net.Layers {
+				s.e, s.cfg = effectiveLayer(l), cfg
+				for _, ti := range candidateTilings(l, cfg, ranaOpts()) {
+					want := ti.FitsCore(s.e, cfg)
+					if got := s.admit(ti); got != want {
+						t.Fatalf("%s/%s %v on %s: admit %v, FitsCore %v", net.Name, l.Name, ti, cfg.Name, got, want)
+					}
+					if want {
+						admitted++
+					} else {
+						rejected++
+					}
+				}
+			}
+		}
+	}
+	if admitted == 0 || rejected == 0 {
+		t.Fatalf("%d admitted, %d rejected: the sample must exercise both outcomes", admitted, rejected)
+	}
+}

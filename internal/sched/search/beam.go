@@ -1,7 +1,6 @@
 package search
 
 import (
-	"container/heap"
 	"sync"
 	"sync/atomic"
 )
@@ -16,7 +15,9 @@ type scored struct {
 // first, later canonical position first on ties — exactly the candidate
 // a full beam evicts next, so the kept set (and therefore the beam's
 // result) is deterministic regardless of evaluation cost or timing.
-func worse(a, b scored) bool {
+// Pointer operands: a scored is larger than the runtime copies inline,
+// and the bounding pass compares once per candidate.
+func worse(a, b *scored) bool {
 	if a.bound != b.bound {
 		return a.bound > b.bound
 	}
@@ -36,14 +37,44 @@ func worse(a, b scored) bool {
 }
 
 // beamHeap is a max-heap by worse — the root is the least promising
-// kept candidate, the one a better arrival displaces.
+// kept candidate, the one a better arrival displaces. The sift
+// operations are container/heap's, typed: the interface form boxed
+// every pushed candidate.
 type beamHeap []scored
 
-func (h beamHeap) Len() int           { return len(h) }
-func (h beamHeap) Less(i, j int) bool { return worse(h[i], h[j]) }
-func (h beamHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *beamHeap) Push(x any)        { *h = append(*h, x.(scored)) }
-func (h *beamHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+// up restores the heap property from leaf j towards the root.
+func (h beamHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !worse(&h[j], &h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// down restores the heap property from i towards the leaves.
+func (h beamHeap) down(i int) {
+	for {
+		j := 2*i + 1 // left child
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && worse(&h[r], &h[j]) {
+			j = r
+		}
+		if !worse(&h[j], &h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// keptPool recycles the survivor scratch across beam runs, so the
+// steady-state beam allocates no per-layer slice.
+var keptPool = sync.Pool{New: func() any { return new(beamHeap) }}
 
 // beam runs the budgeted top-K strategy: bound every candidate in one
 // streaming pass, keep the width most promising, price only those. If
@@ -69,7 +100,9 @@ func beam[T any](p Problem[T], width, workers int) (Result[T], error) {
 		pricer = p.NewPricer()
 		defer pricer.Release()
 	}
-	kept := make(beamHeap, 0, width)
+	buf := keptPool.Get().(*beamHeap)
+	defer keptPool.Put(buf)
+	kept := (*buf)[:0]
 	for ti := 0; ; ti++ {
 		t, ok := p.Space.Next()
 		if !ok {
@@ -96,10 +129,11 @@ func beam[T any](p Problem[T], width, workers int) (Result[T], error) {
 						}
 						switch {
 						case len(kept) < width:
-							heap.Push(&kept, s)
-						case worse(kept[0], s):
+							kept = append(kept, s)
+							kept.up(len(kept) - 1)
+						case worse(&kept[0], &s):
 							kept[0] = s
-							heap.Fix(&kept, 0)
+							kept.down(0)
 							r.Stats.Pruned++
 						default:
 							r.Stats.Pruned++
@@ -109,24 +143,14 @@ func beam[T any](p Problem[T], width, workers int) (Result[T], error) {
 			}
 		}
 	}
+	*buf = kept
 
 	// Price the survivors in canonical preference order so the plain
-	// first-wins strict-< rule reproduces the shared tie-break.
-	ordered := make([]scored, len(kept))
-	copy(ordered, kept)
-	sortCanonical(ordered)
-	outs, firstErr := priceOrdered(p, ordered, workers, &r.Stats)
-	if firstErr != nil {
-		return Result[T]{}, firstErr
-	}
-	for i, s := range ordered {
-		out := outs[i]
-		if !out.Feasible {
-			continue
-		}
-		if !r.Found || prefer(out.Energy, s.c, r.Outcome.Energy, r.Candidate) {
-			r.Found, r.Candidate, r.Outcome = true, s.c, out
-		}
+	// first-wins strict-< rule reproduces the shared tie-break. The heap
+	// is done with, so the survivors sort in place.
+	sortCanonical(kept)
+	if err := priceKept(p, kept, workers, &r); err != nil {
+		return Result[T]{}, err
 	}
 	if !r.Found {
 		p.Space.Reset()
@@ -146,25 +170,47 @@ func beam[T any](p Problem[T], width, workers int) (Result[T], error) {
 	return r, nil
 }
 
-// priceOrdered evaluates the canonically sorted survivors, fanning the
-// exact pricer across the worker pool when workers > 1. Results land in
+// priceKept prices the canonically sorted survivors into r, keeping the
+// running best under the canonical preference order. One worker prices
+// into a single leased scratch Outcome, exactly as scan does; more fan
+// out through priceOrdered and reduce its index-aligned results in the
+// same order.
+func priceKept[T any](p Problem[T], kept []scored, workers int, r *Result[T]) error {
+	if min(workers, len(kept)) > 1 {
+		outs, err := priceOrdered(p, kept, workers, &r.Stats)
+		if err != nil {
+			return err
+		}
+		for i := range kept {
+			if outs[i].Feasible && (!r.Found || prefer(outs[i].Energy, &kept[i].c, r.Outcome.Energy, &r.Candidate)) {
+				r.Found, r.Candidate, r.Outcome = true, kept[i].c, outs[i]
+			}
+		}
+		return nil
+	}
+	out := p.newOutcome()
+	defer p.freeOutcome(out)
+	for i := range kept {
+		c := &kept[i].c
+		if err := p.Evaluate(c.Kind, c.Tiling, c.Cell(), out); err != nil {
+			return err
+		}
+		r.Stats.Evaluated++
+		if out.Feasible && (!r.Found || prefer(out.Energy, c, r.Outcome.Energy, &r.Candidate)) {
+			r.Found, r.Candidate, r.Outcome = true, *c, *out
+		}
+	}
+	return nil
+}
+
+// priceOrdered evaluates the canonically sorted survivors across a
+// pool of workers > 1 (capped at the survivor count). Results land in
 // an index-aligned slice so the caller's sequential reduction is
 // oblivious to evaluation order; on errors the canonically earliest one
 // wins (index order == canonical order here).
 func priceOrdered[T any](p Problem[T], ordered []scored, workers int, stats *Stats) ([]Outcome[T], error) {
 	outs := make([]Outcome[T], len(ordered))
-	if workers > len(ordered) {
-		workers = len(ordered)
-	}
-	if workers <= 1 {
-		for i, s := range ordered {
-			if err := p.Evaluate(s.c.Kind, s.c.Tiling, s.c.Cell(), &outs[i]); err != nil {
-				return nil, err
-			}
-			stats.Evaluated++
-		}
-		return outs, nil
-	}
+	workers = min(workers, len(ordered))
 	if workers > stats.Workers {
 		stats.Workers = workers
 	}
@@ -226,14 +272,14 @@ func priceOrdered[T any](p Problem[T], ordered []scored, workers int, stats *Sta
 // the input nearly unordered heap backing.
 func sortCanonical(xs []scored) {
 	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && canonicalBefore(xs[j].c, xs[j-1].c); j-- {
+		for j := i; j > 0 && canonicalBefore(&xs[j].c, &xs[j-1].c); j-- {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
 }
 
 // canonicalBefore reports whether a precedes b in canonical order.
-func canonicalBefore(a, b Candidate) bool {
+func canonicalBefore(a, b *Candidate) bool {
 	if a.KindIdx != b.KindIdx {
 		return a.KindIdx < b.KindIdx
 	}

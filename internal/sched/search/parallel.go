@@ -235,7 +235,7 @@ func scanParallel[T any](p Problem[T], prune bool, workers int) (Result[T], erro
 										continue
 									}
 									c := Candidate{Kind: k, KindIdx: ki, Tiling: ta.t, TilingIdx: ta.ti, PointIdx: pi, TravIdx: tv, MapIdx: mi}
-									if !local.Found || prefer(out.Energy, c, local.Outcome.Energy, local.Candidate) {
+									if !local.Found || prefer(out.Energy, &c, local.Outcome.Energy, &local.Candidate) {
 										local.Found, local.Candidate, local.Outcome = true, c, *out
 									}
 									shared.tighten(out.Energy)
@@ -262,7 +262,7 @@ func scanParallel[T any](p Problem[T], prune bool, workers int) (Result[T], erro
 		if f == nil {
 			continue
 		}
-		if fail == nil || canonicalBefore(f.c, fail.c) {
+		if fail == nil || canonicalBefore(&f.c, &fail.c) {
 			fail = f
 		}
 	}
@@ -272,7 +272,7 @@ func scanParallel[T any](p Problem[T], prune bool, workers int) (Result[T], erro
 		if !l.Found {
 			continue
 		}
-		if !r.Found || prefer(l.Outcome.Energy, l.Candidate, r.Outcome.Energy, r.Candidate) {
+		if !r.Found || prefer(l.Outcome.Energy, &l.Candidate, r.Outcome.Energy, &r.Candidate) {
 			r.Found, r.Candidate, r.Outcome = true, l.Candidate, l.Outcome
 		}
 	}
@@ -327,7 +327,7 @@ func scanSlice[T any](p Problem[T], prune bool, admitted []tilingAt) (Result[T],
 							continue
 						}
 						c := Candidate{Kind: k, KindIdx: ki, Tiling: ta.t, TilingIdx: ta.ti, PointIdx: pi, TravIdx: tv, MapIdx: mi}
-						if !r.Found || prefer(out.Energy, c, r.Outcome.Energy, r.Candidate) {
+						if !r.Found || prefer(out.Energy, &c, r.Outcome.Energy, &r.Candidate) {
 							r.Found, r.Candidate, r.Outcome = true, c, *out
 						}
 					}

@@ -211,9 +211,10 @@ type Problem[T any] struct {
 	// scan goroutine, so on a nil error Evaluate must overwrite every
 	// Outcome field rather than assume zeroed input; on an error *out is
 	// unspecified and never read. The out-parameter form exists because
-	// T is the scheduler's several-hundred-byte LayerPlan: returning it
-	// by value put a duffcopy on every exact evaluation, the single
-	// hottest instruction in a cold compile.
+	// T is the scheduler's several-hundred-byte LayerPlan, which a
+	// by-value return would copy on every exact evaluation; the
+	// scheduler's evaluator reads its inputs through pointers for the
+	// same reason.
 	Evaluate func(k pattern.Kind, t pattern.Tiling, cell Cell, out *Outcome[T]) error
 	// NewOutcome / FreeOutcome, when non-nil, lease the per-goroutine
 	// scratch Outcome the engine passes to Evaluate. The engine cannot
@@ -351,7 +352,7 @@ func Run[T any](p Problem[T], o Options) (Result[T], error) {
 // compare last, newest-axis last of all: on single-valued axes they
 // never differ, so each historical tie-break is preserved bit-for-bit
 // as axes accrete.
-func prefer(e float64, c Candidate, be float64, bc Candidate) bool {
+func prefer(e float64, c *Candidate, be float64, bc *Candidate) bool {
 	if e != be {
 		return e < be
 	}
@@ -424,7 +425,7 @@ func scan[T any](p Problem[T], prune bool) (Result[T], error) {
 							continue
 						}
 						c := Candidate{Kind: k, KindIdx: ki, Tiling: t, TilingIdx: ti, PointIdx: pi, TravIdx: tv, MapIdx: mi}
-						if !r.Found || prefer(out.Energy, c, r.Outcome.Energy, r.Candidate) {
+						if !r.Found || prefer(out.Energy, &c, r.Outcome.Energy, &r.Candidate) {
 							r.Found, r.Candidate, r.Outcome = true, c, *out
 						}
 					}

@@ -193,8 +193,11 @@ func TestPrunedSkipsBoundedCandidatesButKeepsArgmin(t *testing.T) {
 		"OD/2": {energy: 10, feasible: true, bound: 10}, // bound == incumbent: must be priced
 		"OD/3": {energy: 4, feasible: true, bound: 3},   // new argmin
 	}
+	// One worker: the evaluated list pins the sequential scan's pruning
+	// order, which a worker pool makes timing-dependent (and the
+	// recording evaluator is not safe for concurrent use).
 	var evaluated []string
-	r, err := Run(synthetic(tilingsN(4), kinds, table, &evaluated), Options{Strategy: Pruned})
+	r, err := Run(synthetic(tilingsN(4), kinds, table, &evaluated), Options{Strategy: Pruned, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +229,9 @@ func TestBeamPricesOnlyTheMostPromising(t *testing.T) {
 		"OD/2": {energy: 7, feasible: true, bound: 4},
 		"OD/3": {energy: 8, feasible: true, bound: 6},
 	}
+	// One worker, as above: the evaluated list is in pricing order.
 	var evaluated []string
-	r, err := Run(synthetic(tilingsN(4), kinds, table, &evaluated), Options{Strategy: Beam, BeamWidth: 2})
+	r, err := Run(synthetic(tilingsN(4), kinds, table, &evaluated), Options{Strategy: Beam, BeamWidth: 2, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,13 +231,27 @@ func CanonicalMappingSpec(spec string) (string, error) {
 
 // traversalName is the per-layer plan spelling of a chosen traversal:
 // empty for the default (so legacy plans encode byte-identically),
-// canonical otherwise.
+// canonical otherwise. The exact evaluator names every cell it prices,
+// so the spellings the spec grammar admits are formatted once, up
+// front, instead of once per priced candidate.
 func traversalName(tr pattern.Traversal) string {
 	if tr.IsLinear() {
 		return ""
 	}
+	if tr.Blocks <= MaxTraversalBlocks {
+		return blockedNames[tr.Blocks]
+	}
 	return tr.String()
 }
+
+// blockedNames[b] is the canonical spelling of the b-stage blocked
+// traversal, for every stage count the spec grammar admits.
+var blockedNames = func() (names [MaxTraversalBlocks + 1]string) {
+	for b := 2; b <= MaxTraversalBlocks; b++ {
+		names[b] = pattern.Traversal{Blocks: b}.String()
+	}
+	return names
+}()
 
 // mappingName is traversalName for mapping policies.
 func mappingName(m MappingPolicy) string {

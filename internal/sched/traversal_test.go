@@ -346,3 +346,18 @@ func TestMappingApplyIdentity(t *testing.T) {
 		t.Errorf("interleave touched the placement-independent wear term: %+v vs %+v", got, tb)
 	}
 }
+
+// TestTraversalNameSpellings: the preformatted plan spellings equal
+// Traversal.String for every stage count, inside the grammar's range
+// and past it.
+func TestTraversalNameSpellings(t *testing.T) {
+	if got := traversalName(pattern.Linear); got != "" {
+		t.Fatalf("linear spells %q, want empty", got)
+	}
+	for b := 2; b <= MaxTraversalBlocks+2; b++ {
+		tr := pattern.Traversal{Blocks: b}
+		if got, want := traversalName(tr), tr.String(); got != want {
+			t.Fatalf("blocks=%d spells %q, want %q", b, got, want)
+		}
+	}
+}

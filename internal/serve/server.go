@@ -103,10 +103,12 @@ type Config struct {
 
 	// MemoEntries bounds the server-wide layer-shape memo shared across
 	// every schedule and compile computation (sched.Memo). Zero selects
-	// sched.DefaultMemoCapacity; negative disables the shared memo
-	// (each compile still keeps its private per-compile memo). The same
-	// knob gates the server-wide bound prefix-sum memo
-	// (sched.PrefixMemo, default capacity) shared the same way.
+	// sched.DefaultMemoCapacity; negative disables the shared memo. A
+	// full memo records no new shape, but either way each compile still
+	// explores a shape it repeats only once (the scheduler's in-compile
+	// dedup), and memo_hits counts those repeats. The same knob gates
+	// the server-wide bound prefix-sum memo (sched.PrefixMemo, default
+	// capacity) shared the same way.
 	MemoEntries int
 
 	// Chaos, when non-nil, injects faults into the computation path

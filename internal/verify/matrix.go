@@ -35,7 +35,8 @@ type Setting struct {
 	// resolves GOMAXPROCS when it is built, so a setting's name says
 	// what actually ran.
 	Workers int
-	// Memo enables the per-compile layer-shape memo.
+	// Memo enables the scheduler's in-compile shape dedup (repeated
+	// layer shapes explored once per compile).
 	Memo bool
 	// Incremental enables incremental bound pricing.
 	Incremental bool
