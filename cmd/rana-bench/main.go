@@ -19,13 +19,16 @@
 // default-adapter cell is always measured so trajectories stay
 // comparable PR over PR, and -backends adds extra cells per model.
 //
-// Beyond compile throughput the snapshot carries two more sections: a
+// Beyond compile throughput the snapshot carries three more sections: a
 // "warm" run per cell (the same compile against a shared cross-compile
-// memo, the fleet steady state) and an "axes" section pricing the
-// traversal/mapping search axes at both retention design points (the RTC
-// win lives at the conventional 45µs interval, not RANA's extended
-// 734µs one). Request latency through ranad is measured end to end by
-// perfbench, which keeps cold and warm traffic apart.
+// memo, the fleet steady state), a "sweep" per model (one shared memo
+// across eight refresh intervals, descending then ascending: the
+// retention-parametric memo rebuilding, then answering intervals it never
+// compiled) and an "axes" section pricing the traversal/mapping search
+// axes at both retention design points (the RTC win lives at the
+// conventional 45µs interval, not RANA's extended 734µs one). Request
+// latency through ranad is measured end to end by perfbench, which keeps
+// cold and warm traffic apart.
 package main
 
 import (
@@ -36,6 +39,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -112,14 +116,37 @@ type AxesBench struct {
 	Winners           []string `json:"winners,omitempty"`
 }
 
+// SweepPass is one pass of a sweep: per-compile wall time (the pass's
+// mean, fastest iteration kept) and allocations, and the shared memo's
+// hits and rebuilds during the pass.
+type SweepPass struct {
+	NsPerOp     int64  `json:"ns_per_op"`
+	AllocsPerOp uint64 `json:"allocs_per_op"`
+	MemoHits    uint64 `json:"memo_hits"`
+	Rebuilds    uint64 `json:"rebuilds"`
+}
+
+// SweepBench is one model compiled on one shared memo across refresh
+// intervals: descending, where every interval lies below every frontier
+// built so far and each shape rebuilds, then ascending, where the
+// frontiers built at the lowest interval answer every layer. The
+// ascending pass is the warm path and must not allocate.
+type SweepBench struct {
+	Model       string    `json:"model"`
+	IntervalsUS []float64 `json:"intervals_us"`
+	Descending  SweepPass `json:"descending"`
+	Ascending   SweepPass `json:"ascending"`
+}
+
 // Snapshot is the BENCH_sched.json document.
 type Snapshot struct {
-	GeneratedAt string      `json:"generated_at"`
-	GoVersion   string      `json:"go_version"`
-	GOMAXPROCS  int         `json:"gomaxprocs"`
-	Iters       int         `json:"iters"`
-	Networks    []NetBench  `json:"networks"`
-	Axes        []AxesBench `json:"axes,omitempty"`
+	GeneratedAt string       `json:"generated_at"`
+	GoVersion   string       `json:"go_version"`
+	GOMAXPROCS  int          `json:"gomaxprocs"`
+	Iters       int          `json:"iters"`
+	Networks    []NetBench   `json:"networks"`
+	Sweeps      []SweepBench `json:"sweeps,omitempty"`
+	Axes        []AxesBench  `json:"axes,omitempty"`
 }
 
 // run is the testable entry point.
@@ -211,6 +238,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	for _, net := range nets {
+		sb, err := measureSweep(net, cfg, *parallelism, *iters)
+		if err != nil {
+			fmt.Fprintln(stderr, "rana-bench:", err)
+			return 1
+		}
+		snap.Sweeps = append(snap.Sweeps, sb)
+		fmt.Fprintf(stdout, "%-24s sweep %d intervals: descending %8.2fms/compile (%d rebuilds), ascending %8.1fµs/compile (%d hits, %d allocs)\n",
+			net.Name, len(sb.IntervalsUS), float64(sb.Descending.NsPerOp)/1e6, sb.Descending.Rebuilds,
+			float64(sb.Ascending.NsPerOp)/1e3, sb.Ascending.MemoHits, sb.Ascending.AllocsPerOp)
+	}
+
 	// The traversal/mapping axis sweep, priced at both retention design
 	// points. At RANA's extended 734µs interval refresh is already cheap
 	// and the linear nest wins everywhere; at the conventional 45µs
@@ -273,7 +312,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // MemStats-delta estimator) is a hard failure; wall-clock is noisy on
 // shared CI machines, so ns/op regressions only warn. Cells present on
 // one side only (new model, new backend) are skipped — trajectories are
-// compared where both snapshots measured the same thing.
+// compared where both snapshots measured the same thing. A sweep's
+// ascending pass must allocate nothing, prior snapshot or not.
 func checkRegression(stdout io.Writer, path string, snap *Snapshot) (int, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -288,6 +328,13 @@ func checkRegression(stdout io.Writer, path string, snap *Snapshot) (int, error)
 		old[nb.Model+"\x00"+nb.Backend] = nb
 	}
 	fails := 0
+	for _, sb := range snap.Sweeps {
+		if sb.Ascending.AllocsPerOp != 0 {
+			fmt.Fprintf(stdout, "FAIL %s/sweep: warm ascending pass allocated %d objects/compile, want 0\n",
+				sb.Model, sb.Ascending.AllocsPerOp)
+			fails++
+		}
+	}
 	for _, nb := range snap.Networks {
 		p, ok := old[nb.Model+"\x00"+nb.Backend]
 		if !ok {
@@ -381,6 +428,74 @@ func measureAxes(net models.Network, cfg hw.Config, scenario string, interval ti
 		ab.Winners = append(ab.Winners, w)
 	}
 	return ab, nil
+}
+
+// sweepIntervals are the sweep's refresh intervals, descending: the
+// Fig. 16 range from RANA's extended retention down to the conventional
+// 45µs.
+var sweepIntervals = []time.Duration{
+	1000 * time.Microsecond, retention.TolerableRetentionTime, 500 * time.Microsecond, 300 * time.Microsecond,
+	180 * time.Microsecond, 120 * time.Microsecond, 80 * time.Microsecond, retention.TypicalRetentionTime,
+}
+
+// measureSweep runs one model's sweep iters times, each on a fresh
+// shared memo: the descending pass, an untimed ascending pass that primes
+// the pools, and the measured ascending pass. The fastest iteration of
+// each pass is kept; allocations are per-compile MemStats deltas.
+func measureSweep(net models.Network, cfg hw.Config, parallelism, iters int) (SweepBench, error) {
+	ctx := context.Background()
+	sb := SweepBench{Model: net.Name}
+	for _, iv := range sweepIntervals {
+		sb.IntervalsUS = append(sb.IntervalsUS, float64(iv)/float64(time.Microsecond))
+	}
+	ascending := slices.Clone(sweepIntervals)
+	slices.Reverse(ascending)
+	var p sched.Plan
+	pass := func(opts sched.Options, ivs []time.Duration) (SweepPass, error) {
+		var ms0, ms1 runtime.MemStats
+		before := opts.Memo.Stats()
+		runtime.ReadMemStats(&ms0)
+		start := time.Now()
+		for _, iv := range ivs {
+			opts.RefreshInterval = iv
+			if _, err := sched.ExploreNetworkInto(ctx, net, cfg, opts, &p); err != nil {
+				return SweepPass{}, fmt.Errorf("%s sweep at %v: %w", net.Name, iv, err)
+			}
+		}
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&ms1)
+		after := opts.Memo.Stats()
+		n := int64(len(ivs))
+		return SweepPass{
+			NsPerOp:     elapsed.Nanoseconds() / n,
+			AllocsPerOp: (ms1.Mallocs - ms0.Mallocs) / uint64(n),
+			MemoHits:    after.Hits - before.Hits,
+			Rebuilds:    after.Rebuilds - before.Rebuilds,
+		}, nil
+	}
+	for i := 0; i < iters; i++ {
+		opts := benchOpts("")
+		opts.Parallelism = parallelism
+		opts.Memo = sched.NewMemo(0)
+		down, err := pass(opts, sweepIntervals)
+		if err != nil {
+			return sb, err
+		}
+		if _, err := pass(opts, ascending); err != nil {
+			return sb, err
+		}
+		up, err := pass(opts, ascending)
+		if err != nil {
+			return sb, err
+		}
+		if i == 0 || down.NsPerOp < sb.Descending.NsPerOp {
+			sb.Descending = down
+		}
+		if i == 0 || up.NsPerOp < sb.Ascending.NsPerOp {
+			sb.Ascending = up
+		}
+	}
+	return sb, nil
 }
 
 // selectBackends validates the -backends flag against the registry. The

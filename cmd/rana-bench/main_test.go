@@ -48,6 +48,16 @@ func TestRunWritesSnapshot(t *testing.T) {
 	if nb.SpeedupX <= 0 {
 		t.Fatalf("speedup = %v, want > 0", nb.SpeedupX)
 	}
+	// The sweep rebuilds AlexNet's five shapes at each of the seven
+	// falling intervals after the first, then answers all 5 × 8 layers
+	// of the rising pass from the last frontiers.
+	if len(snap.Sweeps) != 1 {
+		t.Fatalf("sweeps = %+v, want one AlexNet entry", snap.Sweeps)
+	}
+	sw := snap.Sweeps[0]
+	if len(sw.IntervalsUS) != 8 || sw.Descending.Rebuilds != 35 || sw.Ascending.MemoHits != 40 || sw.Ascending.Rebuilds != 0 {
+		t.Fatalf("sweep = %+v, want 8 intervals, 35 rebuilds down, 40 hits and no rebuild up", sw)
+	}
 	if !strings.Contains(stdout.String(), "wrote "+out) {
 		t.Fatalf("stdout missing confirmation: %q", stdout.String())
 	}

@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	degradeBudget := fs.Duration("degrade-budget", 200*time.Millisecond, "deadlines below this get the uniform fallback schedule (negative disables)")
 	beamBudget := fs.Duration("beam-budget", time.Second, "deadlines below this (but above -degrade-budget) run the beam search unless the request pins a strategy (negative disables)")
 	parallelism := fs.Int("parallelism", 0, "per-layer search workers for requests that do not pin one (0 = GOMAXPROCS)")
-	memoEntries := fs.Int("memo-entries", 0, "server-wide layer-shape memo capacity (0 = default, negative disables)")
+	memoEntries := fs.Int("memo-entries", 0, "server-wide layer-shape memo capacity in frontier records (0 = default, negative disables)")
 	chaosSpec := fs.String("chaos", "", `fault injection spec, e.g. "panic=7,latency=3:50ms,cancel=11,starve=13:200ms,seed=42" (testing only)`)
 	selfcheck := fs.Bool("selfcheck", false, "run the end-to-end robustness selfcheck instead of serving; exit 0 on pass")
 	quiet := fs.Bool("quiet", false, "suppress per-request logs")

@@ -13,7 +13,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"rana/internal/energy"
@@ -142,7 +141,7 @@ func (f *Framework) CompileContext(ctx context.Context, net models.Network) (out
 	// error, not kill the process.
 	defer func() {
 		if r := recover(); r != nil {
-			out, err = nil, &sched.PanicError{Value: r, Stack: debug.Stack()}
+			out, err = nil, sched.Recovered(r)
 		}
 	}()
 	if f.Platform == nil {

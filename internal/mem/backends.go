@@ -116,10 +116,12 @@ func (b edramBackend) NewBuffer(banks, wordsPerBank int, seed uint64, p Operatin
 // sramBackend adapts internal/sram — the S+ID baseline technology.
 type sramBackend struct{}
 
-func (sramBackend) Name() string        { return "sram" }
-func (sramBackend) Description() string { return "latch-based SRAM, never refreshes, Table II/III constants" }
-func (sramBackend) Role() Role          { return RoleBuffer }
-func (sramBackend) Refreshes() bool     { return false }
+func (sramBackend) Name() string { return "sram" }
+func (sramBackend) Description() string {
+	return "latch-based SRAM, never refreshes, Table II/III constants"
+}
+func (sramBackend) Role() Role      { return RoleBuffer }
+func (sramBackend) Refreshes() bool { return false }
 func (sramBackend) Points() []OperatingPoint {
 	return []OperatingPoint{{
 		Name:           Nominal,
@@ -194,10 +196,12 @@ func (reramBackend) NewBuffer(banks, wordsPerBank int, _ uint64, _ OperatingPoin
 // at the paper's energy granularity.
 type ddr3Backend struct{}
 
-func (ddr3Backend) Name() string        { return "ddr3" }
-func (ddr3Backend) Description() string { return "off-chip DDR3, 2112.9 pJ per 16-bit access (Table III)" }
-func (ddr3Backend) Role() Role          { return RoleOffChip }
-func (ddr3Backend) Refreshes() bool     { return false }
+func (ddr3Backend) Name() string { return "ddr3" }
+func (ddr3Backend) Description() string {
+	return "off-chip DDR3, 2112.9 pJ per 16-bit access (Table III)"
+}
+func (ddr3Backend) Role() Role      { return RoleOffChip }
+func (ddr3Backend) Refreshes() bool { return false }
 func (ddr3Backend) Points() []OperatingPoint {
 	return []OperatingPoint{{
 		Name:           Nominal,

@@ -130,6 +130,13 @@ func Pulses(exec, interval time.Duration) uint64 {
 // Controller computes how many 16-bit words are refreshed on one refresh
 // pulse, given the layer's bank allocation and refresh needs on a buffer
 // of totalBanks × bankWords.
+//
+// Contract: WordsPerPulse never increases when a Needs flag clears or an
+// allocated bank count drops, the buffer geometry fixed. Both
+// controllers here meet it, and the scheduler's retention-parametric
+// memo relies on it: a longer refresh interval only clears flags, and a
+// candidate with fewer banks and no more flags than another never pays
+// more refresh per pulse (TestWordsPerPulseMonotone pins it).
 type Controller interface {
 	// Name identifies the controller in reports ("Normal"/"Optimized",
 	// matching Table IV).

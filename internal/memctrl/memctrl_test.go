@@ -265,3 +265,36 @@ func TestDifferentialRefreshWords(t *testing.T) {
 		t.Errorf("zero intervals = %d", none)
 	}
 }
+
+// TestWordsPerPulseMonotone pins the Controller contract: from every
+// allocation and flag set in the table, clearing any one Needs flag or
+// dropping any one bank count never raises the per-pulse word count.
+func TestWordsPerPulseMonotone(t *testing.T) {
+	const totalBanks, bankWords = 12, 16384
+	allocs := []Allocation{
+		{}, {InputBanks: 1}, {OutputBanks: 3, WeightBanks: 2},
+		{InputBanks: 4, OutputBanks: 4, WeightBanks: 4}, {InputBanks: 7, OutputBanks: 1, WeightBanks: 4},
+	}
+	for _, c := range []Controller{Conventional{}, RefreshOptimized{}} {
+		for _, a := range allocs {
+			for bits := 0; bits < 8; bits++ {
+				n := Needs{Inputs: bits&1 != 0, Outputs: bits&2 != 0, Weights: bits&4 != 0}
+				w := c.WordsPerPulse(a, n, totalBanks, bankWords)
+				for _, fewer := range []Needs{{false, n.Outputs, n.Weights}, {n.Inputs, false, n.Weights}, {n.Inputs, n.Outputs, false}} {
+					if got := c.WordsPerPulse(a, fewer, totalBanks, bankWords); got > w {
+						t.Errorf("%s %+v: clearing a flag %+v -> %+v raised words %d -> %d", c.Name(), a, n, fewer, w, got)
+					}
+				}
+				for _, smaller := range []Allocation{
+					{max(a.InputBanks-1, 0), a.OutputBanks, a.WeightBanks},
+					{a.InputBanks, max(a.OutputBanks-1, 0), a.WeightBanks},
+					{a.InputBanks, a.OutputBanks, max(a.WeightBanks-1, 0)},
+				} {
+					if got := c.WordsPerPulse(smaller, n, totalBanks, bankWords); got > w {
+						t.Errorf("%s %+v: dropping a bank to %+v raised words %d -> %d", c.Name(), n, smaller, w, got)
+					}
+				}
+			}
+		}
+	}
+}

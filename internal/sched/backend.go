@@ -94,11 +94,17 @@ func appendBackendPoints(dst []mem.OperatingPoint, cfg hw.Config, o Options, bud
 			return nil, nil, fmt.Errorf("sched: operating point %s@%s bit-error rate %g exceeds error budget %g%s",
 				name, p.Name, p.BitErrorRate, budget, atLayer(layer))
 		}
+		if err := checkInterval(o, b, p); err != nil {
+			return nil, nil, err
+		}
 		return b, append(dst, p), nil
 	}
 	start := len(dst)
 	for _, p := range b.Points() {
 		if p.BitErrorRate <= budget {
+			if err := checkInterval(o, b, p); err != nil {
+				return nil, nil, err
+			}
 			dst = append(dst, p)
 		}
 	}
@@ -106,6 +112,21 @@ func appendBackendPoints(dst []mem.OperatingPoint, cfg hw.Config, o Options, bud
 		return nil, nil, fmt.Errorf("sched: backend %q has no operating point within error budget %g%s", name, budget, atLayer(layer))
 	}
 	return b, dst, nil
+}
+
+// checkInterval rejects a positive refresh interval that an admitted
+// operating point's retention scale truncates to zero: refresh pricing
+// (refreshAt) needs a positive pulse period at every point it prices. A
+// non-positive interval is Options.Validate's to report.
+func checkInterval(o Options, b mem.Backend, p mem.OperatingPoint) error {
+	if o.Controller == nil || !b.Refreshes() || o.RefreshInterval <= 0 {
+		return nil
+	}
+	if scaled := scaleInterval(o.RefreshInterval, p.RetentionScale); scaled <= 0 {
+		return fmt.Errorf("sched: refresh interval %v scales to %v at operating point %s@%s (retention scale %g)",
+			o.RefreshInterval, scaled, b.Name(), p.Name, p.RetentionScale)
+	}
+	return nil
 }
 
 // atLayer is the " for layer %q" error suffix, empty for network-level

@@ -61,8 +61,8 @@ import (
 type bound struct {
 	l             models.ConvLayer // effective (per-group) sub-layer
 	cfg           hw.Config
-	g             uint64 // group count scaling sub-layer traffic to the layer
-	macs          uint64 // layer MACs, already group-scaled
+	g             uint64  // group count scaling sub-layer traffic to the layer
+	macs          uint64  // layer MACs, already group-scaled
 	r, c          int     // derived output geometry, hoisted for the pricer
 	macE          float64 // float64(macs)·MACpJ — the bound's constant Eq. 14 term
 	din, dw, dout uint64  // sub-layer data volumes (words)

@@ -6,11 +6,13 @@ package sched
 //
 //   - a compileState arena holds the per-layer result/err/key slices,
 //     the in-compile dedup's representative indices, the miss work
-//     list, the memo-signature build buffer and its interned string;
+//     list, the memo-signature build buffer and its interned string,
+//     and the memo frontier queries' operating-point scratch;
 //   - an exploreState arena (one per exploring goroutine) holds the
 //     candidate axis scratch, the streaming tiling space, the pooled
-//     bound evaluator, the backend point/table scratch and the four
-//     search closures, all created once and re-pointed per layer;
+//     bound evaluator, the backend point/table scratch, the frontier
+//     build's sort scratch and the search closures, all created once
+//     and re-pointed per layer;
 //   - the implicit per-compile PrefixMemo is pooled too, and reset on
 //     release so per-compile hit rates stay honest.
 //
@@ -25,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -101,6 +102,13 @@ type exploreState struct {
 	boundFn   func(pattern.Kind, pattern.Tiling, search.Cell) float64
 	newPricer func() search.Pricer
 	evaluate  func(pattern.Kind, pattern.Tiling, search.Cell, *search.Outcome[LayerPlan]) error
+
+	// recording makes the exploration collect its feasible candidates
+	// into build — set only by buildFrontier, for a shared memo that
+	// will store the frontier.
+	recording   bool
+	build       frontierBuild
+	newRecorder func() search.Recorder[LayerPlan]
 }
 
 func newExploreState() *exploreState {
@@ -117,6 +125,7 @@ func newExploreState() *exploreState {
 	}
 	s.boundFn = s.b.lower
 	s.newPricer = func() search.Pricer { return acquirePricer(&s.b, s.env.prefix) }
+	s.newRecorder = s.build.recorder
 	s.evaluate = func(k pattern.Kind, t pattern.Tiling, cell search.Cell, out *search.Outcome[LayerPlan]) error {
 		if err := evaluateCellInto(&out.Value, &s.l, k, t, &s.cfg, &s.opts, s.bk,
 			&s.points[cell.Point], s.env.travs[cell.Trav], s.env.maps[cell.Map]); err != nil {
@@ -148,6 +157,8 @@ func (s *exploreState) release() {
 	s.opts = Options{}
 	s.env = compileEnv{}
 	s.bk = nil
+	s.recording = false
+	s.build.reset()
 	exploreStatePool.Put(s)
 }
 
@@ -161,17 +172,43 @@ func exploreLayerEnv(l models.ConvLayer, cfg hw.Config, opts Options, env compil
 	return s.explore(l, cfg, opts, env)
 }
 
+// buildFrontier is exploreLayerEnv recording the exploration's feasible
+// candidates into the layer's frontier at the options' interval. A
+// frontier whose answer cannot depend on the interval — no refresh is
+// priced, or the natural-tiling baseline — is valid at every interval.
+func buildFrontier(l models.ConvLayer, cfg hw.Config, opts Options, env compileEnv) (LayerPlan, search.Stats, frontier, error) {
+	s := exploreStatePool.Get().(*exploreState)
+	defer s.release()
+	s.recording = true
+	lp, stats, err := s.explore(l, cfg, opts, env)
+	if err != nil {
+		return lp, stats, frontier{}, err
+	}
+	lo := opts.RefreshInterval
+	if opts.NaturalTiling || opts.Controller == nil || !s.bk.Refreshes() {
+		lo = alwaysValid
+	}
+	return lp, stats, s.build.finish(lp.Energy.Total(), lo), nil
+}
+
 func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, env compileEnv) (LayerPlan, search.Stats, error) {
 	var err error
 	s.bk, s.points, err = appendBackendPoints(s.points[:0], cfg, opts, opts.layerBudget(l.Name), l.Name)
 	if err != nil {
 		return LayerPlan{}, search.Stats{}, err
 	}
+	s.e = effectiveLayer(l)
+	if s.recording && !s.build.admits(&s.e, &opts, len(s.points), &env, hw.BankCount(cfg.BufferWords, cfg.BankWords)) {
+		s.recording = false
+	}
 	if opts.NaturalTiling {
-		return naturalSchedule(l, cfg, opts, s.bk, s.points[0])
+		lp, stats, err := naturalSchedule(l, cfg, opts, s.bk, s.points[0])
+		if err == nil && s.recording {
+			s.build.natural(&lp, opts.Patterns)
+		}
+		return lp, stats, err
 	}
 	s.l, s.cfg, s.opts, s.env = l, cfg, opts, env
-	s.e = effectiveLayer(l)
 	var space search.Space
 	if opts.FixedTiling != nil {
 		s.fixed[0] = *opts.FixedTiling
@@ -210,6 +247,9 @@ func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, 
 	if !opts.DisableIncremental {
 		prob.NewPricer = s.newPricer
 	}
+	if s.recording {
+		prob.NewRecorder = s.newRecorder
+	}
 	r, err := search.Run(prob, search.Options{Strategy: opts.Search, BeamWidth: opts.BeamWidth, Parallelism: opts.Parallelism})
 	if err != nil {
 		return LayerPlan{}, r.Stats, err
@@ -221,9 +261,10 @@ func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, 
 }
 
 // compileState is one compile's arena: the per-layer slices, the miss
-// work list and the signature build buffer with its interned string.
-// reps[i] is the earlier layer whose exploration layer i repeats (the
-// in-compile dedup), or -1 when layer i is served or explored itself.
+// work list, the signature build buffer with its interned string and
+// the frontier queries' operating-point scratch. reps[i] is the earlier
+// layer whose plan layer i repeats (the in-compile dedup), or -1 when
+// layer i is served or explored itself; firsts lists those layers.
 type compileState struct {
 	plans  []LayerPlan
 	stats  []search.Stats
@@ -231,9 +272,11 @@ type compileState struct {
 	keys   []memoKey
 	reps   []int
 	errs   []error
+	firsts []int
 	miss   []int
 	sigBuf []byte
 	sig    string
+	points []mem.OperatingPoint
 }
 
 var compileStatePool = sync.Pool{New: func() any { return new(compileState) }}
@@ -261,6 +304,7 @@ func (cs *compileState) grow(n int) {
 	}
 	cs.errs = cs.errs[:n]
 	clear(cs.errs)
+	cs.firsts = cs.firsts[:0]
 	cs.miss = cs.miss[:0]
 }
 
@@ -275,17 +319,32 @@ func (cs *compileState) internSignature(opts Options, tech energy.BufferTech) st
 	return cs.sig
 }
 
-// repeatOf returns the queued miss whose memo key equals key, or -1.
-// A quadratic scan over the miss list rather than a map, as in
-// Network.Validate: networks have dozens of layers, and the compile
-// path must not allocate.
+// repeatOf returns the earlier layer (served or queued) whose memo key
+// equals key, or -1. A quadratic scan over the distinct layers rather
+// than a map, as in Network.Validate: networks have dozens of layers,
+// and the compile path must not allocate.
 func (cs *compileState) repeatOf(key memoKey) int {
-	for _, j := range cs.miss {
+	for _, j := range cs.firsts {
 		if cs.keys[j] == key {
 			return j
 		}
 	}
 	return -1
+}
+
+// serve answers layer i from a completed shared-memo frontier covering
+// the options' interval — the warm path — and reports whether it did.
+// The query's error is the layer's error, and a panic is recovered into
+// one, as on the exploring path.
+func (cs *compileState) serve(i int, l *models.ConvLayer, cfg *hw.Config, opts *Options, memo *Memo, env *compileEnv) (served bool) {
+	f, ok := memo.peek(cs.keys[i], opts.RefreshInterval)
+	if !ok {
+		return false
+	}
+	served, cs.hits[i] = true, true
+	defer cs.recoverLayer(i)
+	cs.points, cs.errs[i] = f.query(&cs.plans[i], cs.points, l, cfg, opts, env)
+	return served
 }
 
 // fillRepeats copies each repeated layer's plan from the layer it
@@ -345,7 +404,7 @@ func (cs *compileState) drainParallel(ctx context.Context, net models.Network, c
 
 func (cs *compileState) recoverLayer(i int) {
 	if r := recover(); r != nil {
-		cs.errs[i] = &PanicError{Value: r, Stack: debug.Stack()}
+		cs.errs[i] = Recovered(r)
 	}
 }
 
@@ -365,11 +424,12 @@ func releaseCompile(cs *compileState, prefix *PrefixMemo, pooledPrefix bool) {
 // point for callers compiling in a loop. p's previous contents are
 // fully overwritten; on error p is left in an unspecified state.
 //
-// The compile runs in two phases: a sequential peek pass serves every
-// layer whose shape the shared memo already holds (the warm path — no
-// goroutines, no closures, no allocations) and marks every remaining
-// layer whose shape repeats an earlier miss of the same compile, then
-// only the first layer of each shape drains through a bounded worker
+// The compile runs in two phases: a sequential peek pass marks every
+// layer whose shape repeats an earlier layer of the same compile and
+// answers every other layer whose shape the shared memo holds a
+// frontier for at the options' refresh interval (the warm path — no
+// goroutines, no closures, no allocations), then only the first
+// remaining layer of each shape drains through a bounded worker
 // pool (inline on this goroutine when one worker suffices, which keeps
 // the single-threaded explore loop allocation-free too). The repeats
 // are filled from their representative afterwards — the in-compile
@@ -416,21 +476,23 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 	}
 
 	// Phase 1: the peek pass. Keys are built once and kept for the miss
-	// drain; completed memo entries are served inline, and a miss whose
-	// key repeats an earlier miss waits for that one's result.
+	// drain; a layer whose key repeats an earlier layer's waits for that
+	// one's result, and a frontier in the shared memo that covers the
+	// options' interval answers the rest inline.
 	if memo != nil || dedup {
 		sig := cs.internSignature(opts, cfg.BufferTech)
-		for i, l := range net.Layers {
-			cs.keys[i] = keyWithSig(l, cfg, opts, sig)
-			if lp, ok := memo.peek(cs.keys[i], l); ok {
-				cs.plans[i], cs.hits[i] = lp, true
-				continue
-			}
+		for i := range net.Layers {
+			l := &net.Layers[i]
+			cs.keys[i] = keyWithSig(*l, cfg, opts, sig)
 			if dedup {
 				if j := cs.repeatOf(cs.keys[i]); j >= 0 {
 					cs.reps[i] = j
 					continue
 				}
+				cs.firsts = append(cs.firsts, i)
+			}
+			if cs.serve(i, l, &cfg, &opts, memo, &env) {
+				continue
 			}
 			cs.miss = append(cs.miss, i)
 		}

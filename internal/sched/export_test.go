@@ -16,3 +16,30 @@ func LowerBoundForTest(l models.ConvLayer, cfg hw.Config, k pattern.Kind, t patt
 	tables := []energy.Table{cfg.BufferTech.Table()}
 	return newBound(l, cfg, tables, 1, nil).lower(k, t, search.Cell{})
 }
+
+// CellEnergiesForTest prices one search cell exactly at the options'
+// interval through evaluateCellInto — the operating point by index into
+// the backend's admitted points, the traversal and mapping by index into
+// the "rtc" and "all" axes (indices wrap) — and returns its total energy
+// and the refresh-free energy E0 a memo frontier records for it.
+func CellEnergiesForTest(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config, opts Options,
+	point, trav, mapping int) (e, e0 float64, err error) {
+	bk, pts, err := ResolveBackendForLayer(cfg, opts, l.Name)
+	if err != nil {
+		return 0, 0, err
+	}
+	travs, err := ParseTraversalSpec("rtc")
+	if err != nil {
+		return 0, 0, err
+	}
+	maps, err := ParseMappingSpec("all")
+	if err != nil {
+		return 0, 0, err
+	}
+	var lp LayerPlan
+	if err := evaluateCellInto(&lp, &l, k, t, &cfg, &opts, bk, &pts[point%len(pts)],
+		travs[trav%len(travs)], maps[mapping%len(maps)]); err != nil {
+		return 0, 0, err
+	}
+	return lp.Energy.Total(), refreshFree(lp.Energy), nil
+}

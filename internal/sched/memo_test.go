@@ -7,10 +7,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rana/internal/hw"
 	"rana/internal/mem"
+	"rana/internal/memctrl"
 	"rana/internal/models"
+	"rana/internal/pattern"
 	"rana/internal/sched/search"
 )
 
@@ -470,5 +473,146 @@ func TestDedupFailingRepresentativeFailsWithItsOwnError(t *testing.T) {
 	}
 	if !strings.Contains(errs[0], "twins/first") {
 		t.Fatalf("error %q does not name the first layer", errs[0])
+	}
+}
+
+// parametricOptionSets are the option sets the shared-memo interval
+// tests hold to their memo-free plans: both controllers, a guard
+// override, the approximate-DRAM ladder, the enlarged RTC × all-mappings
+// space, every strategy (two beam widths) and the natural-tiling
+// baseline with and without a pinned point.
+func parametricOptionSets() map[string]Options {
+	sets := map[string]Options{}
+	add := func(name string, tune func(*Options)) {
+		o := ranaOpts()
+		tune(&o)
+		sets[name] = o
+	}
+	add("conventional", func(*Options) {})
+	add("optimized", func(o *Options) { o.Controller = memctrl.RefreshOptimized{} })
+	add("guard-1", func(o *Options) { o.Controller, o.RetentionGuard = memctrl.RefreshOptimized{}, 1 })
+	add("approx-dram", func(o *Options) { o.Backend, o.ErrorBudget = "approx-dram", 1e-3 })
+	add("rtc-all", func(o *Options) { o.Controller, o.Traversal, o.Mapping = memctrl.RefreshOptimized{}, "rtc", "all" })
+	add("exhaustive", func(o *Options) { o.Search = search.Exhaustive })
+	add("beam", func(o *Options) { o.Search = search.Beam })
+	add("beam-8", func(o *Options) { o.Search, o.BeamWidth = search.Beam, 8 })
+	add("natural", func(o *Options) { o.NaturalTiling = true })
+	add("natural-pinned", func(o *Options) {
+		o.Patterns, o.NaturalTiling = []pattern.Kind{pattern.OD, pattern.WD}, true
+		o.Backend, o.OperatingPoint = "approx-dram", "v0.9"
+	})
+	return sets
+}
+
+// parametricIntervals falls, rises and falls again across the Fig. 16
+// range, so one shared memo builds, queries and rebuilds frontiers.
+var parametricIntervals = []time.Duration{
+	734 * time.Microsecond, 180 * time.Microsecond, 1000 * time.Microsecond,
+	45 * time.Microsecond, 300 * time.Microsecond, 45 * time.Microsecond, 90 * time.Microsecond,
+}
+
+// coldBytes is the plan's wire bytes compiled with no memo and no dedup.
+func coldBytes(t *testing.T, net models.Network, cfg hw.Config, opts Options) string {
+	t.Helper()
+	opts.Memo, opts.DisableMemo, opts.Parallelism = nil, true, 1
+	p, _, err := ExploreNetworkContext(context.Background(), net, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wireBytes(t, p)
+}
+
+// TestMemoParametricAcrossIntervals: one shared memo per option set,
+// compiled at falling and rising intervals, serves every plan byte-
+// identical to a memo-free compile at that interval, answers the
+// intervals at or above a frontier's from it and rebuilds below.
+func TestMemoParametricAcrossIntervals(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	net := models.AlexNet()
+	ctx := context.Background()
+	for name, base := range parametricOptionSets() {
+		t.Run(name, func(t *testing.T) {
+			memo := NewMemo(0)
+			for i, iv := range parametricIntervals {
+				opts := base
+				opts.RefreshInterval = iv
+				want := coldBytes(t, net, cfg, opts)
+				opts.Memo = memo
+				p, ns, err := ExploreNetworkContext(ctx, net, cfg, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wireBytes(t, p) != want {
+					t.Fatalf("interval %v: shared-memo plan differs from the memo-free plan", iv)
+				}
+				if i == len(parametricIntervals)-1 && ns.MemoHits != len(net.Layers) {
+					t.Errorf("interval %v above the lowest frontier: %d hits, want %d", iv, ns.MemoHits, len(net.Layers))
+				}
+			}
+			st := memo.Stats()
+			if st.Hits == 0 || st.Records == 0 || st.Entries != len(net.Layers) {
+				t.Errorf("memo stats %+v: want hits, records and one entry per layer", st)
+			}
+			refreshing := !base.NaturalTiling
+			if refreshing && st.Rebuilds == 0 {
+				t.Errorf("falling intervals rebuilt nothing: %+v", st)
+			}
+			if !refreshing && st.Misses != uint64(len(net.Layers)) {
+				t.Errorf("an interval-independent frontier was rebuilt: %+v", st)
+			}
+		})
+	}
+}
+
+// TestMemoParametricRebuildRace races 8 GoogLeNet and ResNet compiles
+// through one shared memo at interleaved falling and rising intervals,
+// so rebuilds replace entries while other compiles query and wait on
+// them. Every plan must equal the memo-free plan at its interval.
+func TestMemoParametricRebuildRace(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	ctx := context.Background()
+	nets := []models.Network{models.GoogLeNet(), models.ResNet()}
+	intervals := []time.Duration{900 * time.Microsecond, 120 * time.Microsecond, 500 * time.Microsecond, 45 * time.Microsecond}
+	base := ranaOpts()
+	base.Controller = memctrl.RefreshOptimized{}
+	want := map[[2]int]string{}
+	for n, net := range nets {
+		for k, iv := range intervals {
+			o := base
+			o.RefreshInterval = iv
+			want[[2]int{n, k}] = coldBytes(t, net, cfg, o)
+		}
+	}
+	memo := NewMemo(0)
+	const compiles = 8
+	var wg sync.WaitGroup
+	for c := 0; c < compiles; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			n := c % len(nets)
+			for r := range intervals {
+				// Odd compiles walk the intervals backwards, so falling and
+				// rising sequences interleave on the same entries.
+				k := r
+				if c%2 == 1 {
+					k = len(intervals) - 1 - r
+				}
+				o := base
+				o.RefreshInterval, o.Memo, o.Parallelism = intervals[k], memo, 2
+				p, _, err := ExploreNetworkContext(ctx, nets[n], cfg, o)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if wireBytes(t, p) != want[[2]int{n, k}] {
+					t.Errorf("%s at %v: shared-memo plan differs from the memo-free plan", nets[n].Name, intervals[k])
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if st := memo.Stats(); st.Rebuilds == 0 {
+		t.Errorf("no rebuild raced: %+v", st)
 	}
 }

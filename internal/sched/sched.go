@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"time"
 
 	"rana/internal/energy"
@@ -37,7 +38,9 @@ type Options struct {
 
 	// RefreshInterval is the refresh pulse period: the conventional
 	// 45 µs, or the tolerable retention time from Stage 1 (734 µs at the
-	// 10⁻⁵ failure rate). Ignored for SRAM buffers.
+	// 10⁻⁵ failure rate). Ignored for SRAM buffers. It is not part of the
+	// shared memo's key: one memo frontier per layer shape answers every
+	// interval at or above the one it was built at.
 	RefreshInterval time.Duration
 
 	// Controller models refresh issue. Nil means no refresh at all
@@ -217,6 +220,18 @@ type PanicError struct {
 // Error implements error.
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
+// Recovered converts a value recovered at a scheduling boundary into a
+// PanicError. A panic the search engine re-raised from one of its
+// workers is unwrapped, so Value is the worker's own panic value and
+// Stack the worker's stack; any other value keeps the recovering
+// goroutine's stack. Call it from the deferred recover itself.
+func Recovered(r any) *PanicError {
+	if wp, ok := r.(*search.WorkerPanic); ok {
+		return &PanicError{Value: wp.Value, Stack: wp.Stack}
+	}
+	return &PanicError{Value: r, Stack: debug.Stack()}
+}
+
 // Validate reports configuration errors.
 func (o Options) Validate() error {
 	if len(o.Patterns) == 0 {
@@ -348,8 +363,10 @@ func ScheduleContext(ctx context.Context, net models.Network, cfg hw.Config, opt
 type NetworkStats struct {
 	// Search is the summed per-layer search work (Workers keeps the max).
 	Search search.Stats
-	// MemoHits counts layers served without exploring: from the shared
-	// memo, or copied from an earlier same-shaped layer of the compile.
+	// MemoHits counts layers served without exploring: answered from a
+	// shared memo frontier (at any interval it covers, so a hit still
+	// costs one exact evaluation), or copied from an earlier same-shaped
+	// layer of the compile.
 	MemoHits int
 	// MemoMisses counts layers that had to explore. Hits + Misses equals
 	// the layer count, saturated memo or not, unless DisableMemo was set
@@ -480,17 +497,7 @@ func evaluateCellInto(lp *LayerPlan, l *models.ConvLayer, k pattern.Kind, t patt
 	lp.Needs = memctrl.Needs{}
 	var refreshes uint64
 	if opts.Controller != nil && bk.Refreshes() {
-		// Refresh decisions keep a retention guard band: data is deemed
-		// refresh-free only when its lifetime clears the interval with
-		// margin, absorbing clock quantization and process variation.
-		// Reduced-voltage operating points shift the whole retention
-		// curve left (RetentionScale), so the schedule's interval — a
-		// point on that curve — scales identically.
-		interval := scaleInterval(opts.RefreshInterval, pt.RetentionScale)
-		guarded := time.Duration(float64(interval) * guardFactor(opts.RetentionGuard))
-		lp.Needs = memctrl.NeedsFor(a.Lifetimes, guarded)
-		refreshes = memctrl.RefreshWords(opts.Controller, a.ExecTime, interval,
-			lp.Alloc, lp.Needs, banks, cfg.BankWords)
+		lp.Needs, refreshes = refreshAt(opts, pt, a.Lifetimes, a.ExecTime, lp.Alloc, banks, cfg.BankWords)
 	}
 	lp.Counts = energy.Counts{
 		MACs:           a.MACs,
@@ -501,6 +508,29 @@ func evaluateCellInto(lp *LayerPlan, l *models.ConvLayer, k pattern.Kind, t patt
 	}
 	lp.Energy = energy.SystemTable(lp.Counts, mp.Apply(pt.Table()))
 	return nil
+}
+
+// refreshAt prices one candidate's refresh at the options' interval and
+// one operating point: its per-type refresh flags and γ word count. It
+// is the only place the interval enters a candidate's price —
+// evaluateCellInto and the memo's frontier query both call it — and
+// both factors of the word count (pulses, words per pulse) never
+// increase with the interval, so neither does a candidate's exact
+// energy (DESIGN §11). The caller has checked that a controller is set
+// and the backend refreshes.
+//
+// Refresh decisions keep a retention guard band: data is deemed
+// refresh-free only when its lifetime clears the interval with margin,
+// absorbing clock quantization and process variation. Reduced-voltage
+// operating points shift the whole retention curve left
+// (RetentionScale), so the schedule's interval — a point on that curve
+// — scales identically.
+func refreshAt(opts *Options, pt *mem.OperatingPoint, lt pattern.Lifetimes, exec time.Duration,
+	alloc memctrl.Allocation, banks, bankWords int) (memctrl.Needs, uint64) {
+	interval := scaleInterval(opts.RefreshInterval, pt.RetentionScale)
+	guarded := time.Duration(float64(interval) * guardFactor(opts.RetentionGuard))
+	needs := memctrl.NeedsFor(lt, guarded)
+	return needs, memctrl.RefreshWords(opts.Controller, exec, interval, alloc, needs, banks, bankWords)
 }
 
 // scaleInterval scales a refresh interval by an operating point's

@@ -375,3 +375,34 @@ func TestAdmitMatchesFitsCore(t *testing.T) {
 		t.Fatalf("%d admitted, %d rejected: the sample must exercise both outcomes", admitted, rejected)
 	}
 }
+
+// panicController poisons the exact evaluator: every refresh pricing
+// panics, inside whichever search worker reaches it.
+type panicController struct{}
+
+func (panicController) Name() string { return "panic" }
+func (panicController) WordsPerPulse(memctrl.Allocation, memctrl.Needs, int, int) uint64 {
+	panic("poisoned controller")
+}
+
+// TestWorkerPanicUnwrapped: a panic inside a search worker surfaces as
+// a PanicError carrying the worker's own value and stack. The message
+// is "panic: <value>", never the re-raised wrapper with its stack bytes.
+func TestWorkerPanicUnwrapped(t *testing.T) {
+	opts := ranaOpts()
+	opts.Controller, opts.Parallelism, opts.DisableMemo = panicController{}, 2, true
+	_, err := Schedule(models.AlexNet(), hw.TestAcceleratorEDRAM(), opts)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("error %v (%T) is not a PanicError", err, err)
+	}
+	if want := "sched: AlexNet/conv1: panic: poisoned controller"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+	if pe.Value != "poisoned controller" {
+		t.Fatalf("PanicError.Value = %#v, want the worker's panic value", pe.Value)
+	}
+	if !strings.Contains(string(pe.Stack), "scanParallel") {
+		t.Fatalf("PanicError.Stack is not the worker's stack:\n%s", pe.Stack)
+	}
+}

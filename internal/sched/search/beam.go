@@ -176,13 +176,23 @@ func beam[T any](p Problem[T], width, workers int) (Result[T], error) {
 // out through priceOrdered and reduce its index-aligned results in the
 // same order.
 func priceKept[T any](p Problem[T], kept []scored, workers int, r *Result[T]) error {
+	rec := p.newRecorder()
+	if rec != nil {
+		defer rec.Release()
+	}
 	if min(workers, len(kept)) > 1 {
 		outs, err := priceOrdered(p, kept, workers, &r.Stats)
 		if err != nil {
 			return err
 		}
 		for i := range kept {
-			if outs[i].Feasible && (!r.Found || prefer(outs[i].Energy, &kept[i].c, r.Outcome.Energy, &r.Candidate)) {
+			if !outs[i].Feasible {
+				continue
+			}
+			if rec != nil {
+				rec.Record(kept[i].c, &outs[i])
+			}
+			if !r.Found || prefer(outs[i].Energy, &kept[i].c, r.Outcome.Energy, &r.Candidate) {
 				r.Found, r.Candidate, r.Outcome = true, kept[i].c, outs[i]
 			}
 		}
@@ -196,7 +206,13 @@ func priceKept[T any](p Problem[T], kept []scored, workers int, r *Result[T]) er
 			return err
 		}
 		r.Stats.Evaluated++
-		if out.Feasible && (!r.Found || prefer(out.Energy, c, r.Outcome.Energy, &r.Candidate)) {
+		if !out.Feasible {
+			continue
+		}
+		if rec != nil {
+			rec.Record(*c, out)
+		}
+		if !r.Found || prefer(out.Energy, c, r.Outcome.Energy, &r.Candidate) {
 			r.Found, r.Candidate, r.Outcome = true, *c, *out
 		}
 	}
@@ -219,7 +235,7 @@ func priceOrdered[T any](p Problem[T], ordered []scored, workers int, stats *Sta
 		failed atomic.Bool
 		wg     sync.WaitGroup
 		errs   = make([]error, len(ordered))
-		panics = make([]*workerPanic, workers)
+		panics = make([]*WorkerPanic, workers)
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -227,7 +243,7 @@ func priceOrdered[T any](p Problem[T], ordered []scored, workers int, stats *Sta
 			defer wg.Done()
 			defer func() {
 				if v := recover(); v != nil {
-					panics[w] = &workerPanic{Value: v, Stack: stack()}
+					panics[w] = &WorkerPanic{Value: v, Stack: stack()}
 					failed.Store(true)
 				}
 			}()

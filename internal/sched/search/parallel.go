@@ -111,11 +111,12 @@ func (b *incumbentBound) tighten(e float64) {
 	}
 }
 
-// workerPanic carries a panic out of a worker goroutine so the
+// WorkerPanic carries a panic out of a worker goroutine so the
 // coordinating goroutine can re-raise it where the scheduler's per-layer
-// recover (sched.PanicError) can see it. The original worker stack rides
-// along for diagnosis.
-type workerPanic struct {
+// recover (sched.PanicError) can see it. Value is the worker's original
+// panic value; the worker's stack rides along for diagnosis, so a
+// recover that unwraps it reports the panic where it happened.
+type WorkerPanic struct {
 	Value any
 	Stack []byte
 }
@@ -164,7 +165,7 @@ func scanParallel[T any](p Problem[T], prune bool, workers int) (Result[T], erro
 
 		locals   = make([]Result[T], workers)
 		failures = make([]*workerFailure, workers)
-		panics   = make([]*workerPanic, workers)
+		panics   = make([]*WorkerPanic, workers)
 	)
 	prune = prune && p.Bound != nil
 	for w := 0; w < workers; w++ {
@@ -173,7 +174,7 @@ func scanParallel[T any](p Problem[T], prune bool, workers int) (Result[T], erro
 			defer wg.Done()
 			defer func() {
 				if v := recover(); v != nil {
-					panics[w] = &workerPanic{Value: v, Stack: stack()}
+					panics[w] = &WorkerPanic{Value: v, Stack: stack()}
 					failed.Store(true)
 				}
 			}()
@@ -188,6 +189,10 @@ func scanParallel[T any](p Problem[T], prune bool, workers int) (Result[T], erro
 			local := &locals[w]
 			out := p.newOutcome()
 			defer p.freeOutcome(out)
+			rec := p.newRecorder()
+			if rec != nil {
+				defer rec.Release()
+			}
 			for !failed.Load() {
 				lo := int(cursor.Add(int64(batch))) - batch
 				if lo >= len(admitted) {
@@ -235,6 +240,9 @@ func scanParallel[T any](p Problem[T], prune bool, workers int) (Result[T], erro
 										continue
 									}
 									c := Candidate{Kind: k, KindIdx: ki, Tiling: ta.t, TilingIdx: ta.ti, PointIdx: pi, TravIdx: tv, MapIdx: mi}
+									if rec != nil {
+										rec.Record(c, out)
+									}
 									if !local.Found || prefer(out.Energy, &c, local.Outcome.Energy, &local.Candidate) {
 										local.Found, local.Candidate, local.Outcome = true, c, *out
 									}
@@ -299,6 +307,10 @@ func scanSlice[T any](p Problem[T], prune bool, admitted []tilingAt) (Result[T],
 	}
 	out := p.newOutcome()
 	defer p.freeOutcome(out)
+	rec := p.newRecorder()
+	if rec != nil {
+		defer rec.Release()
+	}
 	for _, ta := range admitted {
 		for ki, k := range p.Kinds {
 			for pi := 0; pi < points; pi++ {
@@ -327,6 +339,9 @@ func scanSlice[T any](p Problem[T], prune bool, admitted []tilingAt) (Result[T],
 							continue
 						}
 						c := Candidate{Kind: k, KindIdx: ki, Tiling: ta.t, TilingIdx: ta.ti, PointIdx: pi, TravIdx: tv, MapIdx: mi}
+						if rec != nil {
+							rec.Record(c, out)
+						}
 						if !r.Found || prefer(out.Energy, &c, r.Outcome.Energy, &r.Candidate) {
 							r.Found, r.Candidate, r.Outcome = true, c, *out
 						}

@@ -159,9 +159,9 @@ func TestParallelRepanicsWorkerPanics(t *testing.T) {
 		if v == nil {
 			t.Fatal("worker panic swallowed")
 		}
-		wp, ok := v.(*workerPanic)
+		wp, ok := v.(*WorkerPanic)
 		if !ok {
-			t.Fatalf("recovered %T, want *workerPanic", v)
+			t.Fatalf("recovered %T, want *WorkerPanic", v)
 		}
 		if wp.Value != "poisoned candidate" || len(wp.Stack) == 0 {
 			t.Fatalf("panic payload %+v lost the original value or stack", wp)

@@ -158,6 +158,18 @@ type Pricer interface {
 	Release()
 }
 
+// Recorder receives every feasible candidate one scan goroutine prices
+// exactly: the hook the scheduler's retention-parametric memo builds its
+// frontiers through. Record runs on the scanning goroutine, after the
+// exact evaluation, with the candidate and its outcome; it must not
+// retain out, which the engine reuses. Release runs once, when that
+// goroutine's scan ends. The engine never shares a Recorder across
+// goroutines, so an implementation needs no lock on the Record path.
+type Recorder[T any] interface {
+	Record(c Candidate, out *Outcome[T])
+	Release()
+}
+
 // Outcome is one candidate priced exactly by the caller's evaluator.
 type Outcome[T any] struct {
 	// Feasible reports whether the candidate can execute at all;
@@ -226,6 +238,12 @@ type Problem[T any] struct {
 	// lease, after the goroutine's last read of the buffer.
 	NewOutcome  func() *Outcome[T]
 	FreeOutcome func(*Outcome[T])
+	// NewRecorder, when non-nil, supplies a fresh Recorder per scan
+	// goroutine. Exhaustive and Pruned record every feasible candidate
+	// they price; Beam records its feasible survivors, or its fallback
+	// scan's candidates when no survivor is feasible. Recording never
+	// changes what a run explores or returns.
+	NewRecorder func() Recorder[T]
 }
 
 // axisExtent resolves one value-axis extent (zero or negative → one).
@@ -249,6 +267,15 @@ func (p Problem[T]) freeOutcome(o *Outcome[T]) {
 	if p.FreeOutcome != nil {
 		p.FreeOutcome(o)
 	}
+}
+
+// newRecorder leases one scan goroutine's Recorder, or nil when the
+// problem records nothing.
+func (p Problem[T]) newRecorder() Recorder[T] {
+	if p.NewRecorder == nil {
+		return nil
+	}
+	return p.NewRecorder()
 }
 
 // points resolves the operating-point axis extent (zero → one).
@@ -385,6 +412,10 @@ func scan[T any](p Problem[T], prune bool) (Result[T], error) {
 	}
 	out := p.newOutcome()
 	defer p.freeOutcome(out)
+	rec := p.newRecorder()
+	if rec != nil {
+		defer rec.Release()
+	}
 	for ti := 0; ; ti++ {
 		t, ok := p.Space.Next()
 		if !ok {
@@ -425,6 +456,9 @@ func scan[T any](p Problem[T], prune bool) (Result[T], error) {
 							continue
 						}
 						c := Candidate{Kind: k, KindIdx: ki, Tiling: t, TilingIdx: ti, PointIdx: pi, TravIdx: tv, MapIdx: mi}
+						if rec != nil {
+							rec.Record(c, out)
+						}
 						if !r.Found || prefer(out.Energy, &c, r.Outcome.Energy, &r.Candidate) {
 							r.Found, r.Candidate, r.Outcome = true, c, *out
 						}

@@ -3,6 +3,7 @@ package search
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"rana/internal/pattern"
@@ -300,5 +301,93 @@ func TestAdmitFiltersBeforeKinds(t *testing.T) {
 	}
 	if r.Outcome.Value != "OD/1" {
 		t.Errorf("pick = %q", r.Outcome.Value)
+	}
+}
+
+// collector gathers what every scan goroutine's Recorder saw, and how
+// many were leased but not yet released.
+type collector struct {
+	mu   sync.Mutex
+	seen []string
+	open int
+}
+
+type collectingRecorder struct {
+	c    *collector
+	seen []string
+}
+
+func (r *collectingRecorder) Record(_ Candidate, out *Outcome[string]) {
+	r.seen = append(r.seen, out.Value)
+}
+
+func (r *collectingRecorder) Release() {
+	r.c.mu.Lock()
+	r.c.seen = append(r.c.seen, r.seen...)
+	r.c.open--
+	r.c.mu.Unlock()
+}
+
+func (c *collector) lease() Recorder[string] {
+	c.mu.Lock()
+	c.open++
+	c.mu.Unlock()
+	return &collectingRecorder{c: c}
+}
+
+// TestRecorderSeesEachFeasiblePricedCandidateOnce: on every strategy
+// and worker count, recording leaves the result alone, every leased
+// Recorder is released, and the recorded candidates are feasible,
+// distinct, include the winner and number no more than the exact
+// evaluations — exactly the feasible ones under Exhaustive, and under a
+// beam wide enough to keep every candidate.
+func TestRecorderSeesEachFeasiblePricedCandidateOnce(t *testing.T) {
+	kinds := []pattern.Kind{pattern.OD, pattern.WD}
+	table := map[string]entry{}
+	feasible := 0
+	for _, k := range kinds {
+		for tm := 0; tm < 12; tm++ {
+			e := entry{energy: float64((tm*7+int(k)*5)%11 + 2), feasible: tm%4 != 1}
+			e.bound = e.energy / 2
+			table[fmt.Sprintf("%v/%d", k, tm)] = e
+			if e.feasible {
+				feasible++
+			}
+		}
+	}
+	for _, s := range Strategies() {
+		for _, workers := range []int{1, 4} {
+			o := Options{Strategy: s, BeamWidth: 64, Parallelism: workers}
+			plain, err := Run(synthetic(tilingsN(12), kinds, table, nil), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var c collector
+			p := synthetic(tilingsN(12), kinds, table, nil)
+			p.NewRecorder = c.lease
+			r, err := Run(p, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Outcome != plain.Outcome || r.Candidate != plain.Candidate {
+				t.Errorf("%s/p%d: recording changed the result %+v -> %+v", s, workers, plain.Outcome, r.Outcome)
+			}
+			if c.open != 0 {
+				t.Errorf("%s/p%d: %d recorders never released", s, workers, c.open)
+			}
+			distinct := map[string]bool{}
+			for _, id := range c.seen {
+				if distinct[id] || !table[id].feasible {
+					t.Errorf("%s/p%d: recorded %s twice or infeasible", s, workers, id)
+				}
+				distinct[id] = true
+			}
+			if !distinct[r.Outcome.Value] || len(c.seen) > r.Stats.Evaluated {
+				t.Errorf("%s/p%d: recorded %d (winner %v) of %d evaluated", s, workers, len(c.seen), distinct[r.Outcome.Value], r.Stats.Evaluated)
+			}
+			if s != Pruned && len(c.seen) != feasible {
+				t.Errorf("%s/p%d: recorded %d, want all %d feasible candidates", s, workers, len(c.seen), feasible)
+			}
+		}
 	}
 }

@@ -3,8 +3,10 @@ package sched
 import (
 	"encoding/json"
 	"testing"
+	"time"
 
 	"rana/internal/hw"
+	"rana/internal/memctrl"
 	"rana/internal/models"
 	"rana/internal/pattern"
 	"rana/internal/retention"
@@ -170,6 +172,27 @@ func TestSignatureAxes(t *testing.T) {
 	}
 	if sigOf(rtc, cfg) == legacy {
 		t.Error("non-default axes did not change the signature")
+	}
+	// The refresh interval is not part of the key: one frontier serves
+	// every interval at or above the one it was built at. Everything
+	// else that prices refresh still splits it.
+	retimed := ranaOpts()
+	retimed.RefreshInterval = 45 * time.Microsecond
+	if got := sigOf(retimed, cfg); got != legacy {
+		t.Errorf("options differing only in the refresh interval diverge:\n%q\n%q", got, legacy)
+	}
+	for name, tune := range map[string]func(*Options){
+		"controller": func(o *Options) { o.Controller = memctrl.RefreshOptimized{} },
+		"guard":      func(o *Options) { o.RetentionGuard = 0.5 },
+		"backend":    func(o *Options) { o.Backend = "approx-dram" },
+		"point":      func(o *Options) { o.Backend, o.OperatingPoint = "approx-dram", "v0.8" },
+		"axes":       func(o *Options) { o.Traversal = "rtc" },
+	} {
+		o := ranaOpts()
+		tune(&o)
+		if sigOf(o, cfg) == legacy {
+			t.Errorf("%s missing from the memo signature", name)
+		}
 	}
 }
 

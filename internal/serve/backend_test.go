@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -188,5 +190,20 @@ func TestEvaluateBackendMatrix(t *testing.T) {
 		`{"design": "RANA*(E-5)", "network": `+tinyNetJSON+`, "backend": "nvram"}`)
 	if readBody(t, resp); resp.StatusCode != 400 {
 		t.Errorf("unknown backend: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestTinyRefreshIntervalIsBadRequest: an interval the v0.9 point's
+// retention scale truncates to zero is rejected at admission with a 400
+// naming that point, instead of reaching refresh pricing.
+func TestTinyRefreshIntervalIsBadRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp := post(t, ts.URL+"/v1/schedule", `{"model":"AlexNet","options":{"backend":"approx-dram","refresh_interval_ns":1}}`)
+	body := string(readBody(t, resp))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(body, "approx-dram@v0.9") || strings.Contains(body, "panic") {
+		t.Fatalf("body %s does not name the point, or reports a panic", body)
 	}
 }

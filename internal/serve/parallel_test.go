@@ -112,10 +112,10 @@ func TestMemoSharedAcrossRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	post(t, ts.URL+"/v1/schedule", `{"model": "AlexNet"}`).Body.Close()
 	before := memoCounters(t, ts.URL)
-	// A different refresh interval is a different cache key AND a
-	// different memo signature; a different search strategy over the same
-	// options re-explores. Pin exhaustive to force a fresh computation
-	// with fresh memo keys, then repeat it: the repeat's layers all hit.
+	// A different refresh interval is a different cache key but the same
+	// memo signature; a different search strategy over the same options
+	// re-explores. Pin exhaustive to force a fresh computation with fresh
+	// memo keys, then repeat it: the repeat's layers all hit.
 	post(t, ts.URL+"/v1/schedule", `{"model": "AlexNet", "options": {"search": "exhaustive"}}`).Body.Close()
 	post(t, ts.URL+"/v1/schedule", `{"model": "AlexNet", "options": {"search": "exhaustive", "parallelism": 3}}`).Body.Close()
 	after := memoCounters(t, ts.URL)
@@ -199,5 +199,16 @@ func TestBeamRungComposesWithParallelism(t *testing.T) {
 	_, sr = scheduleTiny(t, ts.URL, `, "deadline_ms": 40, "options": {"parallelism": 2}`)
 	if !sr.Degraded {
 		t.Fatal("deadline below the degrade budget must degrade")
+	}
+}
+
+// TestMetricsExposeMemoRecords: /metrics reports the frontier records
+// the shared memo holds, the quantity its capacity bounds.
+func TestMetricsExposeMemoRecords(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	post(t, ts.URL+"/v1/schedule", `{"model": "AlexNet"}`).Body.Close()
+	m := memoCounters(t, ts.URL)
+	if m["memo_records"] < m["memo_entries"] || m["memo_entries"] <= 0 {
+		t.Errorf("memo_records = %v for %v entries, want at least one record per entry", m["memo_records"], m["memo_entries"])
 	}
 }

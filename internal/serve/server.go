@@ -102,13 +102,16 @@ type Config struct {
 	Parallelism int
 
 	// MemoEntries bounds the server-wide layer-shape memo shared across
-	// every schedule and compile computation (sched.Memo). Zero selects
-	// sched.DefaultMemoCapacity; negative disables the shared memo. A
-	// full memo records no new shape, but either way each compile still
-	// explores a shape it repeats only once (the scheduler's in-compile
-	// dedup), and memo_hits counts those repeats. The same knob gates
-	// the server-wide bound prefix-sum memo (sched.PrefixMemo, default
-	// capacity) shared the same way.
+	// every schedule and compile computation (sched.Memo), counted in
+	// frontier records (memo_records at /metrics), not in entries: one
+	// entry per layer shape serves every refresh interval at or above
+	// the one it was built at, and holds as many records as that needs.
+	// Zero selects sched.DefaultMemoCapacity; negative disables the
+	// shared memo. A full memo records no new shape, but either way each
+	// compile still explores a shape it repeats only once (the
+	// scheduler's in-compile dedup), and memo_hits counts those repeats.
+	// The same knob gates the server-wide bound prefix-sum memo
+	// (sched.PrefixMemo, default capacity) shared the same way.
 	MemoEntries int
 
 	// Chaos, when non-nil, injects faults into the computation path
@@ -328,6 +331,7 @@ func New(cfg Config) *Server {
 		vars.Set("memo_hits", expvar.Func(func() any { return s.memo.Stats().Hits }))
 		vars.Set("memo_misses", expvar.Func(func() any { return s.memo.Stats().Misses }))
 		vars.Set("memo_entries", expvar.Func(func() any { return s.memo.Stats().Entries }))
+		vars.Set("memo_records", expvar.Func(func() any { return s.memo.Stats().Records }))
 	}
 	if s.prefix != nil {
 		vars.Set("memo_prefix_hits", expvar.Func(func() any { return s.prefix.Stats().Hits }))

@@ -4,7 +4,9 @@ package verify
 // a handful of claims against another configuration of the same loop:
 // the pruned branch-and-bound, the worker pool, the layer-shape memo,
 // incremental bound pricing and the spelled-out defaults claim the
-// reference plan's exact wire bytes; the budgeted beam claims it never
+// reference plan's exact wire bytes; a shared memo swept across refresh
+// intervals claims the bytes of the same setting compiled cold; the
+// budgeted beam claims it never
 // beats the exact optimum; the RTC traversal × PENDRAM mapping space
 // claims it never loses to the default-only one. Matrix states each
 // claim once, as a declarative variant: the setting it runs, the setting
@@ -47,6 +49,13 @@ type Setting struct {
 	// "row-major" and the configuration's default backend by name —
 	// instead of leaving them empty. It overrides Axes.
 	Spelled bool
+	// Natural compiles the natural-tiling baseline instead of exploring.
+	Natural bool
+	// Parametric compiles on one shared memo that first compiled the
+	// network at four times and a quarter of the frame's refresh
+	// interval, so every layer is answered from a frontier rebuilt below
+	// the frame's interval and queried at it.
+	Parametric bool
 }
 
 // Name renders the setting compactly, e.g. "pruned/p2/memo/axes".
@@ -64,6 +73,12 @@ func (s Setting) Name() string {
 	if s.Spelled {
 		name += "/spelled"
 	}
+	if s.Natural {
+		name += "/natural"
+	}
+	if s.Parametric {
+		name += "/parametric"
+	}
 	return name
 }
 
@@ -74,6 +89,7 @@ func (s Setting) options(base sched.Options, cfg hw.Config) sched.Options {
 	o.Parallelism = s.Workers
 	o.Memo, o.DisableMemo = nil, !s.Memo
 	o.Prefix, o.DisableIncremental = nil, !s.Incremental
+	o.NaturalTiling = s.Natural
 	o.Traversal, o.Mapping = "", ""
 	if s.Axes {
 		o.Traversal, o.Mapping = "rtc", "all"
@@ -197,6 +213,17 @@ func DefaultMatrix(tol Tolerances) Matrix {
 	spelled := prod
 	spelled.Spelled = true
 	add("spelling", spelled, ref, SameBytes)
+	// One memo shared across refresh intervals answers with the bytes of
+	// a cold compile: the pruned search, the beam and the natural-tiling
+	// baseline, on both spaces.
+	for _, axes := range []bool{false, true} {
+		for _, cold := range []Setting{prod, beam, {Strategy: search.Pruned, Workers: top, Memo: true, Incremental: true, Natural: true}} {
+			cold.Axes = axes
+			swept := cold
+			swept.Parametric = true
+			add("parametric", swept, cold, SameBytes)
+		}
+	}
 
 	m.Checks = []PlanCheck{walkerCheck(axesRef, tol)}
 	return m
@@ -242,7 +269,17 @@ type compiler struct {
 
 // direct is the production seam: sched's own entry points.
 var direct = compiler{
-	schedule: func(_ Setting, net models.Network, cfg hw.Config, opts sched.Options) (*sched.Plan, error) {
+	schedule: func(s Setting, net models.Network, cfg hw.Config, opts sched.Options) (*sched.Plan, error) {
+		if s.Parametric {
+			opts.Memo = sched.NewMemo(0)
+			for _, iv := range []time.Duration{4 * opts.RefreshInterval, opts.RefreshInterval / 4} {
+				sweep := opts
+				sweep.RefreshInterval = iv
+				// A sweep compile's failure shows again, with the frame's
+				// error text, in the compile the variant compares.
+				_, _ = sched.Schedule(net, cfg, sweep)
+			}
+		}
 		return sched.Schedule(net, cfg, opts)
 	},
 	explore: func(_ Setting, l models.ConvLayer, cfg hw.Config, opts sched.Options) (search.Stats, error) {

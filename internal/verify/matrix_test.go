@@ -328,6 +328,8 @@ func TestMatrixMutants(t *testing.T) {
 	axesBeam := find(p("axes/beam/p%d/memo/axes"), NeverCheaper)
 	neverWorse := find("axes/exhaustive/p1/stateless/axes", NeverWorse)
 	spelled := find(p("spelling/pruned/p%d/memo/spelled"), SameBytes)
+	swept := find(p("parametric/pruned/p%d/memo/parametric"), SameBytes)
+	sweptAxes := find(p("parametric/pruned/p%d/memo/axes/parametric"), SameBytes)
 	axesRef := neverWorse.Setting
 
 	// Every mutant must be the only reason the matrix goes red.
@@ -400,6 +402,18 @@ func TestMatrixMutants(t *testing.T) {
 			}
 		})), "walker/deadline/" + needy + "/"},
 		{"traversal/point", mutateSchedule(axesRef, editPlan(func(p *sched.Plan) { p.Layers[0].Point = "no-such-point" })), "walker/point/"},
+		// A memo frontier answering with the wrong record: a query that
+		// stops at E0 >= best, or dominance that ignores canonical order.
+		// On real networks the frontier's (E0, canonical) order makes
+		// both rules matter only when float rounding ties two candidates,
+		// so sched's TestFrontierPickPricesEqualE0Ties and
+		// TestFrontierDominanceKeepsCanonicalOrder kill the rule mutants
+		// on crafted records; here their symptom, another candidate's
+		// plan for a swept layer, must turn the parametric variants red.
+		{"parametric/query-stop", mutateSchedule(swept.Setting, retile), swept.Name + "/plan-bytes"},
+		{"parametric/dominance-order", mutateSchedule(sweptAxes.Setting, editPlan(func(p *sched.Plan) {
+			p.Layers[0].Traversal = "blocked2"
+		})), sweptAxes.Name + "/plan-bytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.old, func(t *testing.T) {
