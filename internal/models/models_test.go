@@ -2,6 +2,7 @@ package models
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -173,6 +174,22 @@ func TestByName(t *testing.T) {
 	}
 	if _, ok := ByName("nope"); ok {
 		t.Error("ByName(nope) unexpectedly found")
+	}
+	// The shared table is the zoo as Benchmarks builds it, clipped so an
+	// append by one holder cannot write into another's layers.
+	for _, want := range Benchmarks() {
+		got, ok := ByName(want.Name)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("ByName(%s) differs from Benchmarks()", want.Name)
+		}
+		if cap(got.Layers) != len(got.Layers) {
+			t.Errorf("ByName(%s): cap %d != len %d", want.Name, cap(got.Layers), len(got.Layers))
+		}
+		grown := append(got.Layers, ConvLayer{Name: "extra"})
+		grown[0].Name = "renamed"
+		if again, _ := ByName(want.Name); !reflect.DeepEqual(again, want) {
+			t.Errorf("appending to ByName(%s)'s layers changed the table", want.Name)
+		}
 	}
 }
 

@@ -5,6 +5,11 @@ package models
 // the paper's Table I numbers were verified against (AlexNet uses the
 // 227×227 crop of the Caffe reference model).
 
+import (
+	"slices"
+	"sync"
+)
+
 // AlexNet returns the 5-CONV-layer AlexNet [1] with its two grouped
 // convolutions.
 func AlexNet() Network {
@@ -140,10 +145,24 @@ func Benchmarks() []Network {
 	return []Network{AlexNet(), VGG(), GoogLeNet(), ResNet()}
 }
 
+// zoo is the table ByName answers from, built on first use. ByName sits
+// on ranad's per-request path, where rebuilding all four networks to
+// look one up cost more than hashing the request. Each Layers slice is
+// clipped to cap == len, so a caller appending to the network it got
+// reallocates instead of writing into the table's backing array.
+var zoo = sync.OnceValue(func() []Network {
+	nets := Benchmarks()
+	for i := range nets {
+		nets[i].Layers = slices.Clip(nets[i].Layers)
+	}
+	return nets
+})
+
 // ByName returns the benchmark network with the given name
-// (case-sensitive), or false.
+// (case-sensitive), or false. The network's Layers are shared by every
+// caller: read them, or copy before modifying a layer in place.
 func ByName(name string) (Network, bool) {
-	for _, n := range Benchmarks() {
+	for _, n := range zoo() {
 		if n.Name == name {
 			return n, true
 		}

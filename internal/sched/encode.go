@@ -13,6 +13,10 @@ package sched
 // are intentionally omitted; internal/verify covers them.
 
 import (
+	"fmt"
+	"strconv"
+
+	"rana/internal/jsonenc"
 	"rana/internal/mem"
 	"rana/internal/memctrl"
 	"rana/internal/pattern"
@@ -83,4 +87,72 @@ func Encode(p *Plan) PlanJSON {
 		})
 	}
 	return g
+}
+
+// AppendPlanJSON appends the bytes json.Marshal(Encode(p)) gives to dst,
+// written straight from the plan: no intermediate PlanJSON and no
+// reflection. ranad renders its schedule bodies with it. Encode and
+// PlanJSON stay the reference — the goldens, `rana-sched -json` and the
+// verify matrix marshal them, and TestGoldenSchedules and the matrix
+// hold this encoder to their bytes. A non-finite network energy, which
+// json.Marshal rejects, is an error here too; dst then comes back at its
+// length on entry.
+func AppendPlanJSON(dst []byte, p *Plan) ([]byte, error) {
+	start := len(dst)
+	dst = jsonenc.String(append(dst, `{"network":`...), p.Network.Name)
+	if b := mem.NormalizeName(p.Options.Backend, p.Config.BufferTech); b != "" {
+		dst = jsonenc.String(append(dst, `,"backend":`...), b)
+	}
+	dst = append(dst, `,"layers":`...)
+	if len(p.Layers) == 0 {
+		dst = append(dst, "null"...)
+	}
+	for i := range p.Layers {
+		lp := &p.Layers[i]
+		if i == 0 {
+			dst = append(dst, '[')
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = jsonenc.String(append(dst, `{"name":`...), p.Network.Layers[i].Name)
+		dst = jsonenc.String(append(dst, `,"pattern":`...), lp.Analysis.Pattern.String())
+		t := lp.Analysis.Tiling
+		dst = strconv.AppendInt(append(dst, `,"tiling":{"Tm":`...), int64(t.Tm), 10)
+		dst = strconv.AppendInt(append(dst, `,"Tn":`...), int64(t.Tn), 10)
+		dst = strconv.AppendInt(append(dst, `,"Tr":`...), int64(t.Tr), 10)
+		dst = strconv.AppendInt(append(dst, `,"Tc":`...), int64(t.Tc), 10)
+		dst = append(dst, '}')
+		if lp.Point != "" {
+			dst = jsonenc.String(append(dst, `,"op":`...), lp.Point)
+		}
+		if lp.Traversal != "" {
+			dst = jsonenc.String(append(dst, `,"traversal":`...), lp.Traversal)
+		}
+		if lp.Mapping != "" {
+			dst = jsonenc.String(append(dst, `,"mapping":`...), lp.Mapping)
+		}
+		dst = strconv.AppendBool(append(dst, `,"needs":{"Inputs":`...), lp.Needs.Inputs)
+		dst = strconv.AppendBool(append(dst, `,"Outputs":`...), lp.Needs.Outputs)
+		dst = strconv.AppendBool(append(dst, `,"Weights":`...), lp.Needs.Weights)
+		dst = strconv.AppendInt(append(dst, `},"alloc":[`...), int64(lp.Alloc.InputBanks), 10)
+		dst = strconv.AppendInt(append(dst, ','), int64(lp.Alloc.OutputBanks), 10)
+		dst = strconv.AppendInt(append(dst, ','), int64(lp.Alloc.WeightBanks), 10)
+		dst = strconv.AppendUint(append(dst, `],"refresh_words":`...), lp.Counts.Refreshes, 10)
+		dst = strconv.AppendInt(append(dst, `,"exec_ns":`...), lp.Analysis.ExecTime.Nanoseconds(), 10)
+		dst = append(dst, '}')
+	}
+	if len(p.Layers) > 0 {
+		dst = append(dst, ']')
+	}
+	dst = strconv.AppendUint(append(dst, `,"macs":`...), p.Totals.MACs, 10)
+	dst = strconv.AppendUint(append(dst, `,"buffer_accesses":`...), p.Totals.BufferAccesses, 10)
+	dst = strconv.AppendUint(append(dst, `,"refresh_words":`...), p.Totals.Refreshes, 10)
+	dst = strconv.AppendUint(append(dst, `,"ddr_accesses":`...), p.Totals.DDRAccesses, 10)
+	energy := p.Energy.Total()
+	dst, ok := jsonenc.Float(append(dst, `,"energy_pj":`...), energy)
+	if !ok {
+		return dst[:start], fmt.Errorf("sched: encoding the plan of %s: non-finite energy %v pJ", p.Network.Name, energy)
+	}
+	dst = strconv.AppendInt(append(dst, `,"exec_ns":`...), p.ExecTime.Nanoseconds(), 10)
+	return append(dst, '}'), nil
 }

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,6 +62,21 @@ func TestGoldenSchedules(t *testing.T) {
 					t.Fatal(err)
 				}
 				got = append(got, '\n')
+				// The serving encoder must spell the reference's bytes too;
+				// checked before -update returns, so CI's golden gate (which
+				// regenerates the files) covers it as well.
+				wire, err := AppendPlanJSON(nil, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var served bytes.Buffer
+				if err := json.Indent(&served, wire, "", "  "); err != nil {
+					t.Fatalf("AppendPlanJSON is not JSON: %v", err)
+				}
+				served.WriteByte('\n')
+				if served.String() != string(got) {
+					t.Errorf("%s: AppendPlanJSON drifted from json.Marshal(Encode):\ngot:\n%s", net.Name, served.Bytes())
+				}
 				path := filepath.Join("testdata", c.dir, net.Name+".json")
 				if *update && c.write {
 					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -79,6 +96,30 @@ func TestGoldenSchedules(t *testing.T) {
 						c.strategy, net.Name, path, got)
 				}
 			})
+		}
+	}
+}
+
+// TestAppendPlanJSONRejectsNonFiniteEnergy: json.Marshal refuses a NaN
+// or infinite energy, and so must the serving encoder, leaving dst as it
+// was instead of writing a NaN no JSON reader accepts.
+func TestAppendPlanJSONRejectsNonFiniteEnergy(t *testing.T) {
+	plan, err := Schedule(models.AlexNet(), hw.TestAcceleratorEDRAM(), Options{
+		Patterns:        []pattern.Kind{pattern.OD, pattern.WD},
+		RefreshInterval: 734 * time.Microsecond,
+		Controller:      memctrl.RefreshOptimized{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		plan.Energy.Refresh = bad
+		if _, err := json.Marshal(Encode(plan)); err == nil {
+			t.Fatalf("reference marshalled energy %v", bad)
+		}
+		dst, err := AppendPlanJSON([]byte("kept"), plan)
+		if err == nil || string(dst) != "kept" {
+			t.Errorf("energy %v: got %q, %v; want dst unchanged and an error", bad, dst, err)
 		}
 	}
 }

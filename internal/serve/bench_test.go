@@ -1,16 +1,25 @@
 package serve
 
 // Cache hit vs. miss benchmarks: the difference between these two
-// numbers is the whole point of running RANA compilation as a service —
-// a hit costs a map lookup and a memcpy, a miss costs a full Fig. 13
-// exploration.
+// numbers is the whole point of running RANA compilation as a service.
+// A miss costs a full Fig. 13 exploration and the body's encoding. A
+// hit skips both but still pays the request's front half: the HTTP
+// round trip, strict decoding of the body, resolving it onto native
+// types, and hashing the canonical form of the resolved request (its
+// SHA-256 over every layer's shape) — then an LRU lookup and writing
+// the cached bytes. Named and spelled-out networks hash to the same
+// key, but a spelled-out one costs more to decode, so the hit benchmark
+// runs both.
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"rana/internal/models"
 )
 
 const benchScheduleReq = `{"model": "AlexNet"}`
@@ -24,9 +33,11 @@ func benchServer(b *testing.B, cacheEntries int) *httptest.Server {
 	return ts
 }
 
-func doSchedule(b *testing.B, url string) {
+func doSchedule(b *testing.B, url string) { doScheduleBody(b, url, benchScheduleReq) }
+
+func doScheduleBody(b *testing.B, url, body string) {
 	b.Helper()
-	resp, err := http.Post(url+"/v1/schedule", "application/json", strings.NewReader(benchScheduleReq))
+	resp, err := http.Post(url+"/v1/schedule", "application/json", strings.NewReader(body))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,6 +64,30 @@ func BenchmarkScheduleCacheHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		doSchedule(b, ts.URL)
+	}
+}
+
+// BenchmarkScheduleCacheHitInline is BenchmarkScheduleCacheHit with
+// GoogLeNet spelled out layer by layer: the 57-layer body is what the
+// fleet's inline clients send, so decoding it and hashing the resolved
+// network dominate the hit.
+func BenchmarkScheduleCacheHitInline(b *testing.B) {
+	net := models.GoogLeNet()
+	spec := &NetworkSpec{Name: net.Name}
+	for _, l := range net.Layers {
+		spec.Layers = append(spec.Layers, LayerSpec{Name: l.Name, Stage: l.Stage,
+			N: l.N, H: l.H, L: l.L, M: l.M, K: l.K, S: l.S, P: l.P, Groups: l.Groups})
+	}
+	body, err := json.Marshal(ScheduleRequest{Network: spec})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := benchServer(b, 256)
+	doScheduleBody(b, ts.URL, string(body)) // warm the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		doScheduleBody(b, ts.URL, string(body))
 	}
 }
 

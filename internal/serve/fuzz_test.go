@@ -9,6 +9,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -58,20 +59,24 @@ func TestHostileBodiesAlwaysClientError(t *testing.T) {
 		strings.Repeat(`{"name": "l", "n": 1, "h": 8, "l": 8, "m": 1, "k": 1, "s": 1},`, maxCustomLayers) +
 		`{"name": "l", "n": 1, "h": 8, "l": 8, "m": 1, "k": 1, "s": 1}]}}`
 
+	// status, when set, is the exact 4xx the case must get.
 	cases := []struct {
 		name, body string
+		status     int
 	}{
-		{"empty body", ``},
-		{"not json", `this is not json`},
-		{"truncated", `{"network": {"name": "x", "lay`},
-		{"null", `null` /* decodes to a zero request; rejected by resolve */},
-		{"array", `[1,2,3]`},
-		{"wrong type", `{"model": {"nested": true}}`},
-		{"deep nesting", strings.Repeat(`{"network":`, 5000) + `1` + strings.Repeat(`}`, 5000)},
-		{"oversized", oversized},
-		{"too many layers", manyLayers},
-		{"negative deadline", `{"model": "AlexNet", "deadline_ms": -5}`},
-		{"huge ints", `{"network": {"name": "x", "layers": [{"name": "l", "n": 999999999999999999999999, "h": 8, "l": 8, "m": 1, "k": 1, "s": 1}]}}`},
+		{"empty body", ``, 0},
+		{"not json", `this is not json`, 0},
+		{"truncated", `{"network": {"name": "x", "lay`, 0},
+		{"null", `null` /* decodes to a zero request; rejected by resolve */, 0},
+		{"array", `[1,2,3]`, 0},
+		{"wrong type", `{"model": {"nested": true}}`, 0},
+		{"deep nesting", strings.Repeat(`{"network":`, 5000) + `1` + strings.Repeat(`}`, 5000), 0},
+		// Well-formed but over the limit: refused as too large, not as
+		// the truncated JSON the decoder would see.
+		{"oversized", oversized, http.StatusRequestEntityTooLarge},
+		{"too many layers", manyLayers, 0},
+		{"negative deadline", `{"model": "AlexNet", "deadline_ms": -5}`, 0},
+		{"huge ints", `{"network": {"name": "x", "layers": [{"name": "l", "n": 999999999999999999999999, "h": 8, "l": 8, "m": 1, "k": 1, "s": 1}]}}`, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,6 +98,12 @@ func TestHostileBodiesAlwaysClientError(t *testing.T) {
 				body := readBody(t, resp)
 				if resp.StatusCode < 400 || resp.StatusCode > 499 {
 					t.Fatalf("status %d outside 4xx: %s", resp.StatusCode, body)
+				}
+				if tc.status != 0 && resp.StatusCode != tc.status {
+					t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, body)
+				}
+				if tc.status == http.StatusRequestEntityTooLarge && !strings.Contains(string(body), strconv.Itoa(maxRequestBytes)) {
+					t.Errorf("413 body does not name the %d-byte limit: %s", maxRequestBytes, body)
 				}
 				var e struct {
 					Error string `json:"error"`

@@ -13,8 +13,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
+	"rana/internal/jsonenc"
 	"rana/internal/mem"
 	"rana/internal/models"
 	"rana/internal/platform"
@@ -220,7 +222,6 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 			Accelerator:       cfg.Name,
 			RefreshIntervalNS: int64(opts.RefreshInterval),
 			Controller:        controller,
-			Plan:              sched.Encode(plan),
 		}
 		switch {
 		case degraded:
@@ -238,7 +239,7 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 		if planFaulty(plan) {
 			s.m.FaultInjections.Add(1)
 		}
-		return marshalBody(resp)
+		return scheduleBody(&resp, plan)
 	}
 	return w, nil
 }
@@ -642,6 +643,35 @@ func marshalBody(v any) ([]byte, error) {
 		return nil, fmt.Errorf("serve: marshaling response: %w", err)
 	}
 	return append(body, '\n'), nil
+}
+
+// scheduleBody renders a /v1/schedule body: the bytes of
+// marshalBody(*resp) with resp.Plan = sched.Encode(plan), appended in
+// pooled scratch without reflection (resp.Plan itself is ignored).
+// Schedule bodies are rendered on every miss of both retention sweeps;
+// compile and evaluate bodies, encoded once per key, keep marshalBody.
+// The returned body is an exact-length copy: the cache holds it for its
+// lifetime, and a scratch-sized one would carry the slack along.
+func scheduleBody(resp *ScheduleResponse, plan *sched.Plan) ([]byte, error) {
+	bp := getScratch()
+	b := jsonenc.String(append((*bp)[:0], `{"accelerator":`...), resp.Accelerator)
+	b = strconv.AppendInt(append(b, `,"refresh_interval_ns":`...), resp.RefreshIntervalNS, 10)
+	b = jsonenc.String(append(b, `,"controller":`...), resp.Controller)
+	b, err := sched.AppendPlanJSON(append(b, `,"plan":`...), plan)
+	if err != nil {
+		putScratch(bp, b)
+		return nil, fmt.Errorf("serve: marshaling response: %w", err)
+	}
+	b = omitString(b, `,"search":`, resp.Search)
+	if resp.Degraded {
+		b = append(b, `,"degraded":true`...)
+	}
+	b = omitString(b, `,"degraded_reason":`, resp.DegradedReason)
+	b = append(b, "}\n"...)
+	body := make([]byte, len(b))
+	copy(body, b)
+	putScratch(bp, b)
+	return body, nil
 }
 
 // wrapComputeErr distinguishes scheduling failures caused by the

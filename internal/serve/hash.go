@@ -5,189 +5,53 @@ package serve
 // after defaults are applied — not over the request bytes, so spelling
 // differences (field order, named model vs. explicit layers, omitted
 // defaults vs. spelled-out defaults) collapse onto one key. The
-// encoding is a JSON document of structs with only ordered, scalar
-// fields, so encoding/json is deterministic; SHA-256 of it is the key.
+// canonical form is a JSON document of ordered scalar fields; SHA-256
+// of it is the key.
+//
+// Every request pays for its key, cache hits included, so the document
+// is appended straight from the native values into pooled scratch: no
+// intermediate struct, no reflection. Its bytes are those json.Marshal
+// gives the tagged canonicalRequest struct in hash_ref_test.go — same
+// field order, same omitempty rules, encoding/json's string and float
+// spellings — which FuzzCanonicalKey holds it to. The digests are pinned
+// by TestCanonicalKeysPinned: the plan store is indexed by them, so a
+// moved key orphans every stored plan.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"sort"
+	"strconv"
+	"sync"
 
 	"rana/internal/energy"
 	"rana/internal/hw"
+	"rana/internal/jsonenc"
 	"rana/internal/mem"
 	"rana/internal/models"
 	"rana/internal/sched"
 	"rana/internal/sched/search"
 )
 
-// canonicalLayer is one layer shape in hashing form.
-type canonicalLayer struct {
-	Name   string `json:"name"`
-	N      int    `json:"n"`
-	H      int    `json:"h"`
-	L      int    `json:"l"`
-	M      int    `json:"m"`
-	K      int    `json:"k"`
-	S      int    `json:"s"`
-	P      int    `json:"p"`
-	Groups int    `json:"groups"`
-}
+// scratch pools the request path's encoding buffers: canonical keys and
+// schedule response bodies.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
 
-// canonicalRequest is the hashing form of a resolved request.
-type canonicalRequest struct {
-	Op      string           `json:"op"` // "schedule", "compile" or "evaluate"
-	Network string           `json:"network"`
-	Layers  []canonicalLayer `json:"layers"`
+// maxPooledBytes caps a buffer returned to scratch. A custom network of
+// a few thousand layers grows one well past it, and pooling that buffer
+// would pin the memory for as long as the pool keeps it.
+const maxPooledBytes = 64 << 10
 
-	// Accelerator configuration (zeroed for ops that fix it, e.g.
-	// compile always runs the framework's own platform).
-	ConfigName  string  `json:"config_name,omitempty"`
-	ArrayM      int     `json:"array_m,omitempty"`
-	ArrayN      int     `json:"array_n,omitempty"`
-	Mapping     int     `json:"mapping,omitempty"`
-	FrequencyHz float64 `json:"frequency_hz,omitempty"`
-	LocalInput  int     `json:"local_input,omitempty"`
-	LocalOutput int     `json:"local_output,omitempty"`
-	LocalWeight int     `json:"local_weight,omitempty"`
-	BufferWords uint64  `json:"buffer_words,omitempty"`
-	BufferTech  int     `json:"buffer_tech,omitempty"`
-	BankWords   int     `json:"bank_words,omitempty"`
+func getScratch() *[]byte { return scratch.Get().(*[]byte) }
 
-	// Scheduling options (zeroed for evaluate: the design name fully
-	// determines them).
-	Patterns       string  `json:"patterns,omitempty"`
-	RefreshNS      int64   `json:"refresh_ns,omitempty"`
-	Controller     string  `json:"controller,omitempty"`
-	NaturalTiling  bool    `json:"natural_tiling,omitempty"`
-	RetentionGuard float64 `json:"retention_guard,omitempty"`
-	FixedTiling    string  `json:"fixed_tiling,omitempty"`
-	// Search is the *resolved* strategy (never empty: the default is
-	// spelled out) so a request pinning "pruned" and one omitting the
-	// field collapse onto the same key. BeamWidth is the effective beam
-	// width, present only under the beam strategy.
-	Search    string `json:"search,omitempty"`
-	BeamWidth int    `json:"beam_width,omitempty"`
-
-	// Backend is the memory-technology backend, normalized: the default
-	// technology adapter's explicit spelling collapses onto the empty
-	// string (and out of the key), so legacy requests and explicit-
-	// default requests share one entry. OperatingPoint stays verbatim —
-	// pinning "nominal" collapses the search axis, which on multi-point
-	// backends is a different computation than leaving it open.
-	Backend        string  `json:"backend,omitempty"`
-	OperatingPoint string  `json:"operating_point,omitempty"`
-	ErrorBudget    float64 `json:"error_budget,omitempty"`
-	// Traversal and Mapping are the canonical axis spellings
-	// (sched.CanonicalTraversalSpec / CanonicalMappingSpec): the parsed
-	// axis minus the implicit leading default. Default-only spellings
-	// ("", "linear", "row-major", "linear,linear") normalize to the empty
-	// string and out of the key, so legacy requests keep their entries.
-	Traversal string `json:"traversal,omitempty"`
-	MapPolicy string `json:"map_policy,omitempty"`
-	// LayerBudgets renders the server-attached per-layer error budgets
-	// as sorted "name=rate" pairs. Today the budgets are a pure function
-	// of fields already in the key (network name, layer list, the fixed
-	// admission constraint), so this is redundancy; it is kept in the
-	// form so a future per-request constraint cannot silently collide
-	// keys. Requests that never engage the approximate axis carry no
-	// budgets and keep the legacy canonical form byte for byte.
-	LayerBudgets string `json:"layer_budgets,omitempty"`
-
-	// Design names a Table IV point (evaluate only).
-	Design string `json:"design,omitempty"`
-}
-
-// canonicalNetwork fills the network part of the hashing form. The
-// Stage field is presentation-only (it groups report rows) and is
-// excluded: two networks differing only in stage labels schedule
-// identically.
-func (c *canonicalRequest) canonicalNetwork(net models.Network) {
-	c.Network = net.Name
-	for _, l := range net.Layers {
-		c.Layers = append(c.Layers, canonicalLayer{
-			Name: l.Name, N: l.N, H: l.H, L: l.L, M: l.M,
-			K: l.K, S: l.S, P: l.P, Groups: l.Groups,
-		})
+// putScratch recycles b, the grown contents of bp, unless it outgrew
+// maxPooledBytes. Nothing may reference b afterwards.
+func putScratch(bp *[]byte, b []byte) {
+	if cap(b) > maxPooledBytes {
+		return
 	}
-}
-
-// canonicalConfig fills the accelerator part of the hashing form.
-func (c *canonicalRequest) canonicalConfig(cfg hw.Config) {
-	c.ConfigName = cfg.Name
-	c.ArrayM, c.ArrayN = cfg.ArrayM, cfg.ArrayN
-	c.Mapping = int(cfg.Mapping)
-	c.FrequencyHz = cfg.FrequencyHz
-	c.LocalInput, c.LocalOutput, c.LocalWeight = cfg.LocalInput, cfg.LocalOutput, cfg.LocalWeight
-	c.BufferWords = cfg.BufferWords
-	c.BufferTech = int(cfg.BufferTech)
-	c.BankWords = cfg.BankWords
-}
-
-// canonicalOptions fills the options part of the hashing form. tech is
-// the resolved configuration's buffer technology, needed to normalize
-// the default backend's explicit spelling away.
-func (c *canonicalRequest) canonicalOptions(opts sched.Options, tech energy.BufferTech) {
-	for _, k := range opts.Patterns {
-		c.Patterns += k.String() + ","
-	}
-	c.RefreshNS = int64(opts.RefreshInterval)
-	if opts.Controller != nil {
-		c.Controller = opts.Controller.Name()
-	}
-	c.NaturalTiling = opts.NaturalTiling
-	c.RetentionGuard = opts.Guard()
-	if opts.FixedTiling != nil {
-		t := *opts.FixedTiling
-		c.FixedTiling = fmt.Sprintf("%d,%d,%d,%d", t.Tm, t.Tn, t.Tr, t.Tc)
-	}
-	c.Search = string(opts.Search.Resolve())
-	if opts.Search.Resolve() == search.Beam {
-		c.BeamWidth = search.EffectiveWidth(opts.BeamWidth)
-	}
-	c.Backend = mem.NormalizeName(opts.Backend, tech)
-	c.OperatingPoint = opts.OperatingPoint
-	c.ErrorBudget = opts.ErrorBudget
-	// Options are resolved (validated) before hashing, so the canonical
-	// spellings cannot fail here; the error branches keep the raw spec in
-	// the key, which is safe (never a wrong collision, only a missed one).
-	if tr, err := sched.CanonicalTraversalSpec(opts.Traversal); err == nil {
-		c.Traversal = tr
-	} else {
-		c.Traversal = opts.Traversal
-	}
-	if mp, err := sched.CanonicalMappingSpec(opts.Mapping); err == nil {
-		c.MapPolicy = mp
-	} else {
-		c.MapPolicy = opts.Mapping
-	}
-	if len(opts.LayerBudgets) > 0 {
-		names := make([]string, 0, len(opts.LayerBudgets))
-		for name := range opts.LayerBudgets {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			c.LayerBudgets += fmt.Sprintf("%s=%g,", name, opts.LayerBudgets[name])
-		}
-	}
-}
-
-// key hashes the canonical form.
-func (c *canonicalRequest) key() string {
-	b, err := json.Marshal(c)
-	if err != nil {
-		// Invariant, not input validation: the form is a closed struct of
-		// scalars built by this package, so marshalling cannot fail on any
-		// request a client can send. Kept as a panic deliberately — the
-		// request middleware's recover converts it to a 500 if it ever
-		// fires, and converting it to an error here would hide the bug.
-		panic("serve: canonical encoding: " + err.Error())
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	*bp = b[:0]
+	scratch.Put(bp)
 }
 
 // scheduleKey is the cache key of a resolved /v1/schedule request
@@ -199,27 +63,228 @@ func (c *canonicalRequest) key() string {
 // not just the options, must separate them from a full-search entry even
 // when the resolved options coincide.
 func scheduleKey(op string, net models.Network, cfg hw.Config, opts sched.Options) string {
-	c := canonicalRequest{Op: op}
-	c.canonicalNetwork(net)
-	c.canonicalConfig(cfg)
-	c.canonicalOptions(opts, cfg.BufferTech)
-	return c.key()
+	bp := getScratch()
+	return hashKey(bp, appendScheduleKey((*bp)[:0], op, net, cfg, opts))
 }
 
 // compileKey is the cache key of a resolved /v1/compile request. The
 // resolved Stage 2 strategy is part of the key: compilations under
 // different strategies may legitimately produce different plans.
 func compileKey(net models.Network, strategy search.Strategy) string {
-	c := canonicalRequest{Op: "compile", Search: string(strategy.Resolve())}
-	c.canonicalNetwork(net)
-	return c.key()
+	bp := getScratch()
+	return hashKey(bp, appendCompileKey((*bp)[:0], net, strategy))
 }
 
 // evaluateKey is the cache key of a resolved /v1/evaluate request.
 // backend arrives already normalized (default adapter → ""), point
 // verbatim, so the legacy (design, network) requests keep their keys.
 func evaluateKey(design string, net models.Network, backend, point string) string {
-	c := canonicalRequest{Op: "evaluate", Design: design, Backend: backend, OperatingPoint: point}
-	c.canonicalNetwork(net)
-	return c.key()
+	bp := getScratch()
+	return hashKey(bp, appendEvaluateKey((*bp)[:0], design, net, backend, point))
+}
+
+// hashKey returns the hex SHA-256 of the canonical form b and recycles
+// b's scratch.
+func hashKey(bp *[]byte, b []byte) string {
+	sum := sha256.Sum256(b)
+	putScratch(bp, b)
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	return string(digest[:])
+}
+
+// appendScheduleKey appends the canonical form of a schedule request:
+// the network, then the accelerator configuration, then the options.
+func appendScheduleKey(b []byte, op string, net models.Network, cfg hw.Config, opts sched.Options) []byte {
+	b = appendKeyHead(b, op, net)
+	b = appendConfig(b, cfg)
+	b = appendOptions(b, opts, cfg.BufferTech)
+	return append(b, '}')
+}
+
+// appendCompileKey appends the canonical form of a compile request: the
+// network and the resolved strategy (compile always runs the
+// framework's own platform and options).
+func appendCompileKey(b []byte, net models.Network, strategy search.Strategy) []byte {
+	b = appendKeyHead(b, "compile", net)
+	b = omitString(b, `,"search":`, string(strategy.Resolve()))
+	return append(b, '}')
+}
+
+// appendEvaluateKey appends the canonical form of an evaluate request:
+// the network, the backend axis and the design name, which fully
+// determines the scheduling options.
+func appendEvaluateKey(b []byte, design string, net models.Network, backend, point string) []byte {
+	b = appendKeyHead(b, "evaluate", net)
+	b = omitString(b, `,"backend":`, backend)
+	b = omitString(b, `,"operating_point":`, point)
+	b = omitString(b, `,"design":`, design)
+	return append(b, '}')
+}
+
+// appendKeyHead opens the document with the op and the network. The
+// Stage field is presentation-only (it groups report rows) and is
+// excluded: two networks differing only in stage labels schedule
+// identically. An empty layer list spells null, as a nil slice marshals.
+func appendKeyHead(b []byte, op string, net models.Network) []byte {
+	b = jsonenc.String(append(b, `{"op":`...), op)
+	b = jsonenc.String(append(b, `,"network":`...), net.Name)
+	b = append(b, `,"layers":`...)
+	if len(net.Layers) == 0 {
+		return append(b, "null"...)
+	}
+	for i := range net.Layers {
+		l := &net.Layers[i]
+		if i == 0 {
+			b = append(b, '[')
+		} else {
+			b = append(b, ',')
+		}
+		b = jsonenc.String(append(b, `{"name":`...), l.Name)
+		b = strconv.AppendInt(append(b, `,"n":`...), int64(l.N), 10)
+		b = strconv.AppendInt(append(b, `,"h":`...), int64(l.H), 10)
+		b = strconv.AppendInt(append(b, `,"l":`...), int64(l.L), 10)
+		b = strconv.AppendInt(append(b, `,"m":`...), int64(l.M), 10)
+		b = strconv.AppendInt(append(b, `,"k":`...), int64(l.K), 10)
+		b = strconv.AppendInt(append(b, `,"s":`...), int64(l.S), 10)
+		b = strconv.AppendInt(append(b, `,"p":`...), int64(l.P), 10)
+		b = strconv.AppendInt(append(b, `,"groups":`...), int64(l.Groups), 10)
+		b = append(b, '}')
+	}
+	return append(b, ']')
+}
+
+// appendConfig appends the accelerator configuration, every field
+// omitted at its zero value.
+func appendConfig(b []byte, cfg hw.Config) []byte {
+	b = omitString(b, `,"config_name":`, cfg.Name)
+	b = omitInt(b, `,"array_m":`, int64(cfg.ArrayM))
+	b = omitInt(b, `,"array_n":`, int64(cfg.ArrayN))
+	b = omitInt(b, `,"mapping":`, int64(cfg.Mapping))
+	b = omitFloat(b, `,"frequency_hz":`, cfg.FrequencyHz)
+	b = omitInt(b, `,"local_input":`, int64(cfg.LocalInput))
+	b = omitInt(b, `,"local_output":`, int64(cfg.LocalOutput))
+	b = omitInt(b, `,"local_weight":`, int64(cfg.LocalWeight))
+	if cfg.BufferWords != 0 {
+		b = strconv.AppendUint(append(b, `,"buffer_words":`...), cfg.BufferWords, 10)
+	}
+	b = omitInt(b, `,"buffer_tech":`, int64(cfg.BufferTech))
+	return omitInt(b, `,"bank_words":`, int64(cfg.BankWords))
+}
+
+// appendOptions appends the scheduling options in resolved form. tech
+// is the configuration's buffer technology, which the default backend's
+// explicit spelling normalizes against.
+func appendOptions(b []byte, opts sched.Options, tech energy.BufferTech) []byte {
+	if len(opts.Patterns) > 0 {
+		b = append(b, `,"patterns":"`...)
+		from := len(b)
+		for _, k := range opts.Patterns {
+			b = append(append(b, k.String()...), ',')
+		}
+		b = jsonenc.EndString(b, from)
+	}
+	b = omitInt(b, `,"refresh_ns":`, int64(opts.RefreshInterval))
+	if opts.Controller != nil {
+		b = omitString(b, `,"controller":`, opts.Controller.Name())
+	}
+	if opts.NaturalTiling {
+		b = append(b, `,"natural_tiling":true`...)
+	}
+	b = omitFloat(b, `,"retention_guard":`, opts.Guard())
+	if t := opts.FixedTiling; t != nil {
+		b = strconv.AppendInt(append(b, `,"fixed_tiling":"`...), int64(t.Tm), 10)
+		b = strconv.AppendInt(append(b, ','), int64(t.Tn), 10)
+		b = strconv.AppendInt(append(b, ','), int64(t.Tr), 10)
+		b = strconv.AppendInt(append(b, ','), int64(t.Tc), 10)
+		b = append(b, '"')
+	}
+	// The strategy is spelled out resolved, so a request pinning the
+	// default and one omitting it share a key; the beam width counts
+	// only under the beam.
+	strategy := opts.Search.Resolve()
+	b = omitString(b, `,"search":`, string(strategy))
+	if strategy == search.Beam {
+		b = omitInt(b, `,"beam_width":`, int64(search.EffectiveWidth(opts.BeamWidth)))
+	}
+	// The default technology adapter's explicit spelling collapses onto
+	// the empty string, so legacy and explicit-default requests share an
+	// entry. The operating point stays verbatim: pinning "nominal"
+	// collapses the point axis, a different computation on multi-point
+	// backends than leaving it open.
+	b = omitString(b, `,"backend":`, mem.NormalizeName(opts.Backend, tech))
+	b = omitString(b, `,"operating_point":`, opts.OperatingPoint)
+	b = omitFloat(b, `,"error_budget":`, opts.ErrorBudget)
+	// Axis specs in canonical spelling: default-only spellings ("",
+	// "linear", "row-major,row-major") normalize to the empty string and
+	// out of the key, so legacy requests keep their entries.
+	b = omitString(b, `,"traversal":`, canonicalSpec(opts.Traversal, sched.CanonicalTraversalSpec))
+	b = omitString(b, `,"map_policy":`, canonicalSpec(opts.Mapping, sched.CanonicalMappingSpec))
+	// The per-layer error budgets as sorted "name=rate," pairs. Today
+	// they are a pure function of fields already in the key (network,
+	// layers, the fixed admission constraint), so this is redundancy,
+	// kept so a future per-request constraint cannot silently collide
+	// keys. Requests off the approximate axis carry no budgets.
+	if len(opts.LayerBudgets) > 0 {
+		names := make([]string, 0, len(opts.LayerBudgets))
+		for name := range opts.LayerBudgets {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		b = append(b, `,"layer_budgets":"`...)
+		from := len(b)
+		for _, name := range names {
+			b = append(append(b, name...), '=')
+			b = append(strconv.AppendFloat(b, opts.LayerBudgets[name], 'g', -1, 64), ',')
+		}
+		b = jsonenc.EndString(b, from)
+	}
+	return b
+}
+
+// canonicalSpec is an axis spec's canonical spelling. Options are
+// validated before hashing, so the spec always parses on a request; the
+// fallback keeps the raw spec, which can only miss a collision, never
+// make a wrong one.
+func canonicalSpec(spec string, canonical func(string) (string, error)) string {
+	if spec == "" {
+		return ""
+	}
+	if c, err := canonical(spec); err == nil {
+		return c
+	}
+	return spec
+}
+
+// omitString appends key and v as a JSON string unless v is empty; key
+// carries the separator and the quoted field name, e.g. `,"search":`.
+func omitString(b []byte, key, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return jsonenc.String(append(b, key...), v)
+}
+
+// omitInt appends key and v unless v is zero.
+func omitInt(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+// omitFloat appends key and v unless v is zero.
+func omitFloat(b []byte, key string, v float64) []byte {
+	if v == 0 {
+		return b
+	}
+	b, ok := jsonenc.Float(append(b, key...), v)
+	if !ok {
+		// Invariant, not input validation: JSON has no spelling for NaN
+		// or ±Inf, so no decoded request resolves to one. Kept as a panic
+		// deliberately — the request middleware's recover converts it to
+		// a 500 if it ever fires, and an error here would hide the bug.
+		panic("serve: canonical encoding: non-finite " + key + strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	return b
 }

@@ -2,16 +2,22 @@ package serve
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"rana/internal/hw"
 	"rana/internal/mem"
+	"rana/internal/memctrl"
 	"rana/internal/models"
+	"rana/internal/pattern"
 	"rana/internal/retention"
 	"rana/internal/sched"
 	"rana/internal/sched/search"
@@ -43,15 +49,60 @@ var keySpellings = []struct {
 	{"nominal", &OptionsSpec{OperatingPoint: "nominal"}},
 }
 
-// keyFixture renders every pinned key, one "op model spelling key" line
-// each, in a fixed order.
-func keyFixture(t *testing.T) []string {
+// keyCase is one pinned key: its fixture labels and the resolved inputs
+// its key function hashes.
+type keyCase struct {
+	op, model, spelling string
+	net                 models.Network
+	cfg                 hw.Config       // schedule ops
+	opts                sched.Options   // schedule ops
+	strategy            search.Strategy // compile
+	design              string          // evaluate
+	backend, point      string          // evaluate
+}
+
+// appendDoc appends the case's canonical form with the hand encoder.
+func (c *keyCase) appendDoc(b []byte) []byte {
+	switch c.op {
+	case "compile":
+		return appendCompileKey(b, c.net, c.strategy)
+	case "evaluate":
+		return appendEvaluateKey(b, c.design, c.net, c.backend, c.point)
+	default:
+		return appendScheduleKey(b, c.op, c.net, c.cfg, c.opts)
+	}
+}
+
+// refDoc is the case's canonical form as json.Marshal spells the
+// reference struct.
+func (c *keyCase) refDoc() ([]byte, error) {
+	switch c.op {
+	case "compile":
+		return refCompileKey(c.net, c.strategy)
+	case "evaluate":
+		return refEvaluateKey(c.design, c.net, c.backend, c.point)
+	default:
+		return refScheduleKey(c.op, c.net, c.cfg, c.opts)
+	}
+}
+
+// key is the case's cache key.
+func (c *keyCase) key() string {
+	switch c.op {
+	case "compile":
+		return compileKey(c.net, c.strategy)
+	case "evaluate":
+		return evaluateKey(c.design, c.net, c.backend, c.point)
+	default:
+		return scheduleKey(c.op, c.net, c.cfg, c.opts)
+	}
+}
+
+// keyCases lists every pinned key's inputs, in fixture order.
+func keyCases(t testing.TB) []keyCase {
 	t.Helper()
 	cfg := hw.TestAcceleratorEDRAM()
-	var lines []string
-	add := func(op, model, spelling, key string) {
-		lines = append(lines, fmt.Sprintf("%s %s %s %s", op, model, spelling, key))
-	}
+	var cases []keyCase
 	for _, net := range models.Benchmarks() {
 		for _, sp := range keySpellings {
 			opts, err := resolveOptions(sp.spec, cfg)
@@ -69,16 +120,28 @@ func keyFixture(t *testing.T) []string {
 				{"schedule-degraded", opts.Fallback()},
 				{"schedule-budget-fallback", withOperatingPoint(opts, mem.Nominal)},
 			} {
-				o := withLayerBudgets(t, net, cfg, v.opts)
-				add(v.op, net.Name, sp.name, scheduleKey(v.op, net, cfg, o))
+				cases = append(cases, keyCase{op: v.op, model: net.Name, spelling: sp.name,
+					net: net, cfg: cfg, opts: withLayerBudgets(t, net, cfg, v.opts)})
 			}
 		}
 		for _, s := range search.Strategies() {
-			add("compile", net.Name, string(s), compileKey(net, s))
+			cases = append(cases, keyCase{op: "compile", model: net.Name, spelling: string(s), net: net, strategy: s})
 		}
 		for _, d := range []string{"RANA*(E-5)", "S+ID"} {
-			add("evaluate", net.Name, strings.ReplaceAll(d, " ", "_"), evaluateKey(d, net, "", ""))
+			cases = append(cases, keyCase{op: "evaluate", model: net.Name,
+				spelling: strings.ReplaceAll(d, " ", "_"), net: net, design: d})
 		}
+	}
+	return cases
+}
+
+// keyFixture renders every pinned key, one "op model spelling key" line
+// each, in a fixed order.
+func keyFixture(t *testing.T) []string {
+	t.Helper()
+	var lines []string
+	for _, c := range keyCases(t) {
+		lines = append(lines, fmt.Sprintf("%s %s %s %s", c.op, c.model, c.spelling, c.key()))
 	}
 	return lines
 }
@@ -90,7 +153,7 @@ func withOperatingPoint(o sched.Options, point string) sched.Options {
 
 // withLayerBudgets attaches Stage 1's per-layer budgets the way
 // prepareSchedule does: only when a resolved operating point is faulty.
-func withLayerBudgets(t *testing.T, net models.Network, cfg hw.Config, o sched.Options) sched.Options {
+func withLayerBudgets(t testing.TB, net models.Network, cfg hw.Config, o sched.Options) sched.Options {
 	t.Helper()
 	if _, pts, err := sched.ResolveBackend(cfg, o); err != nil || !anyFaulty(pts) {
 		return o
@@ -139,4 +202,119 @@ func TestCanonicalKeysPinned(t *testing.T) {
 			t.Errorf("key moved:\n got %s\nwant %s", got[i], want[i])
 		}
 	}
+}
+
+// FuzzCanonicalKey holds the hand-written canonical encoder to
+// json.Marshal of the reference struct (hash_ref_test.go), byte for
+// byte. pick chooses one of the pinned key cases as the base (the seeds
+// are all of them, unmodified); each bit of mask overrides one part of
+// it with fuzzed values: names with HTML characters, control bytes,
+// non-ASCII and invalid UTF-8, layer shapes, configuration fields,
+// guard and budget floats, and the pattern, strategy, traversal,
+// mapping and backend specs. A non-finite float the reference refuses
+// to marshal must make the encoder panic, its invariant check.
+func FuzzCanonicalKey(f *testing.F) {
+	cases := keyCases(f)
+	for i := range cases {
+		f.Add(uint8(i), uint16(0), "", "", "", int64(0), 0.0, 0.0, 0.0, "", "", "", "")
+	}
+	f.Add(uint8(0), uint16(0x7fff), `<net>&"x"`, "l\x00\u2028\t", "cfg\xff\xfe", int64(-7), 1e-7, 5e-324, 1e21,
+		"approx-dram", "v0.7", "rtc,blocked4", "all")
+	f.Add(uint8(3), uint16(0x0fff), "日本", "\\back\\", "\x7f\u2029", int64(1<<40), 0.995, 1e-5, 1e20,
+		"edram", "nominal", "linear,linear", "row-major,interleave")
+	f.Add(uint8(78), uint16(0x2108), "evaluate<>", "x", "S+ID&", int64(3), 1e-6, 9.999999e-7, 1.5e300,
+		"approx-dram", "v0.8", "bogus", "nope")
+	f.Add(uint8(75), uint16(0x2009), "", "", "beam\xc3", int64(0), 0.0, 0.0, 0.0, "", "", "", "")
+	f.Fuzz(func(t *testing.T, pick uint8, mask uint16, netName, layerName, text string, n int64,
+		f1, f2, f3 float64, backend, point, traversal, mapping string) {
+		c := cases[int(pick)%len(cases)]
+		c.net.Layers = slices.Clone(c.net.Layers) // the base cases are shared
+		on := func(bit uint) bool { return mask&(1<<bit) != 0 }
+		if on(0) {
+			c.net.Name = netName
+		}
+		if l := len(c.net.Layers); l > 0 && (on(1) || on(2)) {
+			layer := &c.net.Layers[int(uint64(n)%uint64(l))]
+			if on(1) {
+				layer.Name = layerName
+			}
+			if on(2) {
+				v := int(n)
+				layer.N, layer.H, layer.L, layer.M = v, -v, v>>3, v<<2
+				layer.K, layer.S, layer.P, layer.Groups = v&7, v%5, -(v & 3), v>>9
+			}
+		}
+		if on(3) {
+			c.net.Layers = nil
+		}
+		if on(4) {
+			c.cfg.Name, c.cfg.FrequencyHz = text, f1
+			c.cfg.ArrayM, c.cfg.BufferWords, c.cfg.BankWords = int(n), uint64(n), -int(n)
+		}
+		if on(5) {
+			c.opts.RetentionGuard = f1
+		}
+		if on(6) {
+			c.opts.ErrorBudget = f2
+		}
+		if on(7) {
+			c.opts.LayerBudgets = map[string]float64{layerName: f3, text: f1, netName: f2}
+		}
+		if on(8) {
+			c.opts.Backend, c.opts.OperatingPoint = backend, point
+			c.backend, c.point = backend, point
+		}
+		if on(9) {
+			c.opts.Traversal, c.opts.Mapping = traversal, mapping
+		}
+		if on(10) {
+			c.opts.Patterns = nil
+			for _, ch := range []byte(text) {
+				c.opts.Patterns = append(c.opts.Patterns, pattern.Kind(ch%4))
+			}
+		}
+		if on(11) {
+			c.opts.Controller, c.opts.NaturalTiling = memctrl.Conventional{}, !c.opts.NaturalTiling
+		}
+		if on(12) {
+			v := int(n)
+			c.opts.FixedTiling = &pattern.Tiling{Tm: v, Tn: -v, Tr: v >> 4, Tc: v & 15}
+		}
+		if on(13) {
+			c.opts.Search, c.opts.BeamWidth = search.Strategy(text), int(n)
+			c.strategy, c.design = search.Strategy(text), text
+		}
+		if on(14) {
+			c.opts.RefreshInterval = time.Duration(n)
+		}
+		if on(15) {
+			c.opts.Controller = nil
+		}
+
+		want, refErr := c.refDoc()
+		got, panicked := func() (b []byte, panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			return c.appendDoc(nil), false
+		}()
+		if refErr != nil {
+			if !panicked {
+				t.Fatalf("reference refused the form (%v) but the encoder wrote %s", refErr, got)
+			}
+			return
+		}
+		if panicked {
+			t.Fatalf("encoder panicked on a form the reference marshals: %s", want)
+		}
+		if string(got) != string(want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("encoder differs from json.Marshal at byte %d:\n got %s\nwant %s", i, got, want)
+		}
+		sum := sha256.Sum256(want)
+		if key := c.key(); key != hex.EncodeToString(sum[:]) {
+			t.Fatalf("key %s is not the SHA-256 of the canonical form", key)
+		}
+	})
 }

@@ -17,6 +17,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"sync"
 	"time"
 
 	"rana/internal/energy"
@@ -214,10 +215,8 @@ func resolveNetwork(model string, spec *NetworkSpec) (models.Network, error) {
 	case model != "" && spec != nil:
 		return models.Network{}, badRequest(`set "model" or "network", not both`)
 	case model != "":
-		for _, n := range models.Benchmarks() {
-			if n.Name == model {
-				return n, nil
-			}
+		if n, ok := models.ByName(model); ok {
+			return n, nil
 		}
 		return models.Network{}, badRequest("unknown model %q (want one of %v)", model, benchmarkNames())
 	case spec != nil:
@@ -253,15 +252,16 @@ func benchmarkNames() []string {
 }
 
 // builtinConfigs are the named accelerator configurations the API
-// accepts.
-func builtinConfigs() map[string]hw.Config {
+// accepts, built once: the map is read-only after construction and
+// hw.Config holds only scalars, so every request shares it.
+var builtinConfigs = sync.OnceValue(func() map[string]hw.Config {
 	return map[string]hw.Config{
 		"test":       hw.TestAccelerator(),
 		"test-edram": hw.TestAcceleratorEDRAM(),
 		"dadiannao":  hw.DaDianNao(),
 		"eyeriss":    hw.EyerissLike(),
 	}
-}
+})
 
 func builtinConfigNames() []string {
 	var names []string

@@ -414,6 +414,13 @@ func (s *Server) api(name string, h func(ctx context.Context, r *http.Request) (
 			s.m.status(name, s.error(w, badRequest("reading request body: %v", rerr)))
 			return
 		}
+		if len(raw) > maxRequestBytes {
+			s.m.status(name, s.error(w, &apiError{
+				status: http.StatusRequestEntityTooLarge,
+				msg:    fmt.Sprintf("request body exceeds %d bytes", maxRequestBytes),
+			}))
+			return
+		}
 		r.Body = io.NopCloser(bytes.NewReader(raw))
 		rctx := context.WithValue(r.Context(), rawBodyKey{}, raw)
 		if r.Header.Get(ForwardedHeader) != "" {

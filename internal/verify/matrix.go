@@ -299,12 +299,12 @@ func (m Matrix) Run(net models.Network, cfg hw.Config, opts sched.Options) (*Rep
 }
 
 func (m Matrix) run(c compiler, net models.Network, cfg hw.Config, opts sched.Options) (*Report, error) {
+	r := &Report{Subject: net.Name + " matrix"}
 	x := &matrixRun{
-		c: c, net: net, cfg: cfg, opts: opts,
+		r: r, c: c, net: net, cfg: cfg, opts: opts,
 		plans: map[Setting]*compiled{},
 		works: map[Setting][]layerWork{},
 	}
-	r := &Report{Subject: net.Name + " matrix"}
 	for _, v := range m.Variants {
 		if err := x.check(r, v); err != nil {
 			return nil, err
@@ -342,6 +342,7 @@ type layerWork struct {
 // matrixRun memoizes each setting's compile and per-layer work for one
 // network, so a reference is compiled once for all its variants.
 type matrixRun struct {
+	r     *Report
 	c     compiler
 	net   models.Network
 	cfg   hw.Config
@@ -362,6 +363,14 @@ func (x *matrixRun) plan(s Setting) (*compiled, error) {
 			return nil, fmt.Errorf("verify: encoding %s plan: %w", s.Name(), err)
 		}
 		p.wire = string(wire)
+		// ranad's schedule bodies carry the plan as AppendPlanJSON
+		// writes it; every compiled setting holds it to the reference.
+		check, ref, enc := "wire-encoder/"+s.Name(), "json.Marshal(Encode)", "AppendPlanJSON"
+		if served, err := sched.AppendPlanJSON(nil, p.plan); err != nil {
+			x.r.diverge(check, ref, enc, "ok", err)
+		} else if string(served) != p.wire {
+			x.r.diverge(check, ref, enc, fmt.Sprintf("%.120s", p.wire), fmt.Sprintf("%.120s", served))
+		}
 	}
 	x.plans[s] = p
 	return p, nil
