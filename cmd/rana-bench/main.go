@@ -13,7 +13,10 @@
 //	rana-bench -backends approx-dram,reram@fast-write  # backend cells
 //	rana-bench -o /tmp/b.json -regress BENCH_sched.json -axes=false
 //	                                   # CI regression gate: hard-fail on
-//	                                   # allocs/op growth, warn on ns/op
+//	                                   # allocs/op growth and, between two
+//	                                   # GOMAXPROCS=1 snapshots, on any
+//	                                   # change in candidates evaluated;
+//	                                   # warn on ns/op
 //
 // Each snapshot entry is keyed by (network, strategy, backend): the
 // default-adapter cell is always measured so trajectories stay
@@ -159,7 +162,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallelism := fs.Int("parallelism", 0, "optimized run's search workers (0 = GOMAXPROCS)")
 	backendsFlag := fs.String("backends", "", `comma-separated memory backend specs ("name" or "name@point") measured per model; empty means the default technology adapter only`)
 	axes := fs.Bool("axes", true, "measure the traversal/mapping axis sweep section")
-	regress := fs.String("regress", "", "path to a prior snapshot: hard-fail when any cell's allocs/op exceed the prior value by more than 25%+32, warn when ns/op more than doubles")
+	regress := fs.String("regress", "", "path to a prior snapshot: hard-fail when any cell's allocs/op exceed the prior value by more than 25%+32 or, both snapshots taken at GOMAXPROCS 1, its candidates evaluated differ; warn when ns/op more than doubles")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -298,10 +301,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		if fails > 0 {
-			fmt.Fprintf(stderr, "rana-bench: %d allocation regression(s) against %s\n", fails, *regress)
+			fmt.Fprintf(stderr, "rana-bench: %d regression(s) against %s\n", fails, *regress)
 			return 1
 		}
-		fmt.Fprintf(stdout, "no allocation regressions against %s\n", *regress)
+		fmt.Fprintf(stdout, "no regressions against %s\n", *regress)
 	}
 	return 0
 }
@@ -310,10 +313,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 // a committed prior one. Allocation counts are deterministic, so growth
 // beyond slack (25% + 32 allocs, absorbing measurement jitter from the
 // MemStats-delta estimator) is a hard failure; wall-clock is noisy on
-// shared CI machines, so ns/op regressions only warn. Cells present on
-// one side only (new model, new backend) are skipped — trajectories are
-// compared where both snapshots measured the same thing. A sweep's
-// ascending pass must allocate nothing, prior snapshot or not.
+// shared CI machines, so ns/op regressions only warn. With one worker
+// the search's work is deterministic too, so when both snapshots ran at
+// GOMAXPROCS 1 any change in a cell's candidates evaluated — more or
+// fewer — is a hard failure: a change to one-worker pruning must
+// refresh the committed snapshot on purpose. Cells present on one side
+// only (new model, new backend) are skipped — trajectories are compared
+// where both snapshots measured the same thing. A sweep's ascending
+// pass must allocate nothing, prior snapshot or not.
 func checkRegression(stdout io.Writer, path string, snap *Snapshot) (int, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -355,6 +362,11 @@ func checkRegression(stdout io.Writer, path string, snap *Snapshot) (int, error)
 			if limit := c.old.AllocsPerOp + c.old.AllocsPerOp/4 + 32; c.new.AllocsPerOp > limit {
 				fmt.Fprintf(stdout, "FAIL %s/%s: allocs/op %d -> %d (limit %d)\n",
 					cell, c.kind, c.old.AllocsPerOp, c.new.AllocsPerOp, limit)
+				fails++
+			}
+			if prior.GOMAXPROCS == 1 && snap.GOMAXPROCS == 1 && c.new.Evaluated != c.old.Evaluated {
+				fmt.Fprintf(stdout, "FAIL %s/%s: candidates evaluated %d -> %d (one worker: the count is deterministic)\n",
+					cell, c.kind, c.old.Evaluated, c.new.Evaluated)
 				fails++
 			}
 			if c.old.NsPerOp > 0 && c.new.NsPerOp > 2*c.old.NsPerOp {

@@ -77,3 +77,40 @@ func TestRunFlagErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRegressPinsOneWorkerWorkCounts: between two GOMAXPROCS=1
+// snapshots a cell's candidates evaluated must not move in either
+// direction; when either side ran more workers the count is
+// timing-dependent and only allocations are gated.
+func TestRegressPinsOneWorkerWorkCounts(t *testing.T) {
+	cell := func(evaluated int) NetBench {
+		r := Run{Evaluated: evaluated}
+		return NetBench{Model: "AlexNet", Baseline: r, Optimized: r, Warm: r}
+	}
+	for _, c := range []struct {
+		priorProcs, procs, priorEvals, evals, fails int
+	}{
+		{1, 1, 100, 100, 0},
+		{1, 1, 100, 99, 3},
+		{1, 1, 100, 101, 3},
+		{2, 1, 100, 99, 0},
+		{1, 2, 100, 99, 0},
+	} {
+		prior, err := json.Marshal(Snapshot{GOMAXPROCS: c.priorProcs, Networks: []NetBench{cell(c.priorEvals)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "prior.json")
+		if err := os.WriteFile(path, prior, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout bytes.Buffer
+		fails, err := checkRegression(&stdout, path, &Snapshot{GOMAXPROCS: c.procs, Networks: []NetBench{cell(c.evals)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fails != c.fails {
+			t.Errorf("%+v: %d failures, want %d:\n%s", c, fails, c.fails, stdout.String())
+		}
+	}
+}

@@ -45,8 +45,8 @@ type Framework struct {
 	// selects the default width.
 	BeamWidth int
 	// Parallelism bounds Stage 2's per-layer exploration worker pool
-	// (sched.Options.Parallelism): zero selects GOMAXPROCS, 1 the
-	// sequential reference path. Plans are byte-identical at every level.
+	// (sched.Options.Parallelism): zero selects GOMAXPROCS; 1 runs the
+	// same loop inline. Plans are byte-identical at every level.
 	Parallelism int
 	// Memo, when non-nil, shares layer-shape exploration results across
 	// compiles (sched.Options.Memo); ranad installs a server-wide memo

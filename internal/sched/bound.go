@@ -39,9 +39,9 @@ package sched
 // positive constant and addition are monotone under round-to-nearest,
 // and Total() sums components in one fixed order, so
 // lower(k, t) ≤ Evaluate(l, k, t, …).Energy.Total() holds exactly, not
-// just approximately — the pruning test in search/scan (strictly
-// greater than the incumbent) can therefore never discard the argmin or
-// an exact tie.
+// just approximately — the search engine's pruning test (scanner.work
+// in search/scan.go: strictly greater than the incumbent) can therefore
+// never discard the argmin or an exact tie.
 
 import (
 	"math"

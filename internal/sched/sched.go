@@ -121,7 +121,7 @@ type Options struct {
 
 	// Parallelism bounds the worker goroutines each layer's exploration
 	// fans out across its candidate space (search.Options.Parallelism).
-	// Zero selects GOMAXPROCS; 1 forces the sequential reference path.
+	// Zero selects GOMAXPROCS; 1 runs the same loop inline.
 	// Plans are byte-identical at every level, so Parallelism is a
 	// throughput knob, not a semantic one — it is excluded from the memo
 	// key and the serving cache key.

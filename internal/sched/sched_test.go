@@ -402,7 +402,9 @@ func TestWorkerPanicUnwrapped(t *testing.T) {
 	if pe.Value != "poisoned controller" {
 		t.Fatalf("PanicError.Value = %#v, want the worker's panic value", pe.Value)
 	}
-	if !strings.Contains(string(pe.Stack), "scanParallel") {
+	// Only the worker's stack holds the panic site; the goroutine that
+	// re-raised the panic never ran the controller.
+	if !strings.Contains(string(pe.Stack), "panicController.WordsPerPulse") {
 		t.Fatalf("PanicError.Stack is not the worker's stack:\n%s", pe.Stack)
 	}
 }

@@ -1,9 +1,11 @@
 package search
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"rana/internal/pattern"
@@ -47,8 +49,8 @@ func itoa(i int) string {
 
 // TestParallelMatchesSequentialRandomized is the core determinism check:
 // for randomized landscapes full of exact ties, every strategy at every
-// worker count returns the identical candidate and energy as the
-// sequential reference, and the work accounting invariant
+// worker count returns the identical candidate and energy as one
+// worker, and the work accounting invariant
 // Candidates == Evaluated + Pruned holds on every run.
 func TestParallelMatchesSequentialRandomized(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD, pattern.WD}
@@ -138,6 +140,47 @@ func TestParallelPropagatesEvaluatorErrors(t *testing.T) {
 	}
 }
 
+// TestPoolErrorIsTheOneWorkerError: when several workers fail, the pool
+// returns the failure that comes first in scan order (tiling, then
+// kind) — the one a single worker hits — not the canonical-earliest,
+// which is kind-major. With kinds OD, WD over two tilings, (WD, tiling
+// 0) is scan-first and (OD, tiling 1) canonical-first; on the pool a
+// barrier holds each failing evaluation until both have started, so
+// neither worker can stop the other first.
+func TestPoolErrorIsTheOneWorkerError(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		var barrier sync.WaitGroup
+		if workers > 1 {
+			barrier.Add(2)
+		}
+		p := Problem[string]{
+			Space: NewSlice(tilingsN(2)),
+			Kinds: []pattern.Kind{pattern.OD, pattern.WD},
+			Evaluate: func(k pattern.Kind, ti pattern.Tiling, _ Cell, out *Outcome[string]) error {
+				var err error
+				switch {
+				case k == pattern.WD && ti.Tm == 0:
+					err = errors.New("scan-first")
+				case k == pattern.OD && ti.Tm == 1:
+					err = errors.New("canonical-first")
+				default:
+					*out = Outcome[string]{Feasible: true, Energy: 1}
+					return nil
+				}
+				if workers > 1 {
+					barrier.Done()
+					barrier.Wait()
+				}
+				return err
+			},
+		}
+		_, err := Run(p, Options{Strategy: Exhaustive, Parallelism: workers})
+		if err == nil || err.Error() != "scan-first" {
+			t.Errorf("workers=%d: error %v, want scan-first", workers, err)
+		}
+	}
+}
+
 // TestParallelRepanicsWorkerPanics: a panic inside a worker goroutine
 // must resurface on the calling goroutine (where sched's per-layer
 // recover can convert it) with the original value attached.
@@ -198,7 +241,7 @@ func TestBeamParallelMatchesSequential(t *testing.T) {
 
 // TestSharedBoundStress is the -race stress of the shared-bound pool:
 // many workers hammer the atomic incumbent over a tie-heavy landscape,
-// and the result must match the sequential reference every round.
+// and the result must match one worker's every round.
 func TestSharedBoundStress(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD, pattern.WD, pattern.ID}
 	rounds := 8
@@ -225,7 +268,8 @@ func TestSharedBoundStress(t *testing.T) {
 
 // TestIncumbentBoundTighten covers the atomic min directly.
 func TestIncumbentBoundTighten(t *testing.T) {
-	b := newIncumbentBound()
+	var b incumbentBound
+	b.reset()
 	if !math.IsInf(b.load(), 1) {
 		t.Fatalf("fresh bound = %v, want +Inf", b.load())
 	}

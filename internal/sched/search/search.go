@@ -24,10 +24,11 @@
 // single-valued axes change nothing.
 //
 // Every strategy also runs at any parallelism level with byte-identical
-// results: Options.Parallelism partitions the candidate space across a
-// bounded worker pool sharing the incumbent's exact energy through an
-// atomic bound (parallel.go), and the reduction re-applies the canonical
-// preference order, so plans never move with the worker count.
+// results: Exhaustive and Pruned share one candidate loop (scan.go) that
+// one worker runs inline and Options.Parallelism workers run on a pool,
+// sharing the incumbent's exact energy through an atomic bound; the
+// reduction re-applies the canonical preference order, so plans never
+// move with the worker count.
 package search
 
 import (
@@ -183,8 +184,8 @@ type Outcome[T any] struct {
 
 // Problem couples one layer's candidate space with its evaluators.
 type Problem[T any] struct {
-	// Space streams the tiling space in canonical order. It is consumed
-	// exactly once per Run (Beam's feasibility fallback resets it).
+	// Space streams the tiling space in canonical order. Run drains it
+	// exactly once, into the admitted list every strategy scans.
 	Space Space
 	// Kinds is the pattern exploration space, in option order.
 	Kinds []pattern.Kind
@@ -292,11 +293,11 @@ type Options struct {
 	Strategy  Strategy
 	BeamWidth int // Beam only; 0 selects DefaultBeamWidth
 	// Parallelism bounds the worker goroutines one Run fans out across
-	// the candidate space. Zero selects GOMAXPROCS; 1 forces the
-	// sequential reference path. Results are byte-identical at every
-	// level (see parallel.go for the argument); only Stats work
-	// attribution (Bounded/Pruned/Evaluated splits) may shift, since
-	// how much pruning the shared bound achieves depends on timing.
+	// the candidate space. Zero selects GOMAXPROCS; 1 runs the same loop
+	// inline. Results are byte-identical at every level (see scan.go for
+	// the argument); only Stats work attribution (Bounded/Pruned/Evaluated
+	// splits) may shift, since how much pruning the shared bound achieves
+	// depends on timing.
 	Parallelism int
 }
 
@@ -318,8 +319,8 @@ type Stats struct {
 	// Evaluated counts exact evaluations — the expensive operation the
 	// strategies exist to minimize.
 	Evaluated int
-	// Workers is the worker-pool size the run actually used (1 on the
-	// sequential path). Aggregation keeps the maximum, not a sum.
+	// Workers is the worker-pool size the run actually used (1 when the
+	// loop ran inline). Aggregation keeps the maximum, not a sum.
 	Workers int
 }
 
@@ -351,21 +352,24 @@ func Run[T any](p Problem[T], o Options) (Result[T], error) {
 	if err := o.Strategy.Validate(); err != nil {
 		return Result[T]{}, err
 	}
+	r := Result[T]{Stats: Stats{Workers: 1}}
+	buf := admittedPool.Get().(*[]tilingAt)
+	defer admittedPool.Put(buf)
+	admitted := collectAdmitted(p, buf, &r.Stats)
 	workers := EffectiveParallelism(o.Parallelism)
+	var err error
 	switch o.Strategy.Resolve() {
 	case Exhaustive:
-		if workers > 1 {
-			return scanParallel(p, false, workers)
-		}
-		return scan(p, false)
+		err = scan(p, admitted, false, workers, &r)
 	case Pruned:
-		if workers > 1 {
-			return scanParallel(p, p.Bound != nil, workers)
-		}
-		return scan(p, p.Bound != nil)
+		err = scan(p, admitted, true, workers, &r)
 	default: // Beam; Validate covered the rest
-		return beam(p, EffectiveWidth(o.BeamWidth), workers)
+		err = beam(p, admitted, EffectiveWidth(o.BeamWidth), workers, &r)
 	}
+	if err != nil {
+		return Result[T]{}, err
+	}
+	return r, nil
 }
 
 // prefer reports whether candidate c with energy e beats the incumbent
@@ -374,98 +378,29 @@ func Run[T any](p Problem[T], o Options) (Result[T], error) {
 // mapping index). This is exactly the argmin the historical
 // pattern-major loop's strict-< rule kept — the earliest candidate in
 // (kind, tiling, point, traversal, mapping) enumeration order among the
-// equal-energy minima — so every strategy and any future parallel
-// variant agrees on ties by construction. The value-axis indices
-// compare last, newest-axis last of all: on single-valued axes they
-// never differ, so each historical tie-break is preserved bit-for-bit
-// as axes accrete.
+// equal-energy minima — so every strategy and worker count agrees on
+// ties by construction.
 func prefer(e float64, c *Candidate, be float64, bc *Candidate) bool {
-	if e != be {
-		return e < be
-	}
-	if c.KindIdx != bc.KindIdx {
-		return c.KindIdx < bc.KindIdx
-	}
-	if c.TilingIdx != bc.TilingIdx {
-		return c.TilingIdx < bc.TilingIdx
-	}
-	if c.PointIdx != bc.PointIdx {
-		return c.PointIdx < bc.PointIdx
-	}
-	if c.TravIdx != bc.TravIdx {
-		return c.TravIdx < bc.TravIdx
-	}
-	return c.MapIdx < bc.MapIdx
+	return e < be || e == be && canonicalBefore(c, bc)
 }
 
-// scan is the shared exhaustive / branch-and-bound loop: one streaming
-// pass over the tiling space, all pattern kinds and value cells
-// (operating point × traversal × mapping) priced per tiling.
-func scan[T any](p Problem[T], prune bool) (Result[T], error) {
-	var r Result[T]
-	r.Stats.Workers = 1
-	points, travs, maps := p.points(), p.travs(), p.maps()
-	var pricer Pricer
-	if prune && p.Bound != nil && p.NewPricer != nil {
-		pricer = p.NewPricer()
-		defer pricer.Release()
+// canonicalBefore reports whether a precedes b in canonical order:
+// (kind index, tiling index, point index, traversal index, mapping
+// index). The value-axis indices compare last, newest-axis last of all:
+// on single-valued axes they never differ, so each historical
+// tie-break is preserved bit-for-bit as axes accrete.
+func canonicalBefore(a, b *Candidate) bool {
+	if a.KindIdx != b.KindIdx {
+		return a.KindIdx < b.KindIdx
 	}
-	out := p.newOutcome()
-	defer p.freeOutcome(out)
-	rec := p.newRecorder()
-	if rec != nil {
-		defer rec.Release()
+	if a.TilingIdx != b.TilingIdx {
+		return a.TilingIdx < b.TilingIdx
 	}
-	for ti := 0; ; ti++ {
-		t, ok := p.Space.Next()
-		if !ok {
-			break
-		}
-		r.Stats.Tilings++
-		if p.Admit != nil && !p.Admit(t) {
-			continue
-		}
-		r.Stats.Admitted++
-		for ki, k := range p.Kinds {
-			for pi := 0; pi < points; pi++ {
-				for tv := 0; tv < travs; tv++ {
-					for mi := 0; mi < maps; mi++ {
-						r.Stats.Candidates++
-						cell := Cell{Point: pi, Trav: tv, Map: mi}
-						if prune && r.Found {
-							r.Stats.Bounded++
-							// Strictly greater only: a candidate whose bound *equals*
-							// the incumbent's energy could still tie exactly and win
-							// the deterministic tie-break, so it must be priced.
-							var lb float64
-							if pricer != nil {
-								lb = pricer.Lower(k, t, cell)
-							} else {
-								lb = p.Bound(k, t, cell)
-							}
-							if lb > r.Outcome.Energy {
-								r.Stats.Pruned++
-								continue
-							}
-						}
-						if err := p.Evaluate(k, t, cell, out); err != nil {
-							return Result[T]{}, err
-						}
-						r.Stats.Evaluated++
-						if !out.Feasible {
-							continue
-						}
-						c := Candidate{Kind: k, KindIdx: ki, Tiling: t, TilingIdx: ti, PointIdx: pi, TravIdx: tv, MapIdx: mi}
-						if rec != nil {
-							rec.Record(c, out)
-						}
-						if !r.Found || prefer(out.Energy, &c, r.Outcome.Energy, &r.Candidate) {
-							r.Found, r.Candidate, r.Outcome = true, c, *out
-						}
-					}
-				}
-			}
-		}
+	if a.PointIdx != b.PointIdx {
+		return a.PointIdx < b.PointIdx
 	}
-	return r, nil
+	if a.TravIdx != b.TravIdx {
+		return a.TravIdx < b.TravIdx
+	}
+	return a.MapIdx < b.MapIdx
 }

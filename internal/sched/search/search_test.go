@@ -268,12 +268,11 @@ func TestBeamFallsBackWhenBudgetAllInfeasible(t *testing.T) {
 
 func TestRunPropagatesEvaluatorErrors(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD}
-	p := synthetic(tilingsN(1), kinds, map[string]entry{}, nil) // empty table: every Evaluate errors
 	for _, s := range Strategies() {
+		p := synthetic(tilingsN(1), kinds, map[string]entry{}, nil) // empty table: every Evaluate errors
 		if _, err := Run(p, Options{Strategy: s}); err == nil {
 			t.Errorf("%s: evaluator error swallowed", s)
 		}
-		p.Space.Reset()
 	}
 }
 

@@ -4,14 +4,10 @@ import (
 	"rana/internal/pattern"
 )
 
-// Space streams a tiling space in canonical order. Next returns the
-// next tiling, or false when the space is exhausted; Size is the total
-// count (for budget arithmetic and stats assertions); Reset rewinds the
-// stream so Beam's feasibility fallback can rescan.
+// Space streams a tiling space in canonical order: Next returns the
+// next tiling, or false when the space is exhausted. Run drains it once.
 type Space interface {
 	Next() (pattern.Tiling, bool)
-	Size() int
-	Reset()
 }
 
 // Axis returns the candidate tile sizes along one axis of extent dim,
@@ -73,12 +69,12 @@ func (p *Product) Init(tms, tns, trs, tcs []int) {
 	p.Reset()
 }
 
-// Size implements Space.
+// Size is the number of tilings the product streams.
 func (p *Product) Size() int {
 	return len(p.tms) * len(p.tns) * len(p.trs) * len(p.tcs)
 }
 
-// Reset implements Space.
+// Reset rewinds the stream.
 func (p *Product) Reset() { p.i, p.j, p.k, p.l = 0, 0, 0, 0 }
 
 // Next implements Space.
@@ -120,10 +116,10 @@ func (s *Slice) Init(ts []pattern.Tiling) {
 	s.Reset()
 }
 
-// Size implements Space.
+// Size is the number of tilings the slice streams.
 func (s *Slice) Size() int { return len(s.ts) }
 
-// Reset implements Space.
+// Reset rewinds the stream.
 func (s *Slice) Reset() { s.i = 0 }
 
 // Next implements Space.
