@@ -54,15 +54,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rana-trace: layer %q not in %s\n", *layer, *model)
 		return 2
 	}
-	var k pattern.Kind
-	switch *pat {
-	case "ID":
-		k = pattern.ID
-	case "OD":
-		k = pattern.OD
-	case "WD":
-		k = pattern.WD
-	default:
+	k, ok := pattern.ParseKind(*pat)
+	if !ok {
 		fmt.Fprintf(stderr, "rana-trace: unknown pattern %q\n", *pat)
 		return 2
 	}

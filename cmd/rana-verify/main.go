@@ -427,17 +427,15 @@ func sweepNodes(stdout, stderr io.Writer, nets []models.Network, reference strin
 func parsePatterns(s string) ([]pattern.Kind, error) {
 	var kinds []pattern.Kind
 	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(strings.ToUpper(part)) {
-		case "ID":
-			kinds = append(kinds, pattern.ID)
-		case "OD":
-			kinds = append(kinds, pattern.OD)
-		case "WD":
-			kinds = append(kinds, pattern.WD)
-		case "":
-		default:
+		name := strings.TrimSpace(strings.ToUpper(part))
+		if name == "" {
+			continue
+		}
+		k, ok := pattern.ParseKind(name)
+		if !ok {
 			return nil, fmt.Errorf("unknown pattern %q", part)
 		}
+		kinds = append(kinds, k)
 	}
 	if len(kinds) == 0 {
 		return nil, fmt.Errorf("no patterns in %q", s)

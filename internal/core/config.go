@@ -98,8 +98,8 @@ func ImportConfig(r io.Reader, cfg hw.Config) (*ConfigFile, error) {
 		return nil, fmt.Errorf("core: config has no layers")
 	}
 	for i, l := range cf.Layers {
-		if _, err := parsePattern(l.Pattern); err != nil {
-			return nil, fmt.Errorf("core: layer %d (%s): %w", i, l.Name, err)
+		if _, ok := pattern.ParseKind(l.Pattern); !ok {
+			return nil, fmt.Errorf("core: layer %d (%s): unknown pattern %q", i, l.Name, l.Pattern)
 		}
 		t := pattern.Tiling{Tm: l.Tm, Tn: l.Tn, Tr: l.Tr, Tc: l.Tc}
 		if err := t.Validate(); err != nil {
@@ -116,18 +116,4 @@ func ImportConfig(r io.Reader, cfg hw.Config) (*ConfigFile, error) {
 // Retention returns the artifact's tolerable retention time.
 func (cf *ConfigFile) Retention() time.Duration {
 	return time.Duration(cf.TolerableRetentionNS)
-}
-
-// parsePattern parses a pattern name.
-func parsePattern(s string) (pattern.Kind, error) {
-	switch s {
-	case "ID":
-		return pattern.ID, nil
-	case "OD":
-		return pattern.OD, nil
-	case "WD":
-		return pattern.WD, nil
-	default:
-		return 0, fmt.Errorf("unknown pattern %q", s)
-	}
 }

@@ -6,6 +6,7 @@ package hw
 
 import (
 	"fmt"
+	"math"
 
 	"rana/internal/energy"
 )
@@ -108,8 +109,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.ArrayM <= 0 || c.ArrayN <= 0:
 		return fmt.Errorf("hw: %s: non-positive PE array %dx%d", c.Name, c.ArrayM, c.ArrayN)
-	case c.FrequencyHz <= 0:
-		return fmt.Errorf("hw: %s: non-positive frequency %g", c.Name, c.FrequencyHz)
+	case !(c.FrequencyHz > 0) || math.IsInf(c.FrequencyHz, 1):
+		return fmt.Errorf("hw: %s: frequency %g not positive and finite", c.Name, c.FrequencyHz)
 	case c.LocalInput <= 0 || c.LocalOutput <= 0 || c.LocalWeight <= 0:
 		return fmt.Errorf("hw: %s: non-positive local storage", c.Name)
 	case c.BufferWords == 0:

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"math"
 	"testing"
 
 	"rana/internal/energy"
@@ -85,6 +86,25 @@ func TestValidateRejects(t *testing.T) {
 	for i, mut := range bad {
 		if err := mut(TestAccelerator()).Validate(); err == nil {
 			t.Errorf("case %d: expected error", i)
+		}
+	}
+}
+
+// TestValidateRejectsNonFiniteFrequency: a NaN clock slips past a
+// "<= 0" check and schedules to a negative execution time, +Inf to a
+// zero one; the canonical frame has no spelling for either.
+func TestValidateRejectsNonFiniteFrequency(t *testing.T) {
+	for _, tc := range []struct {
+		hz float64
+		ok bool
+	}{
+		{200e6, true}, {math.MaxFloat64, true}, {5e-324, true},
+		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false}, {0, false}, {-1, false},
+	} {
+		c := TestAccelerator()
+		c.FrequencyHz = tc.hz
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("frequency %g: Validate() = %v, want ok=%v", tc.hz, err, tc.ok)
 		}
 	}
 }

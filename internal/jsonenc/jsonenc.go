@@ -1,8 +1,10 @@
 // Package jsonenc appends the bytes encoding/json's Marshal writes for a
-// string and a float64, without reflection. It serves the hand-written
-// encoders on ranad's request path — the canonical cache key and the
-// schedule response body — whose output must stay byte-identical to
-// json.Marshal of the tagged structs their tests keep as the reference.
+// string and a float64, and for omitempty fields of those and of ints,
+// without reflection. It serves the hand-written encoders whose output
+// must stay byte-identical to json.Marshal of the tagged structs their
+// tests keep as the reference: the canonical (config, options) frame
+// sched.AppendCanonical writes for ranad's cache key and the layer
+// memo's key, the plan encoding and ranad's schedule response body.
 package jsonenc
 
 import (
@@ -62,4 +64,36 @@ func Float(dst []byte, f float64) (_ []byte, ok bool) {
 		dst = dst[:n-1]
 	}
 	return dst, true
+}
+
+// OmitString appends key and v as a JSON string unless v is empty; key
+// carries the separator and the quoted field name, e.g. `,"search":`.
+func OmitString(b []byte, key, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return String(append(b, key...), v)
+}
+
+// OmitInt appends key and v unless v is zero.
+func OmitInt(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+// OmitFloat appends key and v unless v is zero. v must be finite: JSON
+// has no spelling for NaN or ±Inf, and the encoders it serves write only
+// validated values, so a non-finite one is a bug and panics rather than
+// hide in a key.
+func OmitFloat(b []byte, key string, v float64) []byte {
+	if v == 0 {
+		return b
+	}
+	b, ok := Float(append(b, key...), v)
+	if !ok {
+		panic("jsonenc: non-finite " + key + strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	return b
 }

@@ -33,7 +33,7 @@ import (
 // Nominal is the name every backend gives its first operating point:
 // the technology's datasheet corner, the one the default scheduling
 // path prices. Normalization collapses it onto the empty spelling so
-// cache keys and memo signatures do not fork on "@nominal".
+// cache keys and memo keys do not fork on "@nominal".
 const Nominal = "nominal"
 
 // Role classifies where in the memory hierarchy a backend sits.
@@ -169,7 +169,7 @@ func DefaultName(tech energy.BufferTech) string {
 
 // NormalizeName collapses the default backend's explicit spelling onto
 // the empty string for a given buffer technology, so cache keys, memo
-// signatures and wire encodings do not fork on equivalent requests.
+// keys and wire encodings do not fork on equivalent requests.
 func NormalizeName(name string, tech energy.BufferTech) string {
 	if name == DefaultName(tech) {
 		return ""

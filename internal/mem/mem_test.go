@@ -118,7 +118,7 @@ func TestNominalPointsMatchLegacyConstants(t *testing.T) {
 }
 
 // TestDefaults: the technology → default-backend mapping and the
-// normalization rules the cache keys and memo signatures rely on.
+// normalization rules the cache keys and memo keys rely on.
 func TestDefaults(t *testing.T) {
 	if DefaultName(energy.EDRAM) != "edram" || DefaultName(energy.SRAM) != "sram" {
 		t.Fatal("default-name mapping broken")

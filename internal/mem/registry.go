@@ -64,7 +64,7 @@ func Register(b Backend) {
 // validName enforces the backend/point name grammar: non-empty,
 // bounded, lower-case letters, digits, '.' and '-', starting with an
 // alphanumeric. The grammar keeps names safe inside cache-key strings,
-// memo signatures and URL query values without escaping.
+// memo keys and URL query values without escaping.
 func validName(s string) error {
 	if s == "" {
 		return fmt.Errorf("empty name")

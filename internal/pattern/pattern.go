@@ -40,6 +40,16 @@ const (
 // Kinds lists all patterns in paper order.
 var Kinds = []Kind{ID, OD, WD}
 
+// ParseKind returns the pattern whose String is name, one of Kinds.
+func ParseKind(name string) (Kind, bool) {
+	for _, k := range Kinds {
+		if k.String() == name {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
 // String implements fmt.Stringer.
 func (k Kind) String() string {
 	switch k {

@@ -336,6 +336,16 @@ func TestKindString(t *testing.T) {
 			t.Errorf("String(%d) = %q, want %q", int(k), k.String(), want)
 		}
 	}
+	for _, k := range Kinds {
+		if got, ok := ParseKind(k.String()); !ok || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, ok)
+		}
+	}
+	for _, name := range []string{"", "od", "Kind(9)", "XX"} {
+		if k, ok := ParseKind(name); ok {
+			t.Errorf("ParseKind(%q) = %v, want rejected", name, k)
+		}
+	}
 }
 
 func TestAnalyzeRejectsInvalid(t *testing.T) {

@@ -115,7 +115,7 @@ func TestMemoKeySeparatesLayerBudgets(t *testing.T) {
 	base := ranaOpts()
 
 	// Without budgets, same-shaped layers share a key (the memo's whole
-	// point) and the signature is unchanged from the pre-budget form.
+	// point).
 	if testKey(l, cfg, base) != testKey(same, cfg, base) {
 		t.Fatal("same-shaped layers have different keys without budgets")
 	}

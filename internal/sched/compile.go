@@ -6,8 +6,7 @@ package sched
 //
 //   - a compileState arena holds the per-layer result/err/key slices,
 //     the in-compile dedup's representative indices, the miss work
-//     list, the memo-signature build buffer and its interned string,
-//     and the memo frontier queries' operating-point scratch;
+//     list and the memo frontier queries' operating-point scratch;
 //   - an exploreState arena (one per exploring goroutine) holds the
 //     candidate axis scratch, the streaming tiling space, the pooled
 //     bound evaluator, the backend point/table scratch, the frontier
@@ -261,10 +260,10 @@ func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, 
 }
 
 // compileState is one compile's arena: the per-layer slices, the miss
-// work list, the signature build buffer with its interned string and
-// the frontier queries' operating-point scratch. reps[i] is the earlier
-// layer whose plan layer i repeats (the in-compile dedup), or -1 when
-// layer i is served or explored itself; firsts lists those layers.
+// work list and the frontier queries' operating-point scratch. reps[i]
+// is the earlier layer whose plan layer i repeats (the in-compile
+// dedup), or -1 when layer i is served or explored itself; firsts lists
+// those layers.
 type compileState struct {
 	plans  []LayerPlan
 	stats  []search.Stats
@@ -274,8 +273,6 @@ type compileState struct {
 	errs   []error
 	firsts []int
 	miss   []int
-	sigBuf []byte
-	sig    string
 	points []mem.OperatingPoint
 }
 
@@ -306,17 +303,6 @@ func (cs *compileState) grow(n int) {
 	clear(cs.errs)
 	cs.firsts = cs.firsts[:0]
 	cs.miss = cs.miss[:0]
-}
-
-// internSignature rebuilds the options signature into the reused buffer
-// and re-interns the string only when the bytes changed — the common
-// case (same options compile after compile) costs zero allocations.
-func (cs *compileState) internSignature(opts Options, tech energy.BufferTech) string {
-	cs.sigBuf = opts.appendSignature(cs.sigBuf[:0], tech)
-	if string(cs.sigBuf) != cs.sig {
-		cs.sig = string(cs.sigBuf)
-	}
-	return cs.sig
 }
 
 // repeatOf returns the earlier layer (served or queued) whose memo key
@@ -480,10 +466,10 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 	// one's result, and a frontier in the shared memo that covers the
 	// options' interval answers the rest inline.
 	if memo != nil || dedup {
-		sig := cs.internSignature(opts, cfg.BufferTech)
+		frame := frameDigest(cfg, opts)
 		for i := range net.Layers {
 			l := &net.Layers[i]
-			cs.keys[i] = keyWithSig(*l, cfg, opts, sig)
+			cs.keys[i] = layerKey(&frame, l, &opts)
 			if dedup {
 				if j := cs.repeatOf(cs.keys[i]); j >= 0 {
 					cs.reps[i] = j

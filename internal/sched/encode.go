@@ -100,9 +100,7 @@ func Encode(p *Plan) PlanJSON {
 func AppendPlanJSON(dst []byte, p *Plan) ([]byte, error) {
 	start := len(dst)
 	dst = jsonenc.String(append(dst, `{"network":`...), p.Network.Name)
-	if b := mem.NormalizeName(p.Options.Backend, p.Config.BufferTech); b != "" {
-		dst = jsonenc.String(append(dst, `,"backend":`...), b)
-	}
+	dst = jsonenc.OmitString(dst, `,"backend":`, mem.NormalizeName(p.Options.Backend, p.Config.BufferTech))
 	dst = append(dst, `,"layers":`...)
 	if len(p.Layers) == 0 {
 		dst = append(dst, "null"...)
@@ -122,15 +120,9 @@ func AppendPlanJSON(dst []byte, p *Plan) ([]byte, error) {
 		dst = strconv.AppendInt(append(dst, `,"Tr":`...), int64(t.Tr), 10)
 		dst = strconv.AppendInt(append(dst, `,"Tc":`...), int64(t.Tc), 10)
 		dst = append(dst, '}')
-		if lp.Point != "" {
-			dst = jsonenc.String(append(dst, `,"op":`...), lp.Point)
-		}
-		if lp.Traversal != "" {
-			dst = jsonenc.String(append(dst, `,"traversal":`...), lp.Traversal)
-		}
-		if lp.Mapping != "" {
-			dst = jsonenc.String(append(dst, `,"mapping":`...), lp.Mapping)
-		}
+		dst = jsonenc.OmitString(dst, `,"op":`, lp.Point)
+		dst = jsonenc.OmitString(dst, `,"traversal":`, lp.Traversal)
+		dst = jsonenc.OmitString(dst, `,"mapping":`, lp.Mapping)
 		dst = strconv.AppendBool(append(dst, `,"needs":{"Inputs":`...), lp.Needs.Inputs)
 		dst = strconv.AppendBool(append(dst, `,"Outputs":`...), lp.Needs.Outputs)
 		dst = strconv.AppendBool(append(dst, `,"Weights":`...), lp.Needs.Weights)

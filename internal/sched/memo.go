@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -58,8 +57,8 @@ import (
 const DefaultMemoCapacity = 20480
 
 // memoKey identifies one exploration problem: the SHA-256 digest of the
-// canonical (layer shape, derived output geometry, config, options
-// signature, resolved layer budget) tuple. A digest rather than the
+// (frame digest, layer shape, derived output geometry, resolved layer
+// budget) tuple layerKey encodes. A digest rather than the
 // struct itself because the struct form exceeds the runtime's 128-byte
 // inline-key limit, and an indirect map key heap-copies on every insert
 // — one allocation per distinct shape per compile, which is exactly
@@ -510,110 +509,33 @@ func (m *Memo) Stats() MemoStats {
 	return MemoStats{Hits: m.hits, Misses: m.misses, Rebuilds: m.rebuilds, Entries: len(m.entries), Records: m.records}
 }
 
-// appendSignature appends the canonical options form the memo keys on
-// to dst — the same resolution rules as the serving cache hashing
-// (resolved strategy spelled out, beam width only under beam, effective
-// guard band, controller by name, default backend spelling folded for
-// the configuration's buffer technology) so equivalent spellings
-// collapse onto one entry. Parallelism, Memo, Prefix, DisableMemo,
-// DisableIncremental and Check are deliberately absent: none of them
-// changes a layer's resulting plan bytes. RefreshInterval is absent
-// too: a frontier answers every interval at or above the one it was
-// built at, and the memo rebuilds it below that. One strconv.Append* call per
-// component keeps the compile path's (interned) build allocation-free;
-// %g floats spell identically to the historical fmt.Fprintf form (both
-// emit the shortest round-trip representation).
-func (o Options) appendSignature(dst []byte, tech energy.BufferTech) []byte {
-	for _, k := range o.Patterns {
-		dst = append(dst, k.String()...)
-		dst = append(dst, ',')
-	}
-	if o.Controller != nil {
-		dst = append(dst, "|ctrl="...)
-		dst = append(dst, o.Controller.Name()...)
-	}
-	if o.NaturalTiling {
-		dst = append(dst, "|natural"...)
-	}
-	dst = append(dst, "|guard="...)
-	dst = strconv.AppendFloat(dst, o.Guard(), 'g', -1, 64)
-	if o.FixedTiling != nil {
-		t := *o.FixedTiling
-		dst = append(dst, "|fixed="...)
-		dst = strconv.AppendInt(dst, int64(t.Tm), 10)
-		dst = append(dst, ',')
-		dst = strconv.AppendInt(dst, int64(t.Tn), 10)
-		dst = append(dst, ',')
-		dst = strconv.AppendInt(dst, int64(t.Tr), 10)
-		dst = append(dst, ',')
-		dst = strconv.AppendInt(dst, int64(t.Tc), 10)
-	}
-	dst = append(dst, "|search="...)
-	dst = append(dst, string(o.Search.Resolve())...)
-	if o.Search.Resolve() == search.Beam {
-		dst = append(dst, "|beam="...)
-		dst = strconv.AppendInt(dst, int64(search.EffectiveWidth(o.BeamWidth)), 10)
-	}
-	// The memory-backend axis. The explicit default backend name folds
-	// onto the empty spelling (the technology is also a key component,
-	// so folding per technology is sound). A pinned point stays distinct
-	// from an unpinned search even when it is "nominal": pinning
-	// collapses the point axis, which on multi-point backends changes
-	// the plan space.
-	if b := mem.NormalizeName(o.Backend, tech); b != "" {
-		dst = append(dst, "|backend="...)
-		dst = append(dst, b...)
-	}
-	if o.OperatingPoint != "" {
-		dst = append(dst, "|op="...)
-		dst = append(dst, o.OperatingPoint...)
-	}
-	if o.ErrorBudget > 0 {
-		dst = append(dst, "|ebudget="...)
-		dst = strconv.AppendFloat(dst, o.ErrorBudget, 'g', -1, 64)
-	}
-	// The traversal and mapping axes, in canonical spelling so
-	// equivalent specs ("", "linear", "linear,linear") collapse onto one
-	// entry; the default-only axes append nothing, keeping legacy
-	// signatures byte-identical (and the empty-spec fast path
-	// allocation-free). Validate already rejected unparseable specs, so
-	// the canonicalizers cannot fail here.
-	if o.Traversal != "" {
-		if tr, err := CanonicalTraversalSpec(o.Traversal); err == nil && tr != "" {
-			dst = append(dst, "|traversal="...)
-			dst = append(dst, tr...)
-		}
-	}
-	if o.Mapping != "" {
-		if mp, err := CanonicalMappingSpec(o.Mapping); err == nil && mp != "" {
-			dst = append(dst, "|mapping="...)
-			dst = append(dst, mp...)
-		}
-	}
-	return dst
+// frameDigest is the SHA-256 of a compile's frame, the part of every
+// layer's memo key its layers share: AppendCanonical over the
+// configuration without its Name, a report label, and the options
+// without RefreshInterval, which a frontier answers for every interval
+// at or above the one it was built at, and without LayerBudgets, which
+// enter each layer's key resolved (layerKey). The compile path builds
+// it once per compile.
+func frameDigest(cfg hw.Config, opts Options) [sha256.Size]byte {
+	cfg.Name = ""
+	opts.RefreshInterval, opts.LayerBudgets = 0, nil
+	var scratch [512]byte
+	return sha256.Sum256(AppendCanonical(scratch[:0], &cfg, &opts))
 }
 
-// keyWithSig builds the memo key against a precomputed signature (the
-// compile path builds it once per network, not once per layer): layer
-// identity and config name are cleared, since they do not influence
-// exploration, and the options enter through the signature. Per-layer
-// error budgets are the one place identity does influence
-// exploration, so the layer's *resolved* budget is folded into the
-// digest; with no per-layer budgets a zero budget word with a cleared
-// presence flag keeps legacy problems distinct from budgeted ones.
-//
-// The encoding is injective: every component is a fixed-width word
-// except the signature, which comes last — so no two distinct tuples
-// serialize to the same bytes. Layer identity (Name, Stage) and
-// cfg.Name never influence exploration and are excluded; padding
-// collapses into the derived output geometry (exploration never reads
-// P directly). Every semantic field of models.ConvLayer and hw.Config
-// must appear here — TestMemoKeyCoversAllFields pins the field counts
-// so adding a struct field without extending the encoding fails loudly.
-func keyWithSig(l models.ConvLayer, cfg hw.Config, opts Options, sig string) memoKey {
-	var scratch [352]byte
-	b := scratch[:0]
-	// Layer canonical shape + derived output geometry.
+// layerKey is layer l's memo key under the frame digest frame: the
+// digest, the layer's shape and derived output geometry as fixed-width
+// words, and its resolved error budget — the one place layer identity
+// reaches exploration. A presence flag keeps options without per-layer
+// budgets apart from budgeted ones. Every component has a fixed width,
+// so the encoding is injective. Name and Stage never influence
+// exploration and are excluded; padding collapses into the derived
+// geometry (exploration never reads P directly). Every other field of
+// models.ConvLayer must appear here — TestMemoKeyCoversAllFields pins
+// the field count.
+func layerKey(frame *[sha256.Size]byte, l *models.ConvLayer, opts *Options) memoKey {
+	var scratch [sha256.Size + 9*8 + 9]byte
+	b := append(scratch[:0], frame[:]...)
 	for _, v := range [...]uint64{
 		uint64(l.N), uint64(l.H), uint64(l.L), uint64(l.M),
 		uint64(l.K), uint64(l.S), uint64(l.Groups),
@@ -621,25 +543,13 @@ func keyWithSig(l models.ConvLayer, cfg hw.Config, opts Options, sig string) mem
 	} {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
-	// Accelerator configuration, Name excluded.
-	for _, v := range [...]uint64{
-		uint64(cfg.ArrayM), uint64(cfg.ArrayN), uint64(cfg.Mapping),
-		math.Float64bits(cfg.FrequencyHz),
-		uint64(cfg.LocalInput), uint64(cfg.LocalOutput), uint64(cfg.LocalWeight),
-		cfg.BufferWords, uint64(cfg.BufferTech), uint64(cfg.BankWords),
-	} {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	// Resolved per-layer budget: presence flag + value, fixed width.
+	var budget uint64
 	if len(opts.LayerBudgets) > 0 {
-		b = append(b, 1)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(opts.layerBudget(l.Name)))
+		b, budget = append(b, 1), math.Float64bits(opts.layerBudget(l.Name))
 	} else {
 		b = append(b, 0)
-		b = binary.LittleEndian.AppendUint64(b, 0)
 	}
-	b = append(b, sig...)
-	return sha256.Sum256(b)
+	return sha256.Sum256(binary.LittleEndian.AppendUint64(b, budget))
 }
 
 // peek returns the completed frontier for key if it covers interval t,

@@ -97,14 +97,10 @@ func TestMemoSharedAcrossCompiles(t *testing.T) {
 	}
 }
 
-// sigOf is the memo signature the compile path interns for opts on cfg.
-func sigOf(opts Options, cfg hw.Config) string {
-	return string(opts.appendSignature(nil, cfg.BufferTech))
-}
-
 // testKey is the memo key the compile path builds for one layer.
 func testKey(l models.ConvLayer, cfg hw.Config, opts Options) memoKey {
-	return keyWithSig(l, cfg, opts, sigOf(opts, cfg))
+	frame := frameDigest(cfg, opts)
+	return layerKey(&frame, &l, &opts)
 }
 
 // exploreMemo drives one layer through the memo exactly as the compile
@@ -237,18 +233,18 @@ func TestMemoSignatureSeparatesPlanRelevantOptions(t *testing.T) {
 	b.Parallelism = 7
 	b.DisableMemo = true
 	cfg := hw.TestAcceleratorEDRAM()
-	if sigOf(a, cfg) != sigOf(b, cfg) {
-		t.Fatal("throughput knobs leaked into the memo signature")
+	if frameDigest(cfg, a) != frameDigest(cfg, b) {
+		t.Fatal("throughput knobs leaked into the memo frame")
 	}
 	c := ranaOpts()
 	c.Search = search.Beam
-	if sigOf(a, cfg) == sigOf(c, cfg) {
-		t.Fatal("search strategy missing from the memo signature")
+	if frameDigest(cfg, a) == frameDigest(cfg, c) {
+		t.Fatal("search strategy missing from the memo frame")
 	}
 	d := ranaOpts()
 	d.NaturalTiling = true
-	if sigOf(a, cfg) == sigOf(d, cfg) {
-		t.Fatal("natural tiling missing from the memo signature")
+	if frameDigest(cfg, a) == frameDigest(cfg, d) {
+		t.Fatal("natural tiling missing from the memo frame")
 	}
 }
 
@@ -283,17 +279,14 @@ func TestMemoFoldsDefaultBackendSpelling(t *testing.T) {
 	}
 }
 
-// TestMemoKeyCoversAllFields is the tripwire for keyWithSig's injective
-// encoding: the digest serializes every semantic field of
-// models.ConvLayer and hw.Config by hand, so adding a field to either
-// struct without extending the encoding would silently alias distinct
-// problems. Bump the counts here only together with keyWithSig.
+// TestMemoKeyCoversAllFields is the tripwire for layerKey's injective
+// encoding: it writes every semantic field of models.ConvLayer by hand,
+// so adding a field without extending the encoding would silently alias
+// distinct problems. Bump the count here only together with layerKey.
+// The frame's fields are TestCanonicalCoversFields' tripwire.
 func TestMemoKeyCoversAllFields(t *testing.T) {
 	if got, want := reflect.TypeOf(models.ConvLayer{}).NumField(), 10; got != want {
-		t.Errorf("models.ConvLayer has %d fields, keyWithSig encodes for %d — extend the digest encoding", got, want)
-	}
-	if got, want := reflect.TypeOf(hw.Config{}).NumField(), 11; got != want {
-		t.Errorf("hw.Config has %d fields, keyWithSig encodes for %d — extend the digest encoding", got, want)
+		t.Errorf("models.ConvLayer has %d fields, layerKey encodes for %d — extend the key encoding", got, want)
 	}
 }
 

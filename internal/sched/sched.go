@@ -260,7 +260,10 @@ func (o Options) Validate() error {
 			return fmt.Errorf("sched: backend %q is %s-role, not a buffer", o.Backend, b.Role())
 		}
 	}
-	if o.ErrorBudget < 0 || o.ErrorBudget > 1 {
+	if !(o.RetentionGuard >= 0 && o.RetentionGuard <= 1) {
+		return fmt.Errorf("sched: retention guard %g outside [0, 1]", o.RetentionGuard)
+	}
+	if !(o.ErrorBudget >= 0 && o.ErrorBudget <= 1) {
 		return fmt.Errorf("sched: error budget %g outside [0, 1]", o.ErrorBudget)
 	}
 	// Empty specs are the always-valid defaults; skipping the parse

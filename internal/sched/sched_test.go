@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -238,6 +239,35 @@ func TestOptionsValidate(t *testing.T) {
 	bad := pattern.Tiling{}
 	if err := (Options{Patterns: []pattern.Kind{pattern.OD}, FixedTiling: &bad}).Validate(); err == nil {
 		t.Error("invalid fixed tiling should fail")
+	}
+}
+
+// TestOptionsValidateRejectsOutOfRange: a guard above 1 lets data
+// outlive the refresh interval unrefreshed, and a NaN guard or budget
+// passes a plain range check; the canonical frame has no spelling for a
+// non-finite value.
+func TestOptionsValidateRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		guard, budget float64
+		ok            bool
+	}{
+		{"defaults", 0, 0, true},
+		{"guard 1", 1, 0, true},
+		{"guard 0.5", 0.5, 0, true},
+		{"budget 1", 0, 1, true},
+		{"guard 2", 2, 0, false},
+		{"guard +Inf", math.Inf(1), 0, false},
+		{"guard NaN", math.NaN(), 0, false},
+		{"guard -0.5", -0.5, 0, false},
+		{"budget NaN", 0, math.NaN(), false},
+		{"budget 2", 0, 2, false},
+	} {
+		o := ranaOpts()
+		o.RetentionGuard, o.ErrorBudget = tc.guard, tc.budget
+		if err := o.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 

@@ -202,8 +202,7 @@ func ParseMappingSpec(spec string) ([]MappingPolicy, error) {
 // spelling: the parsed axis minus the implicit leading default, comma-
 // joined — the empty string when the axis is default-only. Equivalent
 // spellings ("", "linear", "linear,linear") collapse onto one form, so
-// cache keys and memo signatures stay byte-identical for legacy
-// requests.
+// cache keys and memo keys stay byte-identical for legacy requests.
 func CanonicalTraversalSpec(spec string) (string, error) {
 	axis, err := ParseTraversalSpec(spec)
 	if err != nil {

@@ -152,34 +152,34 @@ func TestCanonicalSpecs(t *testing.T) {
 	}
 }
 
-// TestSignatureAxes pins the memo-signature discipline around the new
-// axes: default spellings append nothing (legacy signatures stay
-// byte-identical), and equivalent spellings share a signature.
+// TestSignatureAxes pins the memo frame's discipline around the axes:
+// default spellings leave the frame digest unchanged, and equivalent
+// spellings share one.
 func TestSignatureAxes(t *testing.T) {
 	cfg := hw.TestAcceleratorEDRAM()
-	legacy := sigOf(ranaOpts(), cfg)
+	legacy := frameDigest(cfg, ranaOpts())
 	spelled := ranaOpts()
 	spelled.Traversal, spelled.Mapping = "linear", "row-major"
-	if got := sigOf(spelled, cfg); got != legacy {
-		t.Errorf("spelled-default signature %q != legacy %q", got, legacy)
+	if got := frameDigest(cfg, spelled); got != legacy {
+		t.Errorf("spelled-default frame %x != legacy %x", got, legacy)
 	}
 	rtc := ranaOpts()
 	rtc.Traversal, rtc.Mapping = "rtc", "all"
 	ladder := ranaOpts()
 	ladder.Traversal, ladder.Mapping = "blocked2,blocked4,blocked8", "interleave"
-	if sigOf(rtc, cfg) != sigOf(ladder, cfg) {
-		t.Errorf("equivalent axis spellings diverge:\n%q\n%q", sigOf(rtc, cfg), sigOf(ladder, cfg))
+	if frameDigest(cfg, rtc) != frameDigest(cfg, ladder) {
+		t.Errorf("equivalent axis spellings diverge:\n%x\n%x", frameDigest(cfg, rtc), frameDigest(cfg, ladder))
 	}
-	if sigOf(rtc, cfg) == legacy {
-		t.Error("non-default axes did not change the signature")
+	if frameDigest(cfg, rtc) == legacy {
+		t.Error("non-default axes did not change the frame")
 	}
 	// The refresh interval is not part of the key: one frontier serves
 	// every interval at or above the one it was built at. Everything
 	// else that prices refresh still splits it.
 	retimed := ranaOpts()
 	retimed.RefreshInterval = 45 * time.Microsecond
-	if got := sigOf(retimed, cfg); got != legacy {
-		t.Errorf("options differing only in the refresh interval diverge:\n%q\n%q", got, legacy)
+	if got := frameDigest(cfg, retimed); got != legacy {
+		t.Errorf("options differing only in the refresh interval diverge:\n%x\n%x", got, legacy)
 	}
 	for name, tune := range map[string]func(*Options){
 		"controller": func(o *Options) { o.Controller = memctrl.RefreshOptimized{} },
@@ -190,8 +190,8 @@ func TestSignatureAxes(t *testing.T) {
 	} {
 		o := ranaOpts()
 		tune(&o)
-		if sigOf(o, cfg) == legacy {
-			t.Errorf("%s missing from the memo signature", name)
+		if frameDigest(cfg, o) == legacy {
+			t.Errorf("%s missing from the memo frame", name)
 		}
 	}
 }

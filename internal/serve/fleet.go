@@ -55,16 +55,8 @@ func (s *Server) routedCached(ctx context.Context, path string, raw []byte, forw
 	}
 	// Local tiers first: a previously forwarded (and locally remembered)
 	// plan needs no network hop.
-	if body, ok := s.cache.Get(key); ok {
-		s.m.CacheHits.Add(1)
-		return &response{body: body, key: key, source: "hit"}, nil
-	}
-	if s.cfg.Store != nil {
-		if body, ok := s.cfg.Store.Get(key); ok {
-			s.m.StoreHits.Add(1)
-			s.cache.Add(key, body)
-			return &response{body: body, key: key, source: "store"}, nil
-		}
+	if resp, ok := s.tiered(key); ok {
+		return resp, nil
 	}
 	resp, err := s.forward(ctx, owner, path, raw, key)
 	if err == nil {

@@ -662,11 +662,11 @@ func scheduleBody(resp *ScheduleResponse, plan *sched.Plan) ([]byte, error) {
 		putScratch(bp, b)
 		return nil, fmt.Errorf("serve: marshaling response: %w", err)
 	}
-	b = omitString(b, `,"search":`, resp.Search)
+	b = jsonenc.OmitString(b, `,"search":`, resp.Search)
 	if resp.Degraded {
 		b = append(b, `,"degraded":true`...)
 	}
-	b = omitString(b, `,"degraded_reason":`, resp.DegradedReason)
+	b = jsonenc.OmitString(b, `,"degraded_reason":`, resp.DegradedReason)
 	b = append(b, "}\n"...)
 	body := make([]byte, len(b))
 	copy(body, b)

@@ -113,7 +113,7 @@ func TestMemoSharedAcrossRequests(t *testing.T) {
 	post(t, ts.URL+"/v1/schedule", `{"model": "AlexNet"}`).Body.Close()
 	before := memoCounters(t, ts.URL)
 	// A different refresh interval is a different cache key but the same
-	// memo signature; a different search strategy over the same options
+	// memo frame; a different search strategy over the same options
 	// re-explores. Pin exhaustive to force a fresh computation with fresh
 	// memo keys, then repeat it: the repeat's layers all hit.
 	post(t, ts.URL+"/v1/schedule", `{"model": "AlexNet", "options": {"search": "exhaustive"}}`).Body.Close()

@@ -337,16 +337,11 @@ func resolveOptions(spec *OptionsSpec, cfg hw.Config) (sched.Options, error) {
 		opts.Patterns = []pattern.Kind{pattern.OD, pattern.WD}
 	} else {
 		for _, s := range spec.Patterns {
-			switch s {
-			case "ID":
-				opts.Patterns = append(opts.Patterns, pattern.ID)
-			case "OD":
-				opts.Patterns = append(opts.Patterns, pattern.OD)
-			case "WD":
-				opts.Patterns = append(opts.Patterns, pattern.WD)
-			default:
+			k, ok := pattern.ParseKind(s)
+			if !ok {
 				return sched.Options{}, badRequest(`invalid pattern %q (want "ID", "OD" or "WD")`, s)
 			}
+			opts.Patterns = append(opts.Patterns, k)
 		}
 	}
 	if spec.RefreshIntervalNS < 0 {

@@ -536,34 +536,36 @@ func isPanic(err error) bool {
 	return errors.As(err, &pe) || errors.As(err, &spe)
 }
 
-// cached runs the cache → store → singleflight → worker-pool path
-// shared by every computing endpoint: return the cached body for key if
-// present, otherwise join or start the single computation for key,
-// bounded by the worker pool, and cache its result.
-func (s *Server) cached(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) (*response, error) {
-	return s.cachedMode(ctx, key, false, compute)
+// tiered answers key from the cache tiers: the LRU, then the
+// persistent store, which serves entries evicted from the LRU (or never
+// warm-filled into it) without recompiling and refills the LRU. Both
+// are consulted before the breaker — persisted bytes are proven good.
+func (s *Server) tiered(key string) (*response, bool) {
+	if body, ok := s.cache.Get(key); ok {
+		s.m.CacheHits.Add(1)
+		return &response{body: body, key: key, source: "hit"}, true
+	}
+	if s.cfg.Store != nil {
+		if body, ok := s.cfg.Store.Get(key); ok {
+			s.m.StoreHits.Add(1)
+			s.cache.Add(key, body)
+			return &response{body: body, key: key, source: "store"}, true
+		}
+	}
+	return nil, false
 }
 
-// cachedMode is cached with the admission mode explicit: synchronous
+// cachedMode runs the cache → store → singleflight → worker-pool path
+// shared by every computing endpoint: return the cached body for key if
+// present, otherwise join or start the single computation for key,
+// bounded by the worker pool, and cache its result. Synchronous
 // requests shed immediately when the queue is full (wait=false, the
 // 429 + Retry-After contract), while async batch entries wait for a
 // token (wait=true — a job holding no HTTP connection has nowhere to
 // bounce a 429 to, and the job table already bounds outstanding work).
 func (s *Server) cachedMode(ctx context.Context, key string, wait bool, compute func(ctx context.Context) ([]byte, error)) (*response, error) {
-	if body, ok := s.cache.Get(key); ok {
-		s.m.CacheHits.Add(1)
-		return &response{body: body, key: key, source: "hit"}, nil
-	}
-	// The persistent store is the second cache tier: entries evicted
-	// from the LRU (or never warm-filled into it) are still served
-	// without recompiling. Like the LRU, it is consulted before the
-	// breaker — persisted bytes are proven good.
-	if s.cfg.Store != nil {
-		if body, ok := s.cfg.Store.Get(key); ok {
-			s.m.StoreHits.Add(1)
-			s.cache.Add(key, body)
-			return &response{body: body, key: key, source: "store"}, nil
-		}
+	if resp, ok := s.tiered(key); ok {
+		return resp, nil
 	}
 	if wait, ok := s.breaker.allow(key); !ok {
 		s.m.BreakerFastFails.Add(1)
