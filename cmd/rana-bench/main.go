@@ -73,14 +73,7 @@ type Run struct {
 	MemoHits    int     `json:"memo_hits"`
 	MemoMisses  int     `json:"memo_misses"`
 	MemoHitRate float64 `json:"memo_hit_rate"`
-	// The prefix-sum memo's per-compile effectiveness: how much bound
-	// pricing work near-duplicate shapes (GoogLeNet's inception branches)
-	// reused below the whole-layer memo. Zero on the baseline run, which
-	// disables incremental pricing.
-	PrefixHits    uint64  `json:"prefix_hits"`
-	PrefixMisses  uint64  `json:"prefix_misses"`
-	PrefixHitRate float64 `json:"prefix_hit_rate"`
-	Workers       int     `json:"workers"`
+	Workers     int     `json:"workers"`
 }
 
 // NetBench is one (network, strategy, backend) cell: the model's
@@ -198,14 +191,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			base.DisableIncremental = true
 			opt := benchOpts(spec)
 			opt.Parallelism = *parallelism
-			// The warm run shares one memo (and one prefix memo) across
-			// compiles: measure's untimed warmup primes them, so every
-			// timed iteration sees the previous compile's entries — the
-			// fleet steady state, which must be allocation-free.
+			// The warm run shares one memo across compiles: measure's
+			// untimed warmup primes it, so every timed iteration sees the
+			// previous compile's entries — the fleet steady state, which
+			// must be allocation-free.
 			warm := benchOpts(spec)
 			warm.Parallelism = *parallelism
 			warm.Memo = sched.NewMemo(0)
-			warm.Prefix = sched.NewPrefixMemo(0)
 
 			runs, err := measureAll(net, cfg, []sched.Options{base, opt, warm}, *iters)
 			if err != nil {
@@ -232,12 +224,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if spec != "" {
 				label += "/" + spec
 			}
-			fmt.Fprintf(stdout, "%-24s %3d layers: baseline %8.2fms, optimized %8.2fms (%.2fx, memo %d/%d hits, prefix %.0f%%, warm %.0f%% @%d allocs, %d evals)\n",
+			fmt.Fprintf(stdout, "%-24s %3d layers: baseline %8.2fms, optimized %8.2fms (%.2fx, memo %d/%d hits, warm %.0f%% @%d allocs, %d evals)\n",
 				label, nb.Layers,
 				float64(baseline.NsPerOp)/1e6, float64(optimized.NsPerOp)/1e6,
 				nb.SpeedupX, optimized.MemoHits, optimized.MemoHits+optimized.MemoMisses,
-				100*optimized.PrefixHitRate, 100*warmed.MemoHitRate, warmed.AllocsPerOp,
-				optimized.Evaluated)
+				100*warmed.MemoHitRate, warmed.AllocsPerOp, optimized.Evaluated)
 		}
 	}
 
@@ -599,11 +590,6 @@ func measureAll(net models.Network, cfg hw.Config, variants []sched.Options, ite
 		r.MemoMisses = stats[j].MemoMisses
 		if n := stats[j].MemoHits + stats[j].MemoMisses; n > 0 {
 			r.MemoHitRate = float64(stats[j].MemoHits) / float64(n)
-		}
-		r.PrefixHits = stats[j].PrefixHits
-		r.PrefixMisses = stats[j].PrefixMisses
-		if n := stats[j].PrefixHits + stats[j].PrefixMisses; n > 0 {
-			r.PrefixHitRate = float64(stats[j].PrefixHits) / float64(n)
 		}
 		r.Workers = search.EffectiveParallelism(variants[j].Parallelism)
 	}

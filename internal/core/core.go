@@ -41,9 +41,6 @@ type Framework struct {
 	// Search selects Stage 2's exploration strategy (empty resolves to
 	// the branch-and-bound default, search.Pruned).
 	Search search.Strategy
-	// BeamWidth bounds search.Beam's per-layer exact evaluations; zero
-	// selects the default width.
-	BeamWidth int
 	// Parallelism bounds Stage 2's per-layer exploration worker pool
 	// (sched.Options.Parallelism): zero selects GOMAXPROCS; 1 runs the
 	// same loop inline. Plans are byte-identical at every level.
@@ -53,10 +50,9 @@ type Framework struct {
 	// here. Repeated shapes inside one compile explore once either way
 	// (the scheduler's in-compile dedup), nil, warm or full.
 	Memo *sched.Memo
-	// Prefix, when non-nil, shares bound prefix sums across compiles
-	// (sched.Options.Prefix). Nil keeps the default per-compile prefix
-	// memo; ranad installs a server-wide one here. Like Memo it never
-	// changes plan bytes — only how much pricing work is recomputed.
+	// Prefix, when non-nil, makes Stage 2's bound pricing read prefix
+	// sums through this shared memo (sched.Options.Prefix); nil, the
+	// default, computes them. Like Memo it never changes plan bytes.
 	Prefix *sched.PrefixMemo
 	// Backend names the memory-technology backend Stage 2 prices buffers
 	// with (sched.Options.Backend); empty selects the platform's default
@@ -65,10 +61,6 @@ type Framework struct {
 	// OperatingPoint pins one of the backend's operating points; empty
 	// searches over every point within the error budget.
 	OperatingPoint string
-	// ErrorBudget caps the bit-error rate of admissible operating points
-	// (sched.Options.ErrorBudget); zero selects the paper's tolerable
-	// failure rate.
-	ErrorBudget float64
 	// Traversal opens Stage 2's tile-traversal-order axis
 	// (sched.Options.Traversal, ParseTraversalSpec grammar); empty keeps
 	// the default linear nest only.
@@ -186,13 +178,11 @@ func (f *Framework) CompileContext(ctx context.Context, net models.Network) (out
 		RefreshInterval: rt,
 		Controller:      memctrl.RefreshOptimized{},
 		Search:          f.Search,
-		BeamWidth:       f.BeamWidth,
 		Parallelism:     f.Parallelism,
 		Memo:            f.Memo,
 		Prefix:          f.Prefix,
 		Backend:         f.Backend,
 		OperatingPoint:  f.OperatingPoint,
-		ErrorBudget:     f.ErrorBudget,
 		Traversal:       f.Traversal,
 		Mapping:         f.Mapping,
 		LayerBudgets:    layerBudgets,

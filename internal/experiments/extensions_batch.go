@@ -15,7 +15,6 @@ import (
 	"rana/internal/models"
 	"rana/internal/pattern"
 	"rana/internal/platform"
-	"rana/internal/sched"
 )
 
 // Ext3Row is one (model, batch) point: per-image system energy of
@@ -104,5 +103,3 @@ func init() {
 		},
 	})
 }
-
-var _ = sched.Options{}

@@ -6,16 +6,15 @@ package sched
 //   - the warm-memo compile: every layer served from a shared Memo's
 //     completed entries through the peek pass;
 //   - the steady-state explore loop: an un-memoized sequential compile
-//     whose scratch (explore arenas, bound, pricing contexts, prefix
-//     memo, compile state) is all pooled — under the default pruned
-//     strategy and under beam, whose survivor scratch is pooled too;
-//   - the saturated-memo compile: ranad's shared Memo and PrefixMemo,
-//     the Memo too full to record anything, so the in-compile dedup
-//     alone serves repeated shapes. The shared prefix memo is part of
-//     the setting, not a convenience: a pooled per-compile one is
-//     cleared between compiles, Go reseeds a cleared map, and refilling
-//     a table as large as ResNet's can then split it at random — a
-//     one-off allocation that has nothing to do with the dedup.
+//     whose scratch (explore arenas, bound, pricing contexts, compile
+//     state) is all pooled — under the default pruned strategy and
+//     under beam, whose survivor scratch is pooled too;
+//   - the saturated-memo compile: ranad's shared Memo, too full to
+//     record anything, so the in-compile dedup alone serves repeated
+//     shapes.
+//
+// Every gate leaves Options.Prefix nil, the setting library callers and
+// ranad compile with.
 //
 // testing.AllocsPerRun pins GOMAXPROCS to 1 and does a warmup run, so
 // the pools are primed before counting. The gates are skipped under the
@@ -43,7 +42,6 @@ func TestWarmMemoCompileAllocFree(t *testing.T) {
 		t.Run(net.Name, func(t *testing.T) {
 			opts := ranaOpts()
 			opts.Memo = NewMemo(0)
-			opts.Prefix = NewPrefixMemo(0)
 			opts.Parallelism = 1
 
 			var p Plan
@@ -84,9 +82,7 @@ func TestSteadyStateExploreAllocFree(t *testing.T) {
 	}{
 		{"memo-off", models.AlexNet(), func(_ *testing.T, o *Options) { o.DisableMemo = true }},
 		{"beam", models.AlexNet(), func(_ *testing.T, o *Options) { o.DisableMemo = true; o.Search = search.Beam }},
-		{"saturated-memo", models.ResNet(), func(t *testing.T, o *Options) {
-			o.Memo, o.Prefix = saturatedMemo(t, cfg), NewPrefixMemo(0)
-		}},
+		{"saturated-memo", models.ResNet(), func(t *testing.T, o *Options) { o.Memo = saturatedMemo(t, cfg) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := ranaOpts()

@@ -54,7 +54,7 @@ func (o Options) layerBudget(layer string) float64 {
 // empty backend yields the config's default technology adapter with its
 // single nominal point — the historical behavior.
 func ResolveBackend(cfg hw.Config, o Options) (mem.Backend, []mem.OperatingPoint, error) {
-	return resolveBackendAt(cfg, o, o.effectiveErrorBudget(), "")
+	return appendBackendPoints(nil, cfg, o, o.effectiveErrorBudget(), "")
 }
 
 // ResolveBackendForLayer is ResolveBackend under one layer's effective
@@ -62,17 +62,14 @@ func ResolveBackend(cfg hw.Config, o Options) (mem.Backend, []mem.OperatingPoint
 // for that layer. With no per-layer budgets it is exactly
 // ResolveBackend.
 func ResolveBackendForLayer(cfg hw.Config, o Options, layer string) (mem.Backend, []mem.OperatingPoint, error) {
-	return resolveBackendAt(cfg, o, o.layerBudget(layer), layer)
+	return appendBackendPoints(nil, cfg, o, o.layerBudget(layer), layer)
 }
 
-func resolveBackendAt(cfg hw.Config, o Options, budget float64, layer string) (mem.Backend, []mem.OperatingPoint, error) {
-	return appendBackendPoints(nil, cfg, o, budget, layer)
-}
-
-// appendBackendPoints is resolveBackendAt appending the admitted points
-// into dst (typically a reused scratch slice), so the steady-state
-// compile path resolves its backend without allocating. The error
-// suffix naming the layer is built lazily — only error paths pay for it.
+// appendBackendPoints resolves the backend and appends the points it
+// admits under budget into dst (typically a reused scratch slice), so
+// the steady-state compile path resolves its backend without
+// allocating. The error suffix naming the layer is built lazily — only
+// error paths pay for it.
 func appendBackendPoints(dst []mem.OperatingPoint, cfg hw.Config, o Options, budget float64, layer string) (mem.Backend, []mem.OperatingPoint, error) {
 	name := o.Backend
 	if name == "" {

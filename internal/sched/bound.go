@@ -201,8 +201,7 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 //   - tilingTerms — kind-independent, invalidated when the scanned
 //     tiling changes;
 //   - prefixSums — per (kind, Tm, Tn), invalidated only when that
-//     prefix coordinate changes (and shareable across layers through a
-//     PrefixMemo, since they never read M or the tiling tail);
+//     prefix coordinate changes;
 //   - kindState — the per-(kind, tiling) feasibility/traffic products,
 //     rebuilt from the two caches above;
 //
@@ -222,10 +221,9 @@ const kindSlots = 3
 // prefixSums are the bound partial terms that depend only on the
 // layer's (N, K, H, L) sub-shape and the candidate's (kind, Tm, Tn)
 // prefix — never on M, the output geometry, the (Tr, Tc) tail, the
-// accelerator config or the pricing tables. That independence is what
-// makes them shareable across layers and compiles through a PrefixMemo:
-// near-duplicate inception branches differing only in M miss the
-// whole-layer memo but share every prefix entry.
+// accelerator config or the pricing tables. The tiling-major scan keeps
+// (Tm, Tn) fixed across every (Tr, Tc) tail, so a pricing context
+// recomputes them only when the prefix coordinate moves.
 type prefixSums struct {
 	// nN is ceil(N/Tn), the input-channel tile count.
 	nN int
@@ -237,8 +235,7 @@ type prefixSums struct {
 	ws uint64
 }
 
-// prefixSums computes the (kind, Tm, Tn) partial terms from scratch —
-// the reference a PrefixMemo caches.
+// prefixSums computes the (kind, Tm, Tn) partial terms from scratch.
 func (b *bound) prefixSums(k pattern.Kind, tm, tn int) prefixSums {
 	s := prefixSums{
 		nN:    ceilDiv(b.l.N, tn),
@@ -292,8 +289,9 @@ type pricingCtx struct {
 // pricerPool recycles pricing contexts across scans and layers.
 var pricerPool = sync.Pool{New: func() any { return new(pricingCtx) }}
 
-// acquirePricer leases a pricing context bound to b (and, optionally, a
-// shared prefix memo) from the pool, with every cache invalidated.
+// acquirePricer leases a pricing context bound to b (and to the
+// caller's prefix memo, when Options.Prefix set one) from the pool, with
+// every cache invalidated.
 func acquirePricer(b *bound, prefix *PrefixMemo) *pricingCtx {
 	pc := pricerPool.Get().(*pricingCtx)
 	pc.b, pc.prefix = b, prefix

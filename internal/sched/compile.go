@@ -11,9 +11,7 @@ package sched
 //     candidate axis scratch, the streaming tiling space, the pooled
 //     bound evaluator, the backend point/table scratch, the frontier
 //     build's sort scratch and the search closures, all created once
-//     and re-pointed per layer;
-//   - the implicit per-compile PrefixMemo is pooled too, and reset on
-//     release so per-compile hit rates stay honest.
+//     and re-pointed per layer.
 //
 // Ownership: a leased arena belongs to exactly one compile (one
 // goroutine for exploreState) from Get to Put; nothing borrowed from an
@@ -39,7 +37,7 @@ import (
 
 // compileEnv is the per-compile exploration environment resolved once
 // from the options: the parsed traversal and mapping axes, and the
-// prefix memo incremental pricing shares across the compile's layers.
+// caller's prefix memo when incremental pricing should read through one.
 type compileEnv struct {
 	travs  []pattern.Traversal
 	maps   []MappingPolicy
@@ -394,16 +392,6 @@ func (cs *compileState) recoverLayer(i int) {
 	}
 }
 
-// releaseCompile returns the compile's leased arenas. Top-level (not a
-// closure) so the deferred call in ExploreNetworkInto stays open-coded
-// and allocation-free.
-func releaseCompile(cs *compileState, prefix *PrefixMemo, pooledPrefix bool) {
-	compileStatePool.Put(cs)
-	if pooledPrefix {
-		putCompilePrefix(prefix)
-	}
-}
-
 // ExploreNetworkInto is ExploreNetworkContext writing the schedule into
 // a caller-owned Plan (whose Layers slice is reused when its capacity
 // allows) instead of allocating a fresh one — the steady-state entry
@@ -436,29 +424,24 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 	if err != nil {
 		return ns, err
 	}
-	// Incremental pricing shares prefix sums across the compile's layers
-	// through a prefix memo: the caller's shared one, or a pooled
-	// per-compile one. Disabled pricing needs neither — the stateless
-	// bound never looks prefixes up.
-	prefix, pooledPrefix := opts.Prefix, false
-	if prefix == nil && !opts.DisableIncremental {
-		prefix, pooledPrefix = getCompilePrefix(), true
-	}
+	// Incremental pricing reads bound prefix sums through the caller's
+	// prefix memo when one is set, and computes them in each pricing
+	// context otherwise. The stateless bound never looks them up.
 	if !opts.DisableIncremental {
-		env.prefix = prefix
+		env.prefix = opts.Prefix
 	}
 	// Default-on in-compile dedup: repeated shapes inside one network
 	// (ResNet bottlenecks, inception branches) explore once. Shared
 	// cross-compile memos are opt-in via Options.Memo.
 	memo, dedup := opts.Memo, !opts.DisableMemo
 	cs := compileStatePool.Get().(*compileState)
-	defer releaseCompile(cs, prefix, pooledPrefix)
+	defer compileStatePool.Put(cs)
 
 	n := len(net.Layers)
 	cs.grow(n)
 	var prefixBase PrefixStats
-	if prefix != nil {
-		prefixBase = prefix.Stats()
+	if env.prefix != nil {
+		prefixBase = env.prefix.Stats()
 	}
 
 	// Phase 1: the peek pass. Keys are built once and kept for the miss
@@ -549,8 +532,8 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 			ns.Search.Add(cs.stats[i])
 		}
 	}
-	if prefix != nil {
-		st := prefix.Stats()
+	if env.prefix != nil {
+		st := env.prefix.Stats()
 		ns.PrefixHits = st.Hits - prefixBase.Hits
 		ns.PrefixMisses = st.Misses - prefixBase.Misses
 	}

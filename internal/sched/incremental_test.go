@@ -10,6 +10,8 @@ package sched
 // a PrefixMemo in the loop, comparing raw float bits throughout.
 
 import (
+	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -73,7 +75,7 @@ func TestIncrementalBoundBitIdentical(t *testing.T) {
 	low := base
 	low.AccessPJ *= 0.8
 	low.RefreshPJ *= 1.3
-	tables := mappingTables([]energy.Table{base, low}, maps)
+	tables := appendMappingTables(nil, []energy.Table{base, low}, maps)
 	// The three known kinds plus an unknown one: both evaluators must
 	// bound unknown kinds to zero (never pruned).
 	kinds := []pattern.Kind{pattern.ID, pattern.OD, pattern.WD, pattern.Kind(97)}
@@ -124,9 +126,8 @@ func TestIncrementalBoundBitIdentical(t *testing.T) {
 }
 
 // TestPrefixMemoStats pins the prefix memo's accounting: lookups for a
-// repeated (kind, Tm, Tn, shape) prefix hit after the first compute,
-// reset returns the memo to cold, and a saturated memo keeps computing
-// correct values without recording.
+// repeated (kind, Tm, Tn, shape) prefix hit after the first compute, and
+// a saturated memo keeps computing correct values without recording.
 func TestPrefixMemoStats(t *testing.T) {
 	cfg := hw.TestAcceleratorEDRAM()
 	l, ok := models.VGG().Layer("conv4_2")
@@ -148,11 +149,6 @@ func TestPrefixMemoStats(t *testing.T) {
 		t.Fatalf("memoized sums %+v != direct %+v", got, want)
 	}
 
-	p.reset()
-	if st := p.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("stats after reset = %+v, want all zero", st)
-	}
-
 	// Saturation: a capacity-1 memo records the first prefix only, yet
 	// keeps returning correct values for everything else.
 	tiny := NewPrefixMemo(1)
@@ -168,5 +164,55 @@ func TestPrefixMemoStats(t *testing.T) {
 	tiny.lookup(b, pattern.ID, 32, 8)
 	if st := tiny.Stats(); st.Misses != 3 || st.Hits != 0 {
 		t.Fatalf("saturated stats = %+v, want 3 misses / 0 hits", st)
+	}
+}
+
+// TestDefaultCompileUsesNoPrefixMemo: with Options.Prefix nil, a compile
+// computes its bound prefix sums in each pricing context and looks
+// nothing up in any prefix memo.
+func TestDefaultCompileUsesNoPrefixMemo(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	for _, net := range models.Benchmarks() {
+		_, ns, err := ExploreNetworkContext(context.Background(), net, cfg, ranaOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := ns.PrefixHits + ns.PrefixMisses; n != 0 {
+			t.Errorf("%s: default compile made %d prefix-memo lookups, want 0", net.Name, n)
+		}
+	}
+}
+
+// TestSharedPrefixMemoKeepsPlanBytes: compiles that read their prefix
+// sums through one shared PrefixMemo, warm from the networks before
+// them, encode the same plan bytes as compiles that compute the sums.
+func TestSharedPrefixMemoKeepsPlanBytes(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	ctx := context.Background()
+	shared := ranaOpts()
+	shared.Prefix = NewPrefixMemo(0)
+	for _, net := range models.Benchmarks() {
+		ref, _, err := ExploreNetworkContext(ctx, net, cfg, ranaOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ns, err := ExploreNetworkContext(ctx, net, cfg, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ns.PrefixHits+ns.PrefixMisses == 0 {
+			t.Errorf("%s: compile never read the shared prefix memo", net.Name)
+		}
+		refJSON, err := json.Marshal(Encode(ref))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, err := json.Marshal(Encode(got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gotJSON) != string(refJSON) {
+			t.Errorf("%s: shared-prefix-memo plan differs from the default plan", net.Name)
+		}
 	}
 }

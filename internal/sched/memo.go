@@ -75,9 +75,7 @@ const DefaultMemoCapacity = 20480
 // axis, ceil(M/Tm), the weight/output volumes and the MAC count, so two
 // branches differing only in M pick genuinely different plans and a
 // shared frontier would answer one with the other's candidates
-// (TestMemoNearDuplicateShapesStayDistinct pins this boundary; the
-// sound way to profit from those branches is the bound-level PrefixMemo
-// in prefix.go).
+// (TestMemoNearDuplicateShapesStayDistinct pins this boundary).
 type memoKey [sha256.Size]byte
 
 // record is one feasible candidate of a frontier: everything its exact

@@ -1,17 +1,13 @@
 package sched
 
-// The prefix-level partial-evaluation memo. The whole-layer Memo can
-// only reuse work when two layers share their entire shape, and
-// coarsening its key over M is unsound (the plan genuinely depends on
-// M — TestMemoNearDuplicateShapesStayDistinct pins why). The bound's
-// *prefix sums* are a different story: prefixSums reads exactly
-// (kind, Tm, Tn) and the layer's (N, K, H, L) sub-shape — never M, the
-// output geometry, the tiling tail, the config or the pricing tables —
-// so a memo keyed on precisely those inputs is sound by construction.
-// GoogLeNet's inception branches, which differ mostly in M (3x3_reduce
-// vs 5x5_reduce: same N/H/L/K ladder), miss the layer memo but hit
-// here, which is where the "near-duplicate shapes reuse pricing work"
-// win comes from.
+// The opt-in bound prefix-sum memo. prefixSums reads exactly (kind, Tm,
+// Tn) and the layer's (N, K, H, L) sub-shape — never M, the output
+// geometry, the tiling tail, the config or the pricing tables — so a
+// memo keyed on precisely those inputs is sound by construction. No
+// compile uses one unless Options.Prefix installs it: each pricing
+// context already reuses a (kind, Tm, Tn) entry while the scan stays on
+// it (kindState), and a locked map lookup costs about what the integer
+// arithmetic it would replace does.
 
 import (
 	"sync"
@@ -38,9 +34,8 @@ type prefixKey struct {
 }
 
 // PrefixMemo caches bound prefix sums at the (kind, Tm, Tn) level,
-// shared across the layers of one compile and — when installed
-// server-wide via Options.Prefix — across compiles. Safe for concurrent
-// use. The zero value is not usable; call NewPrefixMemo.
+// shared by every compile whose Options.Prefix points at it. Safe for
+// concurrent use. The zero value is not usable; call NewPrefixMemo.
 type PrefixMemo struct {
 	mu      sync.RWMutex
 	entries map[prefixKey]prefixSums
@@ -101,27 +96,4 @@ func (p *PrefixMemo) lookup(b *bound, k pattern.Kind, tm, tn int) prefixSums {
 	}
 	p.mu.Unlock()
 	return s
-}
-
-// reset clears entries and counters while keeping the map's buckets —
-// what returns a pooled per-compile memo to its cold state.
-func (p *PrefixMemo) reset() {
-	p.mu.Lock()
-	clear(p.entries)
-	p.mu.Unlock()
-	p.hits.Store(0)
-	p.misses.Store(0)
-}
-
-// compilePrefixPool recycles per-compile prefix memos: each compile
-// that neither supplies Options.Prefix nor disables incremental pricing
-// leases one, and it is reset (entries and counters) on release so
-// per-compile hit rates mean what they say.
-var compilePrefixPool = sync.Pool{New: func() any { return NewPrefixMemo(0) }}
-
-func getCompilePrefix() *PrefixMemo { return compilePrefixPool.Get().(*PrefixMemo) }
-
-func putCompilePrefix(p *PrefixMemo) {
-	p.reset()
-	compilePrefixPool.Put(p)
 }

@@ -143,14 +143,14 @@ type Options struct {
 	// consulted.
 	DisableMemo bool
 
-	// Prefix, when non-nil, shares bound prefix-sum computations
-	// (see PrefixMemo) across compiles — ranad installs one server-wide
-	// next to its shared Memo. When nil, the network entry points lease
-	// a pooled per-compile prefix memo unless DisableIncremental is set.
+	// Prefix, when non-nil, makes the network entry points' incremental
+	// bound pricing read its prefix sums through this shared PrefixMemo.
+	// When nil (the default) each pricing context computes them. Plans
+	// are byte-identical either way; DisableIncremental bypasses it.
 	Prefix *PrefixMemo `json:"-"`
 
 	// DisableIncremental turns off incremental bound pricing (the
-	// per-goroutine pricing contexts and the prefix memo), forcing every
+	// per-goroutine pricing contexts and any Prefix memo), forcing every
 	// lower-bound computation through the stateless reference evaluator.
 	// Plans are bit-identical either way — this is the baseline the
 	// differential matrix (verify.Matrix) and the benchmark harness
@@ -376,10 +376,10 @@ type NetworkStats struct {
 	// with no shared memo (then both are zero).
 	MemoMisses int
 	// PrefixHits and PrefixMisses count the bound prefix-sum lookups the
-	// compile's exploration served from (respectively computed into) the
-	// prefix memo. Zero when incremental pricing is disabled. With a
-	// shared Options.Prefix the counts are deltas over the shared
-	// counters and may include a concurrent compile's lookups.
+	// compile's exploration served from (respectively computed into)
+	// Options.Prefix. Zero when Prefix is nil or incremental pricing is
+	// disabled. The counts are deltas over the shared memo's counters
+	// and may include a concurrent compile's lookups.
 	PrefixHits   uint64
 	PrefixMisses uint64
 }

@@ -260,15 +260,11 @@ func mappingName(m MappingPolicy) string {
 	return m.Name
 }
 
-// mappingTables derives the per-(mapping, point) pricing tables, index-
-// aligned with the search cell as tables[map*len(points)+point]. The
-// bound and the exact evaluator price through the same derived table,
-// which is what keeps the admissibility argument intact per cell.
-func mappingTables(points []energy.Table, maps []MappingPolicy) []energy.Table {
-	return appendMappingTables(make([]energy.Table, 0, len(points)*len(maps)), points, maps)
-}
-
-// appendMappingTables is mappingTables into a reused scratch slice.
+// appendMappingTables appends the per-(mapping, point) pricing tables to
+// dst (typically a reused scratch slice), index-aligned with the search
+// cell as tables[map*len(points)+point]. The bound and the exact
+// evaluator price through the same derived table, which is what keeps
+// the admissibility argument intact per cell.
 func appendMappingTables(dst []energy.Table, points []energy.Table, maps []MappingPolicy) []energy.Table {
 	for _, m := range maps {
 		for _, t := range points {

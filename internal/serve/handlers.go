@@ -116,6 +116,19 @@ type work struct {
 	compute        func(ctx context.Context) ([]byte, error)
 }
 
+// countLadder records the ladder rung a successful response was served
+// on: either degraded rung counts degraded, and the error-budget rung
+// counts budget_rejections too. The sync handler and batch entries both
+// call it, so a rung counts the same on either path.
+func (s *Server) countLadder(w *work) {
+	if w.degraded || w.budgetFallback {
+		s.m.Degraded.Add(1)
+	}
+	if w.budgetFallback {
+		s.m.BudgetRejections.Add(1)
+	}
+}
+
 // prepareSchedule resolves a ScheduleRequest into its work: validation,
 // defaulting, the degradation ladder, the canonical key, and the
 // computation closure.
@@ -197,7 +210,6 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 		opts.Parallelism = s.cfg.Parallelism
 	}
 	opts.Memo = s.memo
-	opts.Prefix = s.prefix
 	op := "schedule"
 	switch {
 	case w.degraded:
@@ -260,12 +272,8 @@ func (s *Server) handleSchedule(ctx context.Context, r *http.Request) (*response
 	}
 	raw, forwarded := routeInputs(ctx)
 	resp, err := s.routedCached(ctx, "/v1/schedule", raw, forwarded, w.key, false, w.compute)
-	if err == nil && w.degraded {
-		s.m.Degraded.Add(1)
-	}
-	if err == nil && w.budgetFallback {
-		s.m.Degraded.Add(1)
-		s.m.BudgetRejections.Add(1)
+	if err == nil {
+		s.countLadder(w)
 	}
 	return resp, err
 }

@@ -305,8 +305,8 @@ func (s *Server) runJobEntry(ctx context.Context, j *job, e *jobEntry) {
 	resp, err := s.guard("job-entry", func() (*response, error) {
 		return s.routedCached(ctx, e.path, e.raw, false, e.work.key, true, e.work.compute)
 	})
-	if err == nil && e.work.degraded {
-		s.m.Degraded.Add(1)
+	if err == nil {
+		s.countLadder(e.work)
 	}
 	s.settleEntry(j, e, resp, err)
 }

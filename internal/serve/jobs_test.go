@@ -251,23 +251,43 @@ func TestBatchChaosFailuresStayPerEntry(t *testing.T) {
 	}
 }
 
+// TestBatchDegradedScheduleEntry: a schedule entry rides the same
+// degradation ladder as the sync endpoint, and counts at /metrics as the
+// same request on /v1/schedule does (TestScheduleBudgetFallbackRung).
 func TestBatchDegradedScheduleEntry(t *testing.T) {
-	// A schedule entry with a deadline under the degrade budget rides
-	// the same ladder as the sync endpoint.
-	_, ts := newTestServer(t, Config{DegradeBudget: 10 * time.Second})
-	acc := submitBatch(t, ts.URL, `{"entries": [
-		{"op": "schedule", "schedule": {"network": `+tinyNetJSON+`, "deadline_ms": 5000}}
-	]}`)
-	js := pollJob(t, ts.URL, acc.ID)
-	if js.Status != "done" || js.Entries[0].Status != "ok" {
-		t.Fatalf("job = %+v", js)
-	}
-	var sr ScheduleResponse
-	if err := json.Unmarshal(js.Entries[0].Result, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if !sr.Degraded {
-		t.Error("entry under the degrade budget did not ride the ladder")
+	for _, tc := range []struct {
+		name, request, reason string
+		cfg                   Config
+		budgetRejections      int64
+	}{
+		{"deadline", `"deadline_ms": 5000`, degradedReason, Config{DegradeBudget: 10 * time.Second}, 0},
+		{"error-budget", `"options": {"backend": "approx-dram", "operating_point": "v0.7", "error_budget": 0.001}`,
+			budgetFallbackReason, Config{}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, tc.cfg)
+			acc := submitBatch(t, ts.URL, `{"entries": [
+				{"op": "schedule", "schedule": {"network": `+tinyNetJSON+`, `+tc.request+`}}
+			]}`)
+			js := pollJob(t, ts.URL, acc.ID)
+			if js.Status != "done" || js.Entries[0].Status != "ok" {
+				t.Fatalf("job = %+v", js)
+			}
+			var sr ScheduleResponse
+			if err := json.Unmarshal(js.Entries[0].Result, &sr); err != nil {
+				t.Fatal(err)
+			}
+			if !sr.Degraded || sr.DegradedReason != tc.reason {
+				t.Errorf("degraded = %v reason = %q, want reason %q", sr.Degraded, sr.DegradedReason, tc.reason)
+			}
+			doc := metricsDoc(t, ts.URL)
+			if got := metricInt(t, doc, "degraded"); got != 1 {
+				t.Errorf("degraded = %d, want 1", got)
+			}
+			if got := metricInt(t, doc, "budget_rejections"); got != tc.budgetRejections {
+				t.Errorf("budget_rejections = %d, want %d", got, tc.budgetRejections)
+			}
+		})
 	}
 }
 

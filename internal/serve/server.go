@@ -110,8 +110,6 @@ type Config struct {
 	// shared memo. A full memo records no new shape, but either way each
 	// compile still explores a shape it repeats only once (the
 	// scheduler's in-compile dedup), and memo_hits counts those repeats.
-	// The same knob gates the server-wide bound prefix-sum memo
-	// (sched.PrefixMemo, default capacity) shared the same way.
 	MemoEntries int
 
 	// Chaos, when non-nil, injects faults into the computation path
@@ -217,11 +215,6 @@ type Server struct {
 	// every schedule and compile computation; nil when disabled.
 	memo *sched.Memo
 
-	// prefix is the server-wide bound prefix-sum memo (sched.PrefixMemo),
-	// shared the same way and gated by the same MemoEntries knob; nil
-	// when the shared caches are disabled.
-	prefix *sched.PrefixMemo
-
 	// jobs is the async batch job table; nil when the batch API is
 	// disabled (JobCapacity < 0).
 	jobs *jobTable
@@ -255,7 +248,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MemoEntries >= 0 {
 		s.memo = sched.NewMemo(cfg.MemoEntries)
-		s.prefix = sched.NewPrefixMemo(0)
 	}
 	s.scheduleFn = sched.ScheduleContext
 	s.compileFn = func(ctx context.Context, net models.Network, strategy search.Strategy, parallelism int) (*core.Output, error) {
@@ -263,7 +255,6 @@ func New(cfg Config) *Server {
 		f.Search = strategy
 		f.Parallelism = parallelism
 		f.Memo = s.memo
-		f.Prefix = s.prefix
 		return f.CompileContext(ctx, net)
 	}
 	if cfg.BreakerThreshold > 0 {
@@ -332,11 +323,6 @@ func New(cfg Config) *Server {
 		vars.Set("memo_misses", expvar.Func(func() any { return s.memo.Stats().Misses }))
 		vars.Set("memo_entries", expvar.Func(func() any { return s.memo.Stats().Entries }))
 		vars.Set("memo_records", expvar.Func(func() any { return s.memo.Stats().Records }))
-	}
-	if s.prefix != nil {
-		vars.Set("memo_prefix_hits", expvar.Func(func() any { return s.prefix.Stats().Hits }))
-		vars.Set("memo_prefix_misses", expvar.Func(func() any { return s.prefix.Stats().Misses }))
-		vars.Set("memo_prefix_entries", expvar.Func(func() any { return s.prefix.Stats().Entries }))
 	}
 	s.vars = vars
 	s.httpSrv = &http.Server{
