@@ -15,8 +15,9 @@
 //	                                   # CI regression gate: hard-fail on
 //	                                   # allocs/op growth and, between two
 //	                                   # GOMAXPROCS=1 snapshots, on any
-//	                                   # change in candidates evaluated;
-//	                                   # warn on ns/op
+//	                                   # change in candidates evaluated or
+//	                                   # descending-sweep allocs/op; warn
+//	                                   # on ns/op
 //
 // Each snapshot entry is keyed by (network, strategy, backend): the
 // default-adapter cell is always measured so trajectories stay
@@ -42,6 +43,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"time"
@@ -155,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallelism := fs.Int("parallelism", 0, "optimized run's search workers (0 = GOMAXPROCS)")
 	backendsFlag := fs.String("backends", "", `comma-separated memory backend specs ("name" or "name@point") measured per model; empty means the default technology adapter only`)
 	axes := fs.Bool("axes", true, "measure the traversal/mapping axis sweep section")
-	regress := fs.String("regress", "", "path to a prior snapshot: hard-fail when any cell's allocs/op exceed the prior value by more than 25%+32 or, both snapshots taken at GOMAXPROCS 1, its candidates evaluated differ; warn when ns/op more than doubles")
+	regress := fs.String("regress", "", "path to a prior snapshot: hard-fail when any cell's allocs/op exceed the prior value by more than 25%+32 or, both snapshots taken at GOMAXPROCS 1, its candidates evaluated or a sweep's descending allocs/op differ; warn when ns/op more than doubles")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -308,8 +310,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 // the search's work is deterministic too, so when both snapshots ran at
 // GOMAXPROCS 1 any change in a cell's candidates evaluated — more or
 // fewer — is a hard failure: a change to one-worker pruning must
-// refresh the committed snapshot on purpose. Cells present on one side
-// only (new model, new backend) are skipped — trajectories are compared
+// refresh the committed snapshot on purpose, and so is any change in a
+// sweep's descending-pass allocations, which measureSweep counts on one
+// fixed sweep with the collector off. Cells present on one side only
+// (new model, new backend) are skipped — trajectories are compared
 // where both snapshots measured the same thing. A sweep's ascending
 // pass must allocate nothing, prior snapshot or not.
 func checkRegression(stdout io.Writer, path string, snap *Snapshot) (int, error) {
@@ -325,11 +329,21 @@ func checkRegression(stdout io.Writer, path string, snap *Snapshot) (int, error)
 	for _, nb := range prior.Networks {
 		old[nb.Model+"\x00"+nb.Backend] = nb
 	}
+	oldSweeps := make(map[string]SweepBench, len(prior.Sweeps))
+	for _, sb := range prior.Sweeps {
+		oldSweeps[sb.Model] = sb
+	}
 	fails := 0
 	for _, sb := range snap.Sweeps {
 		if sb.Ascending.AllocsPerOp != 0 {
 			fmt.Fprintf(stdout, "FAIL %s/sweep: warm ascending pass allocated %d objects/compile, want 0\n",
 				sb.Model, sb.Ascending.AllocsPerOp)
+			fails++
+		}
+		p, ok := oldSweeps[sb.Model]
+		if ok && prior.GOMAXPROCS == 1 && snap.GOMAXPROCS == 1 && sb.Descending.AllocsPerOp != p.Descending.AllocsPerOp {
+			fmt.Fprintf(stdout, "FAIL %s/sweep: descending pass allocs/op %d -> %d (one worker: the count is deterministic)\n",
+				sb.Model, p.Descending.AllocsPerOp, sb.Descending.AllocsPerOp)
 			fails++
 		}
 	}
@@ -441,10 +455,14 @@ var sweepIntervals = []time.Duration{
 	180 * time.Microsecond, 120 * time.Microsecond, 80 * time.Microsecond, retention.TypicalRetentionTime,
 }
 
-// measureSweep runs one model's sweep iters times, each on a fresh
-// shared memo: the descending pass, an untimed ascending pass that primes
-// the pools, and the measured ascending pass. The fastest iteration of
-// each pass is kept; allocations are per-compile MemStats deltas.
+// measureSweep times one model's sweep over iters iterations, each on a
+// fresh shared memo: the descending pass, an untimed ascending pass that
+// primes the pools, and the timed ascending pass; the fastest iteration
+// of each pass is kept. Allocations are per-compile MemStats deltas of
+// one fixed sweep, counted with the collector off on a fresh memo after
+// a full collection and an identical uncounted sweep: every pool starts
+// empty and is filled the same way, and none is emptied mid-count, so
+// the count repeats exactly from run to run.
 func measureSweep(net models.Network, cfg hw.Config, parallelism, iters int) (SweepBench, error) {
 	ctx := context.Background()
 	sb := SweepBench{Model: net.Name}
@@ -476,18 +494,23 @@ func measureSweep(net models.Network, cfg hw.Config, parallelism, iters int) (Sw
 			Rebuilds:    after.Rebuilds - before.Rebuilds,
 		}, nil
 	}
-	for i := 0; i < iters; i++ {
+	// sweep runs the descending pass, a priming ascending pass and the
+	// measured ascending pass on a fresh memo.
+	sweep := func() (down, up SweepPass, err error) {
 		opts := benchOpts("")
 		opts.Parallelism = parallelism
 		opts.Memo = sched.NewMemo(0)
-		down, err := pass(opts, sweepIntervals)
-		if err != nil {
-			return sb, err
+		if down, err = pass(opts, sweepIntervals); err != nil {
+			return down, up, err
 		}
-		if _, err := pass(opts, ascending); err != nil {
-			return sb, err
+		if _, err = pass(opts, ascending); err != nil {
+			return down, up, err
 		}
-		up, err := pass(opts, ascending)
+		up, err = pass(opts, ascending)
+		return down, up, err
+	}
+	for i := 0; i < iters; i++ {
+		down, up, err := sweep()
 		if err != nil {
 			return sb, err
 		}
@@ -498,6 +521,17 @@ func measureSweep(net models.Network, cfg hw.Config, parallelism, iters int) (Sw
 			sb.Ascending = up
 		}
 	}
+	runtime.GC()
+	runtime.GC() // the first moves pooled objects to the victim caches, the second drops them
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if _, _, err := sweep(); err != nil {
+		return sb, err
+	}
+	down, up, err := sweep()
+	if err != nil {
+		return sb, err
+	}
+	sb.Descending.AllocsPerOp, sb.Ascending.AllocsPerOp = down.AllocsPerOp, up.AllocsPerOp
 	return sb, nil
 }
 

@@ -114,3 +114,42 @@ func TestRegressPinsOneWorkerWorkCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestRegressPinsDescendingSweepAllocs: between two GOMAXPROCS=1
+// snapshots a sweep's descending-pass allocations must not move in
+// either direction; when either side ran more workers they are not
+// compared.
+func TestRegressPinsDescendingSweepAllocs(t *testing.T) {
+	sweep := func(allocs uint64) SweepBench {
+		return SweepBench{Model: "VGG", Descending: SweepPass{AllocsPerOp: allocs}}
+	}
+	for _, c := range []struct {
+		priorProcs, procs int
+		priorAllocs       uint64
+		allocs            uint64
+		fails             int
+	}{
+		{1, 1, 35, 35, 0},
+		{1, 1, 35, 34, 1},
+		{1, 1, 35, 36, 1},
+		{2, 1, 35, 36, 0},
+		{1, 2, 35, 36, 0},
+	} {
+		prior, err := json.Marshal(Snapshot{GOMAXPROCS: c.priorProcs, Sweeps: []SweepBench{sweep(c.priorAllocs)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "prior.json")
+		if err := os.WriteFile(path, prior, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout bytes.Buffer
+		fails, err := checkRegression(&stdout, path, &Snapshot{GOMAXPROCS: c.procs, Sweeps: []SweepBench{sweep(c.allocs)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fails != c.fails {
+			t.Errorf("%+v: %d failures, want %d:\n%s", c, fails, c.fails, stdout.String())
+		}
+	}
+}

@@ -14,7 +14,11 @@
 // PaperMB reproduces that convention.
 package models
 
-import "fmt"
+import (
+	"fmt"
+	"hash/maphash"
+	"math/bits"
+)
 
 // ConvLayer describes one convolutional layer: N×H×L input feature maps
 // convolved by M kernels of size (N/Groups)×K×K with stride S and padding
@@ -104,20 +108,42 @@ type Network struct {
 	Layers []ConvLayer
 }
 
-// Validate checks every layer shape. Duplicate names are detected with
-// a quadratic scan rather than a map: networks have dozens of layers at
-// most, and Validate sits on the scheduler's steady-state compile path,
-// which must not allocate.
+// smallNetwork is the largest network whose duplicate-name table
+// Validate keeps on the stack; the zoo's largest has 57 layers.
+const smallNetwork = 64
+
+// nameSeed seeds the layer-name hashes of Validate's duplicate check.
+var nameSeed = maphash.MakeSeed()
+
+// Validate checks every layer shape and that no two layers share a
+// name. Duplicates are found in linear time with an open-addressing
+// table of layer indices, at least twice as large as the network. Up to
+// smallNetwork layers the table lives on the stack, so Validate, which
+// sits on the scheduler's steady-state compile path, allocates nothing;
+// beyond that it is allocated once per call.
 func (n Network) Validate() error {
 	if len(n.Layers) == 0 {
 		return fmt.Errorf("models: network %q has no layers", n.Name)
 	}
-	for i, l := range n.Layers {
+	var small [2 * smallNetwork]int32
+	slots := small[:]
+	if len(n.Layers) > smallNetwork {
+		slots = make([]int32, 1<<bits.Len(uint(2*len(n.Layers)-1)))
+	}
+	mask := uint64(len(slots) - 1)
+	for i := range n.Layers {
+		l := &n.Layers[i]
 		if err := l.Validate(); err != nil {
 			return fmt.Errorf("models: network %q: %w", n.Name, err)
 		}
-		for j := 0; j < i; j++ {
-			if n.Layers[j].Name == l.Name {
+		// A slot holds a layer's index plus one; zero is empty.
+		for h := maphash.String(nameSeed, l.Name) & mask; ; h = (h + 1) & mask {
+			j := slots[h]
+			if j == 0 {
+				slots[h] = int32(i + 1)
+				break
+			}
+			if n.Layers[j-1].Name == l.Name {
 				return fmt.Errorf("models: network %q has duplicate layer name %q", n.Name, l.Name)
 			}
 		}

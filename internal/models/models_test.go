@@ -1,8 +1,10 @@
 package models
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -122,6 +124,49 @@ func TestNetworkValidateRejectsDuplicates(t *testing.T) {
 	}
 	if err := (Network{Name: "empty"}).Validate(); err == nil {
 		t.Error("expected empty-network error")
+	}
+}
+
+// TestNetworkValidateFindsEveryDuplicate: at sizes on both sides of the
+// stack table's limit, up to ranad's 4,096-layer cap, distinct names
+// pass, and renaming any sampled layer after any other — first, last,
+// adjacent — fails with that name.
+func TestNetworkValidateFindsEveryDuplicate(t *testing.T) {
+	for _, size := range []int{2, 57, smallNetwork, smallNetwork + 1, 4096} {
+		layers := make([]ConvLayer, size)
+		for i := range layers {
+			layers[i] = ConvLayer{Name: fmt.Sprintf("conv%d", i), N: 1, H: 4, L: 4, M: 1, K: 1, S: 1}
+		}
+		n := Network{Name: "net", Layers: layers}
+		if err := n.Validate(); err != nil {
+			t.Fatalf("%d distinct layers: %v", size, err)
+		}
+		for _, pair := range [][2]int{{0, 1}, {0, size - 1}, {size - 2, size - 1}, {size / 2, size / 3}} {
+			i, j := pair[0], pair[1]
+			if i == j {
+				continue
+			}
+			name := layers[j].Name
+			layers[j].Name = layers[i].Name
+			err := n.Validate()
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("duplicate layer name %q", layers[i].Name)) {
+				t.Errorf("%d layers, layer %d renamed after layer %d: got %v", size, j, i, err)
+			}
+			layers[j].Name = name
+		}
+	}
+}
+
+// TestNetworkValidateAllocFree: validating a zoo network allocates
+// nothing — it runs on every compile.
+func TestNetworkValidateAllocFree(t *testing.T) {
+	net := GoogLeNet()
+	if got := testing.AllocsPerRun(100, func() {
+		if err := net.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("GoogLeNet: %v allocs/op, want 0", got)
 	}
 }
 

@@ -10,8 +10,8 @@ package sched
 //   - an exploreState arena (one per exploring goroutine) holds the
 //     candidate axis scratch, the streaming tiling space, the pooled
 //     bound evaluator, the backend point/table scratch, the frontier
-//     build's sort scratch and the search closures, all created once
-//     and re-pointed per layer.
+//     build's record buffers and sort and sweep scratch, and the search
+//     closures, all created once and re-pointed per layer.
 //
 // Ownership: a leased arena belongs to exactly one compile (one
 // goroutine for exploreState) from Get to Put; nothing borrowed from an
@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -170,9 +171,10 @@ func exploreLayerEnv(l models.ConvLayer, cfg hw.Config, opts Options, env compil
 }
 
 // buildFrontier is exploreLayerEnv recording the exploration's feasible
-// candidates into the layer's frontier at the options' interval. A
-// frontier whose answer cannot depend on the interval — no refresh is
-// priced, or the natural-tiling baseline — is valid at every interval.
+// candidates and sweeping them into the layer's interval envelope from
+// the options' interval on. A frontier whose answer cannot depend on
+// the interval — no refresh is priced, or the natural-tiling baseline —
+// is valid at every interval.
 func buildFrontier(l models.ConvLayer, cfg hw.Config, opts Options, env compileEnv) (LayerPlan, search.Stats, frontier, error) {
 	s := exploreStatePool.Get().(*exploreState)
 	defer s.release()
@@ -185,7 +187,8 @@ func buildFrontier(l models.ConvLayer, cfg hw.Config, opts Options, env compileE
 	if opts.NaturalTiling || opts.Controller == nil || !s.bk.Refreshes() {
 		lo = alwaysValid
 	}
-	return lp, stats, s.build.finish(lp.Energy.Total(), lo), nil
+	f := s.build.finish(lp.Energy.Total(), lo)
+	return lp, stats, s.build.envelope(f, &opts, s.points, env.maps, hw.BankCount(cfg.BufferWords, cfg.BankWords), cfg.BankWords), nil
 }
 
 func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, env compileEnv) (LayerPlan, search.Stats, error) {
@@ -304,12 +307,13 @@ func (cs *compileState) grow(n int) {
 }
 
 // repeatOf returns the earlier layer (served or queued) whose memo key
-// equals key, or -1. A quadratic scan over the distinct layers rather
-// than a map, as in Network.Validate: networks have dozens of layers,
-// and the compile path must not allocate.
-func (cs *compileState) repeatOf(key memoKey) int {
+// equals key, or -1. Every key of one compile shares its frame, so only
+// the layer part is compared. A quadratic scan over the distinct layers
+// rather than a map: networks have dozens of distinct shapes, and the
+// compile path must not allocate.
+func (cs *compileState) repeatOf(key *memoKey) int {
 	for _, j := range cs.firsts {
-		if cs.keys[j] == key {
+		if cs.keys[j].shape == key.shape {
 			return j
 		}
 	}
@@ -454,7 +458,7 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 			l := &net.Layers[i]
 			cs.keys[i] = layerKey(&frame, l, &opts)
 			if dedup {
-				if j := cs.repeatOf(cs.keys[i]); j >= 0 {
+				if j := cs.repeatOf(&cs.keys[i]); j >= 0 {
 					cs.reps[i] = j
 					continue
 				}
@@ -512,12 +516,13 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 	// Assembly: copy the arena's results into the caller's plan and
 	// aggregate in layer order.
 	p.Network, p.Config, p.Options = net, cfg, opts
-	p.Layers = p.Layers[:0]
+	p.Layers = slices.Grow(p.Layers[:0], n)[:n]
 	p.Totals = energy.Counts{}
 	p.Energy = energy.Breakdown{}
 	p.ExecTime = 0
-	for i, lp := range cs.plans {
-		p.Layers = append(p.Layers, lp)
+	for i := range cs.plans {
+		lp := &cs.plans[i]
+		p.Layers[i] = *lp
 		p.Totals.Add(lp.Counts)
 		p.Energy.Add(lp.Energy)
 		p.ExecTime += lp.Analysis.ExecTime

@@ -43,3 +43,16 @@ func CellEnergiesForTest(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, c
 	}
 	return lp.Energy.Total(), refreshFree(lp.Energy), nil
 }
+
+// CheckEnvelopeForTest builds layer l's interval envelope at the
+// options' interval, as the memo publishes it, and holds it to the
+// oracles at every piece's first nanosecond, midpoint and last
+// nanosecond: pick on the build's untrimmed records and a memo-free
+// exhaustive exploration. It returns the envelope's piece count.
+func CheckEnvelopeForTest(l models.ConvLayer, cfg hw.Config, opts Options) (int, error) {
+	f, c, err := buildEnvelope(l, cfg, opts)
+	if err != nil {
+		return 0, err
+	}
+	return len(f.win), c.check(&f, true)
+}

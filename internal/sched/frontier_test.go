@@ -23,6 +23,18 @@ func TestRecordIsCompact(t *testing.T) {
 	}
 }
 
+// pick is the envelope's oracle: the canonical argmin of the records
+// re-priced at the options' interval through frontier.price, the path
+// a query prices its winner on, and its exact energy. pts and maps are
+// the layer's resolved operating-point and mapping axes.
+func (f *frontier) pick(opts *Options, pts []mem.OperatingPoint, maps []MappingPolicy,
+	refreshing bool, banks, bankWords int) (int, float64) {
+	return f.argmin(func(i int) float64 {
+		r := &f.recs[i]
+		return f.price(r, opts, &pts[r.point], maps[r.mp], refreshing, banks, bankWords)
+	})
+}
+
 // dyadicFrame prices with unit access and refresh energies, no MACs and
 // no DDR traffic, so crafted records tie exactly: E = buf + refresh
 // words. One-word banks, the guard band off.

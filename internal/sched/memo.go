@@ -15,14 +15,15 @@ package sched
 // the refresh term (refreshAt), which never increases with T, and the
 // refresh-free energy E0(c) is a lower bound at every T (DESIGN §11).
 // So the memo keys on the options minus the interval, and its one value
-// type is a frontier: the candidates an exploration at T_lo priced with
-// E0 ≤ U, U the winner's exact energy at T_lo, minus the ones another
-// record beats at every interval. Any candidate that can win at some
-// T ≥ T_lo has E0 ≤ E(c, T) ≤ U and is in it. A query re-prices the
-// records at its own interval in (E0, canonical) order, stops at the
-// first record whose E0 exceeds the best exact energy so far, and runs
-// the exact evaluator (evaluateCellInto) once on the winner, so a
-// served plan comes from the same pricing path as an explored one and
+// type is a frontier: the layer's interval envelope over [T_lo, ∞). The
+// build records every candidate an exploration at T_lo priced with
+// E0 ≤ U, U the winner's exact energy at T_lo (any candidate that can
+// win at some T ≥ T_lo has E0 ≤ E(c, T) ≤ U), sweeps the interval
+// forward from T_lo to find every nanosecond at which the canonical
+// argmin changes, and keeps only the records that win somewhere. A
+// query binary-searches its interval's piece, re-prices that piece's
+// winner and runs the exact evaluator (evaluateCellInto) once on it, so
+// a served plan comes from the same pricing path as an explored one and
 // carries the requesting layer's identity. A request below T_lo
 // rebuilds the frontier at its own interval.
 //
@@ -32,7 +33,6 @@ package sched
 import (
 	"cmp"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -49,24 +49,31 @@ import (
 )
 
 // DefaultMemoCapacity bounds the frontier records a Memo holds when
-// NewMemo is given no explicit capacity. A record takes 104 bytes, so a
-// full default memo holds about 2.1 MB. The zoo's 81 distinct shapes
-// need 20,221 records for the default space and the RTC × all-mappings
-// space together at the conventional 45 µs interval; longer intervals
-// need fewer.
+// NewMemo is given no explicit capacity. A record takes 104 bytes, plus
+// 12 bytes per envelope piece, so a full default memo holds about
+// 2.4 MB. A frontier keeps only the records that win at some interval:
+// the zoo's 81 distinct shapes need about 840 records for the default
+// space and the RTC × all-mappings space together at the conventional
+// 45 µs interval, so a server that has compiled both still has room for
+// many more option sets.
 const DefaultMemoCapacity = 20480
 
-// memoKey identifies one exploration problem: the SHA-256 digest of the
-// (frame digest, layer shape, derived output geometry, resolved layer
-// budget) tuple layerKey encodes. A digest rather than the
-// struct itself because the struct form exceeds the runtime's 128-byte
-// inline-key limit, and an indirect map key heap-copies on every insert
-// — one allocation per distinct shape per compile, which is exactly
-// what the pooled compile path exists to avoid. 32 bytes store inline,
-// and a SHA-256 collision between two real scheduling problems is not a
-// realistic failure mode.
+// memoKey identifies one exploration problem exactly: the frame digest
+// every layer of one compile shares, and the layer's own part. It is a
+// comparable struct of 120 bytes, under the runtime's 128-byte limit
+// for map keys stored inline, so an insert copies it into the table
+// without a heap allocation.
+type memoKey struct {
+	frame [sha256.Size]byte
+	shape layerShape
+}
+
+// layerShape is a layer's part of its memo key: the shape and derived
+// output geometry (N, H, L, M, K, S, Groups, R(), C()), and the resolved
+// error budget with a presence flag that keeps options without
+// per-layer budgets apart from budgeted ones.
 //
-// The keyed tuple is deliberately as coarse as soundness allows and no
+// The tuple is deliberately as coarse as soundness allows and no
 // coarser. Exploration reads the padding only through the derived
 // R()/C(), so distinct (P) spellings with identical derived geometry
 // share an entry (r/c carry the information P held). Coarsening over M
@@ -76,16 +83,22 @@ const DefaultMemoCapacity = 20480
 // branches differing only in M pick genuinely different plans and a
 // shared frontier would answer one with the other's candidates
 // (TestMemoNearDuplicateShapesStayDistinct pins this boundary).
-type memoKey [sha256.Size]byte
+type layerShape struct {
+	dims     [9]int64
+	budget   uint64
+	budgeted bool
+}
 
-// record is one feasible candidate of a frontier: everything its exact
+// record is one winning candidate of a frontier: everything its exact
 // energy depends on at any refresh interval, and nothing that depends on
 // one. The canonical cell indices (pattern kind, tiling, operating
 // point, traversal, mapping) and the tiling re-address the candidate;
 // the three non-refresh counts that vary with it (the MAC count is the
 // layer's, held once per frontier), the execution time, the three data
 // lifetimes and the three bank counts are the refresh term's inputs;
-// e0 is the exact energy at zero refresh words. 104 bytes.
+// e0 is the exact energy at zero refresh words. 104 bytes. A build
+// records every candidate that might win and the envelope sweep keeps
+// only the ones that do.
 type record struct {
 	e0                    float64
 	buf, ddr, writes      uint64
@@ -180,13 +193,19 @@ func (r *record) tilingOf() pattern.Tiling {
 	return pattern.Tiling{Tm: int(r.tiling[0]), Tn: int(r.tiling[1]), Tr: int(r.tiling[2]), Tc: int(r.tiling[3])}
 }
 
-// frontier is one memo value: the records that can win at some interval
-// T ≥ lo, sorted by (E0, canonical order), with the layer's MAC count.
-// It is immutable once published, so a query reads it without a lock.
+// frontier is one memo value: the layer's interval envelope over
+// [lo, ∞), with the layer's MAC count. Piece k is won by recs[win[k]];
+// piece 0 starts at lo, piece k > 0 at bps[k-1], and each piece ends
+// where the next starts (the last never does). A record may win several
+// pieces. It is immutable once published, so a query reads it without
+// a lock. While a build sweeps it, recs holds every recorded candidate
+// in (E0, canonical) order and bps and win are unset.
 type frontier struct {
 	lo   time.Duration
 	macs uint64
 	recs []record
+	bps  []time.Duration
+	win  []int32
 }
 
 // alwaysValid is the lo of a frontier whose answer cannot depend on the
@@ -212,45 +231,57 @@ func (f *frontier) price(r *record, opts *Options, pt *mem.OperatingPoint, mp Ma
 	}, mp.Apply(pt.Table())).Total()
 }
 
-// pick returns the index of the canonical argmin of the records
-// re-priced at the options' interval, and its exact energy. A record
-// whose E0 exceeds the best exact energy so far cannot reach it at any
+// argmin returns the index of the canonical argmin of the records,
+// priced by price, and its price: an exact total at one interval. A
+// record whose E0 exceeds the best price so far cannot reach it at any
 // interval, and every later record's E0 is at least as large, so the
 // scan stops there; a record whose E0 equals it can still tie and win
-// the canonical tie-break, so it is priced. pts and maps are the
-// layer's resolved operating-point and mapping axes.
-func (f *frontier) pick(opts *Options, pts []mem.OperatingPoint, maps []MappingPolicy,
-	refreshing bool, banks, bankWords int) (int, float64) {
+// the canonical tie-break, so it is priced. It needs the records in
+// (E0, canonical) order, as a build holds them before its sweep: the
+// sweep re-picks through it, and tests price through frontier.price
+// (pick) to check the envelope against it.
+func (f *frontier) argmin(price func(i int) float64) (int, float64) {
 	best, win := math.Inf(1), -1
 	for i := range f.recs {
 		r := &f.recs[i]
 		if r.e0 > best {
 			break
 		}
-		e := f.price(r, opts, &pts[r.point], maps[r.mp], refreshing, banks, bankWords)
-		if e < best || (e == best && r.before(&f.recs[win])) {
+		e := price(i)
+		if win < 0 || e < best || (e == best && r.before(&f.recs[win])) {
 			best, win = e, i
 		}
 	}
 	return win, best
 }
 
+// winner returns the record that wins interval t: the winner of the
+// piece t falls in, found by binary search over the breakpoints.
+func (f *frontier) winner(t time.Duration) *record {
+	k, at := slices.BinarySearch(f.bps, t)
+	if at {
+		k++ // a breakpoint is its new piece's first nanosecond
+	}
+	return &f.recs[f.win[k]]
+}
+
 // query answers layer l at the options' interval (≥ f.lo) into lp: the
-// frontier's pick, evaluated exactly, so the plan comes from the same
-// path as an explored one and carries l's identity. pts is the caller's
-// operating-point scratch, returned for reuse.
+// winner of the interval's piece, re-priced and evaluated exactly, so
+// the plan comes from the same path as an explored one and carries l's
+// identity. pts is the caller's operating-point scratch, returned for
+// reuse.
 func (f *frontier) query(lp *LayerPlan, pts []mem.OperatingPoint, l *models.ConvLayer, cfg *hw.Config,
 	opts *Options, env *compileEnv) ([]mem.OperatingPoint, error) {
 	bk, pts, err := appendBackendPoints(pts[:0], *cfg, *opts, opts.layerBudget(l.Name), l.Name)
 	if err != nil {
 		return pts, err
 	}
-	win, best := f.pick(opts, pts, env.maps, opts.Controller != nil && bk.Refreshes(),
-		hw.BankCount(cfg.BufferWords, cfg.BankWords), cfg.BankWords)
-	if win < 0 {
+	if len(f.win) == 0 {
 		return pts, fmt.Errorf("sched: empty layer frontier for %q", l.Name)
 	}
-	r := &f.recs[win]
+	r := f.winner(opts.RefreshInterval)
+	best := f.price(r, opts, &pts[r.point], env.maps[r.mp], opts.Controller != nil && bk.Refreshes(),
+		hw.BankCount(cfg.BufferWords, cfg.BankWords), cfg.BankWords)
 	if err := evaluateCellInto(lp, l, opts.Patterns[r.kind], r.tilingOf(), cfg, opts, bk, &pts[r.point],
 		env.travs[r.trav], env.maps[r.mp]); err != nil {
 		return pts, err
@@ -272,8 +303,6 @@ type recordBuf struct {
 	// enter the frontier and is not kept.
 	best float64
 }
-
-var recordBufPool = sync.Pool{New: func() any { return new(recordBuf) }}
 
 // Record implements search.Recorder.
 func (rb *recordBuf) Record(c search.Candidate, out *search.Outcome[LayerPlan]) {
@@ -329,16 +358,25 @@ func setRecord(r *record, c search.Candidate, lp *LayerPlan, e0 float64) {
 }
 
 // frontierBuild collects one exploration's records across its scan
-// goroutines. Its lock guards only the buffer list, taken once per scan
-// goroutine, never per evaluation.
+// goroutines and sweeps them into an envelope. It lives in the explore
+// arena, and so do its record buffers and scratch, so a build reuses
+// what the arena's last build grew. Its lock guards only the buffer
+// list, taken once per scan goroutine, never per evaluation.
 type frontierBuild struct {
-	mu   sync.Mutex
+	mu sync.Mutex
+	// bufs[:len] are this build's record buffers; the arena keeps the
+	// ones past len for the next build.
 	bufs []*recordBuf
-	// finish's scratch: the sorted candidates, the kept records and
-	// their scan order.
-	order []cellRecord
-	kept  []record
-	scan  []int32
+	// finish's and envelope's scratch: the sorted candidates, the kept
+	// records and their scan order, the records' interval-free addends
+	// and sweep bounds, and the pieces' breakpoints and winners.
+	order  []cellRecord
+	kept   []record
+	scan   []int32
+	adds   []addends
+	from   []time.Duration
+	bps    []time.Duration
+	pieces []int32
 }
 
 // admits reports whether every index and dimension of the problem fits
@@ -355,22 +393,28 @@ func (b *frontierBuild) admits(e *models.ConvLayer, opts *Options, points int, e
 
 // recorder leases a scan goroutine's buffer (search.Problem.NewRecorder).
 func (b *frontierBuild) recorder() search.Recorder[LayerPlan] {
-	rb := recordBufPool.Get().(*recordBuf)
-	rb.recs, rb.macs, rb.best = rb.recs[:0], 0, math.Inf(1)
 	b.mu.Lock()
-	b.bufs = append(b.bufs, rb)
+	n := len(b.bufs)
+	b.bufs = slices.Grow(b.bufs, 1)[:n+1]
+	if b.bufs[n] == nil {
+		b.bufs[n] = new(recordBuf)
+	}
+	rb := b.bufs[n]
 	b.mu.Unlock()
+	rb.recs, rb.macs, rb.best = rb.recs[:0], 0, math.Inf(1)
 	return rb
 }
 
-// finish turns the recorded candidates into the frontier for intervals
-// T ≥ lo, given the winner's exact energy u at lo: the records with
-// E0 ≤ u in (E0, canonical) order, minus the dominated ones. A record
-// can only be dominated by one of its own cell that sorts before it, so
-// one pass per cell against the records kept so far is complete. The
-// build adds no exact evaluation: every candidate with E0 ≤ u was
-// priced, because its bound is ≤ E0 ≤ u ≤ every incumbent and a
-// branch-and-bound never prunes it.
+// finish turns the recorded candidates into the frontier's candidates
+// for intervals T ≥ lo, given the winner's exact energy u at lo: the
+// records with E0 ≤ u in (E0, canonical) order, minus the dominated
+// ones. A record can only be dominated by one of its own cell that
+// sorts before it, so one pass per cell against the records kept so
+// far is complete. The build adds no exact evaluation: every candidate
+// with E0 ≤ u was priced, because its bound is ≤ E0 ≤ u ≤ every
+// incumbent and a branch-and-bound never prunes it. The returned
+// records are the build's scratch, valid until its next finish;
+// envelope copies out what a frontier keeps.
 func (b *frontierBuild) finish(u float64, lo time.Duration) frontier {
 	order := b.order[:0]
 	var macs uint64
@@ -409,15 +453,191 @@ func (b *frontierBuild) finish(u float64, lo time.Duration) frontier {
 		b.scan = scan[:0]
 		start = end
 	}
-	recs := slices.Clone(kept)
 	if len(order) > 0 && order[0].cell != order[len(order)-1].cell {
 		// Several cells: merge them back into frontier order.
-		slices.SortFunc(recs, func(a, b record) int { return byE0(&a, &b) })
+		slices.SortFunc(kept, func(a, b record) int { return byE0(&a, &b) })
 	}
 	clear(order)
 	b.order, b.kept = order[:0], kept[:0]
 	b.reset()
-	return frontier{lo: lo, macs: macs, recs: recs}
+	return frontier{lo: lo, macs: macs, recs: kept}
+}
+
+// addends are the parts of a record's Eq. 14 total that do not read the
+// interval, priced once per sweep: Breakdown.Total sums
+// (((C+B)+R)+O)+W left to right and only R reads T, so C+B, O and W
+// with the refresh price per word re-price the record at any interval
+// bit for bit as frontier.price does, without rebuilding its table.
+type addends struct{ cb, o, w, rpj float64 }
+
+// sweep re-prices a frontier's records at arbitrary intervals while
+// envelope searches for its breakpoints. from[i] is a lower bound on the
+// first interval at which record i beats the incumbent: the incumbent's
+// price only falls from step to step, and when it stays the same the new
+// incumbent is canonically earlier, so a bound found at one step holds
+// at every later one.
+type sweep struct {
+	recs             []record
+	adds             []addends
+	from             []time.Duration
+	opts             Options // RefreshInterval is the probe's
+	pts              []mem.OperatingPoint
+	banks, bankWords int
+}
+
+// newSweep prices f's records' addends into adds and clears from (both
+// scratch, returned inside the sweep) under the layer's resolved axes.
+func newSweep(f *frontier, adds []addends, from []time.Duration, opts *Options, pts []mem.OperatingPoint,
+	maps []MappingPolicy, banks, bankWords int) sweep {
+	adds, from = adds[:0], append(from[:0], make([]time.Duration, len(f.recs))...)
+	for i := range f.recs {
+		r := &f.recs[i]
+		t := maps[r.mp].Apply(pts[r.point].Table())
+		e := energy.SystemTable(energy.Counts{MACs: f.macs, BufferAccesses: r.buf, DDRAccesses: r.ddr, BufferWrites: r.writes}, t)
+		adds = append(adds, addends{cb: e.Computing + e.BufferAccess, o: e.OffChip, w: e.Wear, rpj: t.RefreshPJ})
+	}
+	return sweep{recs: f.recs, adds: adds, from: from, opts: *opts, pts: pts, banks: banks, bankWords: bankWords}
+}
+
+// price is record i's exact total at interval t: frontier.price's sum
+// from the record's addends.
+func (s *sweep) price(i int, t time.Duration) float64 {
+	r, a := &s.recs[i], &s.adds[i]
+	s.opts.RefreshInterval = t
+	_, words := refreshAt(&s.opts, &s.pts[r.point], r.lt, r.exec, r.alloc(), s.banks, s.bankWords)
+	return ((a.cb + float64(words)*a.rpj) + a.o) + a.w
+}
+
+// beats reports whether record i would beat the incumbent w, priced p,
+// at interval t: priced below p, or at p and canonically first. A
+// record can overtake w only where it beats w's price at the start of
+// w's run, because w's own price never rises. Prices never rise with the
+// interval, so once true it stays true.
+func (s *sweep) beats(i, w int, p float64, t time.Duration) bool {
+	e := s.price(i, t)
+	return e < p || (e == p && s.recs[i].before(&s.recs[w]))
+}
+
+// next returns the earliest interval in (t, ceil] at which some record
+// beats the incumbent w priced p at t, or ceil+1 when none does, and
+// leaves from[i] at or below each record's first such interval, equal
+// to the result exactly for the records that beat w there. Only records
+// with E0 ≤ p can. A record whose bound already passes the earliest
+// interval found so far is skipped unpriced. One that does not beat p
+// there gallops past it, doubling the distance of each probe, so a
+// record far from overtaking w is skipped for many steps: at short
+// intervals every price falls with the interval and the incumbent's
+// runner-up forces a step each time it reaches p. One that does beat p
+// is binary-searched for its first such interval, which beats is
+// monotone in.
+func (s *sweep) next(w int, p float64, t, ceil time.Duration) time.Duration {
+	next := ceil + 1
+	for i := range s.recs {
+		if s.recs[i].e0 > p {
+			break
+		}
+		if i == w || s.from[i] > next {
+			continue
+		}
+		if !s.beats(i, w, p, next) {
+			from, d := next+1, max(next-t, 1)
+			for from <= ceil {
+				at := from + min(d, ceil+1-from)
+				if s.beats(i, w, p, at) {
+					break
+				}
+				from, d = at+1, min(d, ceil/2)*2
+			}
+			s.from[i] = from
+			continue
+		}
+		lo, hi := max(t+1, s.from[i]), next
+		for lo < hi {
+			if mid := lo + (hi-lo)/2; s.beats(i, w, p, mid) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		next, s.from[i] = lo, lo
+	}
+	return next
+}
+
+// ceiling returns an interval from which on no record of f refreshes:
+// each record's scaled interval exceeds its execution time, so no
+// refresh pulse fires and every price is its E0. It stays below the
+// largest interval, so the sweep's ceil+2 cannot overflow.
+func (f *frontier) ceiling(pts []mem.OperatingPoint) time.Duration {
+	c := f.lo
+	for i := range f.recs {
+		r := &f.recs[i]
+		for c < math.MaxInt64/2 && scaleInterval(c, pts[r.point].RetentionScale) <= r.exec {
+			c *= 2
+		}
+	}
+	return min(c, math.MaxInt64-2)
+}
+
+// envelope sweeps f, the build's records in frontier order, over
+// [f.lo, ∞) and returns the frontier a memo publishes: the records that
+// win some piece, the breakpoints and each piece's winner, in storage
+// of its own. From the incumbent w at price p at interval t, the sweep
+// jumps to the earliest interval at which any record beats p (next):
+// before it no record can overtake w, since w's price only falls. There
+// it re-picks (argmin); a new winner starts a piece. It stops once no
+// record can beat the incumbent below the ceiling, or once recs[0], the
+// least E0 and canonically first among equals, wins at its E0: no price
+// falls below its own E0. A frontier valid at every interval
+// (alwaysValid) prices no refresh, or holds the natural baseline's one
+// record, so recs[0] wins it everywhere. pts and maps are the layer's
+// resolved operating-point and mapping axes.
+func (b *frontierBuild) envelope(f frontier, opts *Options, pts []mem.OperatingPoint, maps []MappingPolicy,
+	banks, bankWords int) frontier {
+	if len(f.recs) == 0 {
+		return frontier{}
+	}
+	bps, pieces := b.bps[:0], append(b.pieces[:0], 0)
+	if f.lo != alwaysValid {
+		s := newSweep(&f, b.adds, b.from, opts, pts, maps, banks, bankWords)
+		b.adds, b.from = s.adds[:0], s.from[:0]
+		t := f.lo
+		w, p := f.argmin(func(i int) float64 { return s.price(i, t) })
+		pieces[0] = int32(w)
+		for ceil := f.ceiling(pts); w != 0 || p != f.recs[0].e0; {
+			if t = s.next(w, p, t, ceil); t > ceil {
+				break
+			}
+			// Only w and the records next found beating p at t can win
+			// there; the others lose to w without being priced.
+			nw, np := f.argmin(func(i int) float64 {
+				if i != w && s.from[i] != t {
+					return math.Inf(1)
+				}
+				return s.price(i, t)
+			})
+			if nw != w {
+				bps, pieces = append(bps, t), append(pieces, int32(nw))
+			}
+			w, p = nw, np
+		}
+	}
+	b.bps, b.pieces = bps[:0], pieces[:0]
+	// Publish each winner once, in order of its first piece.
+	out := frontier{lo: f.lo, macs: f.macs, bps: slices.Clone(bps), win: make([]int32, len(pieces))}
+	n := int32(0)
+	for k, i := range pieces {
+		if j := slices.Index(pieces[:k], i); j >= 0 {
+			out.win[k] = out.win[j]
+		} else {
+			out.win[k], n = n, n+1
+		}
+	}
+	out.recs = make([]record, n)
+	for k, i := range pieces {
+		out.recs[out.win[k]] = f.recs[i]
+	}
+	return out
 }
 
 // natural records the natural-tiling baseline's one candidate: its
@@ -427,13 +647,9 @@ func (b *frontierBuild) natural(lp *LayerPlan, kinds []pattern.Kind) {
 	b.recorder().Record(c, &search.Outcome[LayerPlan]{Feasible: true, Energy: lp.Energy.Total(), Value: *lp})
 }
 
-// reset returns the build's record buffers to their pool — after a
+// reset releases the build's record buffers to the arena — after a
 // merge, or with a failed build's records.
 func (b *frontierBuild) reset() {
-	for _, rb := range b.bufs {
-		recordBufPool.Put(rb)
-	}
-	clear(b.bufs)
 	b.bufs = b.bufs[:0]
 }
 
@@ -478,8 +694,14 @@ func NewMemo(capacity int) *Memo {
 	if capacity <= 0 {
 		capacity = DefaultMemoCapacity
 	}
-	return &Memo{entries: make(map[memoKey]*memoEntry), cap: capacity}
+	return &Memo{entries: make(map[memoKey]*memoEntry, memoTableHint), cap: capacity}
 }
+
+// memoTableHint pre-sizes a memo's table for the zoo's 81 distinct
+// shapes under one option set, so a memo that serves them never grows
+// its table, and a compile's allocations do not depend on where the
+// table's growth falls.
+const memoTableHint = 128
 
 // MemoStats is a point-in-time snapshot of a memo's effectiveness.
 type MemoStats struct {
@@ -522,32 +744,22 @@ func frameDigest(cfg hw.Config, opts Options) [sha256.Size]byte {
 }
 
 // layerKey is layer l's memo key under the frame digest frame: the
-// digest, the layer's shape and derived output geometry as fixed-width
-// words, and its resolved error budget — the one place layer identity
-// reaches exploration. A presence flag keeps options without per-layer
-// budgets apart from budgeted ones. Every component has a fixed width,
-// so the encoding is injective. Name and Stage never influence
-// exploration and are excluded; padding collapses into the derived
-// geometry (exploration never reads P directly). Every other field of
-// models.ConvLayer must appear here — TestMemoKeyCoversAllFields pins
-// the field count.
+// digest, the layer's shape and derived output geometry, and its
+// resolved error budget — the one place layer identity reaches
+// exploration. Name and Stage never influence exploration and are
+// excluded; padding collapses into the derived geometry (exploration
+// never reads P directly). Every other field of models.ConvLayer must
+// appear here — TestMemoKeyCoversAllFields pins the field count.
 func layerKey(frame *[sha256.Size]byte, l *models.ConvLayer, opts *Options) memoKey {
-	var scratch [sha256.Size + 9*8 + 9]byte
-	b := append(scratch[:0], frame[:]...)
-	for _, v := range [...]uint64{
-		uint64(l.N), uint64(l.H), uint64(l.L), uint64(l.M),
-		uint64(l.K), uint64(l.S), uint64(l.Groups),
-		uint64(l.R()), uint64(l.C()),
-	} {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	var budget uint64
+	k := memoKey{frame: *frame, shape: layerShape{dims: [9]int64{
+		int64(l.N), int64(l.H), int64(l.L), int64(l.M),
+		int64(l.K), int64(l.S), int64(l.Groups),
+		int64(l.R()), int64(l.C()),
+	}}}
 	if len(opts.LayerBudgets) > 0 {
-		b, budget = append(b, 1), math.Float64bits(opts.layerBudget(l.Name))
-	} else {
-		b = append(b, 0)
+		k.shape.budget, k.shape.budgeted = math.Float64bits(opts.layerBudget(l.Name)), true
 	}
-	return sha256.Sum256(binary.LittleEndian.AppendUint64(b, budget))
+	return k
 }
 
 // peek returns the completed frontier for key if it covers interval t,

@@ -251,7 +251,9 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 		if planFaulty(plan) {
 			s.m.FaultInjections.Add(1)
 		}
-		return scheduleBody(&resp, plan)
+		body, err := scheduleBody(&resp, plan)
+		s.plans.Put(plan)
+		return body, err
 	}
 	return w, nil
 }

@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"time"
 
 	"rana/internal/core"
@@ -230,6 +231,24 @@ type Server struct {
 	// inject failures. Defaults are the real pipeline entry points.
 	scheduleFn func(ctx context.Context, net models.Network, cfg hw.Config, opts sched.Options) (*sched.Plan, error)
 	compileFn  func(ctx context.Context, net models.Network, strategy search.Strategy, parallelism int) (*core.Output, error)
+
+	// plans recycles the plans /v1/schedule compiles into: a plan lives
+	// only until its body is encoded, and sched.ExploreNetworkInto reuses
+	// a plan's layer storage. The default scheduleFn leases from it; the
+	// schedule computation returns every plan it encoded. It is the
+	// server's own, so a plan a replaced seam returns is never leased.
+	plans sync.Pool
+}
+
+// schedulePooled is the default scheduleFn: sched.ExploreNetworkInto
+// into a plan leased from s.plans.
+func (s *Server) schedulePooled(ctx context.Context, net models.Network, cfg hw.Config, opts sched.Options) (*sched.Plan, error) {
+	p := s.plans.Get().(*sched.Plan)
+	if _, err := sched.ExploreNetworkInto(ctx, net, cfg, opts, p); err != nil {
+		s.plans.Put(p)
+		return nil, err
+	}
+	return p, nil
 }
 
 // New returns an unstarted server.
@@ -249,7 +268,8 @@ func New(cfg Config) *Server {
 	if cfg.MemoEntries >= 0 {
 		s.memo = sched.NewMemo(cfg.MemoEntries)
 	}
-	s.scheduleFn = sched.ScheduleContext
+	s.plans.New = func() any { return new(sched.Plan) }
+	s.scheduleFn = s.schedulePooled
 	s.compileFn = func(ctx context.Context, net models.Network, strategy search.Strategy, parallelism int) (*core.Output, error) {
 		f := core.New()
 		f.Search = strategy

@@ -5,8 +5,9 @@ package verify
 // the pruned branch-and-bound, the worker pool, the layer-shape memo,
 // incremental bound pricing and the spelled-out defaults claim the
 // reference plan's exact wire bytes; a shared memo swept across refresh
-// intervals claims the bytes of the same setting compiled cold; the
-// budgeted beam claims it never
+// intervals claims the bytes of the same setting compiled cold, also at
+// the interval where a layer's plan changes and the nanosecond before
+// it; the budgeted beam claims it never
 // beats the exact optimum; the RTC traversal × PENDRAM mapping space
 // claims it never loses to the default-only one. Matrix states each
 // claim once, as a declarative variant: the setting it runs, the setting
@@ -19,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"rana/internal/hw"
@@ -56,6 +58,11 @@ type Setting struct {
 	// interval, so every layer is answered from a frontier rebuilt below
 	// the frame's interval and queried at it.
 	Parametric bool
+	// Edge moves the refresh interval to the network's first plan change
+	// above a quarter of the frame's (edgeInterval): 1 compiles at the
+	// first nanosecond of the new plan, -1 at the last nanosecond of the
+	// old one, 0 keeps the frame's interval.
+	Edge int
 }
 
 // Name renders the setting compactly, e.g. "pruned/p2/memo/axes".
@@ -78,6 +85,12 @@ func (s Setting) Name() string {
 	}
 	if s.Parametric {
 		name += "/parametric"
+	}
+	switch s.Edge {
+	case 1:
+		name += "/edge"
+	case -1:
+		name += "/edge-1ns"
 	}
 	return name
 }
@@ -224,6 +237,18 @@ func DefaultMatrix(tol Tolerances) Matrix {
 			add("parametric", swept, cold, SameBytes)
 		}
 	}
+	// The memo's interval envelopes change plans exactly where a cold
+	// compile does: on both spaces, at the network's first plan change
+	// and the nanosecond before it.
+	for _, axes := range []bool{false, true} {
+		for _, edge := range []int{1, -1} {
+			cold := prod
+			cold.Axes, cold.Edge = axes, edge
+			swept := cold
+			swept.Parametric = true
+			add("envelope", swept, cold, SameBytes)
+		}
+	}
 
 	m.Checks = []PlanCheck{walkerCheck(axesRef, tol)}
 	return m
@@ -270,6 +295,12 @@ type compiler struct {
 // direct is the production seam: sched's own entry points.
 var direct = compiler{
 	schedule: func(s Setting, net models.Network, cfg hw.Config, opts sched.Options) (*sched.Plan, error) {
+		if s.Edge != 0 {
+			opts.RefreshInterval = edgeInterval(net, cfg, opts)
+			if s.Edge < 0 {
+				opts.RefreshInterval--
+			}
+		}
 		if s.Parametric {
 			opts.Memo = sched.NewMemo(0)
 			for _, iv := range []time.Duration{4 * opts.RefreshInterval, opts.RefreshInterval / 4} {
@@ -286,6 +317,47 @@ var direct = compiler{
 		_, st, err := sched.ExploreLayer(l, cfg, opts)
 		return st, err
 	},
+}
+
+// edgeInterval returns the first interval above a quarter of opts' at
+// which some layer of net changes its chosen cell (pattern, tiling,
+// operating point, traversal, mapping). It bisects compiles on one memo
+// built at that quarter, so each is answered from the frontiers, between
+// the quarter and 64 times opts' interval: the interval it returns
+// compiles to other cells than the one before it. With no change in that
+// range, or no plan, it returns opts' own interval.
+func edgeInterval(net models.Network, cfg hw.Config, opts sched.Options) time.Duration {
+	o := opts
+	o.Memo = sched.NewMemo(0)
+	cells := func(t time.Duration) (string, bool) {
+		o.RefreshInterval = t
+		p, err := sched.Schedule(net, cfg, o)
+		if err != nil {
+			return "", false
+		}
+		var b strings.Builder
+		for _, lp := range p.Layers {
+			fmt.Fprintf(&b, "%v %v %s %s %s;", lp.Analysis.Pattern, lp.Analysis.Tiling, lp.Point, lp.Traversal, lp.Mapping)
+		}
+		return b.String(), true
+	}
+	lo, hi := opts.RefreshInterval/4, 64*opts.RefreshInterval
+	if lo <= 0 {
+		return opts.RefreshInterval
+	}
+	base, ok := cells(lo)
+	if last, ok2 := cells(hi); !ok || !ok2 || last == base {
+		return opts.RefreshInterval
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if c, _ := cells(mid); c == base {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // Run compiles net under every setting the matrix names and reports

@@ -221,6 +221,32 @@ func TestIncrementalReportRendering(t *testing.T) {
 // on the enlarged space, where the pricing context's per-cell branches
 // (blocked-ID DDR, per-map tables) actually exercise, at every worker
 // level.
+func envelopeGroup() Matrix { return group(DefaultMatrix(DefaultTolerances()), "envelope") }
+
+func TestCompareEnvelopeOnZoo(t *testing.T) { runZoo(t, envelopeGroup()) }
+
+func TestCompareEnvelopeOnGeneratedNetworks(t *testing.T) {
+	runGenerated(t, envelopeGroup(), 29, 12)
+}
+
+// TestEdgeIntervalIsAPlanChange: the envelope variants' premise. On
+// every zoo network, on both spaces, edgeInterval finds a plan change
+// above a quarter of the frame's interval rather than falling back to
+// the frame's own.
+func TestEdgeIntervalIsAPlanChange(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	for _, net := range models.Benchmarks() {
+		for _, axes := range []bool{false, true} {
+			opts := Setting{Strategy: search.Pruned, Workers: 1, Memo: true, Incremental: true, Axes: axes}.options(zooOptions(), cfg)
+			if got := edgeInterval(net, cfg, opts); got == opts.RefreshInterval {
+				t.Errorf("%s (axes %v): no plan change found between %v and %v", net.Name, axes, opts.RefreshInterval/4, 64*opts.RefreshInterval)
+			} else {
+				t.Logf("%s (axes %v): plans change at %v", net.Name, axes, got)
+			}
+		}
+	}
+}
+
 func TestMatrixIncrementalWithAxes(t *testing.T) {
 	m := Matrix{Variants: incrementalVariants(true, workerLevels())}
 	r, err := m.Run(models.AlexNet(), hw.TestAcceleratorEDRAM(), zooOptions())
@@ -330,6 +356,7 @@ func TestMatrixMutants(t *testing.T) {
 	spelled := find(p("spelling/pruned/p%d/memo/spelled"), SameBytes)
 	swept := find(p("parametric/pruned/p%d/memo/parametric"), SameBytes)
 	sweptAxes := find(p("parametric/pruned/p%d/memo/axes/parametric"), SameBytes)
+	edge := find(p("envelope/pruned/p%d/memo/parametric/edge"), SameBytes)
 	axesRef := neverWorse.Setting
 
 	// Every mutant must be the only reason the matrix goes red.
@@ -414,6 +441,20 @@ func TestMatrixMutants(t *testing.T) {
 		{"parametric/dominance-order", mutateSchedule(sweptAxes.Setting, editPlan(func(p *sched.Plan) {
 			p.Layers[0].Traversal = "blocked2"
 		})), sweptAxes.Name + "/plan-bytes"},
+		// An envelope breakpoint one nanosecond late: at the network's
+		// first plan change the memo still serves the plan before it.
+		// sched's TestEnvelopeBreakpointMutantsFail moves real
+		// breakpoints; here the symptom must turn the envelope variant red.
+		{"envelope/breakpoint", func(c compiler) compiler {
+			inner := c.schedule
+			c.schedule = func(s Setting, net models.Network, cfg hw.Config, o sched.Options) (*sched.Plan, error) {
+				if s == edge.Setting {
+					s.Edge = -1
+				}
+				return inner(s, net, cfg, o)
+			}
+			return c
+		}, edge.Name + "/plan-bytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.old, func(t *testing.T) {
