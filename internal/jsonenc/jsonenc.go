@@ -1,10 +1,21 @@
-// Package jsonenc appends the bytes encoding/json's Marshal writes for a
-// string and a float64, and for omitempty fields of those and of ints,
-// without reflection. It serves the hand-written encoders whose output
-// must stay byte-identical to json.Marshal of the tagged structs their
-// tests keep as the reference: the canonical (config, options) frame
+// Package jsonenc writes and reads JSON without reflection, held to
+// encoding/json: what it writes byte for byte, what it reads value for
+// value.
+//
+// The writers append the bytes encoding/json's Marshal writes for a
+// string and a float64, and for omitempty fields of those and of ints.
+// They serve the hand-written encoders whose output must stay
+// byte-identical to json.Marshal of the tagged structs their tests keep
+// as the reference: the canonical (config, options) frame
 // sched.AppendCanonical writes for ranad's cache key and the layer
 // memo's key, the plan encoding and ranad's schedule response body.
+//
+// The Reader decodes ranad's request bodies through per-type field
+// tables (Fields), accepting exactly what encoding/json's Decoder with
+// DisallowUnknownFields accepts and leaving the same values, except
+// that Decode rejects any bytes after the document. Like the writers it
+// hands any string that is not plain printable ASCII to encoding/json.
+// ranad's differential fuzz holds it to its encoding/json reference.
 package jsonenc
 
 import (

@@ -671,14 +671,15 @@ type memoEntry struct {
 // server-wide. Safe for concurrent use. The zero value is not usable;
 // call NewMemo.
 type Memo struct {
-	mu       sync.Mutex
-	entries  map[memoKey]*memoEntry
-	cap      int
-	records  int // records held by completed frontiers
-	building int // frontiers in flight, each reserving one record
-	hits     uint64
-	misses   uint64
-	rebuilds uint64
+	mu         sync.Mutex
+	entries    map[memoKey]*memoEntry
+	cap        int
+	records    int // records held by completed frontiers
+	building   int // frontiers in flight, each reserving one record
+	hits       uint64
+	misses     uint64
+	rebuilds   uint64
+	unrecorded uint64
 }
 
 // NewMemo returns a memo bounded to capacity frontier records (<= 0
@@ -715,6 +716,10 @@ type MemoStats struct {
 	// Rebuilds counts the misses that replaced a frontier built at a
 	// longer interval than the request's.
 	Rebuilds uint64
+	// Unrecorded counts lookups that explored without recording: the
+	// memo was full, or the shape's rebuild was still in flight. Misses
+	// plus Unrecorded is every layer the memo's compiles explored.
+	Unrecorded uint64
 	// Entries is the current table size.
 	Entries int
 	// Records is the number of frontier records held — what the
@@ -726,7 +731,8 @@ type MemoStats struct {
 func (m *Memo) Stats() MemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return MemoStats{Hits: m.hits, Misses: m.misses, Rebuilds: m.rebuilds, Entries: len(m.entries), Records: m.records}
+	return MemoStats{Hits: m.hits, Misses: m.misses, Rebuilds: m.rebuilds, Unrecorded: m.unrecorded,
+		Entries: len(m.entries), Records: m.records}
 }
 
 // frameDigest is the SHA-256 of a compile's frame, the part of every
@@ -799,8 +805,8 @@ const (
 // entry built above t is rebuilt: the caller owns a fresh entry that
 // replaces it (a miss and a rebuild) — unless that entry is still in
 // flight or the memo is full, when the caller explores without
-// recording. A missing key installs a fresh owned entry (a miss) while
-// the memo has room.
+// recording (counted unrecorded). A missing key installs a fresh owned
+// entry (a miss) while the memo has room.
 func (m *Memo) acquire(key memoKey, t time.Duration) (*memoEntry, memoMode) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -811,9 +817,10 @@ func (m *Memo) acquire(key memoKey, t time.Duration) (*memoEntry, memoMode) {
 	}
 	if (found && !old.ok) || m.records+m.building >= m.cap {
 		// Nothing to record into: explore without recording, and count
-		// no miss — nothing was added. Same-shaped layers of the
-		// caller's compile still explore once (the in-compile dedup
-		// counts their hits).
+		// it unrecorded, not a miss — nothing was added. Same-shaped
+		// layers of the caller's compile still explore once (the
+		// in-compile dedup counts their hits).
+		m.unrecorded++
 		return nil, memoFull
 	}
 	if found {

@@ -212,6 +212,33 @@ func TestMemoCapacityFullComputesWithoutRecording(t *testing.T) {
 	}
 }
 
+// TestMemoCountsUnrecordedExplorations: a memo too small for the zoo
+// still accounts for every layer its compiles explore. Those it
+// recorded are misses, and those it had no room for are unrecorded, so
+// the two grow by the compiles' own MemoMisses between them.
+func TestMemoCountsUnrecordedExplorations(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	m := NewMemo(40)
+	opts := ranaOpts()
+	opts.Memo = m
+	before, explored := m.Stats(), 0
+	for _, net := range models.Benchmarks() {
+		_, ns, err := ExploreNetworkContext(context.Background(), net, cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		explored += ns.MemoMisses
+	}
+	after := m.Stats()
+	misses, unrecorded := after.Misses-before.Misses, after.Unrecorded-before.Unrecorded
+	if misses == 0 || unrecorded == 0 {
+		t.Fatalf("memo stats %+v -> %+v: want both recorded and unrecorded explorations", before, after)
+	}
+	if misses+unrecorded != uint64(explored) {
+		t.Errorf("%d misses + %d unrecorded, but the compiles explored %d layers", misses, unrecorded, explored)
+	}
+}
+
 // TestMemoNilReceiverComputes: a nil memo is a plain compute call.
 func TestMemoNilReceiverComputes(t *testing.T) {
 	l, cfg, opts := memoFixture(t)
@@ -560,7 +587,9 @@ func TestMemoParametricAcrossIntervals(t *testing.T) {
 // TestMemoParametricRebuildRace races 8 GoogLeNet and ResNet compiles
 // through one shared memo at interleaved falling and rising intervals,
 // so rebuilds replace entries while other compiles query and wait on
-// them. Every plan must equal the memo-free plan at its interval.
+// them. Every plan must equal the memo-free plan at its interval, and
+// the memo must account for every layer the compiles explored, those
+// that met a rebuild in flight included.
 func TestMemoParametricRebuildRace(t *testing.T) {
 	cfg := hw.TestAcceleratorEDRAM()
 	ctx := context.Background()
@@ -579,6 +608,8 @@ func TestMemoParametricRebuildRace(t *testing.T) {
 	memo := NewMemo(0)
 	const compiles = 8
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	explored := 0
 	for c := 0; c < compiles; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -593,11 +624,14 @@ func TestMemoParametricRebuildRace(t *testing.T) {
 				}
 				o := base
 				o.RefreshInterval, o.Memo, o.Parallelism = intervals[k], memo, 2
-				p, _, err := ExploreNetworkContext(ctx, nets[n], cfg, o)
+				p, ns, err := ExploreNetworkContext(ctx, nets[n], cfg, o)
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				mu.Lock()
+				explored += ns.MemoMisses
+				mu.Unlock()
 				if wireBytes(t, p) != want[[2]int{n, k}] {
 					t.Errorf("%s at %v: shared-memo plan differs from the memo-free plan", nets[n].Name, intervals[k])
 				}
@@ -605,7 +639,11 @@ func TestMemoParametricRebuildRace(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	if st := memo.Stats(); st.Rebuilds == 0 {
+	st := memo.Stats()
+	if st.Rebuilds == 0 {
 		t.Errorf("no rebuild raced: %+v", st)
+	}
+	if st.Misses+st.Unrecorded != uint64(explored) {
+		t.Errorf("memo stats %+v account for %d explorations, the compiles made %d", st, st.Misses+st.Unrecorded, explored)
 	}
 }

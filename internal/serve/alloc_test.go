@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"net/http"
 	"runtime"
 	"testing"
 
@@ -9,14 +10,18 @@ import (
 )
 
 // TestRequestFrontEndAllocs gates the allocations of a request's front
-// half — resolving a decoded schedule request onto native types, the
-// degradation ladder and the canonical key — and of the compile and
-// evaluate keys. The ceilings are the counts the reflection-free path
-// measures (the reflective key and the per-request zoo rebuild cost
-// 163 and 187 for the two schedule requests, 11 per key); putting
-// either back trips them. What remains: the key's string, the work and
-// its closure, and option resolution (the pattern list, backend
-// resolution, and under rtc × all the axis-spec parses).
+// half — reading the body, resolving the decoded schedule request onto
+// native types, the degradation ladder and the canonical key — of the
+// compile and evaluate keys, and of counting a response's status. The
+// ceilings are the counts the reflection-free path measures (the
+// reflective key and the per-request zoo rebuild cost 163 and 187 for
+// the two schedule requests, 11 per key; encoding/json took 13 and 140
+// to decode the two bodies, and formatting a status label 2); putting
+// any back trips them. What remains of resolving: the key's string, the
+// work and its closure, and option resolution (the pattern list, backend
+// resolution, and under rtc × all the axis-spec parses). Of reading: the
+// reader, the request, one per pointer field and decoded string, and the
+// layer slice's seven doublings up to GoogLeNet's 57 layers.
 // testing.AllocsPerRun pins GOMAXPROCS to 1 and warms up once, so the
 // scratch pool is primed.
 func TestRequestFrontEndAllocs(t *testing.T) {
@@ -26,6 +31,8 @@ func TestRequestFrontEndAllocs(t *testing.T) {
 	s := New(Config{})
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
 	net, _ := models.ByName("GoogLeNet")
+	named, spelled := []byte(sweepBody), spelledRequest(net)
+	labels := newStatusLabels("schedule")
 	cases := []struct {
 		name string
 		max  float64
@@ -44,6 +51,19 @@ func TestRequestFrontEndAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"decode/named", 4, func() {
+			var req ScheduleRequest
+			if err := decodeRequest(named, &req, scheduleRequestFields); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"decode/spelled-GoogLeNet", 125, func() {
+			var req ScheduleRequest
+			if err := decodeRequest(spelled, &req, scheduleRequestFields); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"status", 0, func() { s.m.status(labels, http.StatusOK) }},
 		{"compileKey", 1, func() { compileKey(net, "") }},
 		{"evaluateKey", 1, func() { evaluateKey("RANA*(E-5)", net, "", "") }},
 	}

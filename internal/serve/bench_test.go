@@ -4,16 +4,16 @@ package serve
 // numbers is the whole point of running RANA compilation as a service.
 // A miss costs a full Fig. 13 exploration and the body's encoding. A
 // hit skips both but still pays the request's front half: the HTTP
-// round trip, strict decoding of the body, resolving it onto native
-// types, and hashing the canonical form of the resolved request (its
-// SHA-256 over every layer's shape) — then an LRU lookup and writing
-// the cached bytes. Named and spelled-out networks hash to the same
-// key, but a spelled-out one costs more to decode, so the hit benchmark
-// runs both.
+// round trip, reading the body through its field table, resolving it
+// onto native types, and hashing the canonical form of the resolved
+// request (its SHA-256 over every layer's shape) — then an LRU lookup
+// and writing the cached bytes. Named and spelled-out networks hash to
+// the same key, but a spelled-out one is a hundred times longer to read,
+// so the hit benchmark runs both, and BenchmarkDecodeRequest times the
+// reading alone against encoding/json.
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -69,19 +69,10 @@ func BenchmarkScheduleCacheHit(b *testing.B) {
 
 // BenchmarkScheduleCacheHitInline is BenchmarkScheduleCacheHit with
 // GoogLeNet spelled out layer by layer: the 57-layer body is what the
-// fleet's inline clients send, so decoding it and hashing the resolved
-// network dominate the hit.
+// fleet's inline clients send, so reading it and hashing the resolved
+// network cost more than for a named model.
 func BenchmarkScheduleCacheHitInline(b *testing.B) {
-	net := models.GoogLeNet()
-	spec := &NetworkSpec{Name: net.Name}
-	for _, l := range net.Layers {
-		spec.Layers = append(spec.Layers, LayerSpec{Name: l.Name, Stage: l.Stage,
-			N: l.N, H: l.H, L: l.L, M: l.M, K: l.K, S: l.S, P: l.P, Groups: l.Groups})
-	}
-	body, err := json.Marshal(ScheduleRequest{Network: spec})
-	if err != nil {
-		b.Fatal(err)
-	}
+	body := spelledRequest(models.GoogLeNet())
 	ts := benchServer(b, 256)
 	doScheduleBody(b, ts.URL, string(body)) // warm the cache
 	b.ReportAllocs()
@@ -99,5 +90,43 @@ func BenchmarkScheduleCacheMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		doSchedule(b, ts.URL)
+	}
+}
+
+// sweepBody is a retention-sweep request: a named model at a refresh
+// interval.
+const sweepBody = `{"model":"GoogLeNet","options":{"refresh_interval_ns":45000}}`
+
+// BenchmarkDecodeRequest reads a named and a spelled-out schedule body
+// with the field-table reader and with encoding/json, the decoder it
+// replaced, so one run shows the ratio.
+func BenchmarkDecodeRequest(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"named", []byte(sweepBody)},
+		{"spelled-GoogLeNet", spelledRequest(models.GoogLeNet())},
+	} {
+		b.Run(c.name+"/reader", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(c.body)))
+			for i := 0; i < b.N; i++ {
+				var req ScheduleRequest
+				if err := decodeRequest(c.body, &req, scheduleRequestFields); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/encoding-json", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(c.body)))
+			for i := 0; i < b.N; i++ {
+				var req ScheduleRequest
+				if _, err := decodeJSONRef(c.body, &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

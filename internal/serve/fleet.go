@@ -33,10 +33,7 @@ import (
 // locally, never re-forwarding.
 const ForwardedHeader = "X-Rana-Forwarded"
 
-// rawBodyKey carries the buffered request body through the handler
-// context so the router can forward it byte-for-byte; forwardedKey
-// carries the one-hop marker.
-type rawBodyKey struct{}
+// forwardedKey carries the one-hop marker through the handler context.
 type forwardedKey struct{}
 
 // routedCached is cachedMode behind the shard router: serve key from
@@ -108,9 +105,9 @@ func (s *Server) forward(ctx context.Context, owner shard.Node, path string, raw
 	}
 }
 
-// routeInputs unpacks what api() buffered for the router.
-func routeInputs(ctx context.Context) (raw []byte, forwarded bool) {
-	raw, _ = ctx.Value(rawBodyKey{}).([]byte)
-	forwarded, _ = ctx.Value(forwardedKey{}).(bool)
-	return raw, forwarded
+// forwarded reports whether api() marked the request as forwarded by a
+// ring peer.
+func forwarded(ctx context.Context) bool {
+	f, _ := ctx.Value(forwardedKey{}).(bool)
+	return f
 }

@@ -258,9 +258,9 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 	return w, nil
 }
 
-func (s *Server) handleSchedule(ctx context.Context, r *http.Request) (*response, error) {
+func (s *Server) handleSchedule(ctx context.Context, body []byte) (*response, error) {
 	var req ScheduleRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeRequest(body, &req, scheduleRequestFields); err != nil {
 		return nil, err
 	}
 	w, err := s.prepareSchedule(req)
@@ -272,8 +272,7 @@ func (s *Server) handleSchedule(ctx context.Context, r *http.Request) (*response
 		ctx, cancel = context.WithTimeout(ctx, w.deadline)
 		defer cancel()
 	}
-	raw, forwarded := routeInputs(ctx)
-	resp, err := s.routedCached(ctx, "/v1/schedule", raw, forwarded, w.key, false, w.compute)
+	resp, err := s.routedCached(ctx, "/v1/schedule", body, forwarded(ctx), w.key, false, w.compute)
 	if err == nil {
 		s.countLadder(w)
 	}
@@ -332,17 +331,16 @@ func (s *Server) prepareCompile(req CompileRequest) (*work, error) {
 	return w, nil
 }
 
-func (s *Server) handleCompile(ctx context.Context, r *http.Request) (*response, error) {
+func (s *Server) handleCompile(ctx context.Context, body []byte) (*response, error) {
 	var req CompileRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeRequest(body, &req, compileRequestFields); err != nil {
 		return nil, err
 	}
 	w, err := s.prepareCompile(req)
 	if err != nil {
 		return nil, err
 	}
-	raw, forwarded := routeInputs(ctx)
-	return s.routedCached(ctx, "/v1/compile", raw, forwarded, w.key, false, w.compute)
+	return s.routedCached(ctx, "/v1/compile", body, forwarded(ctx), w.key, false, w.compute)
 }
 
 // EnergyJSON is an energy breakdown on the wire (picojoules). Wear is
@@ -378,9 +376,9 @@ type EvaluateResponse struct {
 	Resilience *ResilienceJSON `json:"resilience,omitempty"`
 }
 
-func (s *Server) handleEvaluate(ctx context.Context, r *http.Request) (*response, error) {
+func (s *Server) handleEvaluate(ctx context.Context, body []byte) (*response, error) {
 	var req EvaluateRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeRequest(body, &req, evaluateRequestFields); err != nil {
 		return nil, err
 	}
 	d, err := resolveDesign(req.Design)
@@ -437,8 +435,7 @@ func (s *Server) handleEvaluate(ctx context.Context, r *http.Request) (*response
 		}
 	}
 	key := evaluateKey(d.Name, net, normalized, d.OperatingPoint)
-	raw, forwarded := routeInputs(ctx)
-	return s.routedCached(ctx, "/v1/evaluate", raw, forwarded, key, false, func(ctx context.Context) ([]byte, error) {
+	return s.routedCached(ctx, "/v1/evaluate", body, forwarded(ctx), key, false, func(ctx context.Context) ([]byte, error) {
 		res, err := p.EvaluateContext(ctx, d, net)
 		if err != nil {
 			return nil, wrapComputeErr(ctx, err)

@@ -28,6 +28,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"rana/internal/jsonenc"
 )
 
 // maxBatchEntries bounds one batch request; beyond it the request is
@@ -47,6 +49,18 @@ type BatchEntrySpec struct {
 // BatchRequest is the /v1/compile-batch request body.
 type BatchRequest struct {
 	Entries []BatchEntrySpec `json:"entries"`
+}
+
+var batchEntrySpecFields = jsonenc.Fields[BatchEntrySpec]{
+	{Name: "op", Read: func(r *jsonenc.Reader, e *BatchEntrySpec) { r.String(&e.Op) }},
+	{Name: "compile", Read: func(r *jsonenc.Reader, e *BatchEntrySpec) { jsonenc.Pointer(r, &e.Compile, compileRequestFields) }},
+	{Name: "schedule", Read: func(r *jsonenc.Reader, e *BatchEntrySpec) { jsonenc.Pointer(r, &e.Schedule, scheduleRequestFields) }},
+}
+
+var batchRequestFields = jsonenc.Fields[BatchRequest]{
+	{Name: "entries", Read: func(r *jsonenc.Reader, b *BatchRequest) {
+		jsonenc.Slice(r, &b.Entries, func(r *jsonenc.Reader, e *BatchEntrySpec) { jsonenc.Object(r, e, batchEntrySpecFields) })
+	}},
 }
 
 // BatchAccepted is the 202 response body.
@@ -176,9 +190,9 @@ func (t *jobTable) insert(entries []*jobEntry, cancel context.CancelFunc) (j *jo
 // handleCompileBatch validates and admits a batch, then runs it in the
 // background under the server's base context (the job outlives the
 // submitting request; Shutdown still cancels it).
-func (s *Server) handleCompileBatch(ctx context.Context, r *http.Request) (*response, error) {
+func (s *Server) handleCompileBatch(ctx context.Context, body []byte) (*response, error) {
 	var req BatchRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeRequest(body, &req, batchRequestFields); err != nil {
 		return nil, err
 	}
 	if len(req.Entries) == 0 {
@@ -209,11 +223,11 @@ func (s *Server) handleCompileBatch(ctx context.Context, r *http.Request) (*resp
 	}
 	s.m.JobsAccepted.Add(1)
 	go s.runJob(jctx, j)
-	body, err := marshalBody(BatchAccepted{ID: j.id, Status: "running", Total: len(entries)})
+	accepted, err := marshalBody(BatchAccepted{ID: j.id, Status: "running", Total: len(entries)})
 	if err != nil {
 		return nil, err
 	}
-	return &response{body: body, key: j.id, source: "job", status: http.StatusAccepted}, nil
+	return &response{body: accepted, key: j.id, source: "job", status: http.StatusAccepted}, nil
 }
 
 // prepareEntry resolves one batch entry onto the shared work form, and
@@ -337,24 +351,24 @@ func (s *Server) settleEntry(j *job, e *jobEntry, resp *response, err error) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	if id == "" || strings.Contains(id, "/") {
-		s.m.status("jobs", s.error(w, &apiError{status: http.StatusNotFound, msg: "no such job"}))
+		s.m.status(jobsLabels, s.error(w, &apiError{status: http.StatusNotFound, msg: "no such job"}))
 		return
 	}
 	j, ok := s.jobs.get(id)
 	if !ok {
-		s.m.status("jobs", s.error(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no such job %q", id)}))
+		s.m.status(jobsLabels, s.error(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no such job %q", id)}))
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
 		body, err := marshalBody(j.snapshot())
 		if err != nil {
-			s.m.status("jobs", s.error(w, err))
+			s.m.status(jobsLabels, s.error(w, err))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(body)
-		s.m.status("jobs", http.StatusOK)
+		s.m.status(jobsLabels, http.StatusOK)
 	case http.MethodDelete:
 		j.mu.Lock()
 		running := j.status == "running"
@@ -368,15 +382,15 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 		body, err := marshalBody(j.snapshot())
 		if err != nil {
-			s.m.status("jobs", s.error(w, err))
+			s.m.status(jobsLabels, s.error(w, err))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(body)
-		s.m.status("jobs", http.StatusOK)
+		s.m.status(jobsLabels, http.StatusOK)
 	default:
 		w.Header().Set("Allow", "GET, DELETE")
-		s.m.status("jobs", s.error(w, &apiError{status: http.StatusMethodNotAllowed, msg: "use GET or DELETE"}))
+		s.m.status(jobsLabels, s.error(w, &apiError{status: http.StatusMethodNotAllowed, msg: "use GET or DELETE"}))
 	}
 }
 

@@ -79,9 +79,26 @@ func (m *metrics) computed(workers int) {
 	m.Parallelism.Add(strconv.Itoa(workers), 1)
 }
 
-// status records one response's endpoint and status class.
-func (m *metrics) status(endpoint string, code int) {
-	m.Statuses.Add(fmt.Sprintf("%s_%dxx", endpoint, code/100), 1)
+// statusLabels are one endpoint's Statuses keys indexed by status
+// class, "schedule_4xx" at 4, built once where the endpoint is routed
+// so that counting a response formats nothing.
+type statusLabels [10]string
+
+func newStatusLabels(endpoint string) *statusLabels {
+	l := new(statusLabels)
+	for class := range l {
+		l[class] = endpoint + "_" + strconv.Itoa(class) + "xx"
+	}
+	return l
+}
+
+// jobsLabels are the /v1/jobs/{id} endpoint's labels.
+var jobsLabels = newStatusLabels("jobs")
+
+// status records one response's endpoint and status class. code is an
+// HTTP status, which net/http bounds to three digits.
+func (m *metrics) status(l *statusLabels, code int) {
+	m.Statuses.Add(l[code/100], 1)
 }
 
 // observe records one request latency.

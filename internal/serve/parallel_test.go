@@ -98,6 +98,11 @@ func TestMetricsExposeMemoAndParallelism(t *testing.T) {
 	if entries <= 0 || entries != misses {
 		t.Errorf("memo_entries = %v, want equal to the %v misses", raw["memo_entries"], misses)
 	}
+	// The default memo has room for every shape, so it records every
+	// exploration.
+	if unrecorded, ok := raw["memo_unrecorded"].(float64); !ok || unrecorded != 0 {
+		t.Errorf("memo_unrecorded = %v, want 0", raw["memo_unrecorded"])
+	}
 	// Both computations ran at the server default of 2 workers.
 	pm, _ := raw["parallelism"].(map[string]any)
 	if got, _ := pm["2"].(float64); got != 2 {

@@ -1,10 +1,14 @@
 package serve
 
-// Request types of the ranad HTTP API and their mapping onto the
-// framework's native types. Every request is validated strictly —
-// unknown fields are rejected, custom layer shapes go through
+// Request types of the ranad HTTP API, their field tables and their
+// mapping onto the framework's native types. A body is read without
+// reflection by jsonenc.Decode through its type's field table, which
+// lists each json tag name beside the reader of its field, and accepts
+// exactly what encoding/json with DisallowUnknownFields accepts, except
+// that any bytes after the document are rejected. Every request is then
+// validated strictly — custom layer shapes go through
 // models.Network.Validate, custom accelerators through
-// hw.Config.Validate — and then *resolved* into a normalized form: the
+// hw.Config.Validate — and *resolved* into a normalized form: the
 // native (Network, Config, Options) triple plus the canonical spec the
 // request hash is computed over. Two requests that mean the same thing
 // (a benchmark named by "model" vs. the same shapes spelled out layer by
@@ -12,9 +16,7 @@ package serve
 // cache key.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -22,6 +24,7 @@ import (
 
 	"rana/internal/energy"
 	"rana/internal/hw"
+	"rana/internal/jsonenc"
 	"rana/internal/memctrl"
 	"rana/internal/models"
 	"rana/internal/pattern"
@@ -178,6 +181,93 @@ type EvaluateRequest struct {
 	OperatingPoint string `json:"operating_point,omitempty"`
 }
 
+// The field tables: one per wire type, each member's json tag name
+// beside the reader of its field, in struct field order.
+// TestDecodeRoundTrip holds them to the tags, and the differential fuzz
+// to encoding/json.
+
+var layerSpecFields = jsonenc.Fields[LayerSpec]{
+	{Name: "name", Read: func(r *jsonenc.Reader, l *LayerSpec) { r.String(&l.Name) }},
+	{Name: "stage", Read: func(r *jsonenc.Reader, l *LayerSpec) { r.String(&l.Stage) }},
+	{Name: "n", Read: func(r *jsonenc.Reader, l *LayerSpec) { r.Int(&l.N) }},
+	{Name: "h", Read: func(r *jsonenc.Reader, l *LayerSpec) { r.Int(&l.H) }},
+	{Name: "l", Read: func(r *jsonenc.Reader, l *LayerSpec) { r.Int(&l.L) }},
+	{Name: "m", Read: func(r *jsonenc.Reader, l *LayerSpec) { r.Int(&l.M) }},
+	{Name: "k", Read: func(r *jsonenc.Reader, l *LayerSpec) { r.Int(&l.K) }},
+	{Name: "s", Read: func(r *jsonenc.Reader, l *LayerSpec) { r.Int(&l.S) }},
+	{Name: "p", Read: func(r *jsonenc.Reader, l *LayerSpec) { r.Int(&l.P) }},
+	{Name: "groups", Read: func(r *jsonenc.Reader, l *LayerSpec) { r.Int(&l.Groups) }},
+}
+
+var networkSpecFields = jsonenc.Fields[NetworkSpec]{
+	{Name: "name", Read: func(r *jsonenc.Reader, n *NetworkSpec) { r.String(&n.Name) }},
+	{Name: "layers", Read: func(r *jsonenc.Reader, n *NetworkSpec) {
+		jsonenc.Slice(r, &n.Layers, func(r *jsonenc.Reader, l *LayerSpec) { jsonenc.Object(r, l, layerSpecFields) })
+	}},
+}
+
+var configSpecFields = jsonenc.Fields[ConfigSpec]{
+	{Name: "name", Read: func(r *jsonenc.Reader, c *ConfigSpec) { r.String(&c.Name) }},
+	{Name: "array_m", Read: func(r *jsonenc.Reader, c *ConfigSpec) { r.Int(&c.ArrayM) }},
+	{Name: "array_n", Read: func(r *jsonenc.Reader, c *ConfigSpec) { r.Int(&c.ArrayN) }},
+	{Name: "mapping", Read: func(r *jsonenc.Reader, c *ConfigSpec) { r.String(&c.Mapping) }},
+	{Name: "frequency_hz", Read: func(r *jsonenc.Reader, c *ConfigSpec) { r.Float64(&c.FrequencyHz) }},
+	{Name: "local_input", Read: func(r *jsonenc.Reader, c *ConfigSpec) { r.Int(&c.LocalInput) }},
+	{Name: "local_output", Read: func(r *jsonenc.Reader, c *ConfigSpec) { r.Int(&c.LocalOutput) }},
+	{Name: "local_weight", Read: func(r *jsonenc.Reader, c *ConfigSpec) { r.Int(&c.LocalWeight) }},
+	{Name: "buffer_words", Read: func(r *jsonenc.Reader, c *ConfigSpec) { r.Uint64(&c.BufferWords) }},
+	{Name: "buffer_tech", Read: func(r *jsonenc.Reader, c *ConfigSpec) { r.String(&c.BufferTech) }},
+	{Name: "bank_words", Read: func(r *jsonenc.Reader, c *ConfigSpec) { r.Int(&c.BankWords) }},
+}
+
+var tilingSpecFields = jsonenc.Fields[TilingSpec]{
+	{Name: "tm", Read: func(r *jsonenc.Reader, t *TilingSpec) { r.Int(&t.Tm) }},
+	{Name: "tn", Read: func(r *jsonenc.Reader, t *TilingSpec) { r.Int(&t.Tn) }},
+	{Name: "tr", Read: func(r *jsonenc.Reader, t *TilingSpec) { r.Int(&t.Tr) }},
+	{Name: "tc", Read: func(r *jsonenc.Reader, t *TilingSpec) { r.Int(&t.Tc) }},
+}
+
+var optionsSpecFields = jsonenc.Fields[OptionsSpec]{
+	{Name: "patterns", Read: func(r *jsonenc.Reader, o *OptionsSpec) { jsonenc.Slice(r, &o.Patterns, (*jsonenc.Reader).String) }},
+	{Name: "refresh_interval_ns", Read: func(r *jsonenc.Reader, o *OptionsSpec) { r.Int64(&o.RefreshIntervalNS) }},
+	{Name: "controller", Read: func(r *jsonenc.Reader, o *OptionsSpec) { r.String(&o.Controller) }},
+	{Name: "natural_tiling", Read: func(r *jsonenc.Reader, o *OptionsSpec) { r.Bool(&o.NaturalTiling) }},
+	{Name: "retention_guard", Read: func(r *jsonenc.Reader, o *OptionsSpec) { r.Float64(&o.RetentionGuard) }},
+	{Name: "fixed_tiling", Read: func(r *jsonenc.Reader, o *OptionsSpec) { jsonenc.Pointer(r, &o.FixedTiling, tilingSpecFields) }},
+	{Name: "search", Read: func(r *jsonenc.Reader, o *OptionsSpec) { r.String(&o.Search) }},
+	{Name: "beam_width", Read: func(r *jsonenc.Reader, o *OptionsSpec) { r.Int(&o.BeamWidth) }},
+	{Name: "parallelism", Read: func(r *jsonenc.Reader, o *OptionsSpec) { r.Int(&o.Parallelism) }},
+	{Name: "backend", Read: func(r *jsonenc.Reader, o *OptionsSpec) { r.String(&o.Backend) }},
+	{Name: "operating_point", Read: func(r *jsonenc.Reader, o *OptionsSpec) { r.String(&o.OperatingPoint) }},
+	{Name: "error_budget", Read: func(r *jsonenc.Reader, o *OptionsSpec) { r.Float64(&o.ErrorBudget) }},
+	{Name: "traversal", Read: func(r *jsonenc.Reader, o *OptionsSpec) { r.String(&o.Traversal) }},
+	{Name: "mapping", Read: func(r *jsonenc.Reader, o *OptionsSpec) { r.String(&o.Mapping) }},
+}
+
+var scheduleRequestFields = jsonenc.Fields[ScheduleRequest]{
+	{Name: "model", Read: func(r *jsonenc.Reader, q *ScheduleRequest) { r.String(&q.Model) }},
+	{Name: "network", Read: func(r *jsonenc.Reader, q *ScheduleRequest) { jsonenc.Pointer(r, &q.Network, networkSpecFields) }},
+	{Name: "accelerator", Read: func(r *jsonenc.Reader, q *ScheduleRequest) { r.String(&q.Accelerator) }},
+	{Name: "config", Read: func(r *jsonenc.Reader, q *ScheduleRequest) { jsonenc.Pointer(r, &q.Config, configSpecFields) }},
+	{Name: "options", Read: func(r *jsonenc.Reader, q *ScheduleRequest) { jsonenc.Pointer(r, &q.Options, optionsSpecFields) }},
+	{Name: "deadline_ms", Read: func(r *jsonenc.Reader, q *ScheduleRequest) { r.Int64(&q.DeadlineMS) }},
+}
+
+var compileRequestFields = jsonenc.Fields[CompileRequest]{
+	{Name: "model", Read: func(r *jsonenc.Reader, q *CompileRequest) { r.String(&q.Model) }},
+	{Name: "network", Read: func(r *jsonenc.Reader, q *CompileRequest) { jsonenc.Pointer(r, &q.Network, networkSpecFields) }},
+	{Name: "search", Read: func(r *jsonenc.Reader, q *CompileRequest) { r.String(&q.Search) }},
+	{Name: "parallelism", Read: func(r *jsonenc.Reader, q *CompileRequest) { r.Int(&q.Parallelism) }},
+}
+
+var evaluateRequestFields = jsonenc.Fields[EvaluateRequest]{
+	{Name: "design", Read: func(r *jsonenc.Reader, q *EvaluateRequest) { r.String(&q.Design) }},
+	{Name: "model", Read: func(r *jsonenc.Reader, q *EvaluateRequest) { r.String(&q.Model) }},
+	{Name: "network", Read: func(r *jsonenc.Reader, q *EvaluateRequest) { jsonenc.Pointer(r, &q.Network, networkSpecFields) }},
+	{Name: "backend", Read: func(r *jsonenc.Reader, q *EvaluateRequest) { r.String(&q.Backend) }},
+	{Name: "operating_point", Read: func(r *jsonenc.Reader, q *EvaluateRequest) { r.String(&q.OperatingPoint) }},
+}
+
 // apiError is a client-visible request failure with an HTTP status.
 // retryAfter, when positive, becomes a Retry-After header — the
 // contract shed (429) and breaker-open (503) responses use to tell
@@ -194,17 +284,12 @@ func badRequest(format string, args ...any) *apiError {
 	return &apiError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// decodeJSON strictly parses a request body into dst.
-func decodeJSON(r *http.Request, dst any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+// decodeRequest strictly reads a request body into dst through its
+// field table. Anything after the document, even a stray '}', is a
+// malformed request, not traffic to silently ignore.
+func decodeRequest[T any](body []byte, dst *T, fields jsonenc.Fields[T]) error {
+	if err := jsonenc.Decode(body, dst, fields); err != nil {
 		return badRequest("invalid request body: %v", err)
-	}
-	// A second document in the body is a malformed request, not traffic
-	// to silently ignore.
-	if dec.More() {
-		return badRequest("invalid request body: trailing data")
 	}
 	return nil
 }

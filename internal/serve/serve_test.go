@@ -144,6 +144,8 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown model", "/v1/schedule", `{"model": "LeNet"}`, 400, "unknown model"},
 		{"unknown field", "/v1/schedule", `{"modle": "AlexNet"}`, 400, "invalid request body"},
 		{"trailing data", "/v1/schedule", `{"model": "AlexNet"}{"model": "VGG"}`, 400, "trailing data"},
+		{"trailing brace", "/v1/schedule", `{"model":"AlexNet"}}`, 400, "trailing data"},
+		{"trailing brackets", "/v1/schedule", `{"model":"AlexNet"} ]]]}}`, 400, "trailing data"},
 		{"bad layer", "/v1/schedule", `{"network": {"name": "x", "layers": [{"name": "l0", "n": -1, "h": 8, "l": 8, "m": 4, "k": 3, "s": 1}]}}`, 400, "invalid network"},
 		{"bad pattern", "/v1/schedule", `{"model": "AlexNet", "options": {"patterns": ["XX"]}}`, 400, "invalid pattern"},
 		{"bad controller", "/v1/schedule", `{"model": "AlexNet", "options": {"controller": "magic"}}`, 400, "invalid controller"},

@@ -18,7 +18,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -341,6 +340,7 @@ func New(cfg Config) *Server {
 		// advance inside computations, not on the request path.
 		vars.Set("memo_hits", expvar.Func(func() any { return s.memo.Stats().Hits }))
 		vars.Set("memo_misses", expvar.Func(func() any { return s.memo.Stats().Misses }))
+		vars.Set("memo_unrecorded", expvar.Func(func() any { return s.memo.Stats().Unrecorded }))
 		vars.Set("memo_entries", expvar.Func(func() any { return s.memo.Stats().Entries }))
 		vars.Set("memo_records", expvar.Func(func() any { return s.memo.Stats().Records }))
 	}
@@ -398,13 +398,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // api wraps an endpoint handler with the service middleware: method
-// gating, per-request timeout, panic isolation, metrics accounting and
-// logging.
-func (s *Server) api(name string, h func(ctx context.Context, r *http.Request) (*response, error)) http.Handler {
+// gating, body buffering, per-request timeout, panic isolation, metrics
+// accounting and logging. The handler reads the buffered body, which
+// the shard router also forwards byte-for-byte.
+func (s *Server) api(name string, h func(ctx context.Context, body []byte) (*response, error)) http.Handler {
+	labels := newStatusLabels(name)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			s.m.status(name, s.error(w, &apiError{status: http.StatusMethodNotAllowed, msg: "use POST"}))
+			s.m.status(labels, s.error(w, &apiError{status: http.StatusMethodNotAllowed, msg: "use POST"}))
 			return
 		}
 		start := time.Now()
@@ -413,22 +415,19 @@ func (s *Server) api(name string, h func(ctx context.Context, r *http.Request) (
 		defer s.m.InFlight.Add(-1)
 		defer func() { s.m.observe(time.Since(start)) }()
 
-		// Buffer the body so the shard router can forward the request
-		// byte-for-byte; handlers keep decoding from r.Body unchanged.
 		raw, rerr := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
 		if rerr != nil {
-			s.m.status(name, s.error(w, badRequest("reading request body: %v", rerr)))
+			s.m.status(labels, s.error(w, badRequest("reading request body: %v", rerr)))
 			return
 		}
 		if len(raw) > maxRequestBytes {
-			s.m.status(name, s.error(w, &apiError{
+			s.m.status(labels, s.error(w, &apiError{
 				status: http.StatusRequestEntityTooLarge,
 				msg:    fmt.Sprintf("request body exceeds %d bytes", maxRequestBytes),
 			}))
 			return
 		}
-		r.Body = io.NopCloser(bytes.NewReader(raw))
-		rctx := context.WithValue(r.Context(), rawBodyKey{}, raw)
+		rctx := r.Context()
 		if r.Header.Get(ForwardedHeader) != "" {
 			s.m.ForwardedServed.Add(1)
 			rctx = context.WithValue(rctx, forwardedKey{}, true)
@@ -436,10 +435,10 @@ func (s *Server) api(name string, h func(ctx context.Context, r *http.Request) (
 		ctx, cancel := context.WithTimeout(rctx, s.cfg.RequestTimeout)
 		defer cancel()
 
-		resp, err := s.guard(name, func() (*response, error) { return h(ctx, r) })
+		resp, err := s.guard(name, func() (*response, error) { return h(ctx, raw) })
 		if err != nil {
 			status := s.error(w, err)
-			s.m.status(name, status)
+			s.m.status(labels, status)
 			s.cfg.Logf("ranad: %s %s -> %d: %v (%v)", r.Method, r.URL.Path, status, err, time.Since(start))
 			return
 		}
@@ -452,7 +451,7 @@ func (s *Server) api(name string, h func(ctx context.Context, r *http.Request) (
 		w.Header().Set("X-Rana-Key", resp.key)
 		w.WriteHeader(status)
 		w.Write(resp.body)
-		s.m.status(name, status)
+		s.m.status(labels, status)
 		s.cfg.Logf("ranad: %s %s -> %d %s (%v)", r.Method, r.URL.Path, status, resp.source, time.Since(start))
 	})
 }
@@ -479,9 +478,10 @@ func (s *Server) guard(name string, h func() (*response, error)) (resp *response
 // catalog) with status accounting only: they must stay off the
 // admission path so they answer even when the pool is saturated.
 func (s *Server) counted(name string, h http.HandlerFunc) http.HandlerFunc {
+	labels := newStatusLabels(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		h(w, r)
-		s.m.status(name, http.StatusOK)
+		s.m.status(labels, http.StatusOK)
 	}
 }
 
