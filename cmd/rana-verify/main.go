@@ -381,8 +381,8 @@ func sweepFaults(stdout, stderr io.Writer, nets []models.Network, cfg hw.Config,
 }
 
 // sweepNodes runs the cross-node conformance oracle against live ranad
-// processes: every fleet node must answer each zoo schedule and compile
-// request byte-identically to the reference node.
+// processes: every fleet node must answer each zoo schedule, compile and
+// evaluate request byte-identically to the reference node.
 func sweepNodes(stdout, stderr io.Writer, nets []models.Network, reference string, nodes []string, verbose bool) int {
 	urls := make([]string, 0, len(nodes))
 	for _, n := range nodes {
@@ -397,17 +397,24 @@ func sweepNodes(stdout, stderr io.Writer, nets []models.Network, reference strin
 	ctx := context.Background()
 	cases, failures := 0, 0
 	for _, net := range nets {
-		body := []byte(fmt.Sprintf(`{"model": %q}`, net.Name))
-		for _, path := range []string{"/v1/schedule", "/v1/compile"} {
+		model := []byte(fmt.Sprintf(`{"model": %q}`, net.Name))
+		for _, rq := range []struct {
+			path string
+			body []byte
+		}{
+			{"/v1/schedule", model},
+			{"/v1/compile", model},
+			{"/v1/evaluate", []byte(fmt.Sprintf(`{"design": "RANA*(E-5)", "model": %q}`, net.Name))},
+		} {
 			cases++
-			r, err := verify.CompareNodes(ctx, nil, reference, urls, path, body)
+			r, err := verify.CompareNodes(ctx, nil, reference, urls, rq.path, rq.body)
 			if err != nil {
 				fmt.Fprintln(stderr, "rana-verify:", err)
 				return 1
 			}
 			if !r.OK() {
 				failures++
-				fmt.Fprintf(stdout, "FAIL %s %s\n%s\n", net.Name, path, indent(r.String()))
+				fmt.Fprintf(stdout, "FAIL %s %s\n%s\n", net.Name, rq.path, indent(r.String()))
 				continue
 			}
 			if verbose {

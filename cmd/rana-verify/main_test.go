@@ -104,7 +104,7 @@ func TestSweepMatrix(t *testing.T) {
 
 // TestNodesSweep runs the cross-node conformance sweep against a live
 // in-process fleet: a 2-shard ring plus a single-node reference, over
-// one zoo network's schedule and compile requests.
+// one zoo network's schedule, compile and evaluate requests.
 func TestNodesSweep(t *testing.T) {
 	startNode := func(cfg serve.Config) string {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -149,8 +149,10 @@ func TestNodesSweep(t *testing.T) {
 	if !strings.Contains(out.String(), "node cases ok") {
 		t.Errorf("missing success summary: %s", out.String())
 	}
-	if !strings.Contains(out.String(), "/v1/compile") {
-		t.Errorf("verbose output misses the compile sweep: %s", out.String())
+	for _, path := range []string{"/v1/compile", "/v1/evaluate"} {
+		if !strings.Contains(out.String(), path) {
+			t.Errorf("verbose output misses the %s sweep: %s", path, out.String())
+		}
 	}
 }
 

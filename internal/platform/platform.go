@@ -10,6 +10,7 @@ package platform
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -149,9 +150,22 @@ func Designs() []Design {
 	return []Design{SID(), EDID(), EDOD(), RANA0(), RANAE5(), RANAStarE5()}
 }
 
-// DesignByName returns the Table IV design with the given name, or false.
+// designTable is Designs built once, for DesignByName. Each entry's
+// Patterns is clipped to cap == len, so a holder of a returned design
+// that appends reallocates instead of writing into the shared array.
+var designTable = sync.OnceValue(func() []Design {
+	ds := Designs()
+	for i := range ds {
+		ds[i].Patterns = slices.Clip(ds[i].Patterns)
+	}
+	return ds
+})
+
+// DesignByName returns the Table IV design with the given name, or
+// false. The design's Patterns is shared with every other caller; treat
+// it as read-only.
 func DesignByName(name string) (Design, bool) {
-	for _, d := range Designs() {
+	for _, d := range designTable() {
 		if d.Name == name {
 			return d, true
 		}

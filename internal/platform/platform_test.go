@@ -2,6 +2,7 @@ package platform
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -49,6 +50,29 @@ func TestTableIVDesigns(t *testing.T) {
 	}
 	if _, ok := DesignByName("nope"); ok {
 		t.Error("DesignByName false positive")
+	}
+}
+
+// TestDesignByNameSharesReadOnlyTable: DesignByName answers from a
+// table built once, without allocating, and a caller appending to a
+// returned design's Patterns leaves the table as Designs builds it.
+func TestDesignByNameSharesReadOnlyTable(t *testing.T) {
+	for _, want := range Designs() {
+		d, ok := DesignByName(want.Name)
+		if !ok || !reflect.DeepEqual(d, want) {
+			t.Fatalf("DesignByName(%q) = %+v, %v; want %+v", want.Name, d, ok, want)
+		}
+		if cap(d.Patterns) != len(d.Patterns) {
+			t.Errorf("%s: Patterns cap %d, len %d", d.Name, cap(d.Patterns), len(d.Patterns))
+		}
+		grown := append(d.Patterns, pattern.ID)
+		grown[0] = pattern.ID
+		if again, _ := DesignByName(want.Name); !reflect.DeepEqual(again, want) {
+			t.Errorf("%s: an append through a returned design changed the table: %+v", want.Name, again)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { DesignByName("RANA*(E-5)") }); allocs != 0 {
+		t.Errorf("DesignByName: %.0f allocs/op, want 0", allocs)
 	}
 }
 

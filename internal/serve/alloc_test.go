@@ -10,18 +10,20 @@ import (
 )
 
 // TestRequestFrontEndAllocs gates the allocations of a request's front
-// half — reading the body, resolving the decoded schedule request onto
-// native types, the degradation ladder and the canonical key — of the
-// compile and evaluate keys, and of counting a response's status. The
-// ceilings are the counts the reflection-free path measures (the
-// reflective key and the per-request zoo rebuild cost 163 and 187 for
-// the two schedule requests, 11 per key; encoding/json took 13 and 140
-// to decode the two bodies, and formatting a status label 2); putting
-// any back trips them. What remains of resolving: the key's string, the
-// work and its closure, and option resolution (the pattern list, backend
-// resolution, and under rtc × all the axis-spec parses). Of reading: the
-// reader, the request, one per pointer field and decoded string, and the
-// layer slice's seven doublings up to GoogLeNet's 57 layers.
+// half — reading the body, resolving the decoded schedule or evaluate
+// request onto native types, the degradation ladder and the canonical
+// key — of the compile and evaluate keys, and of counting a response's
+// status. The ceilings are the counts the reflection-free path measures
+// (the reflective key and the per-request zoo rebuild cost 163 and 187
+// for the two schedule requests, 11 per key; rebuilding the evaluation
+// platform and the Table IV designs per request cost evaluate 17;
+// encoding/json took 13 and 140 to decode the two bodies, and
+// formatting a status label 2); putting any back trips them. What
+// remains of resolving: the key's string, the work and its closure, and
+// option resolution (the pattern list, backend resolution, and under
+// rtc × all the axis-spec parses). Of reading: the reader, the request,
+// one per pointer field and decoded string, and the layer slice's seven
+// doublings up to GoogLeNet's 57 layers.
 // testing.AllocsPerRun pins GOMAXPROCS to 1 and warms up once, so the
 // scratch pool is primed.
 func TestRequestFrontEndAllocs(t *testing.T) {
@@ -48,6 +50,11 @@ func TestRequestFrontEndAllocs(t *testing.T) {
 				RefreshIntervalNS: 45_000, Traversal: "rtc", Mapping: "all",
 			}}
 			if _, err := s.prepareSchedule(req); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"evaluate/default", 4, func() {
+			if _, err := s.prepareEvaluate(EvaluateRequest{Design: "RANA*(E-5)", Model: "GoogLeNet"}); err != nil {
 				t.Fatal(err)
 			}
 		}},

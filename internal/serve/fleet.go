@@ -1,7 +1,7 @@
 package serve
 
-// The shard-routing layer. With a Ring configured, every keyed
-// computation first asks who owns the key. A key owned by this node (or
+// The shard-routing layer. With a Ring configured, route (server.go)
+// asks who owns each key it misses locally. A key owned by this node (or
 // already satisfiable from the local cache tiers) is served locally;
 // anything else is forwarded to its owner byte-for-byte over
 // RetryClient, which preserves the overload contract — the owner's 429
@@ -21,7 +21,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -35,41 +34,6 @@ const ForwardedHeader = "X-Rana-Forwarded"
 
 // forwardedKey carries the one-hop marker through the handler context.
 type forwardedKey struct{}
-
-// routedCached is cachedMode behind the shard router: serve key from
-// the local cache tiers if possible, otherwise compute locally when
-// this node owns key (or no ring is configured, or the request already
-// took its one forwarding hop), otherwise forward to the owner. path
-// and raw are the endpoint and exact body to replay on the owner.
-func (s *Server) routedCached(ctx context.Context, path string, raw []byte, forwarded bool, key string, wait bool, compute func(ctx context.Context) ([]byte, error)) (*response, error) {
-	ring := s.cfg.Ring
-	if ring == nil {
-		return s.cachedMode(ctx, key, wait, compute)
-	}
-	owner := ring.Owner(key)
-	if owner.ID == s.self.ID || forwarded {
-		return s.cachedMode(ctx, key, wait, compute)
-	}
-	// Local tiers first: a previously forwarded (and locally remembered)
-	// plan needs no network hop.
-	if resp, ok := s.tiered(key); ok {
-		return resp, nil
-	}
-	resp, err := s.forward(ctx, owner, path, raw, key)
-	if err == nil {
-		return resp, nil
-	}
-	var ae *apiError
-	if errors.As(err, &ae) {
-		// The owner rejected the request deterministically; mirror it.
-		return nil, err
-	}
-	// The owner is unreachable or overloaded: degrade to local
-	// computation rather than failing the request.
-	s.m.ForwardFails.Add(1)
-	s.cfg.Logf("ranad: forward %s to %s (%s) failed: %v; computing locally", key, owner.ID, owner.URL, err)
-	return s.cachedMode(ctx, key, wait, compute)
-}
 
 // forward replays the request on the owner node. It returns (resp, nil)
 // on success, an *apiError to mirror when the owner answered with a

@@ -1,10 +1,14 @@
 package serve
 
-// Endpoint handlers. Each computing endpoint follows the same shape:
-// decode strictly, resolve onto native types (applying defaults), hash
-// the resolved form, then run the shared cache → singleflight → worker
-// pool path. Response bodies are marshaled once inside the computation
-// so every consumer of a key sees identical bytes.
+// Endpoint handlers. Every keyed request — /v1/schedule, /v1/compile,
+// /v1/evaluate and each /v1/compile-batch entry — runs one pipeline:
+// decode (keyed, or the batch handler) → prepare (prepareSchedule,
+// prepareCompile, prepareEvaluate: resolve onto native types, apply the
+// defaults and the ladder, key the resolved form) → route (cache tiers,
+// ring owner, breaker, singleflight, worker pool) → account (run: the
+// ladder rung a success was served on). Response bodies are marshaled
+// once inside the computation so every consumer of a key sees identical
+// bytes.
 
 import (
 	"bytes"
@@ -14,8 +18,10 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
+	"rana/internal/hw"
 	"rana/internal/jsonenc"
 	"rana/internal/mem"
 	"rana/internal/models"
@@ -100,13 +106,16 @@ func planFaulty(plan *sched.Plan) bool {
 	return false
 }
 
-// work is one prepared keyed computation: the canonical cache key, the
-// request's explicit deadline (0 = none), whether the degradation
-// ladder bottomed out, and the computation itself. The sync handlers
-// and the async batch entries share this form — a batch entry is
-// exactly a sync request minus the held HTTP connection, so preparing
-// both through one path keeps their bytes identical by construction.
+// work is one prepared keyed computation: the endpoint it mirrors
+// (where route replays the request when a ring peer owns the key), the
+// canonical cache key, the request's explicit deadline (0 = none), the
+// ladder rung it was prepared on, and the computation itself. The sync
+// handlers and the async batch entries share this form — a batch entry
+// is exactly a sync request minus the held HTTP connection, so
+// preparing and running both through one path keeps their bytes
+// identical by construction.
 type work struct {
+	path     string
 	key      string
 	deadline time.Duration
 	degraded bool
@@ -116,17 +125,69 @@ type work struct {
 	compute        func(ctx context.Context) ([]byte, error)
 }
 
-// countLadder records the ladder rung a successful response was served
-// on: either degraded rung counts degraded, and the error-budget rung
-// counts budget_rejections too. The sync handler and batch entries both
-// call it, so a rung counts the same on either path.
-func (s *Server) countLadder(w *work) {
+// keyed is the handler of a keyed endpoint: it decodes the body through
+// T's field table, prepares the request's work and runs it. The body
+// itself is what route replays on the key's ring owner.
+func keyed[T any](s *Server, fields jsonenc.Fields[T], prepare func(T) (*work, error)) func(context.Context, []byte) (*response, error) {
+	return func(ctx context.Context, body []byte) (*response, error) {
+		var req T
+		if err := decodeRequest(body, &req, fields); err != nil {
+			return nil, err
+		}
+		w, err := prepare(req)
+		if err != nil {
+			return nil, err
+		}
+		return s.run(ctx, w, body, false)
+	}
+}
+
+// run carries out prepared work for a sync handler and a batch entry
+// alike: it bounds ctx by the request's own deadline, routes the work
+// (raw is the body a ring owner is sent, wait selects blocking
+// admission), and counts the ladder rung a success was served on —
+// either degraded rung counts degraded, and the error-budget rung
+// counts budget_rejections too.
+func (s *Server) run(ctx context.Context, w *work, raw []byte, wait bool) (*response, error) {
+	if w.deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, w.deadline)
+		defer cancel()
+	}
+	resp, err := s.route(ctx, w, raw, wait)
+	if err != nil {
+		return nil, err
+	}
 	if w.degraded || w.budgetFallback {
 		s.m.Degraded.Add(1)
 	}
 	if w.budgetFallback {
 		s.m.BudgetRejections.Add(1)
 	}
+	return resp, nil
+}
+
+// admitLayers is Stage 1's per-layer error-budget admission of a
+// request on the approximate operating-point axis: it sets on opts the
+// budgets net's calibrated resilience curves give at
+// admissionConstraint and, when opts pins an operating point, resolves
+// that point against each layer's own budget. breach is the first
+// layer's refusal; schedule answers it with the nominal corner,
+// evaluate with a 400.
+func admitLayers(net models.Network, cfg hw.Config, opts *sched.Options) (breach, err error) {
+	opts.LayerBudgets, err = training.LayerTolerableRates(net.Name, layerNames(net), admissionConstraint, training.PaperRates)
+	if err != nil {
+		return nil, fmt.Errorf("serve: deriving layer budgets: %w", err)
+	}
+	if opts.OperatingPoint == "" {
+		return nil, nil
+	}
+	for _, l := range net.Layers {
+		if _, _, lerr := sched.ResolveBackendForLayer(cfg, *opts, l.Name); lerr != nil {
+			return lerr, nil
+		}
+	}
+	return nil, nil
 }
 
 // prepareSchedule resolves a ScheduleRequest into its work: validation,
@@ -162,7 +223,7 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 	// resolved options coincide with a full request's; the beam rung
 	// needs no such carve-out since the resolved strategy is already a
 	// cache-key component.
-	w := &work{}
+	w := &work{path: "/v1/schedule"}
 	if req.DeadlineMS > 0 {
 		w.deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 		pinned := req.Options != nil && req.Options.Search != ""
@@ -181,24 +242,18 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 	// requests resolve to nominal-only point sets and keep their exact
 	// options — and canonical cache keys — untouched.
 	if _, pts, rerr := sched.ResolveBackend(cfg, opts); rerr == nil && anyFaulty(pts) {
-		budgets, berr := training.LayerTolerableRates(net.Name, layerNames(net), admissionConstraint, training.PaperRates)
-		if berr != nil {
-			return nil, fmt.Errorf("serve: deriving layer budgets: %w", berr)
+		breach, err := admitLayers(net, cfg, &opts)
+		if err != nil {
+			return nil, err
 		}
-		opts.LayerBudgets = budgets
 		// The error-budget rung of the ladder: a pinned point that
 		// clears the uniform budget but breaks a layer's own budget is
 		// degraded to the backend's nominal corner, not failed — the
 		// client asked for a plan, and the safe corner is always
 		// admissible.
-		if opts.OperatingPoint != "" && !w.degraded {
-			for _, l := range net.Layers {
-				if _, _, lerr := sched.ResolveBackendForLayer(cfg, opts, l.Name); lerr != nil {
-					w.budgetFallback = true
-					opts.OperatingPoint = mem.Nominal
-					break
-				}
-			}
+		if breach != nil && !w.degraded {
+			w.budgetFallback = true
+			opts.OperatingPoint = mem.Nominal
 		}
 	}
 	// Parallelism and the shared memo ride along *outside* the cache key:
@@ -258,27 +313,6 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 	return w, nil
 }
 
-func (s *Server) handleSchedule(ctx context.Context, body []byte) (*response, error) {
-	var req ScheduleRequest
-	if err := decodeRequest(body, &req, scheduleRequestFields); err != nil {
-		return nil, err
-	}
-	w, err := s.prepareSchedule(req)
-	if err != nil {
-		return nil, err
-	}
-	if w.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, w.deadline)
-		defer cancel()
-	}
-	resp, err := s.routedCached(ctx, "/v1/schedule", body, forwarded(ctx), w.key, false, w.compute)
-	if err == nil {
-		s.countLadder(w)
-	}
-	return resp, err
-}
-
 // CompileResponse is the /v1/compile response body: the Stage 1
 // decision, the Stage 3 programming, the portable compilation artifact
 // (the `rana-sched -export` format) and the plan wire encoding.
@@ -308,7 +342,7 @@ func (s *Server) prepareCompile(req CompileRequest) (*work, error) {
 	if parallelism == 0 {
 		parallelism = s.cfg.Parallelism
 	}
-	w := &work{key: compileKey(net, strategy)}
+	w := &work{path: "/v1/compile", key: compileKey(net, strategy)}
 	w.compute = func(ctx context.Context) ([]byte, error) {
 		s.m.computed(search.EffectiveParallelism(parallelism))
 		out, err := s.compileFn(ctx, net, strategy, parallelism)
@@ -329,18 +363,6 @@ func (s *Server) prepareCompile(req CompileRequest) (*work, error) {
 		})
 	}
 	return w, nil
-}
-
-func (s *Server) handleCompile(ctx context.Context, body []byte) (*response, error) {
-	var req CompileRequest
-	if err := decodeRequest(body, &req, compileRequestFields); err != nil {
-		return nil, err
-	}
-	w, err := s.prepareCompile(req)
-	if err != nil {
-		return nil, err
-	}
-	return s.routedCached(ctx, "/v1/compile", body, forwarded(ctx), w.key, false, w.compute)
 }
 
 // EnergyJSON is an energy breakdown on the wire (picojoules). Wear is
@@ -376,11 +398,15 @@ type EvaluateResponse struct {
 	Resilience *ResilienceJSON `json:"resilience,omitempty"`
 }
 
-func (s *Server) handleEvaluate(ctx context.Context, body []byte) (*response, error) {
-	var req EvaluateRequest
-	if err := decodeRequest(body, &req, evaluateRequestFields); err != nil {
-		return nil, err
-	}
+// evalPlatform is the evaluation platform every evaluate request prices
+// on, built once: the retention distribution is read-only after
+// construction, so requests share it.
+var evalPlatform = sync.OnceValue(platform.Test)
+
+// prepareEvaluate resolves an EvaluateRequest into its work: one Table
+// IV design priced on one network, optionally through a non-default
+// memory backend.
+func (s *Server) prepareEvaluate(req EvaluateRequest) (*work, error) {
 	d, err := resolveDesign(req.Design)
 	if err != nil {
 		return nil, err
@@ -392,12 +418,11 @@ func (s *Server) handleEvaluate(ctx context.Context, body []byte) (*response, er
 	// The backend axis of the evaluation matrix. Resolution against the
 	// design's specialized configuration rejects unknown backends and
 	// over-budget points at admission.
-	p := platform.Test()
+	p := evalPlatform()
 	d = d.WithBackend(req.Backend, req.OperatingPoint)
 	cfg := d.Apply(p.Base)
-	_, pts, err := sched.ResolveBackend(cfg, sched.Options{
-		Backend: d.Backend, OperatingPoint: d.OperatingPoint,
-	})
+	gate := sched.Options{Backend: d.Backend, OperatingPoint: d.OperatingPoint}
+	_, pts, err := sched.ResolveBackend(cfg, gate)
 	if err != nil {
 		return nil, badRequest("invalid backend: %v", err)
 	}
@@ -412,30 +437,22 @@ func (s *Server) handleEvaluate(ctx context.Context, body []byte) (*response, er
 	// design names a fixed Table IV configuration.
 	var resilience *ResilienceJSON
 	if anyFaulty(pts) {
-		budgets, berr := training.LayerTolerableRates(net.Name, layerNames(net), admissionConstraint, training.PaperRates)
-		if berr != nil {
-			return nil, fmt.Errorf("serve: deriving layer budgets: %w", berr)
+		breach, err := admitLayers(net, cfg, &gate)
+		if err != nil {
+			return nil, err
 		}
-		if d.OperatingPoint != "" {
-			gate := sched.Options{
-				Backend: d.Backend, OperatingPoint: d.OperatingPoint,
-				LayerBudgets: budgets,
-			}
-			for _, l := range net.Layers {
-				if _, _, lerr := sched.ResolveBackendForLayer(cfg, gate, l.Name); lerr != nil {
-					s.m.BudgetRejections.Add(1)
-					return nil, badRequest("inadmissible operating point: %v", lerr)
-				}
-			}
+		if breach != nil {
+			s.m.BudgetRejections.Add(1)
+			return nil, badRequest("inadmissible operating point: %v", breach)
 		}
 		resilience = &ResilienceJSON{
 			ErrorBudget:  retention.TolerableFailureRate,
 			Constraint:   admissionConstraint,
-			LayerBudgets: budgets,
+			LayerBudgets: gate.LayerBudgets,
 		}
 	}
-	key := evaluateKey(d.Name, net, normalized, d.OperatingPoint)
-	return s.routedCached(ctx, "/v1/evaluate", body, forwarded(ctx), key, false, func(ctx context.Context) ([]byte, error) {
+	w := &work{path: "/v1/evaluate", key: evaluateKey(d.Name, net, normalized, d.OperatingPoint)}
+	w.compute = func(ctx context.Context) ([]byte, error) {
 		res, err := p.EvaluateContext(ctx, d, net)
 		if err != nil {
 			return nil, wrapComputeErr(ctx, err)
@@ -458,7 +475,8 @@ func (s *Server) handleEvaluate(ctx context.Context, body []byte) (*response, er
 			Plan:       sched.Encode(res.Plan),
 			Resilience: resilience,
 		})
-	})
+	}
+	return w, nil
 }
 
 // handleHealthz reports liveness; it never touches the worker pool, so

@@ -6,12 +6,13 @@ package serve
 // DELETE cancels. Whole-zoo compiles stop holding an HTTP connection
 // open per network.
 //
-// Entries go through exactly the machinery sync requests use —
-// prepareSchedule/prepareCompile, the shard router, the cache tiers,
-// the singleflight group, the bounded worker pool, the degradation
-// ladder, the chaos injector — so an entry's result bytes are
-// byte-identical to the equivalent sync response, and a failure in one
-// entry is reported on that entry instead of failing the batch.
+// Entries go through exactly the pipeline sync requests use —
+// prepareSchedule/prepareCompile, then run: the deadline, the shard
+// router, the cache tiers, the singleflight group, the bounded worker
+// pool, the chaos injector and the ladder accounting — so an entry's
+// result bytes are byte-identical to the equivalent sync response, and
+// a failure in one entry is reported on that entry instead of failing
+// the batch.
 //
 // The job table is bounded: beyond capacity the oldest finished job is
 // evicted to make room, and if every tracked job is still running the
@@ -95,8 +96,7 @@ type JobStatus struct {
 // jobEntry is one prepared batch entry awaiting or holding its result.
 type jobEntry struct {
 	op   string
-	path string // sync endpoint the entry mirrors (for forwarding)
-	raw  []byte // synthesized request body for forwarding
+	raw  []byte // synthesized request body for forwarding; nil without a ring
 	work *work
 
 	status string
@@ -230,8 +230,9 @@ func (s *Server) handleCompileBatch(ctx context.Context, body []byte) (*response
 	return &response{body: accepted, key: j.id, source: "job", status: http.StatusAccepted}, nil
 }
 
-// prepareEntry resolves one batch entry onto the shared work form, and
-// synthesizes the sync-request body the shard router would forward.
+// prepareEntry resolves one batch entry onto the shared work form and,
+// on a sharded server, synthesizes the sync-request body the shard
+// router would forward.
 func (s *Server) prepareEntry(spec BatchEntrySpec) (*jobEntry, error) {
 	op := spec.Op
 	if op == "" {
@@ -245,14 +246,12 @@ func (s *Server) prepareEntry(spec BatchEntrySpec) (*jobEntry, error) {
 		if spec.Compile == nil || spec.Schedule != nil {
 			return nil, fmt.Errorf(`op %q needs "compile" (and only it)`, op)
 		}
-		e.path = "/v1/compile"
 		reqBody = spec.Compile
 		e.work, err = s.prepareCompile(*spec.Compile)
 	case "schedule":
 		if spec.Schedule == nil || spec.Compile != nil {
 			return nil, fmt.Errorf(`op %q needs "schedule" (and only it)`, op)
 		}
-		e.path = "/v1/schedule"
 		reqBody = spec.Schedule
 		e.work, err = s.prepareSchedule(*spec.Schedule)
 	default:
@@ -261,8 +260,11 @@ func (s *Server) prepareEntry(spec BatchEntrySpec) (*jobEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.raw, err = json.Marshal(reqBody); err != nil {
-		return nil, fmt.Errorf("encoding entry for forwarding: %v", err)
+	// Only a forward to a ring peer reads the body.
+	if s.cfg.Ring != nil {
+		if e.raw, err = json.Marshal(reqBody); err != nil {
+			return nil, fmt.Errorf("encoding entry for forwarding: %v", err)
+		}
 	}
 	return e, nil
 }
@@ -306,22 +308,15 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	j.cancel()
 }
 
-// runJobEntry executes one entry through the shared routed/cached path.
+// runJobEntry executes one entry through run, the path sync requests
+// take, waiting for admission instead of shedding.
 func (s *Server) runJobEntry(ctx context.Context, j *job, e *jobEntry) {
 	j.mu.Lock()
 	e.status = "running"
 	j.mu.Unlock()
-	if e.work.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.work.deadline)
-		defer cancel()
-	}
 	resp, err := s.guard("job-entry", func() (*response, error) {
-		return s.routedCached(ctx, e.path, e.raw, false, e.work.key, true, e.work.compute)
+		return s.run(ctx, e.work, e.raw, true)
 	})
-	if err == nil {
-		s.countLadder(e.work)
-	}
 	s.settleEntry(j, e, resp, err)
 }
 

@@ -7,7 +7,10 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -15,6 +18,7 @@ import (
 	"time"
 
 	"rana/internal/serve/chaos"
+	"rana/internal/serve/shard"
 )
 
 // submitBatch posts a batch and returns the accepted job, failing the
@@ -288,6 +292,98 @@ func TestBatchDegradedScheduleEntry(t *testing.T) {
 				t.Errorf("budget_rejections = %d, want %d", got, tc.budgetRejections)
 			}
 		})
+	}
+}
+
+// TestBatchEntriesForwardToRingOwner: on a two-node ring, a batch of
+// the zoo's schedule and compile entries submitted to one node forwards
+// every entry whose key the peer owns, the peer computes exactly those
+// keys, and every entry's result is the single-node sync body. Only a
+// sharded node encodes an entry's body for forwarding.
+func TestBatchEntriesForwardToRingOwner(t *testing.T) {
+	ref, refTS := newTestServer(t, Config{})
+	ids := []string{"a", "b"}
+	lns := make([]net.Listener, len(ids))
+	nodes := make([]shard.Node, len(ids))
+	for i := range ids {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln
+		nodes[i] = shard.Node{ID: ids[i], URL: "http://" + ln.Addr().String()}
+	}
+	servers := make([]*Server, len(ids))
+	for i := range ids {
+		ring, err := shard.New(nodes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[i] = New(Config{Ring: ring, ShardID: ids[i]})
+		go servers[i].Serve(lns[i])
+		t.Cleanup(func() { servers[i].Shutdown(context.Background()) })
+	}
+	submitter, peer := servers[0], servers[1]
+
+	reqs := zooRequests()
+	entries := make([]string, len(reqs))
+	for i, rq := range reqs {
+		op := strings.TrimPrefix(rq.path, "/v1/")
+		entries[i] = fmt.Sprintf(`{"op": %q, %q: %s}`, op, op, rq.body)
+	}
+	spec := BatchEntrySpec{Op: "schedule", Schedule: &ScheduleRequest{Model: "AlexNet"}}
+	for _, c := range []struct {
+		s       *Server
+		wantRaw bool
+	}{{ref, false}, {submitter, true}} {
+		if e, err := c.s.prepareEntry(spec); err != nil || (e.raw != nil) != c.wantRaw {
+			t.Fatalf("prepareEntry on a sharded=%v node: raw %q, err %v", c.wantRaw, e.raw, err)
+		}
+	}
+
+	acc := submitBatch(t, nodes[0].URL, `{"entries": [`+strings.Join(entries, ",")+`]}`)
+	js := pollJob(t, nodes[0].URL, acc.ID)
+	if js.Status != "done" || js.Finished != len(reqs) {
+		t.Fatalf("job = %q with %d finished, want done/%d", js.Status, js.Finished, len(reqs))
+	}
+	owned := 0 // entries whose key the peer owns
+	for i, e := range js.Entries {
+		if e.Status != "ok" {
+			t.Fatalf("entry %d: status %q (%s)", i, e.Status, e.Error)
+		}
+		resp := post(t, refTS.URL+reqs[i].path, reqs[i].body)
+		want := readBody(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("reference %s %s: status %d", reqs[i].path, reqs[i].body, resp.StatusCode)
+		}
+		if !bytes.Equal(e.Result, bytes.TrimSuffix(want, []byte("\n"))) {
+			t.Errorf("entry %d (%s %s): result differs from the single-node sync body", i, reqs[i].path, reqs[i].body)
+		}
+		wantSource := "miss"
+		if submitter.cfg.Ring.Owner(e.Key).ID == peer.self.ID {
+			owned++
+			wantSource = "forward"
+			if _, ok := peer.cache.Get(e.Key); !ok {
+				t.Errorf("entry %d: the peer owns %s but never computed it", i, e.Key)
+			}
+		}
+		if e.Source != wantSource {
+			t.Errorf("entry %d: source %q, want %q", i, e.Source, wantSource)
+		}
+	}
+	t.Logf("the peer owns %d of the zoo's %d keys", owned, len(reqs))
+	if owned == 0 || owned == len(reqs) {
+		t.Fatalf("the peer owns %d of %d keys; the ring must split the zoo for this test", owned, len(reqs))
+	}
+	sub, pm := metricsSnapshot(t, nodes[0].URL), metricsSnapshot(t, nodes[1].URL)
+	if sub["forwards"] < 1 || sub["forwards"] != float64(owned) || sub["forward_fails"] != 0 {
+		t.Errorf("submitter forwards = %v (fails %v), want %d", sub["forwards"], sub["forward_fails"], owned)
+	}
+	if sub["cache_misses"] != float64(len(reqs)-owned) {
+		t.Errorf("submitter cache_misses = %v, want the %d keys it owns", sub["cache_misses"], len(reqs)-owned)
+	}
+	if pm["cache_misses"] != float64(owned) || pm["forwarded_served"] != float64(owned) {
+		t.Errorf("peer cache_misses = %v, forwarded_served = %v, want %d each", pm["cache_misses"], pm["forwarded_served"], owned)
 	}
 }
 

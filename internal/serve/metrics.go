@@ -8,7 +8,6 @@ package serve
 
 import (
 	"expvar"
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -166,9 +165,4 @@ func (m *metrics) expvarMap() *expvar.Map {
 		return float64(p95) / float64(time.Millisecond)
 	}))
 	return em
-}
-
-// String renders the expvar JSON document.
-func (m *metrics) String() string {
-	return fmt.Sprint(m.expvarMap())
 }

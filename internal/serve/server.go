@@ -360,9 +360,9 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.counted("healthz", s.handleHealthz))
 	mux.HandleFunc("/metrics", s.counted("metrics", s.handleMetrics))
-	mux.Handle("/v1/schedule", s.api("schedule", s.handleSchedule))
-	mux.Handle("/v1/compile", s.api("compile", s.handleCompile))
-	mux.Handle("/v1/evaluate", s.api("evaluate", s.handleEvaluate))
+	mux.Handle("/v1/schedule", s.api("schedule", keyed(s, scheduleRequestFields, s.prepareSchedule)))
+	mux.Handle("/v1/compile", s.api("compile", keyed(s, compileRequestFields, s.prepareCompile)))
+	mux.Handle("/v1/evaluate", s.api("evaluate", keyed(s, evaluateRequestFields, s.prepareEvaluate)))
 	mux.HandleFunc("/v1/catalog", s.counted("catalog", s.handleCatalog))
 	if s.jobs != nil {
 		mux.Handle("/v1/compile-batch", s.api("compile_batch", s.handleCompileBatch))
@@ -561,17 +561,34 @@ func (s *Server) tiered(key string) (*response, bool) {
 	return nil, false
 }
 
-// cachedMode runs the cache → store → singleflight → worker-pool path
-// shared by every computing endpoint: return the cached body for key if
-// present, otherwise join or start the single computation for key,
-// bounded by the worker pool, and cache its result. Synchronous
-// requests shed immediately when the queue is full (wait=false, the
-// 429 + Retry-After contract), while async batch entries wait for a
-// token (wait=true — a job holding no HTTP connection has nowhere to
-// bounce a 429 to, and the job table already bounds outstanding work).
-func (s *Server) cachedMode(ctx context.Context, key string, wait bool, compute func(ctx context.Context) ([]byte, error)) (*response, error) {
+// route answers w: from the local cache tiers; else, when a ring names
+// another node as the key's owner and the request has not already taken
+// its one forwarding hop (the marker api puts on ctx), by replaying raw
+// on the owner at w.path; else — no ring, this node owns the key, or
+// the owner is unreachable or overloaded — by joining or starting the
+// key's single computation behind the breaker, bounded by the worker
+// pool, and caching its result. Synchronous requests shed immediately
+// when the queue is full (wait=false, the 429 + Retry-After contract),
+// while async batch entries wait for a token (wait=true — a job holding
+// no HTTP connection has nowhere to bounce a 429 to, and the job table
+// already bounds outstanding work).
+func (s *Server) route(ctx context.Context, w *work, raw []byte, wait bool) (*response, error) {
+	key := w.key
 	if resp, ok := s.tiered(key); ok {
 		return resp, nil
+	}
+	if ring := s.cfg.Ring; ring != nil && !forwarded(ctx) {
+		if owner := ring.Owner(key); owner.ID != s.self.ID {
+			resp, err := s.forward(ctx, owner, w.path, raw, key)
+			var ae *apiError
+			if err == nil || errors.As(err, &ae) {
+				// The owner's bytes, or its deterministic rejection to mirror.
+				return resp, err
+			}
+			// Forwarding failure is never request failure: compute locally.
+			s.m.ForwardFails.Add(1)
+			s.cfg.Logf("ranad: forward %s to %s (%s) failed: %v; computing locally", key, owner.ID, owner.URL, err)
+		}
 	}
 	if wait, ok := s.breaker.allow(key); !ok {
 		s.m.BreakerFastFails.Add(1)
@@ -604,7 +621,7 @@ func (s *Server) cachedMode(ctx context.Context, key string, wait bool, compute 
 				return nil, err
 			}
 		}
-		body, err := compute(fctx)
+		body, err := w.compute(fctx)
 		if err == nil {
 			s.remember(key, body)
 		}
@@ -613,16 +630,12 @@ func (s *Server) cachedMode(ctx context.Context, key string, wait bool, compute 
 	if err != nil {
 		return nil, err
 	}
-	source := "miss"
 	if shared {
 		s.m.Deduped.Add(1)
-	} else {
-		s.m.CacheMisses.Add(1)
+		return &response{body: body, key: key, source: "dedup"}, nil
 	}
-	if shared {
-		source = "dedup"
-	}
-	return &response{body: body, key: key, source: source}, nil
+	s.m.CacheMisses.Add(1)
+	return &response{body: body, key: key, source: "miss"}, nil
 }
 
 // remember records a proven-good response body in both cache tiers.
