@@ -160,6 +160,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(stderr, format+"\n", args...)
 	}
+	// A nil Logf is the server's "logging off": it then formats no
+	// per-request line at all.
+	var serverLogf func(string, ...any)
+	if !*quiet {
+		serverLogf = logf
+	}
 	srv := serve.New(serve.Config{
 		Addr:             *addr,
 		Workers:          *workers,
@@ -179,11 +185,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		ShardID:          *shardID,
 		JobCapacity:      *jobCap,
 		AllowedBackends:  allowedBackends,
-		Logf: func(format string, args ...any) {
-			if !*quiet {
-				logf(format, args...)
-			}
-		},
+		Logf:             serverLogf,
 	})
 
 	// Signals are registered before the address is announced so no

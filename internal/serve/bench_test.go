@@ -3,14 +3,18 @@ package serve
 // Cache hit vs. miss benchmarks: the difference between these two
 // numbers is the whole point of running RANA compilation as a service.
 // A miss costs a full Fig. 13 exploration and the body's encoding. A
-// hit skips both but still pays the request's front half: the HTTP
-// round trip, reading the body through its field table, resolving it
-// onto native types, and hashing the canonical form of the resolved
-// request (its SHA-256 over every layer's shape) — then an LRU lookup
-// and writing the cached bytes. Named and spelled-out networks hash to
-// the same key, but a spelled-out one is a hundred times longer to read,
-// so the hit benchmark runs both, and BenchmarkDecodeRequest times the
-// reading alone against encoding/json.
+// hit on a body the cache has answered before — every post after the
+// second of the one body the hit benchmarks repeat — costs the HTTP
+// round trip, reading the body into one buffer, a SHA-256 over it, a
+// probe of the body index and writing the cached bytes, 4 allocations
+// on the server whatever the body's length. A hit on a body not yet
+// indexed (a new spelling of a cached key) still pays the request's
+// front half: reading the body through its field table, resolving it
+// onto native types and hashing the canonical form of the resolved
+// request (its SHA-256 over every layer's shape) before the LRU lookup.
+// A spelled-out network is a hundred times longer to read than a named
+// one, so the hit benchmarks run both, and BenchmarkDecodeRequest times
+// the reading alone against encoding/json.
 
 import (
 	"context"

@@ -9,12 +9,18 @@ package serve
 // the race tests assert and clients may rely on (e.g. for their own
 // content-addressed stores).
 //
+// The LRU has a second index, from the digest of a raw request body to
+// the entry that body resolved to, so a body repeated byte for byte is
+// answered without being read, resolved or keyed again. An entry holds
+// at most maxAliases of them, and they leave the index with it.
+//
 // Both structures are stdlib-only: container/list for the LRU,
 // sync.Cond-free channel signaling for the flight group.
 
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -22,21 +28,54 @@ import (
 
 // lru is a mutex-guarded bounded LRU map of response bodies.
 type lru struct {
-	mu    sync.Mutex
-	max   int
-	order *list.List // front = most recently used; values are *lruEntry
-	items map[string]*list.Element
+	mu     sync.Mutex
+	max    int
+	order  *list.List // front = most recently used; values are *lruEntry
+	items  map[string]*list.Element
+	bodies map[bodyDigest]bodyAlias // the body index
 }
 
 type lruEntry struct {
 	key  string
 	body []byte
+	// aliases are the body digests that name this entry, oldest first:
+	// at most maxAliases, nil until the first is attached.
+	aliases []bodyDigest
+}
+
+// bodyDigest is the body index's key: SHA-256 over an endpoint tag and
+// a raw request body (digestBody).
+type bodyDigest [sha256.Size]byte
+
+// bodyAlias is one body's index entry: the cache entry it resolved to
+// and the ladder rung it was served on, which a repeat is counted under.
+type bodyAlias struct {
+	el   *list.Element
+	rung rung
+}
+
+// maxAliases bounds the bodies one entry is reachable by: the spellings
+// a fleet actually repeats (a named and a spelled-out network, a
+// client's field order) fit, and a client respelling one key without
+// end holds no more than this.
+const maxAliases = 4
+
+// digestBody is the body index's key of body posted to the endpoint
+// tagged tag: SHA-256 over the tag, a NUL and the body, so one body
+// posted to two endpoints names two entries.
+func digestBody(tag string, body []byte) bodyDigest {
+	bp := getScratch()
+	b := append(append(append((*bp)[:0], tag...), 0), body...)
+	d := bodyDigest(sha256.Sum256(b))
+	putScratch(bp, b)
+	return d
 }
 
 // newLRU returns an LRU holding up to max entries (max <= 0 disables
 // caching entirely).
 func newLRU(max int) *lru {
-	return &lru{max: max, order: list.New(), items: make(map[string]*list.Element)}
+	return &lru{max: max, order: list.New(), items: make(map[string]*list.Element),
+		bodies: make(map[bodyDigest]bodyAlias)}
 }
 
 // Get returns the cached body and promotes the entry.
@@ -51,8 +90,45 @@ func (c *lru) Get(key string) ([]byte, bool) {
 	return el.Value.(*lruEntry).body, true
 }
 
+// GetBody is Get by body digest: the key and bytes of the entry d names,
+// promoted, and the rung the body was served on.
+func (c *lru) GetBody(d bodyDigest) (key string, body []byte, r rung, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	a, ok := c.bodies[d]
+	if !ok {
+		return "", nil, 0, false
+	}
+	c.order.MoveToFront(a.el)
+	e := a.el.Value.(*lruEntry)
+	return e.key, e.body, a.rung, true
+}
+
+// Alias indexes body digest d under key's entry, served on rung r, if
+// the entry is cached and d names no entry yet. Beyond maxAliases the
+// entry's oldest alias leaves the index.
+func (c *lru) Alias(d bodyDigest, key string, r rung) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	if _, ok := c.bodies[d]; ok {
+		return
+	}
+	e := el.Value.(*lruEntry)
+	if len(e.aliases) == maxAliases {
+		delete(c.bodies, e.aliases[0])
+		e.aliases = append(e.aliases[:0], e.aliases[1:]...)
+	}
+	e.aliases = append(e.aliases, d)
+	c.bodies[d] = bodyAlias{el: el, rung: r}
+}
+
 // Add inserts or refreshes an entry, evicting the least recently used
-// entry beyond capacity.
+// entry beyond capacity. A refreshed entry keeps its aliases: its key,
+// and so the bytes it names, is unchanged.
 func (c *lru) Add(key string, body []byte) {
 	if c.max <= 0 {
 		return
@@ -66,9 +142,7 @@ func (c *lru) Add(key string, body []byte) {
 	}
 	c.items[key] = c.order.PushFront(&lruEntry{key: key, body: body})
 	for c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
+		c.unlink(c.order.Back())
 	}
 }
 
@@ -80,12 +154,19 @@ func (c *lru) Remove(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
-	if !ok {
-		return false
+	if ok {
+		c.unlink(el)
 	}
-	c.order.Remove(el)
-	delete(c.items, key)
-	return true
+	return ok
+}
+
+// unlink drops el and every body alias naming it. c.mu is held.
+func (c *lru) unlink(el *list.Element) {
+	e := c.order.Remove(el).(*lruEntry)
+	delete(c.items, e.key)
+	for _, d := range e.aliases {
+		delete(c.bodies, d)
+	}
 }
 
 // Len returns the number of cached entries.

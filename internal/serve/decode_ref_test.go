@@ -39,16 +39,21 @@ func decodeJSONRef(body []byte, dst any) (end int64, err error) {
 // spelledRequest is a /v1/schedule body naming no model: net's layers
 // spelled out, as a client outside the zoo sends them.
 func spelledRequest(net models.Network) []byte {
+	body, err := json.Marshal(ScheduleRequest{Network: spelledNetwork(net)})
+	if err != nil {
+		panic(err) // strings and ints always marshal
+	}
+	return body
+}
+
+// spelledNetwork is net on the wire, layer by layer.
+func spelledNetwork(net models.Network) *NetworkSpec {
 	spec := &NetworkSpec{Name: net.Name}
 	for _, l := range net.Layers {
 		spec.Layers = append(spec.Layers, LayerSpec{Name: l.Name, Stage: l.Stage,
 			N: l.N, H: l.H, L: l.L, M: l.M, K: l.K, S: l.S, P: l.P, Groups: l.Groups})
 	}
-	body, err := json.Marshal(ScheduleRequest{Network: spec})
-	if err != nil {
-		panic(err) // strings and ints always marshal
-	}
-	return body
+	return spec
 }
 
 // populatedRequests returns a value of every request type with every

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"reflect"
 	"strconv"
@@ -149,30 +150,37 @@ func TestHostileBodiesAlwaysClientError(t *testing.T) {
 		strings.Repeat(`{"name": "l", "n": 1, "h": 8, "l": 8, "m": 1, "k": 1, "s": 1},`, maxCustomLayers) +
 		`{"name": "l", "n": 1, "h": 8, "l": 8, "m": 1, "k": 1, "s": 1}]}}`
 
-	// status, when set, is the exact 4xx the case must get.
+	// status, when set, is the exact 4xx the case must get. A chunked
+	// body hides its length, so the server reads it without one.
 	cases := []struct {
 		name, body string
 		status     int
+		chunked    bool
 	}{
-		{"empty body", ``, 0},
-		{"not json", `this is not json`, 0},
-		{"truncated", `{"network": {"name": "x", "lay`, 0},
-		{"null", `null` /* decodes to a zero request; rejected by resolve */, 0},
-		{"array", `[1,2,3]`, 0},
-		{"wrong type", `{"model": {"nested": true}}`, 0},
-		{"deep nesting", strings.Repeat(`{"network":`, 5000) + `1` + strings.Repeat(`}`, 5000), 0},
+		{"empty body", ``, 0, false},
+		{"not json", `this is not json`, 0, false},
+		{"truncated", `{"network": {"name": "x", "lay`, 0, false},
+		{"null", `null` /* decodes to a zero request; rejected by resolve */, 0, false},
+		{"array", `[1,2,3]`, 0, false},
+		{"wrong type", `{"model": {"nested": true}}`, 0, false},
+		{"deep nesting", strings.Repeat(`{"network":`, 5000) + `1` + strings.Repeat(`}`, 5000), 0, false},
 		// Well-formed but over the limit: refused as too large, not as
 		// the truncated JSON the decoder would see.
-		{"oversized", oversized, http.StatusRequestEntityTooLarge},
-		{"too many layers", manyLayers, 0},
-		{"negative deadline", `{"model": "AlexNet", "deadline_ms": -5}`, 0},
-		{"huge ints", `{"network": {"name": "x", "layers": [{"name": "l", "n": 999999999999999999999999, "h": 8, "l": 8, "m": 1, "k": 1, "s": 1}]}}`, 0},
+		{"oversized", oversized, http.StatusRequestEntityTooLarge, false},
+		{"oversized, chunked", oversized, http.StatusRequestEntityTooLarge, true},
+		{"too many layers", manyLayers, 0, false},
+		{"negative deadline", `{"model": "AlexNet", "deadline_ms": -5}`, 0, false},
+		{"huge ints", `{"network": {"name": "x", "layers": [{"name": "l", "n": 999999999999999999999999, "h": 8, "l": 8, "m": 1, "k": 1, "s": 1}]}}`, 0, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			done := make(chan *http.Response, 1)
 			go func() {
-				resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", strings.NewReader(tc.body))
+				var body io.Reader = strings.NewReader(tc.body)
+				if tc.chunked {
+					body = io.MultiReader(body)
+				}
+				resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", body)
 				if err != nil {
 					t.Error(err)
 					done <- nil

@@ -6,9 +6,11 @@ package serve
 // prepareCompile, prepareEvaluate: resolve onto native types, apply the
 // defaults and the ladder, key the resolved form) → route (cache tiers,
 // ring owner, breaker, singleflight, worker pool) → account (run: the
-// ladder rung a success was served on). Response bodies are marshaled
-// once inside the computation so every consumer of a key sees identical
-// bytes.
+// ladder rung a success was served on). A sync request first probes the
+// plan cache's body index (keyed): a body served from the cache before
+// skips the pipeline and is accounted as the hit it would have been.
+// Response bodies are marshaled once inside the computation so every
+// consumer of a key sees identical bytes.
 
 import (
 	"bytes"
@@ -106,6 +108,18 @@ func planFaulty(plan *sched.Plan) bool {
 	return false
 }
 
+// rung is the degradation-ladder rung a schedule request is served on,
+// where the rung changes the body and the counters. The beam rung does
+// neither: it only changes the search strategy, which the key already
+// holds, so it is served as rungFull.
+type rung uint8
+
+const (
+	rungFull           rung = iota // the search the request resolved to
+	rungDegraded                   // the deadline is below DegradeBudget: the uniform fallback
+	rungBudgetFallback             // a pinned point broke a per-layer error budget: the nominal corner
+)
+
 // work is one prepared keyed computation: the endpoint it mirrors
 // (where route replays the request when a ring peer owns the key), the
 // canonical cache key, the request's explicit deadline (0 = none), the
@@ -118,18 +132,28 @@ type work struct {
 	path     string
 	key      string
 	deadline time.Duration
-	degraded bool
-	// budgetFallback marks the error-budget rung: a pinned point broke a
-	// per-layer budget and the nominal corner was substituted.
-	budgetFallback bool
-	compute        func(ctx context.Context) ([]byte, error)
+	rung     rung
+	compute  func(ctx context.Context) ([]byte, error)
 }
 
-// keyed is the handler of a keyed endpoint: it decodes the body through
-// T's field table, prepares the request's work and runs it. The body
+// keyed is the handler of the keyed endpoint tagged tag. It first
+// probes the plan cache's body index with the body's digest: a body the
+// cache has served before is answered from the entry it resolved to,
+// with no decode, no prepare, no key and no timer, and counted as the
+// decoded hit it would have been. Otherwise it decodes the body through
+// T's field table, prepares the request's work and runs it under the
+// request timeout; when the local cache tiers served it, the body is
+// indexed under its key, so its next repeat is a body hit. The body
 // itself is what route replays on the key's ring owner.
-func keyed[T any](s *Server, fields jsonenc.Fields[T], prepare func(T) (*work, error)) func(context.Context, []byte) (*response, error) {
+func keyed[T any](s *Server, tag string, fields jsonenc.Fields[T], prepare func(T) (*work, error)) func(context.Context, []byte) (*response, error) {
 	return func(ctx context.Context, body []byte) (*response, error) {
+		d := digestBody(tag, body)
+		if key, cached, r, ok := s.cache.GetBody(d); ok {
+			s.m.CacheHits.Add(1)
+			s.m.CacheBodyHits.Add(1)
+			s.m.served(r)
+			return &response{body: cached, key: key, source: "hit"}, nil
+		}
 		var req T
 		if err := decodeRequest(body, &req, fields); err != nil {
 			return nil, err
@@ -138,16 +162,20 @@ func keyed[T any](s *Server, fields jsonenc.Fields[T], prepare func(T) (*work, e
 		if err != nil {
 			return nil, err
 		}
-		return s.run(ctx, w, body, false)
+		ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+		resp, err := s.run(ctx, w, body, false)
+		if err == nil && (resp.source == "hit" || resp.source == "store") {
+			s.cache.Alias(d, w.key, w.rung)
+		}
+		return resp, err
 	}
 }
 
 // run carries out prepared work for a sync handler and a batch entry
 // alike: it bounds ctx by the request's own deadline, routes the work
 // (raw is the body a ring owner is sent, wait selects blocking
-// admission), and counts the ladder rung a success was served on —
-// either degraded rung counts degraded, and the error-budget rung
-// counts budget_rejections too.
+// admission), and counts the ladder rung a success was served on.
 func (s *Server) run(ctx context.Context, w *work, raw []byte, wait bool) (*response, error) {
 	if w.deadline > 0 {
 		var cancel context.CancelFunc
@@ -158,12 +186,7 @@ func (s *Server) run(ctx context.Context, w *work, raw []byte, wait bool) (*resp
 	if err != nil {
 		return nil, err
 	}
-	if w.degraded || w.budgetFallback {
-		s.m.Degraded.Add(1)
-	}
-	if w.budgetFallback {
-		s.m.BudgetRejections.Add(1)
-	}
+	s.m.served(w.rung)
 	return resp, nil
 }
 
@@ -229,7 +252,7 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 		pinned := req.Options != nil && req.Options.Search != ""
 		switch {
 		case s.cfg.DegradeBudget > 0 && w.deadline < s.cfg.DegradeBudget:
-			w.degraded = true
+			w.rung = rungDegraded
 			opts = opts.Fallback()
 		case s.cfg.BeamBudget > 0 && w.deadline < s.cfg.BeamBudget && !pinned:
 			opts.Search = search.Beam
@@ -251,8 +274,8 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 		// degraded to the backend's nominal corner, not failed — the
 		// client asked for a plan, and the safe corner is always
 		// admissible.
-		if breach != nil && !w.degraded {
-			w.budgetFallback = true
+		if breach != nil && w.rung != rungDegraded {
+			w.rung = rungBudgetFallback
 			opts.OperatingPoint = mem.Nominal
 		}
 	}
@@ -266,15 +289,14 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 	}
 	opts.Memo = s.memo
 	op := "schedule"
-	switch {
-	case w.degraded:
+	switch w.rung {
+	case rungDegraded:
 		op = "schedule-degraded"
-	case w.budgetFallback:
+	case rungBudgetFallback:
 		op = "schedule-budget-fallback"
 	}
 	w.key = scheduleKey(op, net, cfg, opts)
-	degraded := w.degraded
-	budgetFallback := w.budgetFallback
+	ladder := w.rung
 	w.compute = func(ctx context.Context) ([]byte, error) {
 		s.m.computed(search.EffectiveParallelism(opts.Parallelism))
 		plan, err := s.scheduleFn(ctx, net, cfg, opts)
@@ -290,11 +312,11 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 			RefreshIntervalNS: int64(opts.RefreshInterval),
 			Controller:        controller,
 		}
-		switch {
-		case degraded:
+		switch ladder {
+		case rungDegraded:
 			resp.Degraded = true
 			resp.DegradedReason = degradedReason
-		case budgetFallback:
+		case rungBudgetFallback:
 			// The budget rung ran the full search (at the nominal corner),
 			// so Search is still reported alongside the degraded marker.
 			resp.Degraded = true

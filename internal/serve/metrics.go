@@ -20,12 +20,13 @@ const latWindow = 1024
 
 // metrics aggregates the service counters of one server.
 type metrics struct {
-	Requests    expvar.Int // total requests admitted to API handlers
-	Errors      expvar.Int // responses with status >= 400
-	CacheHits   expvar.Int // responses served from the plan cache
-	CacheMisses expvar.Int // responses that ran a computation
-	Deduped     expvar.Int // responses that joined an in-flight computation
-	InFlight    expvar.Int // currently executing API requests
+	Requests      expvar.Int // total requests admitted to API handlers
+	Errors        expvar.Int // responses with status >= 400
+	CacheHits     expvar.Int // responses served from the plan cache
+	CacheBodyHits expvar.Int // cache hits the body index answered, undecoded
+	CacheMisses   expvar.Int // responses that ran a computation
+	Deduped       expvar.Int // responses that joined an in-flight computation
+	InFlight      expvar.Int // currently executing API requests
 
 	// Robustness counters.
 	PanicsRecovered  expvar.Int // computation/handler panics converted to 500s
@@ -94,6 +95,17 @@ func newStatusLabels(endpoint string) *statusLabels {
 // jobsLabels are the /v1/jobs/{id} endpoint's labels.
 var jobsLabels = newStatusLabels("jobs")
 
+// served counts a response served on ladder rung r: either degraded
+// rung counts degraded, and the error-budget rung budget_rejections too.
+func (m *metrics) served(r rung) {
+	if r != rungFull {
+		m.Degraded.Add(1)
+	}
+	if r == rungBudgetFallback {
+		m.BudgetRejections.Add(1)
+	}
+}
+
 // status records one response's endpoint and status class. code is an
 // HTTP status, which net/http bounds to three digits.
 func (m *metrics) status(l *statusLabels, code int) {
@@ -136,6 +148,7 @@ func (m *metrics) expvarMap() *expvar.Map {
 	em.Set("requests", &m.Requests)
 	em.Set("errors", &m.Errors)
 	em.Set("cache_hits", &m.CacheHits)
+	em.Set("cache_body_hits", &m.CacheBodyHits)
 	em.Set("cache_misses", &m.CacheMisses)
 	em.Set("deduped", &m.Deduped)
 	em.Set("in_flight", &m.InFlight)

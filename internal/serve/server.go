@@ -57,8 +57,8 @@ type Config struct {
 	// negative disables caching.
 	CacheEntries int
 
-	// RequestTimeout bounds one request end to end, including queueing
-	// for a worker slot. Defaults to 60 s.
+	// RequestTimeout bounds one keyed request's routed work end to end,
+	// including queueing for a worker slot. Defaults to 60 s.
 	RequestTimeout time.Duration
 
 	// QueueDepth bounds computations waiting for a worker slot beyond
@@ -147,7 +147,8 @@ type Config struct {
 	// clients. Empty allows every registered backend.
 	AllowedBackends []string
 
-	// Logf receives request logs; nil discards them.
+	// Logf receives the server's logs, one line per API request among
+	// them; nil turns logging off, and then no request line is formatted.
 	Logf func(format string, args ...any)
 }
 
@@ -188,9 +189,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobCapacity < 0 {
 		c.JobCapacity = 0
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
@@ -318,9 +316,9 @@ func New(cfg Config) *Server {
 			n++
 			return nil
 		}); err != nil {
-			cfg.Logf("ranad: warm-fill from %s stopped: %v", cfg.Store.Path(), err)
+			s.logf("ranad: warm-fill from %s stopped: %v", cfg.Store.Path(), err)
 		}
-		cfg.Logf("ranad: warm-filled %d plans from %s", n, cfg.Store.Path())
+		s.logf("ranad: warm-filled %d plans from %s", n, cfg.Store.Path())
 	}
 	vars := s.m.expvarMap()
 	if cfg.Ring != nil {
@@ -360,9 +358,9 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.counted("healthz", s.handleHealthz))
 	mux.HandleFunc("/metrics", s.counted("metrics", s.handleMetrics))
-	mux.Handle("/v1/schedule", s.api("schedule", keyed(s, scheduleRequestFields, s.prepareSchedule)))
-	mux.Handle("/v1/compile", s.api("compile", keyed(s, compileRequestFields, s.prepareCompile)))
-	mux.Handle("/v1/evaluate", s.api("evaluate", keyed(s, evaluateRequestFields, s.prepareEvaluate)))
+	mux.Handle("/v1/schedule", s.api("schedule", keyed(s, "schedule", scheduleRequestFields, s.prepareSchedule)))
+	mux.Handle("/v1/compile", s.api("compile", keyed(s, "compile", compileRequestFields, s.prepareCompile)))
+	mux.Handle("/v1/evaluate", s.api("evaluate", keyed(s, "evaluate", evaluateRequestFields, s.prepareEvaluate)))
 	mux.HandleFunc("/v1/catalog", s.counted("catalog", s.handleCatalog))
 	if s.jobs != nil {
 		mux.Handle("/v1/compile-batch", s.api("compile_batch", s.handleCompileBatch))
@@ -383,7 +381,7 @@ func (s *Server) ListenAndServe() error {
 // Serve serves on ln until Shutdown. Like http.Server.Serve it returns
 // http.ErrServerClosed after a clean shutdown.
 func (s *Server) Serve(ln net.Listener) error {
-	s.cfg.Logf("ranad: serving on %s", ln.Addr())
+	s.logf("ranad: serving on %s", ln.Addr())
 	return s.httpSrv.Serve(ln)
 }
 
@@ -398,9 +396,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // api wraps an endpoint handler with the service middleware: method
-// gating, body buffering, per-request timeout, panic isolation, metrics
-// accounting and logging. The handler reads the buffered body, which
-// the shard router also forwards byte-for-byte.
+// gating, body buffering, panic isolation, metrics accounting and
+// logging. The handler reads the buffered body, which the shard router
+// also forwards byte-for-byte. A success is written with its length
+// declared, so no body goes out chunked.
 func (s *Server) api(name string, h func(ctx context.Context, body []byte) (*response, error)) http.Handler {
 	labels := newStatusLabels(name)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -415,7 +414,7 @@ func (s *Server) api(name string, h func(ctx context.Context, body []byte) (*res
 		defer s.m.InFlight.Add(-1)
 		defer func() { s.m.observe(time.Since(start)) }()
 
-		raw, rerr := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
+		raw, rerr := readRequestBody(r)
 		if rerr != nil {
 			s.m.status(labels, s.error(w, badRequest("reading request body: %v", rerr)))
 			return
@@ -427,33 +426,75 @@ func (s *Server) api(name string, h func(ctx context.Context, body []byte) (*res
 			}))
 			return
 		}
-		rctx := r.Context()
+		ctx := r.Context()
 		if r.Header.Get(ForwardedHeader) != "" {
 			s.m.ForwardedServed.Add(1)
-			rctx = context.WithValue(rctx, forwardedKey{}, true)
+			ctx = context.WithValue(ctx, forwardedKey{}, true)
 		}
-		ctx, cancel := context.WithTimeout(rctx, s.cfg.RequestTimeout)
-		defer cancel()
 
 		resp, err := s.guard(name, func() (*response, error) { return h(ctx, raw) })
 		if err != nil {
 			status := s.error(w, err)
 			s.m.status(labels, status)
-			s.cfg.Logf("ranad: %s %s -> %d: %v (%v)", r.Method, r.URL.Path, status, err, time.Since(start))
+			if s.cfg.Logf != nil {
+				s.cfg.Logf("ranad: %s %s -> %d: %v (%v)", r.Method, r.URL.Path, status, err, time.Since(start))
+			}
 			return
 		}
 		status := resp.status
 		if status == 0 {
 			status = http.StatusOK
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Rana-Cache", resp.source)
-		w.Header().Set("X-Rana-Key", resp.key)
+		// The keys are already canonical, so the header map is written
+		// directly; the three per-response values share one backing array.
+		vals := []string{resp.source, resp.key, strconv.Itoa(len(resp.body))}
+		hdr := w.Header()
+		hdr["Content-Type"] = jsonContentType
+		hdr["X-Rana-Cache"] = vals[0:1:1]
+		hdr["X-Rana-Key"] = vals[1:2:2]
+		hdr["Content-Length"] = vals[2:3:3]
 		w.WriteHeader(status)
 		w.Write(resp.body)
 		s.m.status(labels, status)
-		s.cfg.Logf("ranad: %s %s -> %d %s (%v)", r.Method, r.URL.Path, status, resp.source, time.Since(start))
+		if s.cfg.Logf != nil {
+			s.cfg.Logf("ranad: %s %s -> %d %s (%v)", r.Method, r.URL.Path, status, resp.source, time.Since(start))
+		}
 	})
+}
+
+// jsonContentType is the Content-Type of every API response. Header
+// values are only read once set, so all responses share it.
+var jsonContentType = []string{"application/json"}
+
+// maxPresizedBody bounds the buffer readRequestBody allocates from a
+// declared length before any byte arrives. Every legitimate body fits;
+// a client that declares up to maxRequestBytes and then stalls pins
+// only the bytes it has sent.
+const maxPresizedBody = 64 << 10
+
+// readRequestBody reads a request body, at most maxRequestBytes+1 bytes
+// of it so that an oversized one is caught. A body that declares a
+// length up to maxPresizedBody is read into one buffer of that length;
+// a chunked body, or one declaring more, is read as it arrives up to
+// the limit.
+func readRequestBody(r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= maxPresizedBody {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r.Body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	return io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
+}
+
+// logf writes one server log line through Config.Logf, if set. The
+// per-request lines in api test Logf themselves, so that with logging
+// off their arguments are never boxed.
+func (s *Server) logf(format string, args ...any) {
+	if s.cfg.Logf != nil {
+		s.cfg.Logf(format, args...)
+	}
 }
 
 // guard runs h with the handler-side panic isolation: a panic on the
@@ -467,7 +508,7 @@ func (s *Server) guard(name string, h func() (*response, error)) (resp *response
 		if r := recover(); r != nil {
 			pe := &panicError{val: r, stack: debug.Stack()}
 			s.m.PanicsRecovered.Add(1)
-			s.cfg.Logf("ranad: recovered handler panic on %s: %v\n%s", name, r, pe.stack)
+			s.logf("ranad: recovered handler panic on %s: %v\n%s", name, r, pe.stack)
 			resp, err = nil, pe
 		}
 	}()
@@ -587,7 +628,7 @@ func (s *Server) route(ctx context.Context, w *work, raw []byte, wait bool) (*re
 			}
 			// Forwarding failure is never request failure: compute locally.
 			s.m.ForwardFails.Add(1)
-			s.cfg.Logf("ranad: forward %s to %s (%s) failed: %v; computing locally", key, owner.ID, owner.URL, err)
+			s.logf("ranad: forward %s to %s (%s) failed: %v; computing locally", key, owner.ID, owner.URL, err)
 		}
 	}
 	if wait, ok := s.breaker.allow(key); !ok {
@@ -647,7 +688,7 @@ func (s *Server) remember(key string, body []byte) {
 	s.cache.Add(key, body)
 	if s.cfg.Store != nil {
 		if err := s.cfg.Store.Put(key, body); err != nil {
-			s.cfg.Logf("ranad: store put %s: %v", key, err)
+			s.logf("ranad: store put %s: %v", key, err)
 		}
 	}
 }
@@ -669,11 +710,11 @@ func (s *Server) computationDone(key string, err error) {
 		s.cache.Remove(key)
 		var pe *panicError
 		if errors.As(err, &pe) {
-			s.cfg.Logf("ranad: recovered computation panic for %s: %v\n%s", key, pe.val, pe.stack)
+			s.logf("ranad: recovered computation panic for %s: %v\n%s", key, pe.val, pe.stack)
 		} else {
 			var spe *sched.PanicError
 			if errors.As(err, &spe) {
-				s.cfg.Logf("ranad: recovered scheduler panic for %s: %v\n%s", key, spe.Value, spe.Stack)
+				s.logf("ranad: recovered scheduler panic for %s: %v\n%s", key, spe.Value, spe.Stack)
 			}
 		}
 	case errors.Is(err, context.DeadlineExceeded):
