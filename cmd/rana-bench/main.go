@@ -27,12 +27,12 @@
 // "warm" run per cell (the same compile against a shared cross-compile
 // memo, the fleet steady state), a "sweep" per model (one shared memo
 // across eight refresh intervals, descending then ascending: the
-// retention-parametric memo rebuilding, then answering intervals it never
-// compiled) and an "axes" section pricing the traversal/mapping search
-// axes at both retention design points (the RTC win lives at the
-// conventional 45µs interval, not RANA's extended 734µs one). Request
-// latency through ranad is measured end to end by perfbench, which keeps
-// cold and warm traffic apart.
+// retention-parametric memo rebuilding each shape once, then answering
+// intervals it never compiled) and an "axes" section pricing the
+// traversal/mapping search axes at both retention design points (the RTC
+// win lives at the conventional 45µs interval, not RANA's extended 734µs
+// one). Request latency through ranad is measured end to end by
+// perfbench, which keeps cold and warm traffic apart.
 package main
 
 import (
@@ -125,10 +125,11 @@ type SweepPass struct {
 }
 
 // SweepBench is one model compiled on one shared memo across refresh
-// intervals: descending, where every interval lies below every frontier
-// built so far and each shape rebuilds, then ascending, where the
-// frontiers built at the lowest interval answer every layer. The
-// ascending pass is the warm path and must not allocate.
+// intervals: descending, where the second interval lies below the
+// frontiers the first built and each shape rebuilds once, down to the
+// conventional 45 µs, so the rest hit, then ascending, where those
+// frontiers answer every layer. The ascending pass is the warm path and
+// must not allocate.
 type SweepBench struct {
 	Model       string    `json:"model"`
 	IntervalsUS []float64 `json:"intervals_us"`

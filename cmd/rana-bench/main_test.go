@@ -48,15 +48,17 @@ func TestRunWritesSnapshot(t *testing.T) {
 	if nb.SpeedupX <= 0 {
 		t.Fatalf("speedup = %v, want > 0", nb.SpeedupX)
 	}
-	// The sweep rebuilds AlexNet's five shapes at each of the seven
-	// falling intervals after the first, then answers all 5 × 8 layers
-	// of the rising pass from the last frontiers.
+	// The sweep builds AlexNet's five shapes at 1000 µs and rebuilds each
+	// once at 734 µs, down to the conventional 45 µs, so the six lower
+	// intervals are all hits (5 × 6); the rising pass answers all 5 × 8
+	// layers from those frontiers.
 	if len(snap.Sweeps) != 1 {
 		t.Fatalf("sweeps = %+v, want one AlexNet entry", snap.Sweeps)
 	}
 	sw := snap.Sweeps[0]
-	if len(sw.IntervalsUS) != 8 || sw.Descending.Rebuilds != 35 || sw.Ascending.MemoHits != 40 || sw.Ascending.Rebuilds != 0 {
-		t.Fatalf("sweep = %+v, want 8 intervals, 35 rebuilds down, 40 hits and no rebuild up", sw)
+	if len(sw.IntervalsUS) != 8 || sw.Descending.Rebuilds != 5 || sw.Descending.MemoHits != 30 ||
+		sw.Ascending.MemoHits != 40 || sw.Ascending.Rebuilds != 0 {
+		t.Fatalf("sweep = %+v, want 8 intervals, 5 rebuilds and 30 hits down, 40 hits and no rebuild up", sw)
 	}
 	if !strings.Contains(stdout.String(), "wrote "+out) {
 		t.Fatalf("stdout missing confirmation: %q", stdout.String())

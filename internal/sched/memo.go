@@ -25,7 +25,10 @@ package sched
 // winner and runs the exact evaluator (evaluateCellInto) once on it, so
 // a served plan comes from the same pricing path as an explored one and
 // carries the requesting layer's identity. A request below T_lo
-// rebuilds the frontier at its own interval.
+// rebuilds the frontier once, down to the conventional 45 µs refresh
+// interval (retention.TypicalRetentionTime), or at its own interval when
+// that is lower, so a sweep whose running minimum falls rebuilds each
+// shape once rather than at every new low.
 //
 // Errors are never cached: their messages embed layer names, and a
 // transient failure must not poison every same-shaped layer.
@@ -45,6 +48,7 @@ import (
 	"rana/internal/memctrl"
 	"rana/internal/models"
 	"rana/internal/pattern"
+	"rana/internal/retention"
 	"rana/internal/sched/search"
 )
 
@@ -654,9 +658,10 @@ func (b *frontierBuild) reset() {
 }
 
 // memoEntry is one in-flight or completed frontier. lo is the lowest
-// interval the entry answers: the owner's interval while in flight, the
-// frontier's lo once published. The owner holds wg at one until it
-// finishes, and ok (written and read under the memo's mutex, or after
+// interval the entry answers: while in flight, the interval the owner
+// explores at — its own for a first build, at most 45 µs for a rebuild —
+// and the frontier's lo once published. The owner holds wg at one until
+// it finishes, and ok (written and read under the memo's mutex, or after
 // wg.Wait) reports whether f is valid. Failed entries are removed from
 // the table before the owner releases wg, so waiters observing
 // ok == false recompute individually.
@@ -714,7 +719,8 @@ type MemoStats struct {
 	// rebuilds included.
 	Misses uint64
 	// Rebuilds counts the misses that replaced a frontier built at a
-	// longer interval than the request's.
+	// longer interval than the request's; a rebuild explores down to
+	// 45 µs, or to the request's interval when that is lower.
 	Rebuilds uint64
 	// Unrecorded counts lookups that explored without recording: the
 	// memo was full, or the shape's rebuild was still in flight. Misses
@@ -803,10 +809,11 @@ const (
 // acquire looks the key up at interval t. An entry whose frontier
 // covers t, completed or in flight, is returned to wait on (a hit). An
 // entry built above t is rebuilt: the caller owns a fresh entry that
-// replaces it (a miss and a rebuild) — unless that entry is still in
-// flight or the memo is full, when the caller explores without
+// replaces it (a miss and a rebuild), built at min(t, 45 µs) so that the
+// intervals a sweep reaches next are hits — unless that entry is still
+// in flight or the memo is full, when the caller explores without
 // recording (counted unrecorded). A missing key installs a fresh owned
-// entry (a miss) while the memo has room.
+// entry built at t (a miss) while the memo has room.
 func (m *Memo) acquire(key memoKey, t time.Duration) (*memoEntry, memoMode) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -826,6 +833,9 @@ func (m *Memo) acquire(key memoKey, t time.Duration) (*memoEntry, memoMode) {
 	if found {
 		m.records -= len(old.f.recs)
 		m.rebuilds++
+		// Rebuild down to the conventional interval, so a sweep whose
+		// running minimum keeps falling rebuilds each shape once.
+		t = min(t, retention.TypicalRetentionTime)
 	}
 	e := &memoEntry{lo: t}
 	e.wg.Add(1)
@@ -875,25 +885,34 @@ func (m *Memo) exploreEnv(key memoKey, l models.ConvLayer, cfg hw.Config, opts O
 	return lp, stats, false, err
 }
 
-// fillEnv runs the owner's recording exploration and publishes (or
-// withdraws) the entry. The deferred cleanup also fires on panic, so a
-// poisoned candidate cannot leave same-shaped waiters blocked forever.
-// Results are published under m.mu so peek can read completed entries
-// without waiting. The owner's own plan is the exploration's winner,
-// exactly what the same compile without a memo returns.
+// fillEnv runs the owner's recording exploration at the entry's lo and
+// publishes (or withdraws) the entry. The deferred cleanup also fires on
+// panic, so a poisoned candidate cannot leave same-shaped waiters blocked
+// forever. Results are published under m.mu so peek can read completed
+// entries without waiting. When the exploration ran at the options'
+// interval, the owner's plan is its winner, exactly what the same compile
+// without a memo returns; a rebuild that ran below it answers the owner
+// from the new frontier, as every hit is answered.
 func (m *Memo) fillEnv(key memoKey, e *memoEntry, l models.ConvLayer, cfg hw.Config,
 	opts Options, env compileEnv) (lp LayerPlan, stats search.Stats, err error) {
 	defer m.finish(key, e)
+	at := opts
+	at.RefreshInterval = e.lo
 	var f frontier
-	lp, stats, f, err = buildFrontier(l, cfg, opts, env)
-	if err != nil || len(f.recs) == 0 {
+	lp, stats, f, err = buildFrontier(l, cfg, at, env)
+	if err != nil {
 		return lp, stats, err
 	}
-	m.mu.Lock()
-	e.f, e.lo, e.ok = f, f.lo, true
-	m.records += len(f.recs)
-	m.mu.Unlock()
-	return lp, stats, nil
+	if len(f.recs) > 0 {
+		m.mu.Lock()
+		e.f, e.lo, e.ok = f, f.lo, true
+		m.records += len(f.recs)
+		m.mu.Unlock()
+	}
+	if at.RefreshInterval != opts.RefreshInterval {
+		lp, err = answer(&f, l, cfg, opts, env)
+	}
+	return lp, stats, err
 }
 
 // finish withdraws a failed entry and releases its waiters.

@@ -14,6 +14,7 @@ import (
 	"rana/internal/memctrl"
 	"rana/internal/models"
 	"rana/internal/pattern"
+	"rana/internal/retention"
 	"rana/internal/sched/search"
 )
 
@@ -642,6 +643,127 @@ func TestMemoParametricRebuildRace(t *testing.T) {
 	st := memo.Stats()
 	if st.Rebuilds == 0 {
 		t.Errorf("no rebuild raced: %+v", st)
+	}
+	if st.Misses+st.Unrecorded != uint64(explored) {
+		t.Errorf("memo stats %+v account for %d explorations, the compiles made %d", st, st.Misses+st.Unrecorded, explored)
+	}
+}
+
+// descendingIntervals is rana-bench's descending sweep: the Fig. 16
+// range from 1 ms down to the conventional 45 µs, each interval below
+// every earlier one.
+var descendingIntervals = []time.Duration{
+	1000 * time.Microsecond, retention.TolerableRetentionTime, 500 * time.Microsecond, 300 * time.Microsecond,
+	180 * time.Microsecond, 120 * time.Microsecond, 80 * time.Microsecond, retention.TypicalRetentionTime,
+}
+
+// zooShapes is each zoo network's count of distinct memo keys.
+var zooShapes = map[string]uint64{"AlexNet": 5, "VGG": 9, "GoogLeNet": 49, "ResNet": 20}
+
+// TestMemoRebuildsOnceToConventionalInterval: a request below a
+// frontier's lo rebuilds it down to the conventional 45 µs, so a sweep
+// of falling intervals rebuilds each shape once, on the default space
+// and on RTC × all mappings, and every plan equals the memo-free plan at
+// its interval (a rebuild's owner is answered at its own interval).
+// Below 45 µs a request rebuilds at its own interval, and the intervals
+// at or above that one then hit. Short mode and the race detector, which
+// adds nothing to these sequential sweeps, run the default space only.
+func TestMemoRebuildsOnceToConventionalInterval(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	ctx := context.Background()
+	for space, base := range envelopeOptions() {
+		if space != "default" && (testing.Short() || raceEnabled) {
+			continue
+		}
+		for _, net := range models.Benchmarks() {
+			t.Run(space+"/"+net.Name, func(t *testing.T) {
+				memo := NewMemo(0)
+				compile := func(iv time.Duration) NetworkStats {
+					t.Helper()
+					opts := base
+					opts.RefreshInterval = iv
+					want := coldBytes(t, net, cfg, opts)
+					opts.Memo = memo
+					p, ns, err := ExploreNetworkContext(ctx, net, cfg, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if wireBytes(t, p) != want {
+						t.Fatalf("%v: shared-memo plan differs from the memo-free plan", iv)
+					}
+					return ns
+				}
+				shapes := zooShapes[net.Name]
+				for _, iv := range descendingIntervals {
+					compile(iv)
+				}
+				if st := memo.Stats(); st.Rebuilds != shapes || st.Misses != 2*shapes || st.Unrecorded != 0 {
+					t.Errorf("descending sweep: %+v, want each of %d shapes built once and rebuilt once", st, shapes)
+				}
+				compile(30 * time.Microsecond)
+				if st := memo.Stats(); st.Rebuilds != 2*shapes {
+					t.Errorf("30 µs: %d rebuilds, want %d", st.Rebuilds, 2*shapes)
+				}
+				if ns := compile(40 * time.Microsecond); ns.MemoHits != len(net.Layers) {
+					t.Errorf("40 µs after a 30 µs rebuild: %d hits, want %d", ns.MemoHits, len(net.Layers))
+				}
+			})
+		}
+	}
+}
+
+// TestMemoFloorRebuildRace races GoogLeNet compiles at 200 µs against
+// one at 300 µs on a memo whose frontiers were built at 734 µs: whichever
+// reaches a shape first rebuilds it at 45 µs, and the others wait on that
+// rebuild rather than exploring unrecorded. Every plan equals the
+// memo-free plan at its interval, and each shape rebuilds exactly once.
+func TestMemoFloorRebuildRace(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	ctx := context.Background()
+	net := models.GoogLeNet()
+	base := ranaOpts()
+	base.Controller = memctrl.RefreshOptimized{}
+	intervals := []time.Duration{300 * time.Microsecond, 200 * time.Microsecond, 200 * time.Microsecond, 200 * time.Microsecond}
+	want := map[time.Duration]string{}
+	for _, iv := range intervals {
+		o := base
+		o.RefreshInterval = iv
+		want[iv] = coldBytes(t, net, cfg, o)
+	}
+	memo := NewMemo(0)
+	base.Memo, base.Parallelism = memo, 2
+	if _, _, err := ExploreNetworkContext(ctx, net, cfg, base); err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	explored := int(memo.Stats().Misses)
+	for _, iv := range intervals {
+		wg.Add(1)
+		go func(iv time.Duration) {
+			defer wg.Done()
+			o := base
+			o.RefreshInterval = iv
+			<-start
+			p, ns, err := ExploreNetworkContext(ctx, net, cfg, o)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			explored += ns.MemoMisses
+			mu.Unlock()
+			if wireBytes(t, p) != want[iv] {
+				t.Errorf("%v: shared-memo plan differs from the memo-free plan", iv)
+			}
+		}(iv)
+	}
+	close(start)
+	wg.Wait()
+	st := memo.Stats()
+	if st.Unrecorded != 0 || st.Rebuilds != zooShapes[net.Name] {
+		t.Errorf("memo stats %+v: want no unrecorded exploration and %d rebuilds", st, zooShapes[net.Name])
 	}
 	if st.Misses+st.Unrecorded != uint64(explored) {
 		t.Errorf("memo stats %+v account for %d explorations, the compiles made %d", st, st.Misses+st.Unrecorded, explored)

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
 
 	"rana/internal/mem"
+	"rana/internal/models"
 	"rana/internal/retention"
 )
 
@@ -186,6 +188,38 @@ func TestEvaluateResilienceFrame(t *testing.T) {
 		`{"design": "RANA*(E-5)", "network": `+tinyNetJSON+`, "backend": "approx-dram", "operating_point": "v0.7"}`)
 	if body := readBody(t, resp); resp.StatusCode != 400 {
 		t.Errorf("over-budget point: status %d, want 400: %s", resp.StatusCode, body)
+	}
+}
+
+// TestLayerBudgetsNeverBelowUniform: every layer budget serve derives is
+// at least the uniform budget evaluate resolves its points under, for
+// the zoo and for an unknown model (the most sensitive curve) at every
+// depth from 1 to 200. That is why evaluate admits no layer on its own:
+// with no layer budget below the uniform one, a layer's admission is the
+// uniform admission.
+func TestLayerBudgetsNeverBelowUniform(t *testing.T) {
+	nets := models.Benchmarks()
+	for depth := 1; depth <= 200; depth++ {
+		net := models.Network{Name: "Unknown", Layers: make([]models.ConvLayer, depth)}
+		for i := range net.Layers {
+			net.Layers[i].Name = fmt.Sprintf("l%d", i)
+		}
+		nets = append(nets, net)
+	}
+	for _, net := range nets {
+		budgets, err := layerBudgets(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(budgets) != len(net.Layers) {
+			t.Errorf("%s at depth %d: %d budgets", net.Name, len(net.Layers), len(budgets))
+		}
+		for name, b := range budgets {
+			if b < retention.TolerableFailureRate {
+				t.Errorf("%s at depth %d, layer %s: budget %g below the uniform %g",
+					net.Name, len(net.Layers), name, b, retention.TolerableFailureRate)
+			}
+		}
 	}
 }
 

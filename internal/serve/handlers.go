@@ -190,17 +190,24 @@ func (s *Server) run(ctx context.Context, w *work, raw []byte, wait bool) (*resp
 	return resp, nil
 }
 
-// admitLayers is Stage 1's per-layer error-budget admission of a
-// request on the approximate operating-point axis: it sets on opts the
-// budgets net's calibrated resilience curves give at
-// admissionConstraint and, when opts pins an operating point, resolves
-// that point against each layer's own budget. breach is the first
-// layer's refusal; schedule answers it with the nominal corner,
-// evaluate with a 400.
-func admitLayers(net models.Network, cfg hw.Config, opts *sched.Options) (breach, err error) {
-	opts.LayerBudgets, err = training.LayerTolerableRates(net.Name, layerNames(net), admissionConstraint, training.PaperRates)
+// layerBudgets derives the per-layer error budgets net's calibrated
+// resilience curves give at admissionConstraint.
+func layerBudgets(net models.Network) (map[string]float64, error) {
+	budgets, err := training.LayerTolerableRates(net.Name, layerNames(net), admissionConstraint, training.PaperRates)
 	if err != nil {
 		return nil, fmt.Errorf("serve: deriving layer budgets: %w", err)
+	}
+	return budgets, nil
+}
+
+// admitLayers is Stage 1's per-layer error-budget admission of a
+// schedule request on the approximate operating-point axis: it sets on
+// opts the layer budgets and, when opts pins an operating point,
+// resolves that point against each layer's own budget. breach is the
+// first layer's refusal, which schedule answers with the nominal corner.
+func admitLayers(net models.Network, cfg hw.Config, opts *sched.Options) (breach, err error) {
+	if opts.LayerBudgets, err = layerBudgets(net); err != nil {
+		return nil, err
 	}
 	if opts.OperatingPoint == "" {
 		return nil, nil
@@ -443,8 +450,7 @@ func (s *Server) prepareEvaluate(req EvaluateRequest) (*work, error) {
 	p := evalPlatform()
 	d = d.WithBackend(req.Backend, req.OperatingPoint)
 	cfg := d.Apply(p.Base)
-	gate := sched.Options{Backend: d.Backend, OperatingPoint: d.OperatingPoint}
-	_, pts, err := sched.ResolveBackend(cfg, gate)
+	_, pts, err := sched.ResolveBackend(cfg, sched.Options{Backend: d.Backend, OperatingPoint: d.OperatingPoint})
 	if err != nil {
 		return nil, badRequest("invalid backend: %v", err)
 	}
@@ -452,25 +458,20 @@ func (s *Server) prepareEvaluate(req EvaluateRequest) (*work, error) {
 	if err := s.checkBackendAllowed(normalized); err != nil {
 		return nil, err
 	}
-	// Requests on the approximate axis are admitted layer by layer
-	// against the calibrated resilience curves, and their responses carry
-	// the error-budget frame. A pinned point that breaks a layer's budget
-	// is a client error here — evaluate has no degradation ladder; the
-	// design names a fixed Table IV configuration.
+	// Responses on the approximate axis carry the error-budget frame. No
+	// layer needs admitting on its own: every derived budget is at least
+	// the uniform budget ResolveBackend admitted the points under
+	// (TestLayerBudgetsNeverBelowUniform), so none can refuse them.
 	var resilience *ResilienceJSON
 	if anyFaulty(pts) {
-		breach, err := admitLayers(net, cfg, &gate)
+		budgets, err := layerBudgets(net)
 		if err != nil {
 			return nil, err
-		}
-		if breach != nil {
-			s.m.BudgetRejections.Add(1)
-			return nil, badRequest("inadmissible operating point: %v", breach)
 		}
 		resilience = &ResilienceJSON{
 			ErrorBudget:  retention.TolerableFailureRate,
 			Constraint:   admissionConstraint,
-			LayerBudgets: gate.LayerBudgets,
+			LayerBudgets: budgets,
 		}
 	}
 	w := &work{path: "/v1/evaluate", key: evaluateKey(d.Name, net, normalized, d.OperatingPoint)}
@@ -634,7 +635,7 @@ func catalogTraversals() map[string]any {
 func catalogResilience() map[string]any {
 	perModel := map[string]map[string]float64{}
 	for _, net := range models.Benchmarks() {
-		budgets, err := training.LayerTolerableRates(net.Name, layerNames(net), admissionConstraint, training.PaperRates)
+		budgets, err := layerBudgets(net)
 		if err != nil {
 			continue // a benchmark without a calibrated curve is simply not listed
 		}

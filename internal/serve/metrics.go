@@ -37,7 +37,7 @@ type metrics struct {
 
 	// Fault-admission counters.
 	FaultInjections  expvar.Int // computations whose plan places data at a fault-exposed (non-nominal) operating point
-	BudgetRejections expvar.Int // requests rejected or degraded by a per-layer error-budget check
+	BudgetRejections expvar.Int // schedule requests degraded to the nominal corner by a per-layer error-budget check
 
 	// Fleet counters.
 	StoreHits       expvar.Int // responses served from the persistent plan store

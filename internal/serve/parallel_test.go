@@ -108,6 +108,22 @@ func TestMetricsExposeMemoAndParallelism(t *testing.T) {
 	if got, _ := pm["2"].(float64); got != 2 {
 		t.Errorf("parallelism histogram = %v, want 2 computations at level 2", raw["parallelism"])
 	}
+	// Nothing fell below a frontier yet. AlexNet at the 734 µs default
+	// builds its five shapes there; 500 µs rebuilds each of them once,
+	// down to the conventional 45 µs, so 300 µs rebuilds nothing.
+	if got, ok := raw["memo_rebuilds"].(float64); !ok || got != 0 {
+		t.Errorf("memo_rebuilds = %v, want 0", raw["memo_rebuilds"])
+	}
+	for _, body := range []string{
+		`{"model": "AlexNet"}`,
+		`{"model": "AlexNet", "options": {"refresh_interval_ns": 500000}}`,
+		`{"model": "AlexNet", "options": {"refresh_interval_ns": 300000}}`,
+	} {
+		post(t, ts.URL+"/v1/schedule", body).Body.Close()
+	}
+	if got := memoCounters(t, ts.URL)["memo_rebuilds"]; got != 5 {
+		t.Errorf("memo_rebuilds = %v after AlexNet at 734, 500 and 300 µs, want 5", got)
+	}
 }
 
 func TestMemoSharedAcrossRequests(t *testing.T) {

@@ -338,6 +338,7 @@ func New(cfg Config) *Server {
 		// advance inside computations, not on the request path.
 		vars.Set("memo_hits", expvar.Func(func() any { return s.memo.Stats().Hits }))
 		vars.Set("memo_misses", expvar.Func(func() any { return s.memo.Stats().Misses }))
+		vars.Set("memo_rebuilds", expvar.Func(func() any { return s.memo.Stats().Rebuilds }))
 		vars.Set("memo_unrecorded", expvar.Func(func() any { return s.memo.Stats().Unrecorded }))
 		vars.Set("memo_entries", expvar.Func(func() any { return s.memo.Stats().Entries }))
 		vars.Set("memo_records", expvar.Func(func() any { return s.memo.Stats().Records }))
