@@ -129,9 +129,12 @@ type SweepPass struct {
 // frontiers the first built and each shape rebuilds once, down to the
 // conventional 45 µs, so the rest hit, then ascending, where those
 // frontiers answer every layer. The ascending pass is the warm path and
-// must not allocate.
+// must not allocate. Space names the search space: empty for the
+// default one, "rtc-all" for the RTC traversal ladder with every
+// mapping policy.
 type SweepBench struct {
 	Model       string    `json:"model"`
+	Space       string    `json:"space,omitempty"`
 	IntervalsUS []float64 `json:"intervals_us"`
 	Descending  SweepPass `json:"descending"`
 	Ascending   SweepPass `json:"ascending"`
@@ -236,15 +239,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	for _, net := range nets {
-		sb, err := measureSweep(net, cfg, *parallelism, *iters)
-		if err != nil {
-			fmt.Fprintln(stderr, "rana-bench:", err)
-			return 1
+		for _, space := range sweepSpaces {
+			sb, err := measureSweep(net, cfg, space, *parallelism, *iters)
+			if err != nil {
+				fmt.Fprintln(stderr, "rana-bench:", err)
+				return 1
+			}
+			snap.Sweeps = append(snap.Sweeps, sb)
+			label := net.Name
+			if sb.Space != "" {
+				label += "/" + sb.Space
+			}
+			fmt.Fprintf(stdout, "%-24s sweep %d intervals: descending %8.2fms/compile (%d rebuilds), ascending %8.1fµs/compile (%d hits, %d allocs)\n",
+				label, len(sb.IntervalsUS), float64(sb.Descending.NsPerOp)/1e6, sb.Descending.Rebuilds,
+				float64(sb.Ascending.NsPerOp)/1e3, sb.Ascending.MemoHits, sb.Ascending.AllocsPerOp)
 		}
-		snap.Sweeps = append(snap.Sweeps, sb)
-		fmt.Fprintf(stdout, "%-24s sweep %d intervals: descending %8.2fms/compile (%d rebuilds), ascending %8.1fµs/compile (%d hits, %d allocs)\n",
-			net.Name, len(sb.IntervalsUS), float64(sb.Descending.NsPerOp)/1e6, sb.Descending.Rebuilds,
-			float64(sb.Ascending.NsPerOp)/1e3, sb.Ascending.MemoHits, sb.Ascending.AllocsPerOp)
 	}
 
 	// The traversal/mapping axis sweep, priced at both retention design
@@ -332,19 +341,23 @@ func checkRegression(stdout io.Writer, path string, snap *Snapshot) (int, error)
 	}
 	oldSweeps := make(map[string]SweepBench, len(prior.Sweeps))
 	for _, sb := range prior.Sweeps {
-		oldSweeps[sb.Model] = sb
+		oldSweeps[sb.Model+"\x00"+sb.Space] = sb
 	}
 	fails := 0
 	for _, sb := range snap.Sweeps {
+		cell := sb.Model + "/sweep"
+		if sb.Space != "" {
+			cell += "-" + sb.Space
+		}
 		if sb.Ascending.AllocsPerOp != 0 {
-			fmt.Fprintf(stdout, "FAIL %s/sweep: warm ascending pass allocated %d objects/compile, want 0\n",
-				sb.Model, sb.Ascending.AllocsPerOp)
+			fmt.Fprintf(stdout, "FAIL %s: warm ascending pass allocated %d objects/compile, want 0\n",
+				cell, sb.Ascending.AllocsPerOp)
 			fails++
 		}
-		p, ok := oldSweeps[sb.Model]
+		p, ok := oldSweeps[sb.Model+"\x00"+sb.Space]
 		if ok && prior.GOMAXPROCS == 1 && snap.GOMAXPROCS == 1 && sb.Descending.AllocsPerOp != p.Descending.AllocsPerOp {
-			fmt.Fprintf(stdout, "FAIL %s/sweep: descending pass allocs/op %d -> %d (one worker: the count is deterministic)\n",
-				sb.Model, p.Descending.AllocsPerOp, sb.Descending.AllocsPerOp)
+			fmt.Fprintf(stdout, "FAIL %s: descending pass allocs/op %d -> %d (one worker: the count is deterministic)\n",
+				cell, p.Descending.AllocsPerOp, sb.Descending.AllocsPerOp)
 			fails++
 		}
 	}
@@ -456,17 +469,29 @@ var sweepIntervals = []time.Duration{
 	180 * time.Microsecond, 120 * time.Microsecond, 80 * time.Microsecond, retention.TypicalRetentionTime,
 }
 
-// measureSweep times one model's sweep over iters iterations, each on a
-// fresh shared memo: the descending pass, an untimed ascending pass that
-// primes the pools, and the timed ascending pass; the fastest iteration
-// of each pass is kept. Allocations are per-compile MemStats deltas of
-// one fixed sweep, counted with the collector off on a fresh memo after
-// a full collection and an identical uncounted sweep: every pool starts
-// empty and is filled the same way, and none is emptied mid-count, so
-// the count repeats exactly from run to run.
-func measureSweep(net models.Network, cfg hw.Config, parallelism, iters int) (SweepBench, error) {
+// sweepSpace is a search space a model is swept on: its SweepBench.Space
+// name and its traversal and mapping specs.
+type sweepSpace struct{ name, traversal, mapping string }
+
+// sweepSpaces are the default space and the RTC traversal ladder with
+// every mapping policy, whose axis specs every compile resolves again.
+var sweepSpaces = []sweepSpace{
+	{"", "", ""},
+	{"rtc-all", "rtc", "all"},
+}
+
+// measureSweep times one model's sweep on one search space over iters
+// iterations, each on a fresh shared memo: the descending pass, an
+// untimed ascending pass that primes the pools, and the timed ascending
+// pass; the fastest iteration of each pass is kept. Allocations are
+// per-compile MemStats deltas of one fixed sweep, counted with the
+// collector off on a fresh memo after a full collection and an
+// identical uncounted sweep: every pool starts empty and is filled the
+// same way, and none is emptied mid-count, so the count repeats exactly
+// from run to run.
+func measureSweep(net models.Network, cfg hw.Config, space sweepSpace, parallelism, iters int) (SweepBench, error) {
 	ctx := context.Background()
-	sb := SweepBench{Model: net.Name}
+	sb := SweepBench{Model: net.Name, Space: space.name}
 	for _, iv := range sweepIntervals {
 		sb.IntervalsUS = append(sb.IntervalsUS, float64(iv)/float64(time.Microsecond))
 	}
@@ -499,6 +524,7 @@ func measureSweep(net models.Network, cfg hw.Config, parallelism, iters int) (Sw
 	// measured ascending pass on a fresh memo.
 	sweep := func() (down, up SweepPass, err error) {
 		opts := benchOpts("")
+		opts.Traversal, opts.Mapping = space.traversal, space.mapping
 		opts.Parallelism = parallelism
 		opts.Memo = sched.NewMemo(0)
 		if down, err = pass(opts, sweepIntervals); err != nil {

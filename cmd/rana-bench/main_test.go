@@ -48,17 +48,19 @@ func TestRunWritesSnapshot(t *testing.T) {
 	if nb.SpeedupX <= 0 {
 		t.Fatalf("speedup = %v, want > 0", nb.SpeedupX)
 	}
-	// The sweep builds AlexNet's five shapes at 1000 µs and rebuilds each
-	// once at 734 µs, down to the conventional 45 µs, so the six lower
-	// intervals are all hits (5 × 6); the rising pass answers all 5 × 8
-	// layers from those frontiers.
-	if len(snap.Sweeps) != 1 {
-		t.Fatalf("sweeps = %+v, want one AlexNet entry", snap.Sweeps)
+	// Each sweep, on the default space and on RTC × all mappings, builds
+	// AlexNet's five shapes at 1000 µs and rebuilds each once at 734 µs,
+	// down to the conventional 45 µs, so the six lower intervals are all
+	// hits (5 × 6); the rising pass answers all 5 × 8 layers from those
+	// frontiers.
+	if len(snap.Sweeps) != 2 || snap.Sweeps[0].Space != "" || snap.Sweeps[1].Space != "rtc-all" {
+		t.Fatalf("sweeps = %+v, want AlexNet on the default space and on rtc-all", snap.Sweeps)
 	}
-	sw := snap.Sweeps[0]
-	if len(sw.IntervalsUS) != 8 || sw.Descending.Rebuilds != 5 || sw.Descending.MemoHits != 30 ||
-		sw.Ascending.MemoHits != 40 || sw.Ascending.Rebuilds != 0 {
-		t.Fatalf("sweep = %+v, want 8 intervals, 5 rebuilds and 30 hits down, 40 hits and no rebuild up", sw)
+	for _, sw := range snap.Sweeps {
+		if sw.Model != "AlexNet" || len(sw.IntervalsUS) != 8 || sw.Descending.Rebuilds != 5 || sw.Descending.MemoHits != 30 ||
+			sw.Ascending.MemoHits != 40 || sw.Ascending.Rebuilds != 0 {
+			t.Fatalf("sweep = %+v, want 8 intervals, 5 rebuilds and 30 hits down, 40 hits and no rebuild up", sw)
+		}
 	}
 	if !strings.Contains(stdout.String(), "wrote "+out) {
 		t.Fatalf("stdout missing confirmation: %q", stdout.String())
@@ -147,6 +149,41 @@ func TestRegressPinsDescendingSweepAllocs(t *testing.T) {
 		}
 		var stdout bytes.Buffer
 		fails, err := checkRegression(&stdout, path, &Snapshot{GOMAXPROCS: c.procs, Sweeps: []SweepBench{sweep(c.allocs)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fails != c.fails {
+			t.Errorf("%+v: %d failures, want %d:\n%s", c, fails, c.fails, stdout.String())
+		}
+	}
+}
+
+// TestRegressKeysSweepsBySpace: a sweep is compared with the prior
+// sweep of its own model and space, so a new space's sweep pins nothing
+// until a snapshot carries it, and its ascending pass must still not
+// allocate.
+func TestRegressKeysSweepsBySpace(t *testing.T) {
+	sweep := func(space string, down, up uint64) SweepBench {
+		return SweepBench{Model: "VGG", Space: space, Descending: SweepPass{AllocsPerOp: down}, Ascending: SweepPass{AllocsPerOp: up}}
+	}
+	prior, err := json.Marshal(Snapshot{GOMAXPROCS: 1, Sweeps: []SweepBench{sweep("", 35, 0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "prior.json")
+	if err := os.WriteFile(path, prior, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		rtcDown, rtcUp uint64
+		fails          int
+	}{
+		{50, 0, 0},
+		{50, 2, 1},
+	} {
+		var stdout bytes.Buffer
+		snap := &Snapshot{GOMAXPROCS: 1, Sweeps: []SweepBench{sweep("", 35, 0), sweep("rtc-all", c.rtcDown, c.rtcUp)}}
+		fails, err := checkRegression(&stdout, path, snap)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,6 +22,7 @@ package sched
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"rana/internal/hw"
@@ -31,41 +32,51 @@ import (
 
 // TestWarmMemoCompileAllocFree gates the whole zoo, not one small net:
 // AlexNet's 5 layers hid a Network.Validate map that only heap-allocated
-// past 8 layers.
+// past 8 layers. It gates the default space and RTC × all mappings,
+// whose axis specs every compile resolves again (Validate, envFor and
+// the memo frame) and used to parse each time, 27 allocations per
+// GoogLeNet compile.
 func TestWarmMemoCompileAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are meaningless under the race detector")
 	}
 	cfg := hw.TestAcceleratorEDRAM()
 	ctx := context.Background()
-	for _, net := range models.Benchmarks() {
-		t.Run(net.Name, func(t *testing.T) {
-			opts := ranaOpts()
-			opts.Memo = NewMemo(0)
-			opts.Parallelism = 1
+	for _, space := range []struct{ prefix, traversal, mapping string }{
+		{"", "", ""},
+		{"rtc-all/", "rtc", "all"},
+	} {
+		for _, net := range models.Benchmarks() {
+			t.Run(space.prefix+net.Name, func(t *testing.T) {
+				opts := ranaOpts()
+				opts.Traversal, opts.Mapping = space.traversal, space.mapping
+				opts.Memo = NewMemo(0)
+				opts.Parallelism = 1
 
-			var p Plan
-			if _, err := ExploreNetworkInto(ctx, net, cfg, opts, &p); err != nil {
-				t.Fatal(err)
-			}
-			warm := p
-			allocs := testing.AllocsPerRun(20, func() {
+				var p Plan
 				if _, err := ExploreNetworkInto(ctx, net, cfg, opts, &p); err != nil {
 					t.Fatal(err)
 				}
-			})
-			if allocs != 0 {
-				t.Fatalf("warm-memo compile allocated %.1f objects/op, want 0", allocs)
-			}
-			if len(p.Layers) != len(warm.Layers) {
-				t.Fatalf("warm compile produced %d layers, want %d", len(p.Layers), len(warm.Layers))
-			}
-			for i := range p.Layers {
-				if p.Layers[i] != warm.Layers[i] {
-					t.Fatalf("layer %d drifted between warm compiles", i)
+				warm := p
+				warm.Layers = slices.Clone(p.Layers)
+				allocs := testing.AllocsPerRun(20, func() {
+					if _, err := ExploreNetworkInto(ctx, net, cfg, opts, &p); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("warm-memo compile allocated %.1f objects/op, want 0", allocs)
 				}
-			}
-		})
+				if len(p.Layers) != len(warm.Layers) {
+					t.Fatalf("warm compile produced %d layers, want %d", len(p.Layers), len(warm.Layers))
+				}
+				for i := range p.Layers {
+					if p.Layers[i] != warm.Layers[i] {
+						t.Fatalf("layer %d drifted between warm compiles", i)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -104,10 +104,10 @@ func AppendCanonical(b []byte, cfg *hw.Config, o *Options) []byte {
 	return b
 }
 
-// canonicalSpec is an axis spec's canonical spelling. The empty spec
-// skips the parse, which allocates. A spec that does not parse keeps its
-// raw spelling, which can only miss a collision, never make a wrong one;
-// validated options always parse.
+// canonicalSpec is an axis spec's canonical spelling, from the spec
+// memos. The empty spec skips the lookup. A spec that does not parse
+// keeps its raw spelling, which can only miss a collision, never make a
+// wrong one; validated options always parse.
 func canonicalSpec(spec string, canonical func(string) (string, error)) string {
 	if spec == "" {
 		return ""

@@ -4,9 +4,10 @@ package sched
 // ExploreNetworkContext writing into a caller-owned Plan, with every
 // piece of per-compile scratch leased from sync.Pools:
 //
-//   - a compileState arena holds the per-layer result/err/key slices,
-//     the in-compile dedup's representative indices, the miss work
-//     list and the memo frontier queries' operating-point scratch;
+//   - a compileState arena holds the per-layer stats/err/key slices,
+//     the in-compile dedup's shape table and representative indices,
+//     the frontiers the memo's peek found, the miss work list and the
+//     frontier queries' operating-point scratch;
 //   - an exploreState arena (one per exploring goroutine) holds the
 //     candidate axis scratch, the streaming tiling space, the pooled
 //     bound evaluator, the backend point/table scratch, the frontier
@@ -15,14 +16,17 @@ package sched
 //
 // Ownership: a leased arena belongs to exactly one compile (one
 // goroutine for exploreState) from Get to Put; nothing borrowed from an
-// arena may outlive the compile — results are *copied* into the Plan,
-// never aliased. The AllocsPerRun gates in alloc_test.go pin the steady
+// arena may outlive the compile. Layer plans are written in place into
+// the caller's Plan, which the compileState arena references only until
+// the compile returns; search results are *copied* into them, never
+// aliased. The AllocsPerRun gates in alloc_test.go pin the steady
 // states this buys: a warm-memo compile, the steady-state explore loop
 // and a saturated-memo compile all run allocation-free.
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -52,25 +56,26 @@ var (
 	defaultMappingAxis   = []MappingPolicy{RowMajorMapping}
 )
 
-// envFor parses the options' traversal and mapping specs once per
-// compile. Both parsers put the default at index 0, so a default-only
-// axis reproduces the historical candidate stream; the empty specs
-// resolve to shared singleton axes without parsing at all.
+// envFor resolves the options' traversal and mapping axes once per
+// compile, through the spec memos: a spec the request's earlier steps
+// already parsed costs a lookup. Both parsers put the default at index
+// 0, so a default-only axis reproduces the historical candidate stream;
+// the empty specs resolve to shared singleton axes without a lookup.
 func envFor(opts Options) (compileEnv, error) {
 	env := compileEnv{travs: defaultTraversalAxis, maps: defaultMappingAxis}
 	if opts.Traversal != "" {
-		travs, err := ParseTraversalSpec(opts.Traversal)
+		p, err := traversalSpecs.get(opts.Traversal)
 		if err != nil {
 			return env, err
 		}
-		env.travs = travs
+		env.travs = p.axis
 	}
 	if opts.Mapping != "" {
-		maps, err := ParseMappingSpec(opts.Mapping)
+		p, err := mappingSpecs.get(opts.Mapping)
 		if err != nil {
 			return env, err
 		}
-		env.maps = maps
+		env.maps = p.axis
 	}
 	return env, nil
 }
@@ -260,11 +265,12 @@ func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, 
 	return r.Outcome.Value, r.Stats, nil
 }
 
-// compileState is one compile's arena: the per-layer slices, the miss
-// work list and the frontier queries' operating-point scratch. reps[i]
-// is the earlier layer whose plan layer i repeats (the in-compile
-// dedup), or -1 when layer i is served or explored itself; firsts lists
-// those layers.
+// compileState is one compile's arena: the per-layer slices, the
+// in-compile dedup's shape table, the miss work list and the frontier
+// queries' operating-point scratch. reps[i] is the earlier layer whose
+// plan layer i repeats (the in-compile dedup), or -1 when layer i is
+// served or explored itself; fronts[i] is the memo frontier the peek
+// pass found for layer i, nil when it found none.
 type compileState struct {
 	plans  []LayerPlan
 	stats  []search.Stats
@@ -272,25 +278,37 @@ type compileState struct {
 	keys   []memoKey
 	reps   []int
 	errs   []error
-	firsts []int
+	fronts []*frontier
+	shapes shapeTable
 	miss   []int
 	points []mem.OperatingPoint
 }
 
 var compileStatePool = sync.Pool{New: func() any { return new(compileState) }}
 
-// grow sizes the per-layer slices to n layers, clearing reused storage.
-func (cs *compileState) grow(n int) {
-	if cap(cs.plans) < n {
-		cs.plans = make([]LayerPlan, n)
+// release drops the arena's references to the caller's layer plans and
+// to the memo's frontiers, and returns it to the pool.
+func (cs *compileState) release() {
+	cs.plans = nil
+	clear(cs.fronts)
+	compileStatePool.Put(cs)
+}
+
+// grow points the arena at the layer plans the compile writes in place,
+// the caller's, and sizes the other per-layer slices to their count,
+// clearing reused storage.
+func (cs *compileState) grow(plans []LayerPlan) {
+	n := len(plans)
+	cs.plans = plans
+	clear(cs.plans)
+	if cap(cs.stats) < n {
 		cs.stats = make([]search.Stats, n)
 		cs.hits = make([]bool, n)
 		cs.keys = make([]memoKey, n)
 		cs.reps = make([]int, n)
 		cs.errs = make([]error, n)
+		cs.fronts = make([]*frontier, n)
 	}
-	cs.plans = cs.plans[:n]
-	clear(cs.plans)
 	cs.stats = cs.stats[:n]
 	clear(cs.stats)
 	cs.hits = cs.hits[:n]
@@ -302,37 +320,70 @@ func (cs *compileState) grow(n int) {
 	}
 	cs.errs = cs.errs[:n]
 	clear(cs.errs)
-	cs.firsts = cs.firsts[:0]
+	cs.fronts = cs.fronts[:n] // release left them nil
 	cs.miss = cs.miss[:0]
 }
 
-// repeatOf returns the earlier layer (served or queued) whose memo key
-// equals key, or -1. Every key of one compile shares its frame, so only
-// the layer part is compared. A quadratic scan over the distinct layers
-// rather than a map: networks have dozens of distinct shapes, and the
-// compile path must not allocate.
-func (cs *compileState) repeatOf(key *memoKey) int {
-	for _, j := range cs.firsts {
-		if cs.keys[j].shape == key.shape {
-			return j
-		}
-	}
-	return -1
+// shapeTable is the in-compile dedup's open-addressed hash table over
+// one compile's layer shapes, probed linearly. A slot holds the index
+// plus one of the first layer with its shape; zero marks it empty. It
+// lives in the compile arena, so a probe allocates nothing once the
+// arena has grown to the network.
+type shapeTable struct {
+	slots []int32
 }
 
-// serve answers layer i from a completed shared-memo frontier covering
-// the options' interval — the warm path — and reports whether it did.
-// The query's error is the layer's error, and a panic is recovered into
-// one, as on the exploring path.
-func (cs *compileState) serve(i int, l *models.ConvLayer, cfg *hw.Config, opts *Options, memo *Memo, env *compileEnv) (served bool) {
-	f, ok := memo.peek(cs.keys[i], opts.RefreshInterval)
-	if !ok {
-		return false
+// reset empties the table and sizes it to size slots: a power of two
+// above the number of shapes it will hold, so a probe always reaches an
+// empty slot.
+func (t *shapeTable) reset(size int) {
+	if cap(t.slots) < size {
+		t.slots = make([]int32, size)
 	}
-	served, cs.hits[i] = true, true
+	t.slots = t.slots[:size]
+	clear(t.slots)
+}
+
+// firstOf returns the earlier layer whose shape equals layer i's, or
+// records layer i as its shape's first and returns -1. keys holds the
+// layers' memo keys; every key of one compile shares its frame, so only
+// the shapes are compared.
+func (t *shapeTable) firstOf(keys []memoKey, i int) int {
+	mask := uint64(len(t.slots) - 1)
+	for h := keys[i].shape.hash() & mask; ; h = (h + 1) & mask {
+		j := t.slots[h]
+		if j == 0 {
+			t.slots[h] = int32(i + 1)
+			return -1
+		}
+		if keys[j-1].shape == keys[i].shape {
+			return int(j - 1)
+		}
+	}
+}
+
+// shapeSlots is the shape table size for n layers: the power of two at
+// or above 2n, so the table is at most half full.
+func shapeSlots(n int) int { return 1 << bits.Len(uint(2*n-1)) }
+
+// serve answers layer i from f, the memo frontier the peek pass found
+// covering the options' interval — the warm path. bk and pts are the
+// compile's backend and operating points; a nil bk resolves layer i's
+// own, under its per-layer budget. The layer's error is the query's,
+// and a panic is recovered into one, as on the exploring path.
+func (cs *compileState) serve(i int, f *frontier, l *models.ConvLayer, cfg *hw.Config, opts *Options, env *compileEnv,
+	bk mem.Backend, pts []mem.OperatingPoint) {
+	cs.hits[i] = true
 	defer cs.recoverLayer(i)
-	cs.points, cs.errs[i] = f.query(&cs.plans[i], cs.points, l, cfg, opts, env)
-	return served
+	if bk == nil {
+		var err error
+		if bk, cs.points, err = appendBackendPoints(cs.points[:0], *cfg, *opts, opts.layerBudget(l.Name), l.Name); err != nil {
+			cs.errs[i] = err
+			return
+		}
+		pts = cs.points
+	}
+	cs.errs[i] = f.query(&cs.plans[i], l, cfg, opts, env, bk, pts)
 }
 
 // fillRepeats copies each repeated layer's plan from the layer it
@@ -438,36 +489,52 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 	// (ResNet bottlenecks, inception branches) explore once. Shared
 	// cross-compile memos are opt-in via Options.Memo.
 	memo, dedup := opts.Memo, !opts.DisableMemo
-	cs := compileStatePool.Get().(*compileState)
-	defer compileStatePool.Put(cs)
-
+	// Every layer's plan is written straight into the caller's plan, so a
+	// served layer's plan is never copied.
 	n := len(net.Layers)
-	cs.grow(n)
+	p.Layers = slices.Grow(p.Layers[:0], n)[:n]
+	cs := compileStatePool.Get().(*compileState)
+	defer cs.release()
+	cs.grow(p.Layers)
 	var prefixBase PrefixStats
 	if env.prefix != nil {
 		prefixBase = env.prefix.Stats()
 	}
 
 	// Phase 1: the peek pass. Keys are built once and kept for the miss
-	// drain; a layer whose key repeats an earlier layer's waits for that
-	// one's result, and a frontier in the shared memo that covers the
-	// options' interval answers the rest inline.
+	// drain; a layer whose shape repeats an earlier layer's waits for
+	// that one's result. Then one hold of the memo's lock finds the
+	// frontiers that cover the options' interval, and those answer their
+	// layers inline, priced at operating points resolved once for the
+	// compile unless per-layer budgets make them differ by layer.
 	if memo != nil || dedup {
 		frame := frameDigest(cfg, opts)
+		if dedup {
+			cs.shapes.reset(shapeSlots(n))
+		}
 		for i := range net.Layers {
-			l := &net.Layers[i]
-			cs.keys[i] = layerKey(&frame, l, &opts)
+			cs.keys[i] = layerKey(&frame, &net.Layers[i], &opts)
 			if dedup {
-				if j := cs.repeatOf(&cs.keys[i]); j >= 0 {
-					cs.reps[i] = j
-					continue
-				}
-				cs.firsts = append(cs.firsts, i)
+				cs.reps[i] = cs.shapes.firstOf(cs.keys, i)
 			}
-			if cs.serve(i, l, &cfg, &opts, memo, &env) {
-				continue
+		}
+		var bk mem.Backend
+		var pts []mem.OperatingPoint
+		if memo.peek(cs.keys, cs.reps, opts.RefreshInterval, cs.fronts) && len(opts.LayerBudgets) == 0 {
+			// An error leaves bk nil, and each served layer resolves its
+			// own, reporting the error as it always has.
+			bk, cs.points, _ = appendBackendPoints(cs.points[:0], cfg, opts, opts.effectiveErrorBudget(), "")
+			pts = cs.points
+		}
+		for i, f := range cs.fronts {
+			switch {
+			case cs.reps[i] >= 0:
+				// Filled from its representative after the drain.
+			case f != nil:
+				cs.serve(i, f, &net.Layers[i], &cfg, &opts, &env, bk, pts)
+			default:
+				cs.miss = append(cs.miss, i)
 			}
-			cs.miss = append(cs.miss, i)
 		}
 	} else {
 		for i := range net.Layers {
@@ -513,16 +580,13 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 		memo.countHits(filled)
 	}
 
-	// Assembly: copy the arena's results into the caller's plan and
-	// aggregate in layer order.
+	// Assembly: aggregate the caller's plan in layer order.
 	p.Network, p.Config, p.Options = net, cfg, opts
-	p.Layers = slices.Grow(p.Layers[:0], n)[:n]
 	p.Totals = energy.Counts{}
 	p.Energy = energy.Breakdown{}
 	p.ExecTime = 0
-	for i := range cs.plans {
-		lp := &cs.plans[i]
-		p.Layers[i] = *lp
+	for i := range p.Layers {
+		lp := &p.Layers[i]
 		p.Totals.Add(lp.Counts)
 		p.Energy.Add(lp.Energy)
 		p.ExecTime += lp.Analysis.ExecTime

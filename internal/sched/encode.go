@@ -72,7 +72,8 @@ func Encode(p *Plan) PlanJSON {
 		EnergyPJ: p.Energy.Total(),
 		ExecNs:   p.ExecTime.Nanoseconds(),
 	}
-	for i, lp := range p.Layers {
+	for i := range p.Layers {
+		lp := &p.Layers[i]
 		g.Layers = append(g.Layers, LayerJSON{
 			Name:      p.Network.Layers[i].Name,
 			Pattern:   lp.Analysis.Pattern.String(),

@@ -109,8 +109,8 @@ func (c *envelopeCase) checkAt(f *frontier, t time.Duration, exhaustive bool) er
 	if !exhaustive {
 		return nil
 	}
-	var lp LayerPlan
-	if _, err := f.query(&lp, nil, &c.l, &c.cfg, &o, &c.env); err != nil {
+	lp, err := answer(f, c.l, c.cfg, o, c.env)
+	if err != nil {
 		return fmt.Errorf("%s at %v: query: %w", c.l.Name, t, err)
 	}
 	o.Search, o.Parallelism, o.Memo = search.Exhaustive, 1, nil

@@ -56,3 +56,27 @@ func CheckEnvelopeForTest(l models.ConvLayer, cfg hw.Config, opts Options) (int,
 	}
 	return len(f.win), c.check(&f, true)
 }
+
+// DedupForTest runs the in-compile dedup's shape table, sized to size
+// slots, over the layers' memo keys under opts, and returns what the
+// peek pass records for each layer: the earlier layer whose plan it
+// repeats, or -1 for its shape's first layer.
+func DedupForTest(layers []models.ConvLayer, opts Options, size int) []int {
+	var frame [32]byte
+	keys := make([]memoKey, len(layers))
+	reps := make([]int, len(layers))
+	var t shapeTable
+	t.reset(size)
+	for i := range layers {
+		keys[i] = layerKey(&frame, &layers[i], &opts)
+		reps[i] = t.firstOf(keys, i)
+	}
+	return reps
+}
+
+// SameShapeForTest reports whether a and b share a memo shape under
+// opts: the identity the in-compile dedup compares layers by.
+func SameShapeForTest(a, b models.ConvLayer, opts Options) bool {
+	var frame [32]byte
+	return layerKey(&frame, &a, &opts).shape == layerKey(&frame, &b, &opts).shape
+}

@@ -28,7 +28,9 @@ package sched
 // rebuilds the frontier once, down to the conventional 45 µs refresh
 // interval (retention.TypicalRetentionTime), or at its own interval when
 // that is lower, so a sweep whose running minimum falls rebuilds each
-// shape once rather than at every new low.
+// shape once rather than at every new low. A request below a build
+// still in flight waits for it and then rebuilds, so concurrent
+// requests below one build rebuild the shape once too.
 //
 // Errors are never cached: their messages embed layer names, and a
 // transient failure must not poison every same-shaped layer.
@@ -91,6 +93,24 @@ type layerShape struct {
 	dims     [9]int64
 	budget   uint64
 	budgeted bool
+}
+
+// hash mixes the shape into the in-compile dedup's table index
+// (shapeTable): each field is folded in by an xor and an odd multiply,
+// and SplitMix64's finalizer stirs the result, so the low bits a table
+// masks depend on every bit of every field. Equal shapes hash equal;
+// the table compares shapes in full.
+func (s *layerShape) hash() uint64 {
+	h := s.budget
+	if s.budgeted {
+		h = ^h
+	}
+	for _, d := range s.dims {
+		h = (h ^ uint64(d)) * 0x9e3779b97f4a7c15
+	}
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // record is one winning candidate of a frontier: everything its exact
@@ -272,28 +292,23 @@ func (f *frontier) winner(t time.Duration) *record {
 // query answers layer l at the options' interval (≥ f.lo) into lp: the
 // winner of the interval's piece, re-priced and evaluated exactly, so
 // the plan comes from the same path as an explored one and carries l's
-// identity. pts is the caller's operating-point scratch, returned for
-// reuse.
-func (f *frontier) query(lp *LayerPlan, pts []mem.OperatingPoint, l *models.ConvLayer, cfg *hw.Config,
-	opts *Options, env *compileEnv) ([]mem.OperatingPoint, error) {
-	bk, pts, err := appendBackendPoints(pts[:0], *cfg, *opts, opts.layerBudget(l.Name), l.Name)
-	if err != nil {
-		return pts, err
-	}
+// identity. bk and pts are l's resolved backend and operating points.
+func (f *frontier) query(lp *LayerPlan, l *models.ConvLayer, cfg *hw.Config, opts *Options, env *compileEnv,
+	bk mem.Backend, pts []mem.OperatingPoint) error {
 	if len(f.win) == 0 {
-		return pts, fmt.Errorf("sched: empty layer frontier for %q", l.Name)
+		return fmt.Errorf("sched: empty layer frontier for %q", l.Name)
 	}
 	r := f.winner(opts.RefreshInterval)
 	best := f.price(r, opts, &pts[r.point], env.maps[r.mp], opts.Controller != nil && bk.Refreshes(),
 		hw.BankCount(cfg.BufferWords, cfg.BankWords), cfg.BankWords)
 	if err := evaluateCellInto(lp, l, opts.Patterns[r.kind], r.tilingOf(), cfg, opts, bk, &pts[r.point],
 		env.travs[r.trav], env.maps[r.mp]); err != nil {
-		return pts, err
+		return err
 	}
 	if got := lp.Energy.Total(); got != best {
-		return pts, fmt.Errorf("sched: layer %q: frontier priced %g pJ, exact evaluation %g pJ", l.Name, best, got)
+		return fmt.Errorf("sched: layer %q: frontier priced %g pJ, exact evaluation %g pJ", l.Name, best, got)
 	}
-	return pts, nil
+	return nil
 }
 
 // recordBuf is one scan goroutine's records during a frontier build
@@ -722,9 +737,10 @@ type MemoStats struct {
 	// longer interval than the request's; a rebuild explores down to
 	// 45 µs, or to the request's interval when that is lower.
 	Rebuilds uint64
-	// Unrecorded counts lookups that explored without recording: the
-	// memo was full, or the shape's rebuild was still in flight. Misses
-	// plus Unrecorded is every layer the memo's compiles explored.
+	// Unrecorded counts lookups that explored without recording because
+	// the memo was full. A lookup below an in-flight build's interval
+	// waits for that build instead, then rebuilds or hits. Misses plus
+	// Unrecorded is every layer the memo's compiles explored.
 	Unrecorded uint64
 	// Entries is the current table size.
 	Entries int
@@ -774,46 +790,57 @@ func layerKey(frame *[sha256.Size]byte, l *models.ConvLayer, opts *Options) memo
 	return k
 }
 
-// peek returns the completed frontier for key if it covers interval t,
-// without blocking: in-flight entries, misses and frontiers built above
-// t return false and the caller takes the exploring path (exploreEnv),
-// which waits on in-flight owners, rebuilds, and keeps the hit
-// accounting there. This is the warm compile path's allocation-free
+// peek looks up, under one hold of the lock, the key of every layer
+// that is not a repeat (reps[i] < 0) and sets fronts[i] to its completed
+// frontier when that covers interval t, counting a hit, and reports
+// whether it found any. It never blocks on a build: in-flight entries,
+// misses and frontiers built above t are left nil, and the caller takes
+// the exploring path (exploreEnv), which waits on in-flight owners,
+// rebuilds, and keeps the hit accounting there. A completed entry's
+// frontier is never written again, so the caller reads it after the
+// lock is released. This is the warm compile path's allocation-free
 // fast lane — no goroutine, no closure, no channel.
-func (m *Memo) peek(key memoKey, t time.Duration) (frontier, bool) {
+func (m *Memo) peek(keys []memoKey, reps []int, t time.Duration, fronts []*frontier) bool {
 	if m == nil {
-		return frontier{}, false
+		return false
 	}
+	found := false
 	m.mu.Lock()
-	e, ok := m.entries[key]
-	if !ok || !e.ok || t < e.lo {
-		m.mu.Unlock()
-		return frontier{}, false
+	for i := range keys {
+		if reps[i] >= 0 {
+			continue
+		}
+		if e, ok := m.entries[keys[i]]; ok && e.ok && t >= e.lo {
+			fronts[i], found = &e.f, true
+			m.hits++
+		}
 	}
-	m.hits++
-	f := e.f
 	m.mu.Unlock()
-	return f, true
+	return found
 }
 
-// memoMode classifies one acquire: served from an entry, saturated, or
-// owned (the caller must explore and publish through fillEnv).
+// memoMode classifies one acquire: served from an entry, saturated,
+// owned (the caller must explore and publish through fillEnv), or
+// behind a build that will not cover the caller's interval.
 type memoMode int
 
 const (
-	memoWait memoMode = iota // wait on the returned entry
-	memoFull                 // explore without recording
-	memoOwn                  // caller owns the returned entry
+	memoWait  memoMode = iota // wait on the returned entry
+	memoFull                  // explore without recording
+	memoOwn                   // caller owns the returned entry
+	memoRetry                 // wait on the returned entry, then acquire again
 )
 
 // acquire looks the key up at interval t. An entry whose frontier
 // covers t, completed or in flight, is returned to wait on (a hit). An
 // entry built above t is rebuilt: the caller owns a fresh entry that
 // replaces it (a miss and a rebuild), built at min(t, 45 µs) so that the
-// intervals a sweep reaches next are hits — unless that entry is still
-// in flight or the memo is full, when the caller explores without
-// recording (counted unrecorded). A missing key installs a fresh owned
-// entry built at t (a miss) while the memo has room.
+// intervals a sweep reaches next are hits. While that entry is still in
+// flight the caller waits for it and acquires again, so the first of
+// such callers rebuilds once and the others wait on its rebuild. A
+// missing key installs a fresh owned entry built at t (a miss). With the
+// memo full, the caller explores without recording (counted
+// unrecorded).
 func (m *Memo) acquire(key memoKey, t time.Duration) (*memoEntry, memoMode) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -822,7 +849,10 @@ func (m *Memo) acquire(key memoKey, t time.Duration) (*memoEntry, memoMode) {
 		m.hits++
 		return old, memoWait
 	}
-	if (found && !old.ok) || m.records+m.building >= m.cap {
+	if found && !old.ok {
+		return old, memoRetry
+	}
+	if m.records+m.building >= m.cap {
 		// Nothing to record into: explore without recording, and count
 		// it unrecorded, not a miss — nothing was added. Same-shaped
 		// layers of the caller's compile still explore once (the
@@ -845,14 +875,17 @@ func (m *Memo) acquire(key memoKey, t time.Duration) (*memoEntry, memoMode) {
 	return e, memoOwn
 }
 
-// answer serves layer l from a completed frontier, leasing an explore
-// arena for the operating-point scratch.
+// answer serves layer l from a completed frontier, resolving its
+// backend into a leased explore arena's operating-point scratch.
 func answer(f *frontier, l models.ConvLayer, cfg hw.Config, opts Options, env compileEnv) (LayerPlan, error) {
 	s := exploreStatePool.Get().(*exploreState)
 	defer s.release()
 	var lp LayerPlan
 	var err error
-	s.points, err = f.query(&lp, s.points, &l, &cfg, &opts, &env)
+	if s.bk, s.points, err = appendBackendPoints(s.points[:0], cfg, opts, opts.layerBudget(l.Name), l.Name); err != nil {
+		return lp, err
+	}
+	err = f.query(&lp, &l, &cfg, &opts, &env, s.bk, s.points)
 	return lp, err
 }
 
@@ -870,6 +903,10 @@ func (m *Memo) exploreEnv(key memoKey, l models.ConvLayer, cfg hw.Config, opts O
 		return lp, stats, false, err
 	}
 	e, mode := m.acquire(key, opts.RefreshInterval)
+	for mode == memoRetry {
+		e.wg.Wait()
+		e, mode = m.acquire(key, opts.RefreshInterval)
+	}
 	switch mode {
 	case memoWait:
 		e.wg.Wait()

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -767,5 +769,79 @@ func TestMemoFloorRebuildRace(t *testing.T) {
 	}
 	if st.Misses+st.Unrecorded != uint64(explored) {
 		t.Errorf("memo stats %+v account for %d explorations, the compiles made %d", st, st.Misses+st.Unrecorded, explored)
+	}
+}
+
+// TestMemoFirstBuildWaitRace races three GoogLeNet compiles at 300 µs
+// against one at 734 µs on a fresh memo, releasing the three once the
+// 734 µs compile has a first build in flight. A request below an
+// in-flight build's interval waits for that build and then rebuilds the
+// shape once, down to 45 µs, rather than exploring without recording.
+// Every plan equals the memo-free plan at its interval, nothing is
+// unrecorded, and each shape rebuilds at most once: only a rebuild
+// builds at 45 µs, so the rebuilds must equal the entries answering from
+// 45 µs.
+func TestMemoFirstBuildWaitRace(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	ctx := context.Background()
+	net := models.GoogLeNet()
+	base := ranaOpts()
+	base.Controller = memctrl.RefreshOptimized{}
+	first, below := retention.TolerableRetentionTime, 300*time.Microsecond
+	want := map[time.Duration]string{}
+	for _, iv := range []time.Duration{first, below} {
+		o := base
+		o.RefreshInterval = iv
+		want[iv] = coldBytes(t, net, cfg, o)
+	}
+	memo := NewMemo(0)
+	base.Memo, base.Parallelism = memo, 2
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	explored := 0
+	compile := func(iv time.Duration) {
+		defer wg.Done()
+		o := base
+		o.RefreshInterval = iv
+		p, ns, err := ExploreNetworkContext(ctx, net, cfg, o)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mu.Lock()
+		explored += ns.MemoMisses
+		mu.Unlock()
+		if wireBytes(t, p) != want[iv] {
+			t.Errorf("%v: shared-memo plan differs from the memo-free plan", iv)
+		}
+	}
+	var firstDone atomic.Bool
+	wg.Add(1)
+	go func() {
+		defer firstDone.Store(true)
+		compile(first)
+	}()
+	for building := 0; building == 0 && !firstDone.Load(); runtime.Gosched() {
+		memo.mu.Lock()
+		building = memo.building
+		memo.mu.Unlock()
+	}
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go compile(below)
+	}
+	wg.Wait()
+	st := memo.Stats()
+	at45 := uint64(0)
+	for _, e := range memo.entries {
+		if e.lo == retention.TypicalRetentionTime {
+			at45++
+		}
+	}
+	if st.Unrecorded != 0 || st.Rebuilds != at45 || st.Rebuilds > zooShapes[net.Name] {
+		t.Errorf("memo stats %+v with %d entries at 45 µs: want nothing unrecorded and one rebuild per entry at 45 µs", st, at45)
+	}
+	if st.Misses != uint64(explored) {
+		t.Errorf("memo stats %+v account for %d explorations, the compiles made %d", st, st.Misses, explored)
 	}
 }

@@ -266,15 +266,16 @@ func (o Options) Validate() error {
 	if !(o.ErrorBudget >= 0 && o.ErrorBudget <= 1) {
 		return fmt.Errorf("sched: error budget %g outside [0, 1]", o.ErrorBudget)
 	}
-	// Empty specs are the always-valid defaults; skipping the parse
-	// keeps repeated validation (once per compile) allocation-free.
+	// Empty specs are the always-valid defaults. The others are looked
+	// up in the spec memos, so repeated validation (once per compile)
+	// does not parse them again.
 	if o.Traversal != "" {
-		if _, err := ParseTraversalSpec(o.Traversal); err != nil {
+		if _, err := traversalSpecs.get(o.Traversal); err != nil {
 			return err
 		}
 	}
 	if o.Mapping != "" {
-		if _, err := ParseMappingSpec(o.Mapping); err != nil {
+		if _, err := mappingSpecs.get(o.Mapping); err != nil {
 			return err
 		}
 	}

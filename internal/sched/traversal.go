@@ -22,8 +22,10 @@ package sched
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"rana/internal/energy"
 	"rana/internal/pattern"
@@ -204,28 +206,76 @@ func ParseMappingSpec(spec string) ([]MappingPolicy, error) {
 // spellings ("", "linear", "linear,linear") collapse onto one form, so
 // cache keys and memo keys stay byte-identical for legacy requests.
 func CanonicalTraversalSpec(spec string) (string, error) {
-	axis, err := ParseTraversalSpec(spec)
+	p, err := traversalSpecs.get(spec)
 	if err != nil {
 		return "", err
 	}
-	parts := make([]string, 0, len(axis)-1)
-	for _, tr := range axis[1:] {
-		parts = append(parts, tr.String())
-	}
-	return strings.Join(parts, ","), nil
+	return p.canonical, nil
 }
 
 // CanonicalMappingSpec is CanonicalTraversalSpec for the mapping axis.
 func CanonicalMappingSpec(spec string) (string, error) {
-	axis, err := ParseMappingSpec(spec)
+	p, err := mappingSpecs.get(spec)
 	if err != nil {
 		return "", err
 	}
-	parts := make([]string, 0, len(axis)-1)
-	for _, m := range axis[1:] {
-		parts = append(parts, m.Name)
+	return p.canonical, nil
+}
+
+// One request resolves its axis specs at several steps: serve's
+// admission, Options.Validate, the cache key's and the memo frame's
+// AppendCanonical, and envFor. The first step parses a spec; the others
+// find the parsed axis and its canonical spelling in these memos.
+var (
+	traversalSpecs = specMemo[pattern.Traversal]{parse: ParseTraversalSpec, name: pattern.Traversal.String}
+	mappingSpecs   = specMemo[MappingPolicy]{parse: ParseMappingSpec, name: func(m MappingPolicy) string { return m.Name }}
+)
+
+// specMemoSlots bounds each axis's spec memo.
+const specMemoSlots = 64
+
+var specMemoSeed = maphash.MakeSeed()
+
+// specMemo is a bounded memo of one axis's parsed specs. It is
+// direct-mapped: a spec hashes to one slot, and a newly parsed spec
+// replaces whatever that slot held, so however many spellings clients
+// send, the memo holds at most specMemoSlots of them. Entries are
+// immutable and published through atomic pointers, so a lookup takes no
+// lock and allocates nothing. Only specs that parse are stored; their
+// axis slices are shared, read-only, by every caller.
+type specMemo[T any] struct {
+	slots [specMemoSlots]atomic.Pointer[parsedSpec[T]]
+	parse func(string) ([]T, error)
+	name  func(T) string
+}
+
+// parsedSpec is one memoized spec: its parsed axis, default first, and
+// its canonical spelling.
+type parsedSpec[T any] struct {
+	spec      string
+	axis      []T
+	canonical string
+}
+
+// get returns spec's parsed form, parsing it only when its slot holds
+// another spec.
+func (m *specMemo[T]) get(spec string) (*parsedSpec[T], error) {
+	slot := &m.slots[maphash.String(specMemoSeed, spec)%specMemoSlots]
+	if p := slot.Load(); p != nil && p.spec == spec {
+		return p, nil
 	}
-	return strings.Join(parts, ","), nil
+	axis, err := m.parse(spec)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]string, 0, len(axis)-1)
+	for _, v := range axis[1:] {
+		parts = append(parts, m.name(v))
+	}
+	// The spec may alias a request body; the memo keeps its own copy.
+	p := &parsedSpec[T]{spec: strings.Clone(spec), axis: axis, canonical: strings.Join(parts, ",")}
+	slot.Store(p)
+	return p, nil
 }
 
 // traversalName is the per-layer plan spelling of a chosen traversal:

@@ -2,6 +2,10 @@ package sched
 
 import (
 	"encoding/json"
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -150,6 +154,50 @@ func TestCanonicalSpecs(t *testing.T) {
 			t.Errorf("canonical mapping %q not a fixed point: %q, %v", got, again, err)
 		}
 	}
+}
+
+// TestSpecMemoMatchesParse resolves five times more traversal specs
+// than the memo has slots, from four goroutines in different orders,
+// so slots are replaced while other lookups read them: every lookup
+// returns the parsed axis and the joined canonical spelling of its own
+// spec, and an invalid spec its parse error, never a cached answer.
+func TestSpecMemoMatchesParse(t *testing.T) {
+	specs := []string{"rtc", "bogus", "blocked1"}
+	for a := 2; len(specs) < 5*specMemoSlots; a++ {
+		for b := a + 1; b <= MaxTraversalBlocks && len(specs) < 5*specMemoSlots; b++ {
+			specs = append(specs, fmt.Sprintf("blocked%d,linear,blocked%d", a, b))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				for i := range specs {
+					spec := specs[(i*(g+1)+r)%len(specs)]
+					axis, err := ParseTraversalSpec(spec)
+					p, merr := traversalSpecs.get(spec)
+					if (err == nil) != (merr == nil) {
+						t.Errorf("%q: parse error %v, memo error %v", spec, err, merr)
+						return
+					}
+					if err != nil {
+						continue
+					}
+					var parts []string
+					for _, tr := range axis[1:] {
+						parts = append(parts, tr.String())
+					}
+					if !slices.Equal(p.axis, axis) || p.canonical != strings.Join(parts, ",") || p.spec != spec {
+						t.Errorf("%q: memo holds %q → %v %q, parse gives %v", spec, p.spec, p.axis, p.canonical, axis)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestSignatureAxes pins the memo frame's discipline around the axes:

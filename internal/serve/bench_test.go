@@ -20,6 +20,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -100,6 +101,46 @@ func BenchmarkScheduleCacheMiss(b *testing.B) {
 // sweepBody is a retention-sweep request: a named model at a refresh
 // interval.
 const sweepBody = `{"model":"GoogLeNet","options":{"refresh_interval_ns":45000}}`
+
+// BenchmarkWarmSweepMiss is one sweep request through ranad's handler,
+// in process, to a writer that keeps nothing: a named zoo model at a
+// never-seen refresh interval, so the request misses the response cache
+// while the shared memo's frontiers answer every layer — what each
+// request of a retention sweep costs once the memo is warm. The first
+// request builds the frontiers at 45 µs; every later interval is above
+// it. It runs each zoo network on the default space and on RTC × all
+// mappings.
+func BenchmarkWarmSweepMiss(b *testing.B) {
+	for _, space := range []struct{ name, axes string }{
+		{"default", ""},
+		{"rtc-all", `,"traversal":"rtc","mapping":"all"`},
+	} {
+		for _, net := range models.Benchmarks() {
+			b.Run(space.name+"/"+net.Name, func(b *testing.B) {
+				s := New(Config{})
+				b.Cleanup(func() { s.Shutdown(context.Background()) })
+				post := handlerPoster(s.Handler(), "/v1/schedule")
+				head := `{"model":"` + net.Name + `","options":{"refresh_interval_ns":`
+				var body []byte
+				interval := int64(45_000)
+				miss := func() {
+					body = strconv.AppendInt(append(body[:0], head...), interval, 10)
+					body = append(append(body, space.axes...), "}}"...)
+					interval++
+					if code, source := post(body); code != http.StatusOK || source != "miss" {
+						b.Fatalf("status %d, X-Rana-Cache %q, want a miss", code, source)
+					}
+				}
+				miss()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					miss()
+				}
+			})
+		}
+	}
+}
 
 // BenchmarkDecodeRequest reads a named and a spelled-out schedule body
 // with the field-table reader and with encoding/json, the decoder it

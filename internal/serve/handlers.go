@@ -100,8 +100,8 @@ func anyFaulty(pts []mem.OperatingPoint) bool {
 // planFaulty reports whether a computed plan places any layer's data at
 // a fault-exposed (non-nominal) operating point.
 func planFaulty(plan *sched.Plan) bool {
-	for _, lp := range plan.Layers {
-		if lp.Point != "" && lp.Point != mem.Nominal {
+	for i := range plan.Layers {
+		if pt := plan.Layers[i].Point; pt != "" && pt != mem.Nominal {
 			return true
 		}
 	}

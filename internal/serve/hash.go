@@ -20,7 +20,9 @@ package serve
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
+	"hash"
 	"strconv"
 	"sync"
 
@@ -62,7 +64,8 @@ func putScratch(bp *[]byte, b []byte) {
 // when the resolved options coincide.
 func scheduleKey(op string, net models.Network, cfg hw.Config, opts sched.Options) string {
 	bp := getScratch()
-	return hashKey(bp, appendScheduleKey((*bp)[:0], op, net, cfg, opts))
+	b, head := keyHead((*bp)[:0], op, &net)
+	return hashKey(bp, head, appendScheduleTail(b, cfg, opts))
 }
 
 // compileKey is the cache key of a resolved /v1/compile request. The
@@ -70,7 +73,8 @@ func scheduleKey(op string, net models.Network, cfg hw.Config, opts sched.Option
 // different strategies may legitimately produce different plans.
 func compileKey(net models.Network, strategy search.Strategy) string {
 	bp := getScratch()
-	return hashKey(bp, appendCompileKey((*bp)[:0], net, strategy))
+	b, head := keyHead((*bp)[:0], "compile", &net)
+	return hashKey(bp, head, appendCompileTail(b, strategy))
 }
 
 // evaluateKey is the cache key of a resolved /v1/evaluate request.
@@ -78,40 +82,122 @@ func compileKey(net models.Network, strategy search.Strategy) string {
 // verbatim, so the legacy (design, network) requests keep their keys.
 func evaluateKey(design string, net models.Network, backend, point string) string {
 	bp := getScratch()
-	return hashKey(bp, appendEvaluateKey((*bp)[:0], design, net, backend, point))
+	b, head := keyHead((*bp)[:0], "evaluate", &net)
+	return hashKey(bp, head, appendEvaluateTail(b, design, backend, point))
 }
 
-// hashKey returns the hex SHA-256 of the canonical form b and recycles
-// b's scratch.
-func hashKey(bp *[]byte, b []byte) string {
-	sum := sha256.Sum256(b)
+// hashKey returns the hex SHA-256 of a canonical form and recycles its
+// scratch. b is the form after head, the SHA-256 state of a zoo
+// network's key head (keyHead); a nil head means b is the whole form.
+func hashKey(bp *[]byte, head []byte, b []byte) string {
+	var sum [sha256.Size]byte
+	if head == nil {
+		sum = sha256.Sum256(b)
+	} else {
+		h := headHashes.Get().(hash.Hash)
+		if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(head); err != nil {
+			panic(err) // the state came from the same hash's MarshalBinary
+		}
+		h.Write(b)
+		// The digest is appended to the scratch: a stack array passed
+		// through the interface would escape to the heap.
+		b = h.Sum(b)
+		copy(sum[:], b[len(b)-sha256.Size:])
+		headHashes.Put(h)
+	}
 	putScratch(bp, b)
 	var digest [2 * sha256.Size]byte
 	hex.Encode(digest[:], sum[:])
 	return string(digest[:])
 }
 
-// appendScheduleKey appends the canonical form of a schedule request:
-// the network, then the accelerator configuration, then the options.
-func appendScheduleKey(b []byte, op string, net models.Network, cfg hw.Config, opts sched.Options) []byte {
-	b = appendKeyHead(b, op, net)
+// headHashes pools the SHA-256 states a zoo key's hash resumes from.
+var headHashes = sync.Pool{New: func() any { return sha256.New() }}
+
+// keyHead opens the canonical form of op on net. For a zoo network it
+// appends nothing and returns the SHA-256 state after the network's
+// head, hashed once per process (zooHeads); otherwise it appends the
+// head and returns a nil state.
+func keyHead(b []byte, op string, net *models.Network) (form, state []byte) {
+	if head := zooHead(op, net); head != nil {
+		return b, head
+	}
+	return appendKeyHead(b, op, *net), nil
+}
+
+// zooKeyOps are the ops whose zoo heads are hashed ahead.
+var zooKeyOps = []string{"schedule", "schedule-degraded", "schedule-budget-fallback", "compile", "evaluate"}
+
+// zooHeads is, for each zoo network as models.ByName returns it, the
+// SHA-256 state after each zoo key op's head, so a request on a named
+// model neither formats nor hashes its layers. Empty if the hash cannot
+// save its state.
+var zooHeads = sync.OnceValue(func() []zooKeyHeads {
+	var heads []zooKeyHeads
+	for _, b := range models.Benchmarks() {
+		net, _ := models.ByName(b.Name)
+		z := zooKeyHeads{net: net, states: map[string][]byte{}}
+		for _, op := range zooKeyOps {
+			h := sha256.New()
+			h.Write(appendKeyHead(nil, op, net))
+			m, ok := h.(encoding.BinaryMarshaler)
+			if !ok {
+				return nil
+			}
+			state, err := m.MarshalBinary()
+			if err != nil {
+				return nil
+			}
+			z.states[op] = state
+		}
+		heads = append(heads, z)
+	}
+	return heads
+})
+
+// zooKeyHeads is one zoo network's hashed key heads, by op.
+type zooKeyHeads struct {
+	net    models.Network
+	states map[string][]byte
+}
+
+// zooHead returns the SHA-256 state after op's head on net when net is
+// a zoo network as models.ByName returns it, nil otherwise. ByName hands
+// every caller the zoo's one Layers slice, read-only by contract, so a
+// network with the zoo entry's name whose layers are that slice is the
+// entry.
+func zooHead(op string, net *models.Network) []byte {
+	if len(net.Layers) == 0 {
+		return nil
+	}
+	heads := zooHeads()
+	for i := range heads {
+		z := &heads[i]
+		if &net.Layers[0] == &z.net.Layers[0] && len(net.Layers) == len(z.net.Layers) && net.Name == z.net.Name {
+			return z.states[op]
+		}
+	}
+	return nil
+}
+
+// appendScheduleTail closes a schedule request's canonical form after
+// its head: the accelerator configuration, then the options.
+func appendScheduleTail(b []byte, cfg hw.Config, opts sched.Options) []byte {
 	return append(sched.AppendCanonical(b, &cfg, &opts), '}')
 }
 
-// appendCompileKey appends the canonical form of a compile request: the
-// network and the resolved strategy (compile always runs the
-// framework's own platform and options).
-func appendCompileKey(b []byte, net models.Network, strategy search.Strategy) []byte {
-	b = appendKeyHead(b, "compile", net)
+// appendCompileTail closes a compile request's canonical form after its
+// head: the resolved strategy (compile always runs the framework's own
+// platform and options).
+func appendCompileTail(b []byte, strategy search.Strategy) []byte {
 	b = jsonenc.OmitString(b, `,"search":`, string(strategy.Resolve()))
 	return append(b, '}')
 }
 
-// appendEvaluateKey appends the canonical form of an evaluate request:
-// the network, the backend axis and the design name, which fully
+// appendEvaluateTail closes an evaluate request's canonical form after
+// its head: the backend axis and the design name, which fully
 // determines the scheduling options.
-func appendEvaluateKey(b []byte, design string, net models.Network, backend, point string) []byte {
-	b = appendKeyHead(b, "evaluate", net)
+func appendEvaluateTail(b []byte, design, backend, point string) []byte {
 	b = jsonenc.OmitString(b, `,"backend":`, backend)
 	b = jsonenc.OmitString(b, `,"operating_point":`, point)
 	b = jsonenc.OmitString(b, `,"design":`, design)

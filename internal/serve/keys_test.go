@@ -61,15 +61,16 @@ type keyCase struct {
 	backend, point      string          // evaluate
 }
 
-// appendDoc appends the case's canonical form with the hand encoder.
+// appendDoc appends the case's whole canonical form with the hand
+// encoder: the formatted head, then the op's tail.
 func (c *keyCase) appendDoc(b []byte) []byte {
 	switch c.op {
 	case "compile":
-		return appendCompileKey(b, c.net, c.strategy)
+		return appendCompileTail(appendKeyHead(b, c.op, c.net), c.strategy)
 	case "evaluate":
-		return appendEvaluateKey(b, c.design, c.net, c.backend, c.point)
+		return appendEvaluateTail(appendKeyHead(b, c.op, c.net), c.design, c.backend, c.point)
 	default:
-		return appendScheduleKey(b, c.op, c.net, c.cfg, c.opts)
+		return appendScheduleTail(appendKeyHead(b, c.op, c.net), c.cfg, c.opts)
 	}
 }
 
@@ -103,7 +104,10 @@ func keyCases(t testing.TB) []keyCase {
 	t.Helper()
 	cfg := hw.TestAcceleratorEDRAM()
 	var cases []keyCase
-	for _, net := range models.Benchmarks() {
+	for _, b := range models.Benchmarks() {
+		// The zoo's own entry, as a named request resolves it, so the
+		// keys resume from the zoo heads' hashed states (zooHead).
+		net, _ := models.ByName(b.Name)
 		for _, sp := range keySpellings {
 			opts, err := resolveOptions(sp.spec, cfg)
 			if err != nil {
@@ -200,6 +204,36 @@ func TestCanonicalKeysPinned(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("key moved:\n got %s\nwant %s", got[i], want[i])
+		}
+	}
+}
+
+// TestZooKeyHeadsMatchFormatted: a zoo network's keys, which resume
+// from its head's hashed state, equal the keys of a copy of it, whose
+// head is formatted and hashed per request, for every op that has a zoo
+// head.
+func TestZooKeyHeadsMatchFormatted(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	opts := defaultOpts()
+	for _, b := range models.Benchmarks() {
+		zoo, _ := models.ByName(b.Name)
+		copied := zoo
+		copied.Layers = slices.Clone(zoo.Layers)
+		for _, op := range zooKeyOps {
+			if zooHead(op, &zoo) == nil || zooHead(op, &copied) != nil {
+				t.Fatalf("%s/%s: the zoo entry must resume from a hashed head and its copy must not", zoo.Name, op)
+			}
+		}
+		for _, op := range zooKeyOps[:3] {
+			if got, want := scheduleKey(op, zoo, cfg, opts), scheduleKey(op, copied, cfg, opts); got != want {
+				t.Errorf("%s/%s: zoo key %s, formatted %s", zoo.Name, op, got, want)
+			}
+		}
+		if got, want := compileKey(zoo, search.Beam), compileKey(copied, search.Beam); got != want {
+			t.Errorf("%s/compile: zoo key %s, formatted %s", zoo.Name, got, want)
+		}
+		if got, want := evaluateKey("S+ID", zoo, "approx-dram", "v0.8"), evaluateKey("S+ID", copied, "approx-dram", "v0.8"); got != want {
+			t.Errorf("%s/evaluate: zoo key %s, formatted %s", zoo.Name, got, want)
 		}
 	}
 }

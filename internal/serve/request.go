@@ -490,11 +490,13 @@ func resolveOptions(spec *OptionsSpec, cfg hw.Config) (sched.Options, error) {
 	opts.Traversal = spec.Traversal
 	opts.Mapping = spec.Mapping
 	// Axis specs are validated eagerly for a precise 400; Validate would
-	// catch them too, but wrapped as a generic option error.
-	if _, err := sched.ParseTraversalSpec(spec.Traversal); err != nil {
+	// catch them too, but wrapped as a generic option error. Resolving a
+	// spec's canonical spelling parses it once and memoizes it, so
+	// Validate, the key and the compile look it up instead.
+	if _, err := sched.CanonicalTraversalSpec(spec.Traversal); err != nil {
 		return sched.Options{}, badRequest("invalid traversal: %v", err)
 	}
-	if _, err := sched.ParseMappingSpec(spec.Mapping); err != nil {
+	if _, err := sched.CanonicalMappingSpec(spec.Mapping); err != nil {
 		return sched.Options{}, badRequest("invalid mapping: %v", err)
 	}
 	// Full backend resolution up front: an unknown backend, an unknown or
