@@ -33,8 +33,7 @@ type Framework struct {
 	// optimization.
 	Platform *platform.Platform
 	// AccuracyConstraint is the minimum relative accuracy Stage 1 must
-	// preserve (the paper requires no accuracy loss; 0.995 reproduces
-	// its 10⁻⁵ decision).
+	// preserve (DefaultAccuracyConstraint reproduces the paper).
 	AccuracyConstraint float64
 	// Rates is the failure-rate ladder Stage 1 searches.
 	Rates []float64
@@ -70,14 +69,33 @@ type Framework struct {
 	Mapping string
 }
 
+// DefaultAccuracyConstraint is Stage 1's default relative-accuracy
+// constraint: the paper requires no accuracy loss, and 0.995 reproduces
+// its 10⁻⁵ decision. New compiles at it, and ranad derives at it the
+// per-layer error budgets approximate operating points are admitted
+// under.
+const DefaultAccuracyConstraint = 0.995
+
 // New returns a framework on the paper's evaluation platform with the
 // paper's search parameters.
 func New() *Framework {
 	return &Framework{
 		Platform:           platform.Test(),
-		AccuracyConstraint: 0.995,
+		AccuracyConstraint: DefaultAccuracyConstraint,
 		Rates:              training.PaperRates,
 	}
+}
+
+// LayerBudgets is Stage 1's per-layer decision: the tolerable failure
+// rate of each of net's layers, read off its calibrated resilience
+// curve by searching rates under the relative-accuracy constraint.
+// Stage 2 admits operating points layer by layer against these budgets.
+func LayerBudgets(net models.Network, constraint float64, rates []float64) (map[string]float64, error) {
+	names := make([]string, len(net.Layers))
+	for i, l := range net.Layers {
+		names[i] = l.Name
+	}
+	return training.LayerTolerableRates(net.Name, names, constraint, rates)
 }
 
 // LayerConfig is one entry of the layerwise configurations produced by
@@ -148,17 +166,12 @@ func (f *Framework) CompileContext(ctx context.Context, net models.Network) (out
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	rt := f.Platform.Dist.RetentionTime(rate)
 
 	// Stage 1, per layer: each layer's own tolerable failure rate from
 	// its calibrated resilience curve. Stage 2's operating-point
 	// admission checks candidate points against these, not just the
 	// scalar decision.
-	names := make([]string, len(net.Layers))
-	for i, l := range net.Layers {
-		names[i] = l.Name
-	}
-	layerBudgets, err := training.LayerTolerableRates(net.Name, names, f.AccuracyConstraint, f.Rates)
+	layerBudgets, err := LayerBudgets(net, f.AccuracyConstraint, f.Rates)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -166,27 +179,24 @@ func (f *Framework) CompileContext(ctx context.Context, net models.Network) (out
 	// Stage 2: hybrid-pattern scheduling at the tolerable interval with
 	// the refresh-optimized controller (the full RANA design point). A
 	// platform that already has eDRAM buffers keeps its own capacity;
-	// an SRAM base is refitted to the paper's equal-area 1.454 MB.
-	design := platform.RANAStarE5()
+	// an SRAM base is refitted to the paper's equal-area 1.454 MB. The
+	// design's interval is the rate's retention time under the
+	// platform's distribution (TolerableRate never returns 0).
+	design := platform.RANAStarE5().WithBackend(f.Backend, f.OperatingPoint)
 	design.FailureRate = rate
 	if f.Platform.Base.BufferTech == energy.EDRAM {
 		design.BufferWords = 0
 	}
 	cfg := design.Apply(f.Platform.Base)
-	opts := sched.Options{
-		Patterns:        design.Patterns,
-		RefreshInterval: rt,
-		Controller:      memctrl.RefreshOptimized{},
-		Search:          f.Search,
-		Parallelism:     f.Parallelism,
-		Memo:            f.Memo,
-		Prefix:          f.Prefix,
-		Backend:         f.Backend,
-		OperatingPoint:  f.OperatingPoint,
-		Traversal:       f.Traversal,
-		Mapping:         f.Mapping,
-		LayerBudgets:    layerBudgets,
-	}
+	opts := f.Platform.Options(design)
+	opts.Search = f.Search
+	opts.Parallelism = f.Parallelism
+	opts.Memo = f.Memo
+	opts.Prefix = f.Prefix
+	opts.Traversal = f.Traversal
+	opts.Mapping = f.Mapping
+	opts.LayerBudgets = layerBudgets
+	rt := opts.RefreshInterval
 	plan, stats, err := sched.ExploreNetworkContext(ctx, net, cfg, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -70,19 +70,16 @@ type Ext2Row struct {
 // interval; smaller guards force refresh on marginal layers.
 func Extension2GuardBand() ([]Ext2Row, error) {
 	p := platform.Test()
+	d := platform.RANAStarE5()
+	cfg := d.Apply(p.Base)
+	opts := p.Options(d)
 	guards := []float64{1.0, 0.9, 0.7, 0.5}
 	var rows []Ext2Row
 	for _, n := range models.Benchmarks() {
 		var base float64
 		for _, g := range guards {
-			d := platform.RANAStarE5()
-			cfg := d.Apply(p.Base)
-			plan, err := sched.Schedule(n, cfg, sched.Options{
-				Patterns:        d.Patterns,
-				RefreshInterval: d.Interval(p.Dist),
-				Controller:      d.Controller(),
-				RetentionGuard:  g,
-			})
+			opts.RetentionGuard = g
+			plan, err := sched.Schedule(n, cfg, opts)
 			if err != nil {
 				return nil, err
 			}

@@ -185,6 +185,22 @@ func Test() *Platform {
 	return &Platform{Base: hw.TestAccelerator(), Dist: retention.Typical()}
 }
 
+// Options maps a design point onto the Stage-2 options it schedules
+// with on this platform: the design's pattern space, its refresh
+// interval under the platform's retention distribution, its refresh
+// controller, the natural-tiling restriction, and its memory backend
+// and operating point.
+func (p *Platform) Options(d Design) sched.Options {
+	return sched.Options{
+		Patterns:        d.Patterns,
+		RefreshInterval: d.Interval(p.Dist),
+		Controller:      d.Controller(),
+		NaturalTiling:   d.NaturalTiling,
+		Backend:         d.Backend,
+		OperatingPoint:  d.OperatingPoint,
+	}
+}
+
 // Result is one (design, network) evaluation.
 type Result struct {
 	Design Design
@@ -203,16 +219,7 @@ func (p *Platform) Evaluate(d Design, net models.Network) (Result, error) {
 // scheduling loop — the entry point the serving subsystem uses so an
 // abandoned request stops exploring layers.
 func (p *Platform) EvaluateContext(ctx context.Context, d Design, net models.Network) (Result, error) {
-	cfg := d.Apply(p.Base)
-	opts := sched.Options{
-		Patterns:        d.Patterns,
-		RefreshInterval: d.Interval(p.Dist),
-		Controller:      d.Controller(),
-		NaturalTiling:   d.NaturalTiling,
-		Backend:         d.Backend,
-		OperatingPoint:  d.OperatingPoint,
-	}
-	plan, err := sched.ScheduleContext(ctx, net, cfg, opts)
+	plan, err := sched.ScheduleContext(ctx, net, d.Apply(p.Base), p.Options(d))
 	if err != nil {
 		return Result{}, fmt.Errorf("platform: design %s: %w", d.Name, err)
 	}
@@ -284,18 +291,13 @@ func DaDianNaoDesigns() []Design {
 }
 
 // EvaluateFixedTiling evaluates a design with the tiling pinned (the
-// DaDianNao tree structure fixes ⟨64, 64, 1, 1⟩).
+// DaDianNao tree structure fixes ⟨64, 64, 1, 1⟩). The pinned tiling
+// replaces the design's natural-tiling restriction.
 func (p *Platform) EvaluateFixedTiling(d Design, net models.Network, t pattern.Tiling) (Result, error) {
-	cfg := d.Apply(p.Base)
-	opts := sched.Options{
-		Patterns:        d.Patterns,
-		RefreshInterval: d.Interval(p.Dist),
-		Controller:      d.Controller(),
-		FixedTiling:     &t,
-		Backend:         d.Backend,
-		OperatingPoint:  d.OperatingPoint,
-	}
-	plan, err := sched.Schedule(net, cfg, opts)
+	opts := p.Options(d)
+	opts.NaturalTiling = false
+	opts.FixedTiling = &t
+	plan, err := sched.Schedule(net, d.Apply(p.Base), opts)
 	if err != nil {
 		return Result{}, fmt.Errorf("platform: design %s: %w", d.Name, err)
 	}

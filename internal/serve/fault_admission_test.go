@@ -6,14 +6,20 @@ import (
 	"net/http"
 	"testing"
 
+	"rana/internal/core"
 	"rana/internal/mem"
 	"rana/internal/models"
 	"rana/internal/retention"
+	"rana/internal/training"
 )
 
 // Tests for the fault-admission surface of the API: the error-budget
 // rung of the degradation ladder, the resilience frame on /v1/evaluate
 // and /v1/catalog, and the fault counters.
+
+// admissionConstraint is the relative-accuracy constraint the server
+// admits approximate operating points at: Stage 1's default.
+const admissionConstraint = core.DefaultAccuracyConstraint
 
 // metricsDoc fetches and decodes the /metrics document.
 func metricsDoc(t *testing.T, url string) map[string]json.RawMessage {
@@ -207,7 +213,7 @@ func TestLayerBudgetsNeverBelowUniform(t *testing.T) {
 		nets = append(nets, net)
 	}
 	for _, net := range nets {
-		budgets, err := layerBudgets(net)
+		budgets, err := core.LayerBudgets(net, admissionConstraint, training.PaperRates)
 		if err != nil {
 			t.Fatal(err)
 		}

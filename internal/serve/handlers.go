@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"rana/internal/core"
 	"rana/internal/hw"
 	"rana/internal/jsonenc"
 	"rana/internal/mem"
@@ -70,21 +71,6 @@ const degradedReason = "deadline budget below the full-search threshold; served 
 // so the nominal corner was substituted. Fixed string for the same
 // byte-identity reason as degradedReason.
 const budgetFallbackReason = "pinned operating point exceeds a per-layer error budget; served the nominal corner"
-
-// admissionConstraint is the relative-accuracy constraint the server
-// derives per-layer error budgets at — the framework's paper-reproducing
-// Stage 1 default.
-const admissionConstraint = 0.995
-
-// layerNames projects a network onto its layer-name list, in layer
-// order — the shape training.LayerTolerableRates keys its budgets by.
-func layerNames(net models.Network) []string {
-	names := make([]string, len(net.Layers))
-	for i, l := range net.Layers {
-		names[i] = l.Name
-	}
-	return names
-}
 
 // anyFaulty reports whether any operating point carries a non-zero raw
 // bit-error rate — the request engaging the approximate axis.
@@ -190,24 +176,15 @@ func (s *Server) run(ctx context.Context, w *work, raw []byte, wait bool) (*resp
 	return resp, nil
 }
 
-// layerBudgets derives the per-layer error budgets net's calibrated
-// resilience curves give at admissionConstraint.
-func layerBudgets(net models.Network) (map[string]float64, error) {
-	budgets, err := training.LayerTolerableRates(net.Name, layerNames(net), admissionConstraint, training.PaperRates)
-	if err != nil {
-		return nil, fmt.Errorf("serve: deriving layer budgets: %w", err)
-	}
-	return budgets, nil
-}
-
 // admitLayers is Stage 1's per-layer error-budget admission of a
 // schedule request on the approximate operating-point axis: it sets on
-// opts the layer budgets and, when opts pins an operating point,
-// resolves that point against each layer's own budget. breach is the
-// first layer's refusal, which schedule answers with the nominal corner.
+// opts the layer budgets Stage 1's default frame derives and, when opts
+// pins an operating point, resolves that point against each layer's own
+// budget. breach is the first layer's refusal, which schedule answers
+// with the nominal corner.
 func admitLayers(net models.Network, cfg hw.Config, opts *sched.Options) (breach, err error) {
-	if opts.LayerBudgets, err = layerBudgets(net); err != nil {
-		return nil, err
+	if opts.LayerBudgets, err = core.LayerBudgets(net, core.DefaultAccuracyConstraint, training.PaperRates); err != nil {
+		return nil, fmt.Errorf("serve: deriving layer budgets: %w", err)
 	}
 	if opts.OperatingPoint == "" {
 		return nil, nil
@@ -235,7 +212,7 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts, err := resolveOptions(req.Options, cfg)
+	opts, pts, err := resolveOptions(req.Options, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +237,15 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 		switch {
 		case s.cfg.DegradeBudget > 0 && w.deadline < s.cfg.DegradeBudget:
 			w.rung = rungDegraded
+			point := opts.OperatingPoint
 			opts = opts.Fallback()
+			// Pinning the nominal corner is the one ladder step that
+			// changes the backend's points; resolve them again. A
+			// corner the backend lacks resolves to no points and
+			// admits no layer.
+			if opts.OperatingPoint != point {
+				_, pts, _ = sched.ResolveBackend(cfg, opts)
+			}
 		case s.cfg.BeamBudget > 0 && w.deadline < s.cfg.BeamBudget && !pinned:
 			opts.Search = search.Beam
 		}
@@ -271,7 +256,7 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 	// layer by layer against the calibrated resilience curves. Legacy
 	// requests resolve to nominal-only point sets and keep their exact
 	// options — and canonical cache keys — untouched.
-	if _, pts, rerr := sched.ResolveBackend(cfg, opts); rerr == nil && anyFaulty(pts) {
+	if anyFaulty(pts) {
 		breach, err := admitLayers(net, cfg, &opts)
 		if err != nil {
 			return nil, err
@@ -450,7 +435,7 @@ func (s *Server) prepareEvaluate(req EvaluateRequest) (*work, error) {
 	p := evalPlatform()
 	d = d.WithBackend(req.Backend, req.OperatingPoint)
 	cfg := d.Apply(p.Base)
-	_, pts, err := sched.ResolveBackend(cfg, sched.Options{Backend: d.Backend, OperatingPoint: d.OperatingPoint})
+	_, pts, err := sched.ResolveBackend(cfg, p.Options(d))
 	if err != nil {
 		return nil, badRequest("invalid backend: %v", err)
 	}
@@ -464,13 +449,13 @@ func (s *Server) prepareEvaluate(req EvaluateRequest) (*work, error) {
 	// (TestLayerBudgetsNeverBelowUniform), so none can refuse them.
 	var resilience *ResilienceJSON
 	if anyFaulty(pts) {
-		budgets, err := layerBudgets(net)
+		budgets, err := core.LayerBudgets(net, core.DefaultAccuracyConstraint, training.PaperRates)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serve: deriving layer budgets: %w", err)
 		}
 		resilience = &ResilienceJSON{
 			ErrorBudget:  retention.TolerableFailureRate,
-			Constraint:   admissionConstraint,
+			Constraint:   core.DefaultAccuracyConstraint,
 			LayerBudgets: budgets,
 		}
 	}
@@ -635,14 +620,14 @@ func catalogTraversals() map[string]any {
 func catalogResilience() map[string]any {
 	perModel := map[string]map[string]float64{}
 	for _, net := range models.Benchmarks() {
-		budgets, err := layerBudgets(net)
+		budgets, err := core.LayerBudgets(net, core.DefaultAccuracyConstraint, training.PaperRates)
 		if err != nil {
 			continue // a benchmark without a calibrated curve is simply not listed
 		}
 		perModel[net.Name] = budgets
 	}
 	return map[string]any{
-		"constraint":    admissionConstraint,
+		"constraint":    core.DefaultAccuracyConstraint,
 		"error_budget":  retention.TolerableFailureRate,
 		"ladder":        training.PaperRates,
 		"layer_budgets": perModel,

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"rana/internal/core"
 	"rana/internal/hw"
 	"rana/internal/mem"
 	"rana/internal/memctrl"
@@ -109,7 +111,7 @@ func keyCases(t testing.TB) []keyCase {
 		// keys resume from the zoo heads' hashed states (zooHead).
 		net, _ := models.ByName(b.Name)
 		for _, sp := range keySpellings {
-			opts, err := resolveOptions(sp.spec, cfg)
+			opts, _, err := resolveOptions(sp.spec, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", net.Name, sp.name, err)
 			}
@@ -162,7 +164,7 @@ func withLayerBudgets(t testing.TB, net models.Network, cfg hw.Config, o sched.O
 	if _, pts, err := sched.ResolveBackend(cfg, o); err != nil || !anyFaulty(pts) {
 		return o
 	}
-	budgets, err := training.LayerTolerableRates(net.Name, layerNames(net), admissionConstraint, training.PaperRates)
+	budgets, err := core.LayerBudgets(net, core.DefaultAccuracyConstraint, training.PaperRates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,25 +187,66 @@ func TestCanonicalKeysPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var want []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		want = append(want, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
+	want := pinnedKeyLines(t)
 	if len(got) != len(want) {
 		t.Fatalf("%d keys, fixture has %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("key moved:\n got %s\nwant %s", got[i], want[i])
+		}
+	}
+}
+
+// pinnedKeyLines reads the committed key fixture's lines.
+func pinnedKeyLines(t *testing.T) []string {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", "keys.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var lines []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
+
+// TestPrepareScheduleMatchesPinnedKeys ties the handler's admission to
+// the pinned keys. The fixture builds its options through
+// withLayerBudgets, a test-side statement of the admission rule; here
+// prepareSchedule itself keys every zoo model under every key spelling,
+// once with no deadline and once below the degrade budget, and must
+// produce the fixture's schedule and schedule-degraded keys.
+func TestPrepareScheduleMatchesPinnedKeys(t *testing.T) {
+	s := New(Config{})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	pinned := map[string]string{}
+	for _, line := range pinnedKeyLines(t) {
+		f := strings.Fields(line)
+		pinned[strings.Join(f[:3], " ")] = f[3]
+	}
+	below := int64(s.cfg.DegradeBudget/time.Millisecond) - 1
+	for _, b := range models.Benchmarks() {
+		for _, sp := range keySpellings {
+			for _, v := range []struct {
+				op       string
+				deadline int64
+			}{{"schedule", 0}, {"schedule-degraded", below}} {
+				w, err := s.prepareSchedule(ScheduleRequest{Model: b.Name, Options: sp.spec, DeadlineMS: v.deadline})
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", v.op, b.Name, sp.name, err)
+				}
+				id := v.op + " " + b.Name + " " + sp.name
+				if want, ok := pinned[id]; !ok || w.key != want {
+					t.Errorf("%s: prepareSchedule keyed %s, fixture has %q", id, w.key, want)
+				}
+			}
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"rana/internal/energy"
 	"rana/internal/hw"
 	"rana/internal/jsonenc"
+	"rana/internal/mem"
 	"rana/internal/memctrl"
 	"rana/internal/models"
 	"rana/internal/pattern"
@@ -409,8 +410,9 @@ func resolveConfig(accelerator string, spec *ConfigSpec) (hw.Config, error) {
 }
 
 // resolveOptions maps an OptionsSpec onto validated sched.Options for
-// the given configuration, applying the RANA defaults for absent fields.
-func resolveOptions(spec *OptionsSpec, cfg hw.Config) (sched.Options, error) {
+// the given configuration, applying the RANA defaults for absent fields,
+// and returns the backend's operating points the options admit.
+func resolveOptions(spec *OptionsSpec, cfg hw.Config) (sched.Options, []mem.OperatingPoint, error) {
 	if spec == nil {
 		spec = &OptionsSpec{}
 	}
@@ -424,13 +426,13 @@ func resolveOptions(spec *OptionsSpec, cfg hw.Config) (sched.Options, error) {
 		for _, s := range spec.Patterns {
 			k, ok := pattern.ParseKind(s)
 			if !ok {
-				return sched.Options{}, badRequest(`invalid pattern %q (want "ID", "OD" or "WD")`, s)
+				return sched.Options{}, nil, badRequest(`invalid pattern %q (want "ID", "OD" or "WD")`, s)
 			}
 			opts.Patterns = append(opts.Patterns, k)
 		}
 	}
 	if spec.RefreshIntervalNS < 0 {
-		return sched.Options{}, badRequest("negative refresh_interval_ns %d", spec.RefreshIntervalNS)
+		return sched.Options{}, nil, badRequest("negative refresh_interval_ns %d", spec.RefreshIntervalNS)
 	}
 	opts.RefreshInterval = time.Duration(spec.RefreshIntervalNS)
 	if opts.RefreshInterval == 0 {
@@ -453,35 +455,35 @@ func resolveOptions(spec *OptionsSpec, cfg hw.Config) (sched.Options, error) {
 	case "optimized":
 		opts.Controller = memctrl.RefreshOptimized{}
 	default:
-		return sched.Options{}, badRequest(`invalid controller %q (want "none", "conventional" or "optimized")`, spec.Controller)
+		return sched.Options{}, nil, badRequest(`invalid controller %q (want "none", "conventional" or "optimized")`, spec.Controller)
 	}
 	if spec.RetentionGuard < 0 || spec.RetentionGuard > 1 {
-		return sched.Options{}, badRequest("retention_guard %g outside [0,1]", spec.RetentionGuard)
+		return sched.Options{}, nil, badRequest("retention_guard %g outside [0,1]", spec.RetentionGuard)
 	}
 	if spec.FixedTiling != nil {
 		t := pattern.Tiling{Tm: spec.FixedTiling.Tm, Tn: spec.FixedTiling.Tn,
 			Tr: spec.FixedTiling.Tr, Tc: spec.FixedTiling.Tc}
 		if err := t.Validate(); err != nil {
-			return sched.Options{}, badRequest("invalid fixed_tiling: %v", err)
+			return sched.Options{}, nil, badRequest("invalid fixed_tiling: %v", err)
 		}
 		opts.FixedTiling = &t
 	}
 	s, err := resolveSearch(spec.Search)
 	if err != nil {
-		return sched.Options{}, err
+		return sched.Options{}, nil, err
 	}
 	opts.Search = s
 	if spec.BeamWidth != 0 {
 		if spec.BeamWidth < 0 {
-			return sched.Options{}, badRequest("negative beam_width %d", spec.BeamWidth)
+			return sched.Options{}, nil, badRequest("negative beam_width %d", spec.BeamWidth)
 		}
 		if opts.Search != search.Beam {
-			return sched.Options{}, badRequest(`beam_width requires "search": "beam"`)
+			return sched.Options{}, nil, badRequest(`beam_width requires "search": "beam"`)
 		}
 		opts.BeamWidth = spec.BeamWidth
 	}
 	if err := validateParallelism(spec.Parallelism); err != nil {
-		return sched.Options{}, err
+		return sched.Options{}, nil, err
 	}
 	opts.Parallelism = spec.Parallelism
 	opts.Backend = spec.Backend
@@ -494,21 +496,22 @@ func resolveOptions(spec *OptionsSpec, cfg hw.Config) (sched.Options, error) {
 	// spec's canonical spelling parses it once and memoizes it, so
 	// Validate, the key and the compile look it up instead.
 	if _, err := sched.CanonicalTraversalSpec(spec.Traversal); err != nil {
-		return sched.Options{}, badRequest("invalid traversal: %v", err)
+		return sched.Options{}, nil, badRequest("invalid traversal: %v", err)
 	}
 	if _, err := sched.CanonicalMappingSpec(spec.Mapping); err != nil {
-		return sched.Options{}, badRequest("invalid mapping: %v", err)
+		return sched.Options{}, nil, badRequest("invalid mapping: %v", err)
 	}
 	// Full backend resolution up front: an unknown backend, an unknown or
 	// over-budget operating point, or a budget excluding every point is a
 	// 400 at admission, not a 422 from deep inside the search.
-	if _, _, err := sched.ResolveBackend(cfg, opts); err != nil {
-		return sched.Options{}, badRequest("invalid options: %v", err)
+	_, pts, err := sched.ResolveBackend(cfg, opts)
+	if err != nil {
+		return sched.Options{}, nil, badRequest("invalid options: %v", err)
 	}
 	if err := opts.Validate(); err != nil {
-		return sched.Options{}, badRequest("invalid options: %v", err)
+		return sched.Options{}, nil, badRequest("invalid options: %v", err)
 	}
-	return opts, nil
+	return opts, pts, nil
 }
 
 // validateParallelism gates a request's worker-count knob: zero defers

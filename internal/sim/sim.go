@@ -9,9 +9,11 @@
 //     lifetimes that drive refresh decisions,
 //   - refresh pulses, when a memory controller is attached.
 //
-// Walk's outputs are cross-validated against the closed-form model in
-// internal/pattern by this package's tests — the two are independent
-// derivations of the same loop semantics.
+// One walker walks every traversal order: the RTC blocked nest, of
+// which the paper's linear loop nest is the one-block case. Its outputs
+// are cross-validated against the closed-form model in internal/pattern
+// by this package's tests — the two are independent derivations of the
+// same loop semantics.
 package sim
 
 import (
@@ -46,42 +48,32 @@ type Trace struct {
 // totals accumulate, lifetimes are per-group maxima (matching
 // pattern.Analyze's conventions).
 func Walk(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config) Trace {
-	if err := l.Validate(); err != nil {
-		panic(err)
-	}
-	if err := t.Validate(); err != nil {
-		panic(err)
-	}
-	g := l.Groups
-	sub := l
-	if g > 1 {
-		sub.N /= g
-		sub.M /= g
-		sub.Groups = 1
-	} else {
-		g = 1
-	}
-	tr := Trace{Layer: l, Pattern: k, Tiling: t}
-	var sc odScratch
-	var clock uint64
-	for i := 0; i < g; i++ {
-		clock = walkGroup(&tr, sub, k, t, cfg, clock, nil, &sc)
-	}
-	tr.Cycles = clock
-	tr.ExecTime = cyclesDur(clock, cfg)
-	return tr
+	return walk(l, k, t, cfg, pattern.Linear, nil)
 }
 
-// WalkTraversal is Walk under an explicit traversal order. The linear
-// traversal reproduces Walk bit for bit; a blocked traversal walks the
-// RTC nest — the 2nd-level loop partitioned into contiguous stages
-// hoisted above the 3rd-level loop — and its folded residency maxima
-// are the empirical check on pattern.AnalyzeTraversal's shrunk
-// lifetimes.
+// WalkTraversal is Walk under an explicit traversal order. A blocked
+// traversal walks the RTC nest — the 2nd-level loop partitioned into
+// contiguous stages hoisted above the 3rd-level loop — and its folded
+// residency maxima are the empirical check on
+// pattern.AnalyzeTraversal's shrunk lifetimes. The linear traversal is
+// the nest's one-block case, so it is Walk bit for bit.
 func WalkTraversal(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config, trv pattern.Traversal) Trace {
-	if trv.IsLinear() {
-		return Walk(l, k, t, cfg)
-	}
+	return walk(l, k, t, cfg, trv, nil)
+}
+
+// WalkWithTrace runs Walk while recording every buffer access burst into
+// a memory-access trace (§III-A's "memory access tracing"). The trace
+// carries the accelerator clock so downstream analyses can convert
+// cycles to wall time.
+func WalkWithTrace(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config) (Trace, *trace.Trace) {
+	mem := &trace.Trace{FrequencyHz: cfg.FrequencyHz}
+	return walk(l, k, t, cfg, pattern.Linear, mem), mem
+}
+
+// walk validates its inputs, splits a grouped layer into per-group
+// sub-layers and walks the groups in turn under trv. When mem is
+// non-nil, every buffer access burst is recorded into it.
+func walk(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config, trv pattern.Traversal, mem *trace.Trace) Trace {
 	if err := l.Validate(); err != nil {
 		panic(err)
 	}
@@ -91,60 +83,28 @@ func WalkTraversal(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.
 	if err := trv.Validate(); err != nil {
 		panic(err)
 	}
-	g := l.Groups
-	sub := l
-	if g > 1 {
+	g, sub := 1, l
+	if l.Groups > 1 {
+		g = l.Groups
 		sub.N /= g
 		sub.M /= g
 		sub.Groups = 1
-	} else {
-		g = 1
+	}
+	if mem != nil {
+		// The tile counts determine the event count exactly; reserving
+		// the whole stream up front turns the per-event Append growth
+		// (the explore loop's dominant allocation) into a single slab.
+		mem.Grow(g * groupEventCount(sub, k, t))
 	}
 	tr := Trace{Layer: l, Pattern: k, Tiling: t}
 	var sc odScratch
 	var clock uint64
 	for i := 0; i < g; i++ {
-		clock = walkGroupBlocked(&tr, sub, k, t, cfg, trv, clock, &sc)
+		clock = walkGroup(&tr, sub, k, t, cfg, trv, clock, mem, &sc)
 	}
 	tr.Cycles = clock
 	tr.ExecTime = cyclesDur(clock, cfg)
 	return tr
-}
-
-// WalkWithTrace runs Walk while recording every buffer access burst into
-// a memory-access trace (§III-A's "memory access tracing"). The trace
-// carries the accelerator clock so downstream analyses can convert
-// cycles to wall time.
-func WalkWithTrace(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config) (Trace, *trace.Trace) {
-	if err := l.Validate(); err != nil {
-		panic(err)
-	}
-	if err := t.Validate(); err != nil {
-		panic(err)
-	}
-	g := l.Groups
-	sub := l
-	if g > 1 {
-		sub.N /= g
-		sub.M /= g
-		sub.Groups = 1
-	} else {
-		g = 1
-	}
-	tr := Trace{Layer: l, Pattern: k, Tiling: t}
-	mem := &trace.Trace{FrequencyHz: cfg.FrequencyHz}
-	// The tile counts determine the event count exactly; reserving the
-	// whole stream up front turns the per-event Append growth (the explore
-	// loop's dominant allocation) into a single slab.
-	mem.Grow(g * groupEventCount(sub, k, t))
-	var sc odScratch
-	var clock uint64
-	for i := 0; i < g; i++ {
-		clock = walkGroup(&tr, sub, k, t, cfg, clock, mem, &sc)
-	}
-	tr.Cycles = clock
-	tr.ExecTime = cyclesDur(clock, cfg)
-	return tr, mem
 }
 
 // odScratch is the OD pattern's per-region bookkeeping, reused across
@@ -186,20 +146,25 @@ func groupEventCount(l models.ConvLayer, k pattern.Kind, t pattern.Tiling) int {
 	}
 }
 
-// walkGroup walks one ungrouped (sub-)layer starting at the given clock
-// and returns the advanced clock. When mem is non-nil, every buffer
-// access burst is recorded as a trace event.
-func walkGroup(tr *Trace, l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config, clock uint64, mem *trace.Trace, sc *odScratch) uint64 {
+// walkGroup walks one ungrouped (sub-)layer under trv, starting at the
+// given clock, and returns the advanced clock. It walks the RTC nest:
+// the 2nd-level loop is cut into trv.Span's contiguous blocks and each
+// block is hoisted above the 3rd-level loop. The paper's Fig. 10 nest is
+// the one-block case, since Span returns a single block spanning the
+// whole extent for the linear traversal. Blocking permutes the visited
+// tiles without changing their multiset, so cycles and buffer traffic
+// are traversal-invariant; what moves are the residency windows, which
+// the folds below close at block boundaries. When mem is non-nil, every
+// buffer access burst is recorded as a trace event.
+func walkGroup(tr *Trace, l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config, trv pattern.Traversal, clock uint64, mem *trace.Trace, sc *odScratch) uint64 {
 	emit := func(cycle uint64, op trace.Op, dt trace.DataType, addr, words uint64) {
 		if mem != nil {
 			mem.Append(trace.Event{Cycle: cycle, Op: op, Type: dt, Addr: addr, Words: words})
 		}
 	}
-	R, C := l.R(), l.C()
 	nM := ceilDiv(l.M, t.Tm)
 	nN := ceilDiv(l.N, t.Tn)
-	nR := ceilDiv(R, t.Tr)
-	nC := ceilDiv(C, t.Tc)
+	nRC := ceilDiv(l.R(), t.Tr) * ceilDiv(l.C(), t.Tc)
 	perTile := perTileCycles(l, t, cfg)
 
 	inTile := uint64(t.Tn) * uint64(t.Th(l)) * uint64(t.Tl(l))
@@ -210,126 +175,26 @@ func walkGroup(tr *Trace, l models.ConvLayer, k pattern.Kind, t pattern.Tiling, 
 	// (generation start) and close them when the generation rolls over,
 	// folding the span into the lifetime maximum.
 	lt := &tr.Lifetimes
-	start := clock
 
 	switch k {
-	case pattern.ID: // order M (3rd), RC (2nd), N (1st)
-		// Inputs: one generation, resident for the whole group.
-		for m := 0; m < nM; m++ {
-			wStart := clock // this m-group's weights loaded now
-			for rc := 0; rc < nR*nC; rc++ {
-				for n := 0; n < nN; n++ {
-					tr.BufferTraffic.Inputs += inTile
-					tr.BufferTraffic.Weights += wTile
-					emit(clock, trace.Read, trace.Inputs, uint64(n*nR*nC+rc), inTile)
-					emit(clock, trace.Read, trace.Weights, uint64(m*nN+n), wTile)
-					clock += perTile
-				}
-				// Outputs for this (m, rc) complete: stored and shipped.
-				tr.BufferTraffic.Outputs += outTile
-				emit(clock, trace.Write, trace.Outputs, uint64(m*nR*nC+rc), outTile)
-			}
-			foldMax(&lt.Weight, clock-wStart, cfg)
-		}
-		foldMax(&lt.Input, clock-start, cfg)
-		// Output lifetime stays 0: accumulation happens in the PEs.
-
-	case pattern.OD: // order N (3rd), M (2nd), RC (1st)
-		// Outputs: per-region update gaps. lastTouch[m][rc] tracks the
-		// previous write of each output tile region.
-		lastTouch, touched := sc.ensure(nM * nR * nC)
-		for n := 0; n < nN; n++ {
-			slabStart := clock // this n-slab of inputs loaded now
-			for m := 0; m < nM; m++ {
-				tr.BufferTraffic.Weights += wTile // loaded once per (n, m)
-				emit(clock, trace.Read, trace.Weights, uint64(m*nN+n), wTile)
-				for rc := 0; rc < nR*nC; rc++ {
-					tr.BufferTraffic.Inputs += inTile
-					emit(clock, trace.Read, trace.Inputs, uint64(n*nR*nC+rc), inTile)
-					clock += perTile
-					region := m*nR*nC + rc
-					if touched[region] {
-						// Read-modify-write of the partial sums; the gap
-						// since the previous write is a retention window.
-						tr.BufferTraffic.Outputs += 2 * outTile
-						emit(clock, trace.Read, trace.Outputs, uint64(region), outTile)
-						foldMax(&lt.Output, clock-lastTouch[region], cfg)
-					} else {
-						tr.BufferTraffic.Outputs += outTile
-						touched[region] = true
-					}
-					emit(clock, trace.Write, trace.Outputs, uint64(region), outTile)
-					lastTouch[region] = clock
-				}
-			}
-			foldMax(&lt.Input, clock-slabStart, cfg)
-		}
-		// Weight windows: loaded per (n, m), live across the RC loop.
-		foldMax(&lt.Weight, uint64(nR*nC)*perTile, cfg)
-
-	case pattern.WD: // order RC (3rd), M (2nd), N (1st)
-		for rc := 0; rc < nR*nC; rc++ {
-			posStart := clock // this position's input slab loaded now
-			for m := 0; m < nM; m++ {
-				for n := 0; n < nN; n++ {
-					tr.BufferTraffic.Inputs += inTile
-					tr.BufferTraffic.Weights += wTile
-					emit(clock, trace.Read, trace.Inputs, uint64(n*nR*nC+rc), inTile)
-					emit(clock, trace.Read, trace.Weights, uint64(m*nN+n), wTile)
-					clock += perTile
-				}
-				tr.BufferTraffic.Outputs += outTile
-				emit(clock, trace.Write, trace.Outputs, uint64(m*nR*nC+rc), outTile)
-			}
-			foldMax(&lt.Input, clock-posStart, cfg)
-		}
-		foldMax(&lt.Weight, clock-start, cfg)
-
-	default:
-		panic(fmt.Sprintf("sim: unknown pattern %v", k))
-	}
-	return clock
-}
-
-// walkGroupBlocked walks one ungrouped (sub-)layer under an RTC blocked
-// traversal. The visited tile multiset is identical to walkGroup's —
-// only the order changes — so cycle totals and buffer traffic match the
-// linear walk exactly; what moves are the residency windows, which the
-// folds below close at stage boundaries. Delegates to walkGroup when the
-// blocking collapses (extent too small to split).
-func walkGroupBlocked(tr *Trace, l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config, trv pattern.Traversal, clock uint64, sc *odScratch) uint64 {
-	R, C := l.R(), l.C()
-	nM := ceilDiv(l.M, t.Tm)
-	nN := ceilDiv(l.N, t.Tn)
-	nRC := ceilDiv(R, t.Tr) * ceilDiv(C, t.Tc)
-	perTile := perTileCycles(l, t, cfg)
-
-	inTile := uint64(t.Tn) * uint64(t.Th(l)) * uint64(t.Tl(l))
-	wTile := uint64(t.Tm) * uint64(t.Tn) * uint64(l.K) * uint64(l.K)
-	outTile := uint64(t.Tm) * uint64(t.Tr) * uint64(t.Tc)
-	lt := &tr.Lifetimes
-
-	switch k {
-	case pattern.ID: // blocked nest: RC_blk (3rd), M, RC_in, N
-		blk, nBlocks := trv.Span(nRC)
-		if nBlocks <= 1 {
-			return walkGroup(tr, l, k, t, cfg, clock, nil, sc)
-		}
+	case pattern.ID: // order M (3rd), RC (2nd), N (1st); RC blocks hoisted above M
+		blk, _ := trv.Span(nRC)
 		for b0 := 0; b0 < nRC; b0 += blk {
-			b1 := b0 + blk
-			if b1 > nRC {
-				b1 = nRC
-			}
-			blockStart := clock // this block's inputs staged now
+			b1 := min(b0+blk, nRC)
+			blockStart := clock // this block's inputs staged now (all of them when linear)
 			for m := 0; m < nM; m++ {
-				wStart := clock // this m-group's weights re-staged per block
+				wStart := clock // this m-group's weights (re-)staged now
 				for rc := b0; rc < b1; rc++ {
 					for n := 0; n < nN; n++ {
 						tr.BufferTraffic.Inputs += inTile
 						tr.BufferTraffic.Weights += wTile
+						emit(clock, trace.Read, trace.Inputs, uint64(n*nRC+rc), inTile)
+						emit(clock, trace.Read, trace.Weights, uint64(m*nN+n), wTile)
 						clock += perTile
 					}
+					// Outputs for this (m, rc) complete: stored and shipped.
 					tr.BufferTraffic.Outputs += outTile
+					emit(clock, trace.Write, trace.Outputs, uint64(m*nRC+rc), outTile)
 				}
 				foldMax(&lt.Weight, clock-wStart, cfg)
 			}
@@ -337,60 +202,60 @@ func walkGroupBlocked(tr *Trace, l models.ConvLayer, k pattern.Kind, t pattern.T
 		}
 		// Output lifetime stays 0: accumulation happens in the PEs.
 
-	case pattern.OD: // blocked nest: M_blk (3rd), N, M_in, RC
-		blk, nBlocks := trv.Span(nM)
-		if nBlocks <= 1 {
-			return walkGroup(tr, l, k, t, cfg, clock, nil, sc)
-		}
+	case pattern.OD: // order N (3rd), M (2nd), RC (1st); M blocks hoisted above N
+		// Outputs: per-region update gaps. lastTouch[m*nRC+rc] tracks
+		// the previous write of each output tile region.
+		blk, _ := trv.Span(nM)
 		lastTouch, touched := sc.ensure(nM * nRC)
 		for m0 := 0; m0 < nM; m0 += blk {
-			m1 := m0 + blk
-			if m1 > nM {
-				m1 = nM
-			}
+			m1 := min(m0+blk, nM)
 			for n := 0; n < nN; n++ {
-				slabStart := clock // this n-slab serves only this block
+				slabStart := clock // this n-slab of inputs serves only this block
 				for m := m0; m < m1; m++ {
-					tr.BufferTraffic.Weights += wTile
+					tr.BufferTraffic.Weights += wTile // loaded once per (n, m)
+					emit(clock, trace.Read, trace.Weights, uint64(m*nN+n), wTile)
 					for rc := 0; rc < nRC; rc++ {
 						tr.BufferTraffic.Inputs += inTile
+						emit(clock, trace.Read, trace.Inputs, uint64(n*nRC+rc), inTile)
 						clock += perTile
 						region := m*nRC + rc
 						if touched[region] {
+							// Read-modify-write of the partial sums; the gap
+							// since the previous write is a retention window.
 							tr.BufferTraffic.Outputs += 2 * outTile
+							emit(clock, trace.Read, trace.Outputs, uint64(region), outTile)
 							foldMax(&lt.Output, clock-lastTouch[region], cfg)
 						} else {
 							tr.BufferTraffic.Outputs += outTile
 							touched[region] = true
 						}
+						emit(clock, trace.Write, trace.Outputs, uint64(region), outTile)
 						lastTouch[region] = clock
 					}
 				}
 				foldMax(&lt.Input, clock-slabStart, cfg)
 			}
 		}
+		// Weight windows: loaded per (n, m), live across the RC loop.
 		foldMax(&lt.Weight, uint64(nRC)*perTile, cfg)
 
-	case pattern.WD: // blocked nest: M_blk (3rd), RC, M_in, N
-		blk, nBlocks := trv.Span(nM)
-		if nBlocks <= 1 {
-			return walkGroup(tr, l, k, t, cfg, clock, nil, sc)
-		}
+	case pattern.WD: // order RC (3rd), M (2nd), N (1st); M blocks hoisted above RC
+		blk, _ := trv.Span(nM)
 		for m0 := 0; m0 < nM; m0 += blk {
-			m1 := m0 + blk
-			if m1 > nM {
-				m1 = nM
-			}
+			m1 := min(m0+blk, nM)
 			blockStart := clock // this block's weights staged now
 			for rc := 0; rc < nRC; rc++ {
-				posStart := clock
+				posStart := clock // this position's input slab loaded now
 				for m := m0; m < m1; m++ {
 					for n := 0; n < nN; n++ {
 						tr.BufferTraffic.Inputs += inTile
 						tr.BufferTraffic.Weights += wTile
+						emit(clock, trace.Read, trace.Inputs, uint64(n*nRC+rc), inTile)
+						emit(clock, trace.Read, trace.Weights, uint64(m*nN+n), wTile)
 						clock += perTile
 					}
 					tr.BufferTraffic.Outputs += outTile
+					emit(clock, trace.Write, trace.Outputs, uint64(m*nRC+rc), outTile)
 				}
 				foldMax(&lt.Input, clock-posStart, cfg)
 			}

@@ -38,6 +38,7 @@ import (
 	"strings"
 	"time"
 
+	"rana/internal/core"
 	"rana/internal/fault"
 	"rana/internal/fixed"
 	"rana/internal/hw"
@@ -122,8 +123,8 @@ func (o *FaultOracle) Relative(ber float64) (rel float64, deterministic bool) {
 }
 
 // CompareFaults runs the fault-injection differential for one network:
-// derives the per-layer budgets at the constraint (<= 0 selects the
-// paper-reproducing 0.995), then checks plan-byte stability, admission
+// derives the per-layer budgets at the constraint (<= 0 selects Stage
+// 1's paper-reproducing core.DefaultAccuracyConstraint), then checks plan-byte stability, admission
 // of every in-budget operating point (calibrated curves per layer, the
 // empirical oracle per point, mask reproducibility per layer) and
 // rejection of every over-budget point, including the per-layer-only
@@ -135,15 +136,11 @@ func (o *FaultOracle) Relative(ber float64) (rel float64, deterministic bool) {
 func CompareFaults(net models.Network, cfg hw.Config, opts sched.Options, oracle *FaultOracle,
 	constraint float64, seed uint64) (*Report, error) {
 	if constraint <= 0 {
-		constraint = 0.995
+		constraint = core.DefaultAccuracyConstraint
 	}
 	r := &Report{Subject: net.Name + " faults"}
 
-	names := make([]string, len(net.Layers))
-	for i, l := range net.Layers {
-		names[i] = l.Name
-	}
-	budgets, err := training.LayerTolerableRates(net.Name, names, constraint, training.PaperRates)
+	budgets, err := core.LayerBudgets(net, constraint, training.PaperRates)
 	if err != nil {
 		return nil, fmt.Errorf("verify: %w", err)
 	}
