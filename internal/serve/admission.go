@@ -43,9 +43,19 @@ func (s *Server) admit() error {
 // for one instead of shedding: a batch-job entry holds no HTTP
 // connection, so there is no client to bounce a 429 to, and the job
 // table already bounds how much deferred work can pile up here.
-func (s *Server) admitWait(ctx context.Context) error {
+func (s *Server) admitWait(ctx context.Context) error { return acquire(ctx, s.queue) }
+
+// acquire takes a token of the semaphore ch, waiting for one while ctx
+// lives. It asks ctx for Done only when ch is full: Done arms a
+// flight's watch on its leader's context, which a free token spares.
+func acquire(ctx context.Context, ch chan struct{}) error {
 	select {
-	case s.queue <- struct{}{}:
+	case ch <- struct{}{}:
+		return nil
+	default:
+	}
+	select {
+	case ch <- struct{}{}:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

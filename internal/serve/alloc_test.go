@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"rana/internal/models"
@@ -125,6 +126,16 @@ func TestRequestFrontEndAllocs(t *testing.T) {
 // ceilings catch a fresh plan per request, which costs 2 allocations and
 // about 27 KB more for its 57 layers, and an enlarged space that
 // allocates more than the default one.
+//
+// The handler/warm-miss cases post the same miss through s.Handler():
+// reading and decoding the body, the request timer, the cache tiers,
+// the flight and the cache insert around the 7 above. They measure 24
+// allocations on the default space and 26 on RTC × all mappings, whose
+// body decodes two more strings. When a goroutine of its own ran each
+// flight while the leader waited, they measured 29 and 31: that
+// goroutine's closure, the route closure it kept, the flight's done
+// channel, and the Done channels of the flight's context (for the
+// worker-slot select) and of the request's (for the wait).
 func TestWarmMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are meaningless under the race detector")
@@ -132,10 +143,14 @@ func TestWarmMissAllocs(t *testing.T) {
 	s := New(Config{})
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
 	ctx := context.Background()
+	post := handlerPoster(s.Handler(), "/v1/schedule")
 	var base float64
-	for _, space := range []struct{ name, traversal, mapping string }{
-		{"default", "", ""},
-		{"rtc-all", "rtc", "all"},
+	for _, space := range []struct {
+		name, traversal, mapping string
+		handler                  float64 // the handler/warm-miss ceiling
+	}{
+		{"default", "", "", 24},
+		{"rtc-all", "rtc", "all", 26},
 	} {
 		interval := int64(45_000)
 		spec := &OptionsSpec{Traversal: space.traversal, Mapping: space.mapping}
@@ -168,6 +183,30 @@ func TestWarmMissAllocs(t *testing.T) {
 			base = allocs
 		} else if int(allocs) > int(base) {
 			t.Errorf("%s warm miss: %d allocs/op, more than the default space's %d", space.name, int(allocs), int(base))
+		}
+
+		// The same miss through the handler, at intervals the loop above
+		// never posted.
+		var body []byte
+		head := `{"model":"GoogLeNet","options":{"refresh_interval_ns":`
+		axes := ""
+		if space.traversal != "" {
+			axes = `,"traversal":"` + space.traversal + `","mapping":"` + space.mapping + `"`
+		}
+		interval = 500_000
+		handlerMiss := func() {
+			body = strconv.AppendInt(append(body[:0], head...), interval, 10)
+			body = append(append(body, axes...), "}}"...)
+			interval++
+			if code, source := post(body); code != http.StatusOK || source != "miss" {
+				t.Fatalf("status %d, X-Rana-Cache %q, want a miss", code, source)
+			}
+		}
+		name := "handler/warm-miss-" + space.name
+		if got := testing.AllocsPerRun(50, handlerMiss); got > space.handler {
+			t.Errorf("%s: %.0f allocs/op, ceiling %.0f", name, got, space.handler)
+		} else {
+			t.Logf("%s: %.0f allocs/op", name, got)
 		}
 	}
 }

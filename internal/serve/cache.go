@@ -14,16 +14,23 @@ package serve
 // answered without being read, resolved or keyed again. An entry holds
 // at most maxAliases of them, and they leave the index with it.
 //
-// Both structures are stdlib-only: container/list for the LRU,
-// sync.Cond-free channel signaling for the flight group.
+// Both structures are stdlib-only: container/list for the LRU, and for
+// the flight group a map of flights, each computed on the goroutine of
+// the request that starts it and awaited by the others on a channel.
+// The server's computation caches its body before its flight leaves
+// the group, and the leader of a new flight looks the key up once more,
+// so a request that missed the cache just before an identical flight
+// ended does not compute the key again.
 
 import (
 	"container/list"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"time"
 )
 
 // lru is a mutex-guarded bounded LRU map of response bodies.
@@ -177,14 +184,81 @@ func (c *lru) Len() int {
 }
 
 // flight is one in-progress computation shared by every concurrent
-// request with the same key.
+// request with the same key, and the context its fn runs under.
+//
+// That context answers for ctx, the flight's own, derived from the
+// group's base: it ends when the base does, or, with the last leaver's
+// cause, once every waiter has left. A joiner leaves when its wait sees
+// its own context end. The leader runs fn and cannot wait, so its
+// leaving is noted whenever fn asks the flight for Err or Done and
+// finds the leader's context ended; Done also arms a callback on the
+// leader's context (context.AfterFunc), since fn then waits rather than
+// polls. A flight whose fn asks neither, a warm schedule among them,
+// watches nothing. The leader's context is the caller's, so it is
+// asked outside the group's mutex.
 type flight struct {
-	done   chan struct{} // closed when body/err are final
-	body   []byte
-	err    error
-	ctx    context.Context // the computation's context
-	cancel context.CancelFunc
-	refs   int // waiters still interested; 0 cancels ctx
+	g      *flightGroup
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	leader context.Context // the context of the request that started the flight
+	arm    sync.Once       // arms the leader's callback, on the first Done
+
+	// Guarded by g.mu.
+	refs int           // waiters still interested, the leader while led; 0 cancels ctx
+	led  bool          // the leader still counts among refs
+	stop func() bool   // disarms the leader's callback, once armed
+	done chan struct{} // closed when body/err are final; made by the first joiner
+
+	body []byte // written by the leader, read by joiners once done closes
+	err  error
+}
+
+// Deadline, Done, Err and Value make a flight a context.Context: ctx's
+// answers, given after noting whether the leader has left.
+func (f *flight) Deadline() (time.Time, bool) { return f.ctx.Deadline() }
+func (f *flight) Value(key any) any           { return f.ctx.Value(key) }
+
+func (f *flight) Err() error {
+	f.noteLeader()
+	return f.ctx.Err()
+}
+
+func (f *flight) Done() <-chan struct{} {
+	f.noteLeader()
+	f.arm.Do(f.armLeader)
+	return f.ctx.Done()
+}
+
+// armLeader registers noteLeader to run once the leader's context ends.
+func (f *flight) armLeader() {
+	stop := context.AfterFunc(f.leader, f.noteLeader)
+	f.g.mu.Lock()
+	f.stop = stop
+	f.g.mu.Unlock()
+}
+
+// noteLeader drops the leader's reference once its context has ended,
+// as a joiner's leaving drops its own.
+func (f *flight) noteLeader() {
+	if f.leader.Err() == nil {
+		return
+	}
+	cause := context.Cause(f.leader)
+	f.g.mu.Lock()
+	if f.led {
+		f.led = false
+		f.releaseLocked(cause)
+	}
+	f.g.mu.Unlock()
+}
+
+// releaseLocked drops one waiter's reference: the last one cancels the
+// computation with its own cause. g.mu is held.
+func (f *flight) releaseLocked(cause error) {
+	f.refs--
+	if f.refs == 0 {
+		f.cancel(cause)
+	}
 }
 
 // flightGroup deduplicates concurrent computations by key. Unlike the
@@ -193,6 +267,8 @@ type flight struct {
 // base context) that is canceled only when every waiter has abandoned
 // the request — one impatient client cannot poison the result for the
 // others, and a fully abandoned computation stops exploring layers.
+// The request that starts a flight computes it on its own goroutine;
+// the group starts none.
 type flightGroup struct {
 	mu      sync.Mutex
 	base    context.Context // server lifetime; Shutdown cancels it
@@ -222,61 +298,79 @@ func newFlightGroup(base context.Context) *flightGroup {
 
 // Do returns the result of fn for key, executing fn at most once across
 // concurrent callers. shared reports whether this caller joined an
-// existing flight. A caller whose ctx expires detaches and returns
-// ctx.Err(); the flight keeps running while any caller remains.
+// existing flight. The caller that starts the flight (the leader) runs
+// fn itself, under the flight's context; a caller that joins waits for
+// it. A joiner whose ctx ends leaves at once and returns ctx.Err(). A
+// leader whose ctx ends keeps computing while any joiner waits, and
+// returns ctx.Err() when the flight ends. Alone, its leaving cancels
+// the computation: at once if fn waits on Done, else the next time fn
+// asks for Err, as the scheduler does at each layer.
 func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Context) ([]byte, error)) (body []byte, shared bool, err error) {
 	g.mu.Lock()
-	f, ok := g.flights[key]
-	if ok {
+	if f, ok := g.flights[key]; ok {
 		f.refs++
+		if f.done == nil {
+			f.done = make(chan struct{})
+		}
 		g.mu.Unlock()
-		return g.wait(ctx, key, f, true)
+		return g.wait(ctx, f)
 	}
-	fctx, cancel := context.WithCancel(g.base)
-	f = &flight{done: make(chan struct{}), ctx: fctx, cancel: cancel, refs: 1}
+	fctx, cancel := context.WithCancelCause(g.base)
+	f := &flight{g: g, ctx: fctx, cancel: cancel, leader: ctx, refs: 1, led: true}
 	g.flights[key] = f
 	g.mu.Unlock()
 
-	go func() {
-		// The deferred recover is the serving layer's panic isolation:
-		// fn runs library code on behalf of N waiters, and a panic here
-		// would otherwise kill the whole process (a caller-side recover
-		// cannot catch a panic in another goroutine). It becomes one
-		// *panicError that every waiter observes, counted exactly once
-		// via onDone.
-		defer func() {
-			if r := recover(); r != nil {
-				f.body, f.err = nil, &panicError{val: r, stack: debug.Stack()}
-			}
-			g.mu.Lock()
-			delete(g.flights, key)
-			g.mu.Unlock()
-			if g.onDone != nil {
-				g.onDone(key, f.err)
-			}
-			close(f.done)
-			f.cancel()
-		}()
-		f.body, f.err = fn(f.ctx)
-	}()
-	return g.wait(ctx, key, f, false)
+	g.run(key, f, fn)
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	return f.body, false, f.err
 }
 
-// wait blocks for the flight's result or the caller's cancellation.
-func (g *flightGroup) wait(ctx context.Context, key string, f *flight, shared bool) ([]byte, bool, error) {
+// run calls fn for flight f on the leader's goroutine and settles the
+// flight. The deferred recover is the serving layer's panic isolation:
+// fn runs library code on behalf of every waiter, and a panic becomes
+// one *panicError that each of them observes, counted exactly once via
+// onDone, instead of unwinding the leader's handler. A computation its
+// context ended reports why: the last leaver's cause, so a timeout
+// reads as context.DeadlineExceeded.
+func (g *flightGroup) run(key string, f *flight, fn func(ctx context.Context) ([]byte, error)) {
+	defer func() {
+		if r := recover(); r != nil {
+			f.body, f.err = nil, &panicError{val: r, stack: debug.Stack()}
+		} else if f.err != nil && errors.Is(f.err, context.Canceled) && f.ctx.Err() != nil {
+			f.err = context.Cause(f.ctx)
+		}
+		g.mu.Lock()
+		delete(g.flights, key)
+		done, stop := f.done, f.stop
+		f.led = false
+		g.mu.Unlock()
+		if stop != nil {
+			stop()
+		}
+		if g.onDone != nil {
+			g.onDone(key, f.err)
+		}
+		if done != nil {
+			close(done)
+		}
+		f.cancel(nil)
+	}()
+	f.body, f.err = fn(f)
+}
+
+// wait blocks a joiner for the flight's result or its own cancellation.
+func (g *flightGroup) wait(ctx context.Context, f *flight) ([]byte, bool, error) {
 	select {
 	case <-f.done:
-		return f.body, shared, f.err
+		return f.body, true, f.err
 	case <-ctx.Done():
+		f.noteLeader()
+		cause := context.Cause(ctx)
 		g.mu.Lock()
-		f.refs--
-		if f.refs == 0 {
-			// Last interested caller gone: stop the computation. The
-			// flight goroutine still runs to completion (observing the
-			// canceled context) and removes itself from the map.
-			f.cancel()
-		}
+		f.releaseLocked(cause)
 		g.mu.Unlock()
-		return nil, shared, ctx.Err()
+		return nil, true, ctx.Err()
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -351,6 +352,78 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Errorf("post-recovery status %d, want 200", resp.StatusCode)
 	}
+}
+
+// TestBreakerOpensOnRepeatedTimeouts times out one key again and again
+// under a two-timeout breaker: the flight ends with the last leaver's
+// cause, so two 504s open the key and the next three requests fast-fail
+// with 503 + Retry-After without computing. A client that disconnects
+// instead (context.Canceled) stays neutral: every post computes and
+// nothing opens.
+func TestBreakerOpensOnRepeatedTimeouts(t *testing.T) {
+	const body = `{"model": "AlexNet"}`
+	hang := func(calls *atomic.Int64, entered chan<- struct{}) func(context.Context, models.Network, hw.Config, sched.Options) (*sched.Plan, error) {
+		return func(ctx context.Context, net models.Network, cfg hw.Config, opts sched.Options) (*sched.Plan, error) {
+			calls.Add(1)
+			if entered != nil {
+				entered <- struct{}{}
+			}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+	}
+	t.Run("timeout", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{RequestTimeout: 20 * time.Millisecond, BreakerThreshold: 2})
+		var calls atomic.Int64
+		s.scheduleFn = hang(&calls, nil)
+		for i, want := range []int{504, 504, 503, 503, 503} {
+			resp := post(t, ts.URL+"/v1/schedule", body)
+			b := readBody(t, resp)
+			if resp.StatusCode != want {
+				t.Fatalf("post %d: status %d, want %d: %s", i, resp.StatusCode, want, b)
+			}
+			if want == 503 && resp.Header.Get("Retry-After") == "" {
+				t.Errorf("post %d: breaker-open response has no Retry-After", i)
+			}
+		}
+		if got := calls.Load(); got != 2 {
+			t.Errorf("computation ran %d times, want 2", got)
+		}
+		m := metricsSnapshot(t, ts.URL)
+		if m["breaker_open_total"] != 1 || m["breaker_fast_fails"] != 3 {
+			t.Errorf("breaker_open_total %v, breaker_fast_fails %v, want 1 and 3", m["breaker_open_total"], m["breaker_fast_fails"])
+		}
+	})
+	t.Run("disconnect", func(t *testing.T) {
+		s := New(Config{BreakerThreshold: 2})
+		t.Cleanup(func() { s.Shutdown(context.Background()) })
+		var calls atomic.Int64
+		entered := make(chan struct{})
+		s.scheduleFn = hang(&calls, entered)
+		h := s.Handler()
+		for i := 0; i < 5; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			r := httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(body)).WithContext(ctx)
+			w := httptest.NewRecorder()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				h.ServeHTTP(w, r)
+			}()
+			<-entered
+			cancel()
+			<-served
+			if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") != "" {
+				t.Fatalf("post %d: status %d, Retry-After %q, want a plain 503", i, w.Code, w.Header().Get("Retry-After"))
+			}
+		}
+		if got := calls.Load(); got != 5 {
+			t.Errorf("computation ran %d times, want 5", got)
+		}
+		if open, fast := s.m.BreakerOpenTotal.Value(), s.m.BreakerFastFails.Value(); open != 0 || fast != 0 {
+			t.Errorf("breaker_open_total %d, breaker_fast_fails %d, want 0 and 0", open, fast)
+		}
+	})
 }
 
 func TestChaosInjectorEndToEnd(t *testing.T) {

@@ -229,6 +229,10 @@ type Server struct {
 	scheduleFn func(ctx context.Context, net models.Network, cfg hw.Config, opts sched.Options) (*sched.Plan, error)
 	compileFn  func(ctx context.Context, net models.Network, strategy search.Strategy, parallelism int) (*core.Output, error)
 
+	// beforeFlight, when set, runs in route between a key's cache-tier
+	// miss and its flight; tests park a request there.
+	beforeFlight func(key string)
+
 	// plans recycles the plans /v1/schedule compiles into: a plan lives
 	// only until its body is encoded, and sched.ExploreNetworkInto reuses
 	// a plan's layer storage. The default scheduleFn leases from it; the
@@ -499,8 +503,8 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // guard runs h with the handler-side panic isolation: a panic on the
-// request path (decoding, resolving, hashing — anything outside the
-// flight goroutine, which has its own recover) becomes a structured
+// request path (decoding, resolving, hashing — anything outside a
+// flight's computation, which its frame recovers) becomes a structured
 // 500 instead of killing the process. Panics recovered here are counted
 // directly; flight panics are counted in computationDone, so the two
 // recovery sites never double-count one event.
@@ -576,7 +580,7 @@ func retryAfterSeconds(d time.Duration) int {
 }
 
 // isPanic reports whether err is a recovered panic from either
-// isolation layer: the flight goroutine (*panicError) or the
+// isolation layer: a flight's frame (*panicError) or the
 // scheduler's per-layer workers (*sched.PanicError).
 func isPanic(err error) bool {
 	var pe *panicError
@@ -609,7 +613,11 @@ func (s *Server) tiered(key string) (*response, bool) {
 // on the owner at w.path; else — no ring, this node owns the key, or
 // the owner is unreachable or overloaded — by joining or starting the
 // key's single computation behind the breaker, bounded by the worker
-// pool, and caching its result. Synchronous requests shed immediately
+// pool, and caching its result. The request that starts the computation
+// runs it on its own goroutine, after looking the cache tiers up once
+// more: a flight caches its result before it leaves the group, so a
+// request that missed just before an identical flight ended is answered
+// from there, as a hit. Synchronous requests shed immediately
 // when the queue is full (wait=false, the 429 + Retry-After contract),
 // while async batch entries wait for a token (wait=true — a job holding
 // no HTTP connection has nowhere to bounce a 429 to, and the job table
@@ -640,7 +648,18 @@ func (s *Server) route(ctx context.Context, w *work, raw []byte, wait bool) (*re
 			retryAfter: wait,
 		}
 	}
+	if s.beforeFlight != nil {
+		s.beforeFlight(key)
+	}
+	var hit *response
 	body, shared, err := s.flights.Do(ctx, key, func(fctx context.Context) ([]byte, error) {
+		// A flight for key that ended after this request's lookup above
+		// cached its body before leaving the group, so the new flight's
+		// leader looks once more and answers from there.
+		if resp, ok := s.tiered(key); ok {
+			hit = resp
+			return resp.body, nil
+		}
 		// Admission and the worker slot are per *computation*, not per
 		// request: a hundred deduplicated requests cost one queue token
 		// and one slot, and joining an existing flight is never shed.
@@ -652,10 +671,8 @@ func (s *Server) route(ctx context.Context, w *work, raw []byte, wait bool) (*re
 			return nil, err
 		}
 		defer s.releaseQueue()
-		select {
-		case s.sem <- struct{}{}:
-		case <-fctx.Done():
-			return nil, fctx.Err()
+		if err := acquire(fctx, s.sem); err != nil {
+			return nil, err
 		}
 		defer func() { <-s.sem }()
 		if s.cfg.Chaos != nil {
@@ -671,6 +688,9 @@ func (s *Server) route(ctx context.Context, w *work, raw []byte, wait bool) (*re
 	})
 	if err != nil {
 		return nil, err
+	}
+	if hit != nil {
+		return hit, nil
 	}
 	if shared {
 		s.m.Deduped.Add(1)
@@ -697,7 +717,10 @@ func (s *Server) remember(key string, body []byte) {
 // computationDone observes every flight's outcome exactly once (the
 // flightGroup calls it after fn returns, however many waiters shared
 // the flight): panic accounting and cache eviction for poisoned keys,
-// plus circuit-breaker bookkeeping.
+// plus circuit-breaker bookkeeping. A computation the last leaver's
+// timeout ended arrives as context.DeadlineExceeded (the flight reports
+// its context's cause) and trips the breaker; one its last client
+// abandoned arrives as context.Canceled and stays neutral.
 func (s *Server) computationDone(key string, err error) {
 	if err == nil {
 		s.breaker.record(key, false, true)
