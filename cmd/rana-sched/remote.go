@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"time"
 
 	"rana/internal/serve"
@@ -28,48 +29,23 @@ func runRemote(baseURL, model, strategy, backend, point, traversal, mapping stri
 			fmt.Fprintf(stderr, "rana-sched: "+format+"\n", args...)
 		},
 	}
-	req := map[string]any{"model": model}
 	if asJSON {
 		// /v1/schedule carries the same plan wire encoding as local -json.
 		// A -search strategy pins the server's exploration (and opts the
 		// request out of the beam rung of the degradation ladder);
 		// -parallelism rides along as a throughput hint that never changes
 		// the plan bytes.
-		options := map[string]any{}
-		if strategy != "" {
-			options["search"] = strategy
+		req := serve.ScheduleRequest{Model: model}
+		if spec := (serve.OptionsSpec{Search: strategy, Parallelism: parallelism, Backend: backend,
+			OperatingPoint: point, Traversal: traversal, Mapping: mapping}); !reflect.ValueOf(spec).IsZero() {
+			req.Options = &spec
 		}
-		if parallelism > 0 {
-			options["parallelism"] = parallelism
-		}
-		if backend != "" {
-			options["backend"] = backend
-		}
-		if point != "" {
-			options["operating_point"] = point
-		}
-		if traversal != "" {
-			options["traversal"] = traversal
-		}
-		if mapping != "" {
-			options["mapping"] = mapping
-		}
-		if len(options) > 0 {
-			req["options"] = options
-		}
-		reqBody, err := json.Marshal(req)
-		if err != nil {
-			fmt.Fprintln(stderr, "rana-sched:", err)
+		body, ok := post(ctx, rc, baseURL+"/v1/schedule", req, stderr)
+		if !ok {
 			return 1
 		}
-		body, status, err := rc.PostJSON(ctx, baseURL+"/v1/schedule", reqBody)
-		if err != nil {
-			fmt.Fprintln(stderr, "rana-sched:", err)
-			return 1
-		}
-		if status != 200 {
-			return remoteError(stderr, status, body)
-		}
+		// The plan's bytes as the server wrote them: decoding them into
+		// sched.PlanJSON and encoding them again could respell them.
 		var resp struct {
 			Plan json.RawMessage `json:"plan"`
 		}
@@ -80,35 +56,11 @@ func runRemote(baseURL, model, strategy, backend, point, traversal, mapping stri
 		return printIndented(stdout, stderr, resp.Plan)
 	}
 
-	if strategy != "" {
-		req["search"] = strategy
-	}
-	if parallelism > 0 {
-		req["parallelism"] = parallelism
-	}
-	reqBody, err := json.Marshal(req)
-	if err != nil {
-		fmt.Fprintln(stderr, "rana-sched:", err)
+	body, ok := post(ctx, rc, baseURL+"/v1/compile", serve.CompileRequest{Model: model, Search: strategy, Parallelism: parallelism}, stderr)
+	if !ok {
 		return 1
 	}
-	body, status, err := rc.PostJSON(ctx, baseURL+"/v1/compile", reqBody)
-	if err != nil {
-		fmt.Fprintln(stderr, "rana-sched:", err)
-		return 1
-	}
-	if status != 200 {
-		return remoteError(stderr, status, body)
-	}
-	var resp struct {
-		TolerableRate        float64         `json:"tolerable_rate"`
-		TolerableRetentionNS int64           `json:"tolerable_retention_ns"`
-		DividerRatio         uint64          `json:"divider_ratio"`
-		EnergyPJ             float64         `json:"energy_pj"`
-		Artifact             json.RawMessage `json:"artifact"`
-		Plan                 struct {
-			Layers []any `json:"layers"`
-		} `json:"plan"`
-	}
+	var resp serve.CompileResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		fmt.Fprintln(stderr, "rana-sched:", err)
 		return 1
@@ -123,9 +75,29 @@ func runRemote(baseURL, model, strategy, backend, point, traversal, mapping stri
 	return 0
 }
 
+// post sends req to url as JSON and returns a 200 response's body. On
+// any failure it reports to stderr and returns false.
+func post(ctx context.Context, rc *serve.RetryClient, url string, req any, stderr io.Writer) ([]byte, bool) {
+	reqBody, err := json.Marshal(req)
+	if err != nil {
+		fmt.Fprintln(stderr, "rana-sched:", err)
+		return nil, false
+	}
+	body, status, err := rc.PostJSON(ctx, url, reqBody)
+	if err != nil {
+		fmt.Fprintln(stderr, "rana-sched:", err)
+		return nil, false
+	}
+	if status != 200 {
+		remoteError(stderr, status, body)
+		return nil, false
+	}
+	return body, true
+}
+
 // remoteError reports a non-200 final status, surfacing the server's
 // structured error message when the body carries one.
-func remoteError(stderr io.Writer, status int, body []byte) int {
+func remoteError(stderr io.Writer, status int, body []byte) {
 	var e struct {
 		Error string `json:"error"`
 	}
@@ -134,7 +106,6 @@ func remoteError(stderr io.Writer, status int, body []byte) int {
 	} else {
 		fmt.Fprintf(stderr, "rana-sched: server returned %d\n", status)
 	}
-	return 1
 }
 
 func printIndented(stdout, stderr io.Writer, raw json.RawMessage) int {

@@ -78,7 +78,6 @@ var frameFields = []frameField{
 	{name: "Options.DisableMemo", runtime: true, set: func(_ *hw.Config, o *Options) { o.DisableMemo = true }},
 	{name: "Options.Prefix", runtime: true, set: func(_ *hw.Config, o *Options) { o.Prefix = NewPrefixMemo(1) }},
 	{name: "Options.DisableIncremental", runtime: true, set: func(_ *hw.Config, o *Options) { o.DisableIncremental = true }},
-	{name: "Options.Check", runtime: true, set: func(_ *hw.Config, o *Options) { o.Check = func(*Plan) error { return nil } }},
 }
 
 // fieldFrame returns the fixture under f.base, and the same with f.set

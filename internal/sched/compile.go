@@ -9,9 +9,9 @@ package sched
 //     the frontiers the memo's peek found, the miss work list and the
 //     frontier queries' operating-point scratch;
 //   - an exploreState arena (one per exploring goroutine) holds the
-//     candidate axis scratch, the streaming tiling space, the pooled
-//     bound evaluator, the backend point/table scratch, the frontier
-//     build's record buffers and sort and sweep scratch, and the search
+//     scratch the four tile-size lists are cut from, the pooled bound
+//     evaluator, the backend point/table scratch, the frontier build's
+//     record buffers and sort and sweep scratch, and the search
 //     closures, all created once and re-pointed per layer.
 //
 // Ownership: a leased arena belongs to exactly one compile (one
@@ -95,10 +95,7 @@ type exploreState struct {
 	points   []mem.OperatingPoint
 	ptTables []energy.Table
 	tables   []energy.Table
-	axes     []int
-	fixed    [1]pattern.Tiling
-	product  search.Product
-	slice    search.Slice
+	sizes    []int
 	b        bound
 
 	admit     func(pattern.Tiling) bool
@@ -214,31 +211,15 @@ func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, 
 		return lp, stats, err
 	}
 	s.l, s.cfg, s.opts, s.env = l, cfg, opts, env
-	var space search.Space
-	if opts.FixedTiling != nil {
-		s.fixed[0] = *opts.FixedTiling
-		s.slice.Init(s.fixed[:])
-		space = &s.slice
-	} else {
-		// All four axes share one scratch slice; the boundaries are
-		// recorded first and sub-sliced only after the final append, so
-		// growth reallocations cannot leave a stale sub-slice behind.
-		a := search.AppendAxis(s.axes[:0], s.e.M, cfg.ArrayM)
-		m1 := len(a)
-		a = search.AppendAxis(a, s.e.N, cfg.ArrayN)
-		n1 := len(a)
-		a = search.AppendAxis(a, s.e.R(), cfg.ArrayM)
-		r1 := len(a)
-		a = search.AppendAxis(a, s.e.C(), cfg.ArrayN)
-		s.axes = a
-		s.product.Init(a[:m1], a[m1:n1], a[n1:r1], a[r1:])
-		space = &s.product
-	}
+	tm, tn, tr, tc := tileSizes(&s.sizes, &s.e, &s.cfg, opts.FixedTiling)
 	s.ptTables = appendPointTables(s.ptTables[:0], s.points)
 	s.tables = appendMappingTables(s.tables[:0], s.ptTables, env.maps)
 	s.b.init(l, cfg, s.tables, len(s.points), env.travs)
 	prob := search.Problem[LayerPlan]{
-		Space:       space,
+		Tm:          tm,
+		Tn:          tn,
+		Tr:          tr,
+		Tc:          tc,
 		Kinds:       opts.Patterns,
 		Admit:       s.admit,
 		Points:      len(s.points),
@@ -605,11 +586,6 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 		st := env.prefix.Stats()
 		ns.PrefixHits = st.Hits - prefixBase.Hits
 		ns.PrefixMisses = st.Misses - prefixBase.Misses
-	}
-	if opts.Check != nil {
-		if err := opts.Check(p); err != nil {
-			return ns, fmt.Errorf("sched: plan check: %w", err)
-		}
 	}
 	return ns, nil
 }

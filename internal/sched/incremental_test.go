@@ -33,24 +33,13 @@ type priceCase struct {
 // scan order: tiling-major, then kind, operating point, traversal,
 // mapping — the order incremental caching was designed around.
 func enumerateCases(e models.ConvLayer, cfg hw.Config, kinds []pattern.Kind, points, travs, maps int) []priceCase {
-	tms := search.Axis(e.M, cfg.ArrayM)
-	tns := search.Axis(e.N, cfg.ArrayN)
-	trs := search.Axis(e.R(), cfg.ArrayM)
-	tcs := search.Axis(e.C(), cfg.ArrayN)
 	var out []priceCase
-	for _, tm := range tms {
-		for _, tn := range tns {
-			for _, tr := range trs {
-				for _, tc := range tcs {
-					t := pattern.Tiling{Tm: tm, Tn: tn, Tr: tr, Tc: tc}
-					for _, k := range kinds {
-						for pi := 0; pi < points; pi++ {
-							for tv := 0; tv < travs; tv++ {
-								for mi := 0; mi < maps; mi++ {
-									out = append(out, priceCase{k: k, t: t, cell: search.Cell{Point: pi, Trav: tv, Map: mi}})
-								}
-							}
-						}
+	for _, t := range candidateTilings(e, cfg, Options{}) {
+		for _, k := range kinds {
+			for pi := 0; pi < points; pi++ {
+				for tv := 0; tv < travs; tv++ {
+					for mi := 0; mi < maps; mi++ {
+						out = append(out, priceCase{k: k, t: t, cell: search.Cell{Point: pi, Trav: tv, Map: mi}})
 					}
 				}
 			}

@@ -156,12 +156,6 @@ type Options struct {
 	// differential matrix (verify.Matrix) and the benchmark harness
 	// compare against, not a semantic knob.
 	DisableIncremental bool
-
-	// Check, when non-nil, is invoked on the assembled plan before
-	// Schedule returns — the seam the verification harness
-	// (internal/verify) uses to enforce plan invariants at schedule time.
-	// A non-nil error fails the whole schedule.
-	Check func(*Plan) error `json:"-"`
 }
 
 // Guard returns the effective guard-band factor (the override, or the
@@ -399,7 +393,7 @@ func ExploreNetworkContext(ctx context.Context, net models.Network, cfg hw.Confi
 
 // ExploreLayer explores the configured pattern × tiling space for one
 // layer and returns the minimum-energy plan with the search statistics:
-// how many tilings were streamed, how many candidates the strategy
+// how many tilings were enumerated, how many candidates the strategy
 // bounded, pruned and exactly priced. The verification matrix and the
 // benchmarks consume the counters. The network compile path resolves
 // the environment once and calls exploreLayerEnv directly.
@@ -560,25 +554,44 @@ func effectiveLayer(l models.ConvLayer) models.ConvLayer {
 	return l
 }
 
-// candidateTilings materializes the tiling exploration space for a
-// layer: powers of two bounded by the dimension, plus the exact
-// dimension and the PE-array widths, for each of Tm, Tn, Tr, Tc.
-// FixedTiling collapses the space to a single point. The optimizing
-// scheduler streams the same space through search.Product instead of
-// materializing it; this slice form serves the NaturalTiling baseline
-// path and brute-force test oracles.
-func candidateTilings(l models.ConvLayer, cfg hw.Config, opts Options) []pattern.Tiling {
-	if opts.FixedTiling != nil {
-		return []pattern.Tiling{*opts.FixedTiling}
+// tileSizes fills the scratch buf with a layer's candidate tile sizes
+// and returns the four lists cut from it: Tm, Tn, Tr and Tc, whose cross
+// product is the layer's tiling space. Along each axis of the effective
+// layer e the candidates are search.AppendAxis's: the powers of two
+// below the dimension, the PE-array width and the dimension itself. A
+// pinned tiling collapses each list to its one value. The lists are cut
+// after the last append, so a growing buf leaves none of them stale.
+func tileSizes(buf *[]int, e *models.ConvLayer, cfg *hw.Config, fixed *pattern.Tiling) (tm, tn, tr, tc []int) {
+	a := (*buf)[:0]
+	var at [3]int // where Tn, Tr and Tc start
+	if fixed != nil {
+		a = append(a, fixed.Tm, fixed.Tn, fixed.Tr, fixed.Tc)
+		at = [3]int{1, 2, 3}
+	} else {
+		a = search.AppendAxis(a, e.M, cfg.ArrayM)
+		at[0] = len(a)
+		a = search.AppendAxis(a, e.N, cfg.ArrayN)
+		at[1] = len(a)
+		a = search.AppendAxis(a, e.R(), cfg.ArrayM)
+		at[2] = len(a)
+		a = search.AppendAxis(a, e.C(), cfg.ArrayN)
 	}
+	*buf = a
+	return a[:at[0]], a[at[0]:at[1]], a[at[1]:at[2]], a[at[2]:]
+}
+
+// candidateTilings lists a layer's tiling space: the cross product of
+// tileSizes's lists in the order the search engine enumerates it (Tm
+// outermost, Tc innermost), or, for the NaturalTiling baseline without
+// a pinned tiling, the natural reduction order. It serves the baseline
+// path and the brute-force test oracles.
+func candidateTilings(l models.ConvLayer, cfg hw.Config, opts Options) []pattern.Tiling {
 	e := effectiveLayer(l)
-	if opts.NaturalTiling {
+	if opts.NaturalTiling && opts.FixedTiling == nil {
 		return naturalTilings(e, cfg)
 	}
-	tms := search.Axis(e.M, cfg.ArrayM)
-	tns := search.Axis(e.N, cfg.ArrayN)
-	trs := search.Axis(e.R(), cfg.ArrayM)
-	tcs := search.Axis(e.C(), cfg.ArrayN)
+	var buf []int
+	tms, tns, trs, tcs := tileSizes(&buf, &e, &cfg, opts.FixedTiling)
 	out := make([]pattern.Tiling, 0, len(tms)*len(tns)*len(trs)*len(tcs))
 	for _, tm := range tms {
 		for _, tn := range tns {

@@ -139,6 +139,10 @@ func priceKept[T any](p Problem[T], kept []scored, workers int, r *Result[T]) er
 		defer rec.Release()
 	}
 	if workers = min(workers, len(kept)); workers > 1 {
+		// The workers capture the evaluator alone: a closure over the
+		// whole Problem, too large to capture by value, would move p to
+		// the heap on every call, the one-worker path's included.
+		evaluate := p.Evaluate
 		outs := make([]Outcome[T], len(kept))
 		errs := make([]error, len(kept))
 		var cursor atomic.Int64
@@ -150,7 +154,7 @@ func priceKept[T any](p Problem[T], kept []scored, workers int, r *Result[T]) er
 					return
 				}
 				c := &kept[i].c
-				if errs[i] = p.Evaluate(c.Kind, c.Tiling, c.Cell(), &outs[i]); errs[i] != nil {
+				if errs[i] = evaluate(c.Kind, c.Tiling, c.Cell(), &outs[i]); errs[i] != nil {
 					failed.Store(true)
 				}
 			}

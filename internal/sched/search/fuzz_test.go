@@ -81,7 +81,7 @@ func (ft *fuzzTable) kindIdx(k pattern.Kind) int {
 
 func (ft *fuzzTable) problem() Problem[int] {
 	return Problem[int]{
-		Space:  NewSlice(tilingsN(ft.tilings)),
+		Tm: upTo(ft.tilings), Tn: one, Tr: one, Tc: one,
 		Kinds:  ft.kinds,
 		Admit:  func(t pattern.Tiling) bool { return ft.admitted[t.Tm] },
 		Points: ft.points,

@@ -58,12 +58,12 @@ func TestParallelMatchesSequentialRandomized(t *testing.T) {
 		for seed := uint64(0); seed < 4; seed++ {
 			table := pseudoTable(n, kinds, seed)
 			for _, s := range []Strategy{Exhaustive, Pruned} {
-				ref, err := Run(synthetic(tilingsN(n), kinds, table, nil), Options{Strategy: s, Parallelism: 1})
+				ref, err := Run(synthetic(n, kinds, table, nil), Options{Strategy: s, Parallelism: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{2, 3, 8, 16} {
-					got, err := Run(synthetic(tilingsN(n), kinds, table, nil), Options{Strategy: s, Parallelism: workers})
+					got, err := Run(synthetic(n, kinds, table, nil), Options{Strategy: s, Parallelism: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -103,7 +103,7 @@ func TestParallelTieBreakAcrossPartitions(t *testing.T) {
 	}
 	table["OD/0"] = entry{energy: 3, feasible: false, bound: 3}
 	for _, workers := range []int{2, 7, 33} {
-		p := synthetic(tilingsN(n), kinds, table, nil)
+		p := synthetic(n, kinds, table, nil)
 		p.Admit = func(ti pattern.Tiling) bool { return ti.Tm != 1 }
 		r, err := Run(p, Options{Strategy: Pruned, Parallelism: workers})
 		if err != nil {
@@ -127,7 +127,7 @@ func TestParallelPropagatesEvaluatorErrors(t *testing.T) {
 	table := map[string]entry{"OD/0": {energy: 1, feasible: true}}
 	// Every index >= 1 is missing from the table, so Evaluate errors.
 	for _, workers := range []int{2, 8} {
-		r, err := Run(synthetic(tilingsN(50), kinds, table, nil), Options{Strategy: Exhaustive, Parallelism: workers})
+		r, err := Run(synthetic(50, kinds, table, nil), Options{Strategy: Exhaustive, Parallelism: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: evaluator error swallowed", workers)
 		}
@@ -154,7 +154,7 @@ func TestPoolErrorIsTheOneWorkerError(t *testing.T) {
 			barrier.Add(2)
 		}
 		p := Problem[string]{
-			Space: NewSlice(tilingsN(2)),
+			Tm: upTo(2), Tn: one, Tr: one, Tc: one,
 			Kinds: []pattern.Kind{pattern.OD, pattern.WD},
 			Evaluate: func(k pattern.Kind, ti pattern.Tiling, _ Cell, out *Outcome[string]) error {
 				var err error
@@ -187,7 +187,7 @@ func TestPoolErrorIsTheOneWorkerError(t *testing.T) {
 func TestParallelRepanicsWorkerPanics(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD}
 	p := Problem[string]{
-		Space: NewSlice(tilingsN(64)),
+		Tm: upTo(64), Tn: one, Tr: one, Tc: one,
 		Kinds: kinds,
 		Evaluate: func(k pattern.Kind, ti pattern.Tiling, _ Cell, out *Outcome[string]) error {
 			if ti.Tm == 40 {
@@ -220,12 +220,12 @@ func TestBeamParallelMatchesSequential(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD, pattern.WD}
 	for seed := uint64(0); seed < 4; seed++ {
 		table := pseudoTable(64, kinds, seed)
-		ref, err := Run(synthetic(tilingsN(64), kinds, table, nil), Options{Strategy: Beam, BeamWidth: 9, Parallelism: 1})
+		ref, err := Run(synthetic(64, kinds, table, nil), Options{Strategy: Beam, BeamWidth: 9, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 5} {
-			got, err := Run(synthetic(tilingsN(64), kinds, table, nil), Options{Strategy: Beam, BeamWidth: 9, Parallelism: workers})
+			got, err := Run(synthetic(64, kinds, table, nil), Options{Strategy: Beam, BeamWidth: 9, Parallelism: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,12 +250,12 @@ func TestSharedBoundStress(t *testing.T) {
 	}
 	for seed := uint64(0); seed < uint64(rounds); seed++ {
 		table := pseudoTable(150, kinds, seed+100)
-		ref, err := Run(synthetic(tilingsN(150), kinds, table, nil), Options{Strategy: Pruned, Parallelism: 1})
+		ref, err := Run(synthetic(150, kinds, table, nil), Options{Strategy: Pruned, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{4, 16, 32} {
-			got, err := Run(synthetic(tilingsN(150), kinds, table, nil), Options{Strategy: Pruned, Parallelism: workers})
+			got, err := Run(synthetic(150, kinds, table, nil), Options{Strategy: Pruned, Parallelism: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

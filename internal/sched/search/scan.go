@@ -1,10 +1,10 @@
 package search
 
-// The Exhaustive / Pruned candidate loop. Run drains the space once into
-// the admitted-tiling list; workers claim batches of that list through
-// an atomic cursor and share the incumbent's exact energy through an
-// atomic float, so a good candidate found by one worker immediately
-// tightens every other worker's pruning test. One worker runs the loop
+// The Exhaustive / Pruned candidate loop. Run enumerates the tiling
+// space once into the admitted-tiling list; workers claim batches of
+// that list through an atomic cursor and share the incumbent's exact
+// energy through an atomic float, so a good candidate found by one
+// worker immediately tightens every other worker's pruning test. One worker runs the loop
 // inline on the calling goroutine; more run it on a pool.
 //
 // Determinism argument (the reduction can never move a golden schedule):
@@ -51,23 +51,27 @@ var admittedPool = sync.Pool{
 	New: func() any { return new([]tilingAt) },
 }
 
-// collectAdmitted drains the space once, sequentially — so Tilings and
-// Admitted are deterministic and every tiling keeps its canonical index
-// — into the pooled scratch buf, and returns the admitted list.
+// collectAdmitted enumerates the tiling space once, sequentially, Tm
+// outermost and Tc innermost — so Tilings and Admitted are deterministic
+// and every tiling keeps its canonical index — into the pooled scratch
+// buf, and returns the admitted list.
 func collectAdmitted[T any](p Problem[T], buf *[]tilingAt, stats *Stats) []tilingAt {
 	admitted := (*buf)[:0]
-	for ti := 0; ; ti++ {
-		t, ok := p.Space.Next()
-		if !ok {
-			break
+	ti := 0
+	for _, tm := range p.Tm {
+		for _, tn := range p.Tn {
+			for _, tr := range p.Tr {
+				for _, tc := range p.Tc {
+					t := pattern.Tiling{Tm: tm, Tn: tn, Tr: tr, Tc: tc}
+					if p.Admit == nil || p.Admit(t) {
+						admitted = append(admitted, tilingAt{t: t, ti: ti})
+					}
+					ti++
+				}
+			}
 		}
-		stats.Tilings++
-		if p.Admit != nil && !p.Admit(t) {
-			continue
-		}
-		stats.Admitted++
-		admitted = append(admitted, tilingAt{t: t, ti: ti})
 	}
+	stats.Tilings, stats.Admitted = ti, len(admitted)
 	*buf = admitted
 	return admitted
 }

@@ -1,9 +1,9 @@
 // Package search is the pluggable exploration engine behind the Fig. 13
-// scheduler: it decouples candidate *generation* (a streaming iterator
-// over the tiling space, enumerated once and shared across pattern
-// kinds) from candidate *evaluation* (a cheap admissible lower bound
-// plus the exact pricer, both supplied by the caller) from the search
-// *strategy*:
+// scheduler: it decouples candidate *generation* (the cross product of
+// four tile-size lists, enumerated once and shared across pattern
+// kinds, and the value axes given as extents) from candidate
+// *evaluation* (a cheap admissible lower bound plus the exact pricer,
+// both supplied by the caller) from the search *strategy*:
 //
 //   - Exhaustive prices every admitted candidate — the reference,
 //     bit-identical to the historical scheduler loop;
@@ -146,7 +146,7 @@ type Cell struct {
 
 // Pricer is a stateful per-goroutine bound evaluator: an incremental
 // pricing context that caches per-axis partial terms across the
-// candidates one scan goroutine streams, invalidating only what the
+// candidates one scan goroutine scans, invalidating only what the
 // changed coordinate touches. Lower must return *exactly* the value the
 // problem's stateless Bound would return for the same candidate — bit
 // for bit, at any call order — so pruning decisions (and therefore
@@ -184,9 +184,12 @@ type Outcome[T any] struct {
 
 // Problem couples one layer's candidate space with its evaluators.
 type Problem[T any] struct {
-	// Space streams the tiling space in canonical order. Run drains it
-	// exactly once, into the admitted list every strategy scans.
-	Space Space
+	// Tm, Tn, Tr and Tc are the candidate tile sizes along each axis.
+	// The tiling space is their cross product, which Run enumerates
+	// exactly once, Tm outermost and Tc innermost, into the admitted
+	// list every strategy scans; a tiling's position in that order is
+	// its canonical index. An empty list makes the space empty.
+	Tm, Tn, Tr, Tc []int
 	// Kinds is the pattern exploration space, in option order.
 	Kinds []pattern.Kind
 	// Admit, when non-nil, prefilters tilings (the core local-storage
@@ -304,8 +307,8 @@ type Options struct {
 // Stats counts the work one Run performed — the currency the pruning
 // and beam budgets are measured in.
 type Stats struct {
-	// Tilings counts tilings streamed from the space. The space is
-	// enumerated once per Run, never once per pattern kind.
+	// Tilings counts the tilings of the space. The space is enumerated
+	// once per Run, never once per pattern kind.
 	Tilings int
 	// Admitted counts tilings that passed the core constraints.
 	Admitted int

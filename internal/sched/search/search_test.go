@@ -55,66 +55,97 @@ func TestAxis(t *testing.T) {
 	}
 }
 
-func TestProductStreamsFullCrossProductInOrder(t *testing.T) {
-	p := NewProduct([]int{1, 2}, []int{3}, []int{4, 5}, []int{6, 7})
-	if p.Size() != 8 {
-		t.Fatalf("Size = %d", p.Size())
-	}
-	var got []pattern.Tiling
-	for {
-		ti, ok := p.Next()
-		if !ok {
-			break
-		}
-		got = append(got, ti)
-	}
+// TestRunEnumeratesTilingsTmMajor: Run enumerates the cross product of
+// the four tile-size lists once, Tm outermost and Tc innermost, and a
+// tiling's canonical index is its position in that order whether or not
+// the tilings before it were admitted.
+func TestRunEnumeratesTilingsTmMajor(t *testing.T) {
 	want := []pattern.Tiling{
 		{Tm: 1, Tn: 3, Tr: 4, Tc: 6}, {Tm: 1, Tn: 3, Tr: 4, Tc: 7},
 		{Tm: 1, Tn: 3, Tr: 5, Tc: 6}, {Tm: 1, Tn: 3, Tr: 5, Tc: 7},
 		{Tm: 2, Tn: 3, Tr: 4, Tc: 6}, {Tm: 2, Tn: 3, Tr: 4, Tc: 7},
 		{Tm: 2, Tn: 3, Tr: 5, Tc: 6}, {Tm: 2, Tn: 3, Tr: 5, Tc: 7},
 	}
-	if len(got) != len(want) {
-		t.Fatalf("streamed %d tilings, want %d", len(got), len(want))
+	pos := func(ti pattern.Tiling) int {
+		for i, w := range want {
+			if w == ti {
+				return i
+			}
+		}
+		t.Fatalf("tiling %v is not in the space", ti)
+		return -1
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("tiling %d = %v, want %v (historical Tm-major nesting)", i, got[i], want[i])
+	for _, s := range Strategies() {
+		var got []pattern.Tiling
+		p := Problem[string]{
+			Tm: []int{1, 2}, Tn: []int{3}, Tr: []int{4, 5}, Tc: []int{6, 7},
+			Kinds: []pattern.Kind{pattern.OD},
+			Admit: func(ti pattern.Tiling) bool { return ti != want[0] },
+			Evaluate: func(_ pattern.Kind, ti pattern.Tiling, _ Cell, out *Outcome[string]) error {
+				got = append(got, ti)
+				// The cheapest tiling is the sixth.
+				*out = Outcome[string]{Feasible: true, Energy: float64(max(pos(ti)-5, 5-pos(ti)))}
+				return nil
+			},
+		}
+		r, err := Run(p, Options{Strategy: s, BeamWidth: 64, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Stats.Tilings != 8 || r.Stats.Admitted != 7 {
+			t.Errorf("%s: %d tilings, %d admitted, want 8 and 7", s, r.Stats.Tilings, r.Stats.Admitted)
+		}
+		if r.Candidate.Tiling != want[5] || r.Candidate.TilingIdx != 5 {
+			t.Errorf("%s: chose %v at index %d, want %v at 5", s, r.Candidate.Tiling, r.Candidate.TilingIdx, want[5])
+		}
+		if s == Exhaustive {
+			// One worker prices the admitted tilings in canonical order.
+			if len(got) != 7 {
+				t.Fatalf("priced %d tilings, want 7: %v", len(got), got)
+			}
+			for i, ti := range got {
+				if ti != want[i+1] {
+					t.Fatalf("tiling %d = %v, want %v (Tm-major nesting)", i+1, ti, want[i+1])
+				}
+			}
 		}
 	}
-	// Exhausted stays exhausted; Reset rewinds.
-	if _, ok := p.Next(); ok {
-		t.Error("Next after exhaustion")
-	}
-	p.Reset()
-	if ti, ok := p.Next(); !ok || ti != want[0] {
-		t.Errorf("Reset: got %v/%v", ti, ok)
+}
+
+// TestRunEmptyTileSizeListHasNoTiling: an empty list along any axis
+// empties the space, so no strategy finds or prices anything.
+func TestRunEmptyTileSizeListHasNoTiling(t *testing.T) {
+	for axis := 0; axis < 4; axis++ {
+		lists := [4][]int{{1}, {1}, {1}, {1}}
+		lists[axis] = nil
+		for _, s := range Strategies() {
+			p := synthetic(1, []pattern.Kind{pattern.OD}, map[string]entry{}, nil)
+			p.Tm, p.Tn, p.Tr, p.Tc = lists[0], lists[1], lists[2], lists[3]
+			r, err := Run(p, Options{Strategy: s})
+			if err != nil {
+				t.Fatalf("axis %d, %s: %v", axis, s, err)
+			}
+			if r.Found || r.Stats.Tilings != 0 || r.Stats.Candidates != 0 {
+				t.Errorf("axis %d, %s: found=%v, stats %+v, want an empty run", axis, s, r.Found, r.Stats)
+			}
+		}
 	}
 }
 
-func TestEmptyProduct(t *testing.T) {
-	p := NewProduct(nil, []int{1}, []int{1}, []int{1})
-	if p.Size() != 0 {
-		t.Fatalf("Size = %d", p.Size())
-	}
-	if _, ok := p.Next(); ok {
-		t.Error("empty product yielded a tiling")
-	}
-}
-
-// synthetic builds a Problem over a fixed candidate table keyed by
-// (kind, Tm): energies, feasibility and bounds are scripted so the
-// strategies' selection logic is tested in isolation.
+// synthetic builds a Problem over the n tilings of upTo(n) and a fixed
+// candidate table keyed by (kind, Tm): energies, feasibility and bounds
+// are scripted so the strategies' selection logic is tested in
+// isolation.
 type entry struct {
 	energy   float64
 	feasible bool
 	bound    float64
 }
 
-func synthetic(tilings []pattern.Tiling, kinds []pattern.Kind, table map[string]entry, evaluated *[]string) Problem[string] {
+func synthetic(n int, kinds []pattern.Kind, table map[string]entry, evaluated *[]string) Problem[string] {
 	key := func(k pattern.Kind, t pattern.Tiling) string { return fmt.Sprintf("%v/%d", k, t.Tm) }
 	return Problem[string]{
-		Space: NewSlice(tilings),
+		Tm: upTo(n), Tn: one, Tr: one, Tc: one,
 		Kinds: kinds,
 		Bound: func(k pattern.Kind, t pattern.Tiling, _ Cell) float64 { return table[key(k, t)].bound },
 		Evaluate: func(k pattern.Kind, t pattern.Tiling, _ Cell, out *Outcome[string]) error {
@@ -132,13 +163,19 @@ func synthetic(tilings []pattern.Tiling, kinds []pattern.Kind, table map[string]
 	}
 }
 
-func tilingsN(n int) []pattern.Tiling {
-	ts := make([]pattern.Tiling, n)
-	for i := range ts {
-		ts[i] = pattern.Tiling{Tm: i, Tn: 1, Tr: 1, Tc: 1}
+// upTo is the tile-size list 0, 1, …, n-1. With one along the other
+// three axes its space is the n tilings ⟨i, 1, 1, 1⟩, tiling i at
+// canonical index i.
+func upTo(n int) []int {
+	l := make([]int, n)
+	for i := range l {
+		l[i] = i
 	}
-	return ts
+	return l
 }
+
+// one is the single-valued tile-size list {1}.
+var one = []int{1}
 
 // TestTieBreakKeepsEarliestCanonicalCandidate is the regression test
 // pinning deterministic tie-breaking: among equal-energy feasible
@@ -160,7 +197,7 @@ func TestTieBreakKeepsEarliestCanonicalCandidate(t *testing.T) {
 		"WD/2": {energy: 7, feasible: true},
 	}
 	for _, s := range Strategies() {
-		r, err := Run(synthetic(tilingsN(3), kinds, table, nil), Options{Strategy: s, BeamWidth: 10})
+		r, err := Run(synthetic(3, kinds, table, nil), Options{Strategy: s, BeamWidth: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +209,7 @@ func TestTieBreakKeepsEarliestCanonicalCandidate(t *testing.T) {
 	// OD comes first in kind order.
 	table["WD/2"] = entry{energy: 1, feasible: true}
 	for _, s := range Strategies() {
-		r, err := Run(synthetic(tilingsN(3), kinds, table, nil), Options{Strategy: s, BeamWidth: 10})
+		r, err := Run(synthetic(3, kinds, table, nil), Options{Strategy: s, BeamWidth: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +235,7 @@ func TestPrunedSkipsBoundedCandidatesButKeepsArgmin(t *testing.T) {
 	// order, which a worker pool makes timing-dependent (and the
 	// recording evaluator is not safe for concurrent use).
 	var evaluated []string
-	r, err := Run(synthetic(tilingsN(4), kinds, table, &evaluated), Options{Strategy: Pruned, Parallelism: 1})
+	r, err := Run(synthetic(4, kinds, table, &evaluated), Options{Strategy: Pruned, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +269,7 @@ func TestBeamPricesOnlyTheMostPromising(t *testing.T) {
 	}
 	// One worker, as above: the evaluated list is in pricing order.
 	var evaluated []string
-	r, err := Run(synthetic(tilingsN(4), kinds, table, &evaluated), Options{Strategy: Beam, BeamWidth: 2, Parallelism: 1})
+	r, err := Run(synthetic(4, kinds, table, &evaluated), Options{Strategy: Beam, BeamWidth: 2, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +294,7 @@ func TestBeamFallsBackWhenBudgetAllInfeasible(t *testing.T) {
 		"OD/1": {energy: 2, feasible: false, bound: 2},
 		"OD/2": {energy: 9, feasible: true, bound: 9},
 	}
-	r, err := Run(synthetic(tilingsN(3), kinds, table, nil), Options{Strategy: Beam, BeamWidth: 2})
+	r, err := Run(synthetic(3, kinds, table, nil), Options{Strategy: Beam, BeamWidth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +306,7 @@ func TestBeamFallsBackWhenBudgetAllInfeasible(t *testing.T) {
 func TestRunPropagatesEvaluatorErrors(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD}
 	for _, s := range Strategies() {
-		p := synthetic(tilingsN(1), kinds, map[string]entry{}, nil) // empty table: every Evaluate errors
+		p := synthetic(1, kinds, map[string]entry{}, nil) // empty table: every Evaluate errors
 		if _, err := Run(p, Options{Strategy: s}); err == nil {
 			t.Errorf("%s: evaluator error swallowed", s)
 		}
@@ -277,7 +314,7 @@ func TestRunPropagatesEvaluatorErrors(t *testing.T) {
 }
 
 func TestRunRejectsUnknownStrategy(t *testing.T) {
-	p := synthetic(tilingsN(1), []pattern.Kind{pattern.OD}, map[string]entry{"OD/0": {energy: 1, feasible: true}}, nil)
+	p := synthetic(1, []pattern.Kind{pattern.OD}, map[string]entry{"OD/0": {energy: 1, feasible: true}}, nil)
 	if _, err := Run(p, Options{Strategy: "annealing"}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
@@ -289,7 +326,7 @@ func TestAdmitFiltersBeforeKinds(t *testing.T) {
 		"OD/1": {energy: 2, feasible: true},
 		"WD/1": {energy: 3, feasible: true},
 	}
-	p := synthetic(tilingsN(2), kinds, table, nil)
+	p := synthetic(2, kinds, table, nil)
 	p.Admit = func(t pattern.Tiling) bool { return t.Tm == 1 }
 	r, err := Run(p, Options{Strategy: Exhaustive})
 	if err != nil {
@@ -357,12 +394,12 @@ func TestRecorderSeesEachFeasiblePricedCandidateOnce(t *testing.T) {
 	for _, s := range Strategies() {
 		for _, workers := range []int{1, 4} {
 			o := Options{Strategy: s, BeamWidth: 64, Parallelism: workers}
-			plain, err := Run(synthetic(tilingsN(12), kinds, table, nil), o)
+			plain, err := Run(synthetic(12, kinds, table, nil), o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var c collector
-			p := synthetic(tilingsN(12), kinds, table, nil)
+			p := synthetic(12, kinds, table, nil)
 			p.NewRecorder = c.lease
 			r, err := Run(p, o)
 			if err != nil {

@@ -66,41 +66,56 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestTilingSpaceEnumeratedOncePerLayer pins the hoist fix: the tiling
-// space is pattern-independent, so the number of tilings streamed must
-// not scale with the number of pattern kinds explored.
+// TestTilingSpaceEnumeratedOncePerLayer pins the hoist fix on every zoo
+// layer: the tiling space is pattern-independent, so the number of
+// tilings enumerated is the size of candidateTilings' space whatever
+// the number of pattern kinds explored, Admit keeps exactly the tilings
+// that fit the core, and each kind sees each admitted tiling once. A
+// pinned tiling is a space of one, and the natural-tiling baseline
+// enumerates its reduction order once, too.
 func TestTilingSpaceEnumeratedOncePerLayer(t *testing.T) {
 	cfg := hw.TestAcceleratorEDRAM()
-	l, _ := models.VGG().Layer("conv4_2")
 	one := ranaOpts()
 	one.Patterns = []pattern.Kind{pattern.OD}
-	_, s1, err := ExploreLayer(l, cfg, one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, s2, err := ExploreLayer(l, cfg, ranaOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(candidateTilings(l, cfg, ranaOpts()))
-	if s1.Tilings != want || s2.Tilings != want {
-		t.Errorf("tilings streamed = %d (1 kind) / %d (2 kinds), want %d both — space must be enumerated once, not per pattern",
-			s1.Tilings, s2.Tilings, want)
-	}
-	if s2.Candidates != 2*s2.Admitted {
-		t.Errorf("candidates %d != kinds × admitted tilings %d", s2.Candidates, 2*s2.Admitted)
-	}
-
-	// The natural-tiling baseline path enumerates its reduction order
-	// once, too.
 	nat := ranaOpts()
 	nat.NaturalTiling = true
-	_, ns, err := ExploreLayer(l, cfg, nat)
-	if err != nil {
-		t.Fatal(err)
+	check := func(name string, l models.ConvLayer, opts Options) LayerPlan {
+		t.Helper()
+		lp, s, err := ExploreLayer(l, cfg, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cands := candidateTilings(l, cfg, opts)
+		fit := 0
+		for _, ti := range cands {
+			if ti.FitsCore(effectiveLayer(l), cfg) {
+				fit++
+			}
+		}
+		if s.Tilings != len(cands) || s.Admitted != fit {
+			t.Errorf("%s: %d tilings enumerated, %d admitted, want %d and the %d that fit the core — the space is enumerated once, not per pattern",
+				name, s.Tilings, s.Admitted, len(cands), fit)
+		}
+		if !opts.NaturalTiling && s.Candidates != len(opts.Patterns)*s.Admitted {
+			t.Errorf("%s: candidates %d != kinds × admitted tilings %d", name, s.Candidates, len(opts.Patterns)*s.Admitted)
+		}
+		return lp
 	}
-	if natWant := len(naturalTilings(l, cfg)); ns.Tilings != natWant {
-		t.Errorf("natural mode streamed %d tilings, want %d (enumerated once, not per kind)", ns.Tilings, natWant)
+	for _, net := range models.Benchmarks() {
+		for _, l := range net.Layers {
+			name := net.Name + "/" + l.Name
+			check(name+"/1-kind", l, one)
+			lp := check(name+"/2-kinds", l, ranaOpts())
+			check(name+"/natural", l, nat)
+			pinned := ranaOpts()
+			pinned.FixedTiling = &lp.Analysis.Tiling
+			if got := check(name+"/pinned", l, pinned); got.Analysis.Tiling != lp.Analysis.Tiling {
+				t.Errorf("%s: pinned %v, planned %v", name, lp.Analysis.Tiling, got.Analysis.Tiling)
+			}
+			if n := len(candidateTilings(l, cfg, pinned)); n != 1 {
+				t.Errorf("%s: a pinned tiling's space holds %d tilings, want 1", name, n)
+			}
+		}
 	}
 }
 

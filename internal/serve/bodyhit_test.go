@@ -403,16 +403,15 @@ func checkBodyIndex(t *testing.T, c *lru) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*lruEntry)
-		if c.items[e.key] != el {
+	for e := c.root.next; e != &c.root; e = e.next {
+		if c.items[e.key] != e {
 			t.Errorf("entry %s is not indexed by its key", e.key)
 		}
 		if len(e.aliases) > maxAliases {
 			t.Errorf("entry %s holds %d aliases, more than %d", e.key, len(e.aliases), maxAliases)
 		}
 		for _, d := range e.aliases {
-			if a, ok := c.bodies[d]; !ok || a.el != el {
+			if a, ok := c.bodies[d]; !ok || a.e != e {
 				t.Errorf("an alias of %s is not indexed under it", e.key)
 			}
 		}

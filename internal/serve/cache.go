@@ -14,16 +14,16 @@ package serve
 // answered without being read, resolved or keyed again. An entry holds
 // at most maxAliases of them, and they leave the index with it.
 //
-// Both structures are stdlib-only: container/list for the LRU, and for
-// the flight group a map of flights, each computed on the goroutine of
-// the request that starts it and awaited by the others on a channel.
-// The server's computation caches its body before its flight leaves
-// the group, and the leader of a new flight looks the key up once more,
-// so a request that missed the cache just before an identical flight
-// ended does not compute the key again.
+// Both structures are stdlib-only: for the LRU a map of entries that
+// carry their own recency links, and for the flight group a map of
+// flights, each computed on the goroutine of the request that starts it
+// and awaited by the others on a channel. The server's computation
+// caches its body before its flight leaves the group, and the leader of
+// a new flight looks the key up once more, so a request that missed the
+// cache just before an identical flight ended does not compute the key
+// again.
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -33,18 +33,23 @@ import (
 	"time"
 )
 
-// lru is a mutex-guarded bounded LRU map of response bodies.
+// lru is a mutex-guarded bounded LRU map of response bodies. The
+// entries form a ring through the sentinel root in recency order:
+// root.next is the most recently used, root.prev the least.
 type lru struct {
 	mu     sync.Mutex
 	max    int
-	order  *list.List // front = most recently used; values are *lruEntry
-	items  map[string]*list.Element
+	root   lruEntry
+	items  map[string]*lruEntry
 	bodies map[bodyDigest]bodyAlias // the body index
 }
 
+// lruEntry is one cached body, linked into its LRU's recency ring, so
+// caching a body allocates the entry alone.
 type lruEntry struct {
-	key  string
-	body []byte
+	prev, next *lruEntry
+	key        string
+	body       []byte
 	// aliases are the body digests that name this entry, oldest first:
 	// at most maxAliases, nil until the first is attached.
 	aliases []bodyDigest
@@ -57,7 +62,7 @@ type bodyDigest [sha256.Size]byte
 // bodyAlias is one body's index entry: the cache entry it resolved to
 // and the ladder rung it was served on, which a repeat is counted under.
 type bodyAlias struct {
-	el   *list.Element
+	e    *lruEntry
 	rung rung
 }
 
@@ -81,20 +86,32 @@ func digestBody(tag string, body []byte) bodyDigest {
 // newLRU returns an LRU holding up to max entries (max <= 0 disables
 // caching entirely).
 func newLRU(max int) *lru {
-	return &lru{max: max, order: list.New(), items: make(map[string]*list.Element),
-		bodies: make(map[bodyDigest]bodyAlias)}
+	c := &lru{max: max, items: make(map[string]*lruEntry), bodies: make(map[bodyDigest]bodyAlias)}
+	c.root.prev, c.root.next = &c.root, &c.root
+	return c
+}
+
+// promote moves e, linked or not, to the front of the ring. c.mu is
+// held.
+func (c *lru) promote(e *lruEntry) {
+	if e.next != nil {
+		e.prev.next, e.next.prev = e.next, e.prev
+	}
+	e.prev, e.next = &c.root, c.root.next
+	c.root.next.prev = e
+	c.root.next = e
 }
 
 // Get returns the cached body and promotes the entry.
 func (c *lru) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.items[key]
 	if !ok {
 		return nil, false
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).body, true
+	c.promote(e)
+	return e.body, true
 }
 
 // GetBody is Get by body digest: the key and bytes of the entry d names,
@@ -106,9 +123,8 @@ func (c *lru) GetBody(d bodyDigest) (key string, body []byte, r rung, ok bool) {
 	if !ok {
 		return "", nil, 0, false
 	}
-	c.order.MoveToFront(a.el)
-	e := a.el.Value.(*lruEntry)
-	return e.key, e.body, a.rung, true
+	c.promote(a.e)
+	return a.e.key, a.e.body, a.rung, true
 }
 
 // Alias indexes body digest d under key's entry, served on rung r, if
@@ -117,20 +133,19 @@ func (c *lru) GetBody(d bodyDigest) (key string, body []byte, r rung, ok bool) {
 func (c *lru) Alias(d bodyDigest, key string, r rung) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.items[key]
 	if !ok {
 		return
 	}
 	if _, ok := c.bodies[d]; ok {
 		return
 	}
-	e := el.Value.(*lruEntry)
 	if len(e.aliases) == maxAliases {
 		delete(c.bodies, e.aliases[0])
 		e.aliases = append(e.aliases[:0], e.aliases[1:]...)
 	}
 	e.aliases = append(e.aliases, d)
-	c.bodies[d] = bodyAlias{el: el, rung: r}
+	c.bodies[d] = bodyAlias{e: e, rung: r}
 }
 
 // Add inserts or refreshes an entry, evicting the least recently used
@@ -142,14 +157,16 @@ func (c *lru) Add(key string, body []byte) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		el.Value.(*lruEntry).body = body
+	if e, ok := c.items[key]; ok {
+		c.promote(e)
+		e.body = body
 		return
 	}
-	c.items[key] = c.order.PushFront(&lruEntry{key: key, body: body})
-	for c.order.Len() > c.max {
-		c.unlink(c.order.Back())
+	e := &lruEntry{key: key, body: body}
+	c.items[key] = e
+	c.promote(e)
+	for len(c.items) > c.max {
+		c.unlink(c.root.prev)
 	}
 }
 
@@ -160,16 +177,17 @@ func (c *lru) Add(key string, body []byte) {
 func (c *lru) Remove(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.items[key]
 	if ok {
-		c.unlink(el)
+		c.unlink(e)
 	}
 	return ok
 }
 
-// unlink drops el and every body alias naming it. c.mu is held.
-func (c *lru) unlink(el *list.Element) {
-	e := c.order.Remove(el).(*lruEntry)
+// unlink drops e and every body alias naming it. c.mu is held.
+func (c *lru) unlink(e *lruEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 	delete(c.items, e.key)
 	for _, d := range e.aliases {
 		delete(c.bodies, d)
@@ -180,7 +198,7 @@ func (c *lru) unlink(el *list.Element) {
 func (c *lru) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return len(c.items)
 }
 
 // flight is one in-progress computation shared by every concurrent

@@ -127,10 +127,10 @@ type work struct {
 // cache has served before is answered from the entry it resolved to,
 // with no decode, no prepare, no key and no timer, and counted as the
 // decoded hit it would have been. Otherwise it decodes the body through
-// T's field table, prepares the request's work and runs it under the
-// request timeout; when the local cache tiers served it, the body is
-// indexed under its key, so its next repeat is a body hit. The body
-// itself is what route replays on the key's ring owner.
+// T's field table, prepares the request's work and runs it; when the
+// local cache tiers served it, the body is indexed under its key, so
+// its next repeat is a body hit. The body itself is what route replays
+// on the key's ring owner.
 func keyed[T any](s *Server, tag string, fields jsonenc.Fields[T], prepare func(T) (*work, error)) func(context.Context, []byte) (*response, error) {
 	return func(ctx context.Context, body []byte) (*response, error) {
 		d := digestBody(tag, body)
@@ -148,8 +148,6 @@ func keyed[T any](s *Server, tag string, fields jsonenc.Fields[T], prepare func(
 		if err != nil {
 			return nil, err
 		}
-		ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
 		resp, err := s.run(ctx, w, body, false)
 		if err == nil && (resp.source == "hit" || resp.source == "store") {
 			s.cache.Alias(d, w.key, w.rung)
@@ -158,19 +156,29 @@ func keyed[T any](s *Server, tag string, fields jsonenc.Fields[T], prepare func(
 	}
 }
 
-// run carries out prepared work for a sync handler and a batch entry
-// alike: it bounds ctx by the request's own deadline, routes the work
-// (raw is the body a ring owner is sent, wait selects blocking
-// admission), and counts the ladder rung a success was served on.
+// run carries out prepared work for a sync handler (wait false) and a
+// batch entry (wait true) alike: it answers from the local cache tiers,
+// or else routes the work under one timer (raw is the body a ring owner
+// is sent, wait selects blocking admission), and counts the ladder rung
+// a success was served on. A sync request's timer is the request
+// timeout, capped by its own deadline; a batch entry's is its deadline
+// alone, and one without a deadline runs under its job's context.
 func (s *Server) run(ctx context.Context, w *work, raw []byte, wait bool) (*response, error) {
-	if w.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, w.deadline)
-		defer cancel()
-	}
-	resp, err := s.route(ctx, w, raw, wait)
-	if err != nil {
-		return nil, err
+	resp, ok := s.tiered(w.key)
+	if !ok {
+		timeout := w.deadline
+		if !wait && (timeout == 0 || timeout > s.cfg.RequestTimeout) {
+			timeout = s.cfg.RequestTimeout
+		}
+		if timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, timeout)
+			defer cancel()
+		}
+		var err error
+		if resp, err = s.route(ctx, w, raw, wait); err != nil {
+			return nil, err
+		}
 	}
 	s.m.served(w.rung)
 	return resp, nil

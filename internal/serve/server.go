@@ -607,26 +607,23 @@ func (s *Server) tiered(key string) (*response, bool) {
 	return nil, false
 }
 
-// route answers w: from the local cache tiers; else, when a ring names
-// another node as the key's owner and the request has not already taken
-// its one forwarding hop (the marker api puts on ctx), by replaying raw
-// on the owner at w.path; else — no ring, this node owns the key, or
-// the owner is unreachable or overloaded — by joining or starting the
-// key's single computation behind the breaker, bounded by the worker
-// pool, and caching its result. The request that starts the computation
-// runs it on its own goroutine, after looking the cache tiers up once
-// more: a flight caches its result before it leaves the group, so a
-// request that missed just before an identical flight ended is answered
-// from there, as a hit. Synchronous requests shed immediately
-// when the queue is full (wait=false, the 429 + Retry-After contract),
-// while async batch entries wait for a token (wait=true — a job holding
-// no HTTP connection has nowhere to bounce a 429 to, and the job table
-// already bounds outstanding work).
+// route answers w, which the local cache tiers missed: when a ring
+// names another node as the key's owner and the request has not already
+// taken its one forwarding hop (the marker api puts on ctx), by
+// replaying raw on the owner at w.path; else — no ring, this node owns
+// the key, or the owner is unreachable or overloaded — by joining or
+// starting the key's single computation behind the breaker, bounded by
+// the worker pool, and caching its result. The request that starts the
+// computation runs it on its own goroutine, after looking the cache
+// tiers up once more: a flight caches its result before it leaves the
+// group, so a request that missed just before an identical flight ended
+// is answered from there, as a hit. Synchronous requests shed
+// immediately when the queue is full (wait=false, the 429 + Retry-After
+// contract), while async batch entries wait for a token (wait=true — a
+// job holding no HTTP connection has nowhere to bounce a 429 to, and
+// the job table already bounds outstanding work).
 func (s *Server) route(ctx context.Context, w *work, raw []byte, wait bool) (*response, error) {
 	key := w.key
-	if resp, ok := s.tiered(key); ok {
-		return resp, nil
-	}
 	if ring := s.cfg.Ring; ring != nil && !forwarded(ctx) {
 		if owner := ring.Owner(key); owner.ID != s.self.ID {
 			resp, err := s.forward(ctx, owner, w.path, raw, key)

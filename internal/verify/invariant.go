@@ -208,14 +208,6 @@ func effectiveLayer(l models.ConvLayer) models.ConvLayer {
 	return l
 }
 
-// PlanChecker returns a sched.Options.Check hook that fails scheduling
-// when any plan invariant is violated.
-func PlanChecker(tol Tolerances) func(*sched.Plan) error {
-	return func(p *sched.Plan) error {
-		return violationsErr(CheckPlan(p, tol))
-	}
-}
-
 // RunObserver is an exec.Observer enforcing the engine's runtime
 // invariants: layers execute in order, the model clock is monotonic and
 // gap-free across chained RunFunctionalAt calls, and the refresh counter

@@ -22,10 +22,10 @@
 //   - runtime invariant checkers: CheckPlan validates every structural
 //     invariant of a schedule (bank allocations within the buffer,
 //     refresh flags consistent with the guarded lifetimes, energy
-//     counters non-negative and conserved across Plan.Totals), and plugs
-//     into sched.Schedule via Options.Check; RunObserver plugs into
-//     exec.Engine and enforces a monotonic model clock across chained
-//     RunFunctionalAt calls;
+//     counters non-negative and conserved across Plan.Totals) on a plan
+//     the scheduler returned; RunObserver plugs into exec.Engine and
+//     enforces a monotonic model clock across chained RunFunctionalAt
+//     calls;
 //
 //   - a shrinking minimizer (Minimize) that reduces a diverging case to
 //     a small repro, used by cmd/rana-verify's reports.
@@ -181,16 +181,4 @@ func (v Violation) String() string {
 		return fmt.Sprintf("%s: %s", v.Invariant, v.Detail)
 	}
 	return fmt.Sprintf("%s: %s: %s", v.Layer, v.Invariant, v.Detail)
-}
-
-// violations renders a list as one error, or nil if empty.
-func violationsErr(vs []Violation) error {
-	if len(vs) == 0 {
-		return nil
-	}
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = v.String()
-	}
-	return fmt.Errorf("verify: %d invariant violations: %s", len(vs), strings.Join(parts, "; "))
 }

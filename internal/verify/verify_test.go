@@ -163,20 +163,15 @@ func TestCheckPlanCatchesCorruptedTotals(t *testing.T) {
 	}
 }
 
-// TestPlanCheckerPlugsIntoSchedule: the Options.Check seam runs the
-// invariants at schedule time and propagates failures.
-func TestPlanCheckerPlugsIntoSchedule(t *testing.T) {
-	cfg := hw.TestAcceleratorEDRAM()
-	opts := ranaOptions()
-	opts.Check = PlanChecker(DefaultTolerances())
-	if _, err := sched.Schedule(models.AlexNet(), cfg, opts); err != nil {
-		t.Fatalf("checked schedule failed: %v", err)
+// TestCheckPlanPassesScheduledAlexNet: every plan invariant holds on
+// the AlexNet plan the scheduler returns.
+func TestCheckPlanPassesScheduledAlexNet(t *testing.T) {
+	plan, err := sched.Schedule(models.AlexNet(), hw.TestAcceleratorEDRAM(), ranaOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// A hook that always fails must fail the schedule.
-	opts.Check = func(p *sched.Plan) error { return violationsErr([]Violation{{Invariant: "forced", Detail: "x"}}) }
-	if _, err := sched.Schedule(models.AlexNet(), cfg, opts); err == nil {
-		t.Fatal("failing check did not fail the schedule")
+	if vs := CheckPlan(plan, DefaultTolerances()); len(vs) != 0 {
+		t.Fatalf("scheduled AlexNet plan violates %d invariants: %v", len(vs), vs)
 	}
 }
 
