@@ -1,7 +1,9 @@
 // Command rana-verify runs the cross-model conformance harness: for every
 // benchmark network it checks that the analytical model, the cycle walker
 // and (on demand) the word-accurate functional simulator agree, and that
-// every compiled schedule satisfies the runtime invariants.
+// every compiled schedule satisfies the runtime invariants. Every
+// word-accurate check (-functional, and the spot checks of -backends and
+// -faults) runs the one functional oracle, verify.CompareFunctional.
 //
 // Usage:
 //
@@ -9,10 +11,10 @@
 //	rana-verify -model AlexNet -v        # one network, per-layer detail
 //	rana-verify -patterns ID,OD,WD       # include the input-dominant pattern
 //	rana-verify -random 500 -seed 7      # randomized differential cases
-//	rana-verify -functional 5            # word-accurate cross-checks
+//	rana-verify -functional 5            # word-accurate cross-checks through eDRAM
 //	rana-verify -matrix 50               # differential matrix: zoo + 50 random networks
-//	rana-verify -backends                # memory-backend differential sweep
-//	rana-verify -faults                  # fault-injection/error-budget differential sweep
+//	rana-verify -backends                # memory-backend differential sweep + word-accurate check of every point
+//	rana-verify -faults                  # fault-injection/error-budget differential sweep + fault-masked word-accurate check of every point
 //	rana-verify -nodes URL,URL -reference URL  # fleet nodes ≡ single-node bytes
 //
 // The first divergence is reported with a minimized reproducer and the
@@ -74,6 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	t := &tally{stdout: stdout, stderr: stderr, verbose: *verbose}
 	// The nodes sweep talks to live ranad processes, not in-process
 	// models; it runs alone so a fleet check never silently depends on
 	// local model state.
@@ -82,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "rana-verify: -nodes and -reference must be given together")
 			return 2
 		}
-		return sweepNodes(stdout, stderr, nets, *refURL, strings.Split(*nodesList, ","), *verbose)
+		return sweepNodes(t, nets, *refURL, strings.Split(*nodesList, ","))
 	}
 
 	tol := verify.DefaultTolerances()
@@ -93,92 +96,119 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Controller:      memctrl.RefreshOptimized{},
 	}
 
-	failures := 0
-	cases := 0
 	for _, net := range nets {
 		for _, l := range net.Layers {
 			for _, k := range kinds {
-				cases++
 				ti := sched.NaturalTiling(l, cfg)
-				r := verify.CompareLayer(l, k, ti, cfg, tol)
-				if !r.OK() {
-					failures++
-					fmt.Fprintf(stdout, "FAIL %s/%s\n%s\n", net.Name, l.Name, indent(r.String()))
-					continue
+				r, label := verify.CompareLayer(l, k, ti, cfg, tol), net.Name+"/"+l.Name
+				if r.OK() {
+					a := pattern.MustAnalyze(l, k, ti, cfg)
+					rr, err := verify.CompareRefresh(a, cfg, opts, tol)
+					if err != nil {
+						fmt.Fprintln(stderr, "rana-verify:", err)
+						return 1
+					}
+					r, label = rr, label+" refresh"
 				}
-				a := pattern.MustAnalyze(l, k, ti, cfg)
-				rr, err := verify.CompareRefresh(a, cfg, opts, tol)
-				if err != nil {
-					fmt.Fprintln(stderr, "rana-verify:", err)
-					return 1
-				}
-				if !rr.OK() {
-					failures++
-					fmt.Fprintf(stdout, "FAIL %s/%s refresh\n%s\n", net.Name, l.Name, indent(rr.String()))
-					continue
-				}
-				if *verbose {
-					fmt.Fprintf(stdout, "ok   %s/%s %v\n", net.Name, l.Name, k)
+				if t.check(r, nil, "", label) {
+					t.pass("%s/%s %v", net.Name, l.Name, k)
 				}
 			}
 		}
 
 		// The compiled schedule must satisfy every structural invariant.
-		cases++
 		plan, err := sched.Schedule(net, cfg, opts)
 		if err != nil {
-			fmt.Fprintf(stdout, "FAIL %s: schedule: %v\n", net.Name, err)
-			failures++
+			t.fail("%s: schedule: %v", net.Name, err)
 			continue
 		}
 		if vs := verify.CheckPlan(plan, tol); len(vs) != 0 {
-			failures++
-			fmt.Fprintf(stdout, "FAIL %s: %d invariant violations\n", net.Name, len(vs))
-			for _, v := range vs {
-				fmt.Fprintf(stdout, "  %s\n", v)
+			lines := make([]string, len(vs))
+			for i, v := range vs {
+				lines[i] = v.String()
 			}
-		} else if *verbose {
-			fmt.Fprintf(stdout, "ok   %s plan invariants (%d layers)\n", net.Name, len(plan.Layers))
+			t.fail("%s: %d invariant violations\n%s", net.Name, len(vs), indent(strings.Join(lines, "\n")))
+		} else {
+			t.pass("%s plan invariants (%d layers)", net.Name, len(plan.Layers))
 		}
 	}
 
 	if *random > 0 {
-		n, f := sweepRandom(stdout, *random, *seed, tol, *verbose)
-		cases += n
-		failures += f
+		sweepRandom(t, *random, *seed, tol)
 	}
 	if *functional > 0 {
-		n, f := sweepFunctional(stdout, stderr, *functional, *seed, tol, *verbose)
-		cases += n
-		failures += f
+		sweepFunctional(t, *functional, *seed, tol)
 	}
 	if *matrix >= 0 {
-		n, f := sweepMatrix(stdout, stderr, nets, cfg, opts, *matrix, *seed, tol, *verbose)
-		cases += n
-		failures += f
+		sweepMatrix(t, nets, cfg, opts, *matrix, *seed, tol)
 	}
 	if *backends {
-		n, f := sweepBackends(stdout, stderr, nets, cfg, opts, *seed, tol, *verbose)
-		cases += n
-		failures += f
+		sweepBackends(t, nets, cfg, opts, *seed, tol)
 	}
 	if *faults {
-		n, f := sweepFaults(stdout, stderr, nets, cfg, opts, *seed, *verbose)
-		cases += n
-		failures += f
+		sweepFaults(t, nets, cfg, opts, *seed, tol)
 	}
 
-	if failures > 0 {
-		fmt.Fprintf(stdout, "rana-verify: %d of %d cases FAILED\n", failures, cases)
+	if t.failures > 0 {
+		fmt.Fprintf(stdout, "rana-verify: %d of %d cases FAILED\n", t.failures, t.cases)
 		return 1
 	}
-	fmt.Fprintf(stdout, "rana-verify: %d cases ok (models agree, invariants hold)\n", cases)
+	fmt.Fprintf(stdout, "rana-verify: %d cases ok (models agree, invariants hold)\n", t.cases)
 	return 0
+}
+
+// tally is the bookkeeping every sweep shares: it counts cases and
+// failures and prints each case's outcome in one format.
+type tally struct {
+	stdout, stderr  io.Writer
+	verbose         bool
+	cases, failures int
+}
+
+// pass counts a passing case and, when verbose, prints "ok   " and the
+// line; an empty format prints nothing (sweeps that summarize).
+func (t *tally) pass(format string, args ...any) {
+	t.cases++
+	if t.verbose && format != "" {
+		fmt.Fprintf(t.stdout, "ok   "+format+"\n", args...)
+	}
+}
+
+// fail counts a failing case and prints "FAIL " and the line.
+func (t *tally) fail(format string, args ...any) {
+	t.cases++
+	t.failures++
+	fmt.Fprintf(t.stdout, "FAIL "+format+"\n", args...)
+}
+
+// check counts the case that r, or the error that kept it from running,
+// fails: err prints to stderr after prefix, a diverging report prints
+// "FAIL <label>" with the report indented below it. It reports whether
+// the case passed, which the caller then counts with pass.
+func (t *tally) check(r *verify.Report, err error, prefix, label string) bool {
+	switch {
+	case err != nil:
+		fmt.Fprintf(t.stderr, "rana-verify: %s%v\n", prefix, err)
+	case !r.OK():
+		fmt.Fprintf(t.stdout, "FAIL %s\n%s\n", label, indent(r.String()))
+	default:
+		return true
+	}
+	t.cases++
+	t.failures++
+	return false
+}
+
+// summary prints a sweep's verbose "ok   " line.
+func (t *tally) summary(format string, args ...any) {
+	if t.verbose {
+		fmt.Fprintf(t.stdout, "ok   "+format+"\n", args...)
+	}
 }
 
 // sweepRandom cross-checks count generator-driven cases and, on the first
 // divergence, prints a minimized reproducer.
-func sweepRandom(stdout io.Writer, count int, seed uint64, tol verify.Tolerances, verbose bool) (cases, failures int) {
+func sweepRandom(t *tally, count int, seed uint64, tol verify.Tolerances) {
 	g := gen.New(seed)
 	fails := func(c gen.Case) bool {
 		if !verify.CompareLayer(c.Layer, c.Pattern, c.Tiling, c.Config, tol).OK() {
@@ -193,69 +223,43 @@ func sweepRandom(stdout io.Writer, count int, seed uint64, tol verify.Tolerances
 	}
 	for i := 0; i < count; i++ {
 		c := g.Case()
-		cases++
 		if !fails(c) {
+			t.pass("")
 			continue
 		}
-		failures++
 		m := verify.Minimize(c, fails)
 		r := verify.CompareLayer(m.Layer, m.Pattern, m.Tiling, m.Config, tol)
-		fmt.Fprintf(stdout, "FAIL random case %d (seed %d); minimized repro:\n", i, seed)
-		fmt.Fprintf(stdout, "  layer  %+v\n  tiling %+v\n  pattern %v on %s\n", m.Layer, m.Tiling, m.Pattern, m.Config.Name)
-		fmt.Fprintf(stdout, "%s\n", indent(r.String()))
-		return cases, failures
+		t.fail("random case %d (seed %d); minimized repro:\n  layer  %+v\n  tiling %+v\n  pattern %v on %s\n%s",
+			i, seed, m.Layer, m.Tiling, m.Pattern, m.Config.Name, indent(r.String()))
+		return
 	}
-	if verbose {
-		fmt.Fprintf(stdout, "ok   %d randomized cases\n", count)
-	}
-	return cases, failures
+	t.summary("%d randomized cases", count)
 }
 
-// sweepFunctional cross-checks the word-accurate simulator on tiny layers
-// at the conventional refresh interval.
-func sweepFunctional(stdout, stderr io.Writer, count int, seed uint64, tol verify.Tolerances, verbose bool) (cases, failures int) {
+// sweepFunctional runs the functional oracle on tiny layers through the
+// eDRAM buffer at the conventional refresh interval, stopping at the
+// first failure.
+func sweepFunctional(t *tally, count int, seed uint64, tol verify.Tolerances) {
 	g := gen.New(seed)
 	cfg := hw.TestAcceleratorEDRAM()
 	for i := 0; i < count; i++ {
-		l := g.TinyLayer()
-		cases++
-		r, err := verify.CompareFunctional(l, cfg, 45*time.Microsecond, seed+uint64(i), tol)
-		if err != nil {
-			fmt.Fprintln(stderr, "rana-verify: functional:", err)
-			failures++
-			return cases, failures
+		r, err := verify.CompareFunctional("edram", g.TinyLayer(), cfg, 0, seed+uint64(i), tol)
+		if !t.check(r, err, "functional: ", fmt.Sprintf("functional case %d (seed %d)", i, seed)) {
+			return
 		}
-		if !r.OK() {
-			failures++
-			fmt.Fprintf(stdout, "FAIL functional case %d (seed %d)\n%s\n", i, seed, indent(r.String()))
-			return cases, failures
-		}
+		t.pass("")
 	}
-	if verbose {
-		fmt.Fprintf(stdout, "ok   %d functional cases\n", count)
-	}
-	return cases, failures
+	t.summary("%d functional cases", count)
 }
 
 // sweepMatrix runs the differential matrix on every selected network
 // and on count small random networks over random accelerators.
-func sweepMatrix(stdout, stderr io.Writer, nets []models.Network, cfg hw.Config, opts sched.Options, count int, seed uint64, tol verify.Tolerances, verbose bool) (cases, failures int) {
+func sweepMatrix(t *tally, nets []models.Network, cfg hw.Config, opts sched.Options, count int, seed uint64, tol verify.Tolerances) {
 	m := verify.DefaultMatrix(tol)
 	check := func(net models.Network, c hw.Config) {
-		cases++
 		r, err := m.Run(net, c, opts)
-		if err != nil {
-			fmt.Fprintln(stderr, "rana-verify:", err)
-			failures++
-			return
-		}
-		if !r.OK() {
-			failures++
-			fmt.Fprintf(stdout, "FAIL %s on %s\n%s\n", r.Subject, c.Name, indent(r.String()))
-			return
-		}
-		if verbose {
-			fmt.Fprintf(stdout, "ok   %s\n", r)
+		if t.check(r, err, "", net.Name+" matrix on "+c.Name) {
+			t.pass("%s", r)
 		}
 	}
 	for _, net := range nets {
@@ -270,54 +274,20 @@ func sweepMatrix(stdout, stderr io.Writer, nets []models.Network, cfg hw.Config,
 		}
 		check(net, c)
 	}
-	return cases, failures
 }
 
 // sweepBackends runs the memory-backend differential oracle on every
 // selected network — the whole registry's admissible operating points
-// pass the invariant and bound checks — plus a word-accurate functional
-// spot check of every buffer backend's failure injector on a tiny layer.
-func sweepBackends(stdout, stderr io.Writer, nets []models.Network, cfg hw.Config, opts sched.Options, seed uint64, tol verify.Tolerances, verbose bool) (cases, failures int) {
+// pass the invariant and bound checks — plus the functional oracle on
+// every buffer backend point's failure injector on a tiny layer.
+func sweepBackends(t *tally, nets []models.Network, cfg hw.Config, opts sched.Options, seed uint64, tol verify.Tolerances) {
 	for _, net := range nets {
-		cases++
 		r, err := verify.CompareBackends(net, cfg, opts, tol)
-		if err != nil {
-			fmt.Fprintln(stderr, "rana-verify:", err)
-			failures++
-			continue
-		}
-		if !r.OK() {
-			failures++
-			fmt.Fprintf(stdout, "FAIL %s backends\n%s\n", net.Name, indent(r.String()))
-			continue
-		}
-		if verbose {
-			fmt.Fprintf(stdout, "ok   %s\n", r)
+		if t.check(r, err, "", net.Name+" backends") {
+			t.pass("%s", r)
 		}
 	}
-	g := gen.New(seed)
-	l := g.TinyLayer()
-	for _, bk := range mem.Buffers() {
-		for _, p := range bk.Points() {
-			spec := bk.Name() + "@" + p.Name
-			cases++
-			r, err := verify.CompareBackendFunctional(spec, l, cfg, seed, tol)
-			if err != nil {
-				fmt.Fprintln(stderr, "rana-verify: backend functional:", err)
-				failures++
-				continue
-			}
-			if !r.OK() {
-				failures++
-				fmt.Fprintf(stdout, "FAIL functional %s\n%s\n", spec, indent(r.String()))
-				continue
-			}
-			if verbose {
-				fmt.Fprintf(stdout, "ok   functional %s\n", spec)
-			}
-		}
-	}
-	return cases, failures
+	spotChecks(t, "functional", "backend functional: ", cfg, 0, seed, tol)
 }
 
 // sweepFaults runs the fault-injection differential oracle on every
@@ -326,64 +296,46 @@ func sweepBackends(stdout, stderr io.Writer, nets []models.Network, cfg hw.Confi
 // whose bit-error rates clear them, seeded fault-mask derivation must
 // be byte-stable across repeated draws, the pretrained empirical oracle
 // must hold its accuracy constraint at every admitted rate, and the
-// over-budget corner must be refused. A word-accurate spot check then
-// drives every buffer backend's operating points through a faulty
-// storage overlay on a tiny layer. One oracle (one pretraining run) is
-// shared across the zoo.
-func sweepFaults(stdout, stderr io.Writer, nets []models.Network, cfg hw.Config, opts sched.Options, seed uint64, verbose bool) (cases, failures int) {
+// over-budget corner must be refused. The functional oracle then drives
+// every buffer backend's operating points through a faulty storage
+// overlay on a tiny layer. One oracle (one pretraining run) is shared
+// across the zoo.
+func sweepFaults(t *tally, nets []models.Network, cfg hw.Config, opts sched.Options, seed uint64, tol verify.Tolerances) {
 	oracle := verify.NewFaultOracle(training.Config{
 		Epochs: 3, LR: 0.02, Momentum: 0.9, Format: fixed.Q88, Seed: 1,
 	}, 160)
 	for _, net := range nets {
-		cases++
 		r, err := verify.CompareFaults(net, cfg, opts, oracle, 0, seed)
-		if err != nil {
-			fmt.Fprintln(stderr, "rana-verify: faults:", err)
-			failures++
-			continue
-		}
-		if !r.OK() {
-			failures++
-			fmt.Fprintf(stdout, "FAIL %s faults\n%s\n", net.Name, indent(r.String()))
-			continue
-		}
-		if verbose {
-			fmt.Fprintf(stdout, "ok   %s\n", r)
+		if t.check(r, err, "faults: ", net.Name+" faults") {
+			t.pass("%s", r)
 		}
 	}
 	// The spot-check rate is demonstrative, far above any admissible
 	// bit-error rate: the point is to land flips and watch the simulator
 	// count them, not to model an admitted corner.
 	const spotRate = 0.05
-	g := gen.New(seed)
-	l := g.TinyLayer()
+	spotChecks(t, "fault functional", "fault functional: ", cfg, spotRate, seed, tol)
+}
+
+// spotChecks runs the functional oracle on every buffer backend point
+// on one tiny layer, at the given fault rate.
+func spotChecks(t *tally, what, prefix string, cfg hw.Config, faultRate float64, seed uint64, tol verify.Tolerances) {
+	l := gen.New(seed).TinyLayer()
 	for _, bk := range mem.Buffers() {
 		for _, p := range bk.Points() {
 			spec := bk.Name() + "@" + p.Name
-			cases++
-			r, err := verify.CompareFaultFunctional(spec, l, cfg, spotRate, seed)
-			if err != nil {
-				fmt.Fprintln(stderr, "rana-verify: fault functional:", err)
-				failures++
-				continue
-			}
-			if !r.OK() {
-				failures++
-				fmt.Fprintf(stdout, "FAIL fault functional %s\n%s\n", spec, indent(r.String()))
-				continue
-			}
-			if verbose {
-				fmt.Fprintf(stdout, "ok   fault functional %s\n", spec)
+			r, err := verify.CompareFunctional(spec, l, cfg, faultRate, seed, tol)
+			if t.check(r, err, prefix, what+" "+spec) {
+				t.pass("%s %s", what, spec)
 			}
 		}
 	}
-	return cases, failures
 }
 
 // sweepNodes runs the cross-node conformance oracle against live ranad
 // processes: every fleet node must answer each zoo schedule, compile and
 // evaluate request byte-identically to the reference node.
-func sweepNodes(stdout, stderr io.Writer, nets []models.Network, reference string, nodes []string, verbose bool) int {
+func sweepNodes(t *tally, nets []models.Network, reference string, nodes []string) int {
 	urls := make([]string, 0, len(nodes))
 	for _, n := range nodes {
 		if n = strings.TrimSpace(n); n != "" {
@@ -391,11 +343,10 @@ func sweepNodes(stdout, stderr io.Writer, nets []models.Network, reference strin
 		}
 	}
 	if len(urls) == 0 {
-		fmt.Fprintln(stderr, "rana-verify: -nodes lists no URLs")
+		fmt.Fprintln(t.stderr, "rana-verify: -nodes lists no URLs")
 		return 2
 	}
 	ctx := context.Background()
-	cases, failures := 0, 0
 	for _, net := range nets {
 		model := []byte(fmt.Sprintf(`{"model": %q}`, net.Name))
 		for _, rq := range []struct {
@@ -406,27 +357,21 @@ func sweepNodes(stdout, stderr io.Writer, nets []models.Network, reference strin
 			{"/v1/compile", model},
 			{"/v1/evaluate", []byte(fmt.Sprintf(`{"design": "RANA*(E-5)", "model": %q}`, net.Name))},
 		} {
-			cases++
 			r, err := verify.CompareNodes(ctx, nil, reference, urls, rq.path, rq.body)
 			if err != nil {
-				fmt.Fprintln(stderr, "rana-verify:", err)
+				fmt.Fprintln(t.stderr, "rana-verify:", err)
 				return 1
 			}
-			if !r.OK() {
-				failures++
-				fmt.Fprintf(stdout, "FAIL %s %s\n%s\n", net.Name, rq.path, indent(r.String()))
-				continue
-			}
-			if verbose {
-				fmt.Fprintf(stdout, "ok   %s\n", r)
+			if t.check(r, nil, "", net.Name+" "+rq.path) {
+				t.pass("%s", r)
 			}
 		}
 	}
-	if failures > 0 {
-		fmt.Fprintf(stdout, "rana-verify: %d of %d node cases FAILED\n", failures, cases)
+	if t.failures > 0 {
+		fmt.Fprintf(t.stdout, "rana-verify: %d of %d node cases FAILED\n", t.failures, t.cases)
 		return 1
 	}
-	fmt.Fprintf(stdout, "rana-verify: %d node cases ok (%d nodes byte-identical to %s)\n", cases, len(urls), reference)
+	fmt.Fprintf(t.stdout, "rana-verify: %d node cases ok (%d nodes byte-identical to %s)\n", t.cases, len(urls), reference)
 	return 0
 }
 

@@ -1,9 +1,12 @@
 // Package exec is the execution phase of the RANA framework (Fig. 6,
 // right half): it runs a scheduled network end to end on the functional
-// hardware models — words move from the DDR model through the eDRAM (or
-// SRAM) buffer into the arithmetic, the refresh-optimized controller
-// issues pulses per the compiled per-layer flags, and retention decay is
-// physically simulated. The output is both the network's numerical result
+// hardware models — words move from the DDR model through the buffer
+// technology's default backend (eDRAM or SRAM, built by sim.NewBuffer)
+// into the arithmetic, the refresh-optimized controller issues pulses
+// per the compiled per-layer flags, and retention decay is physically
+// simulated. Each layer runs through sim.RunFunctionalAt and is held to
+// sim.ReferenceConv, the same word-accurate path verify's functional
+// oracle checks. The output is both the network's numerical result
 // and the measured operation counters, so energy can be accounted from
 // observed behaviour rather than the analytical model.
 //
@@ -19,16 +22,14 @@ import (
 	"time"
 
 	"rana/internal/ddr"
-	"rana/internal/edram"
 	"rana/internal/energy"
 	"rana/internal/fixed"
 	"rana/internal/hw"
+	"rana/internal/mem"
 	"rana/internal/memctrl"
 	"rana/internal/models"
-	"rana/internal/retention"
 	"rana/internal/sched"
 	"rana/internal/sim"
-	"rana/internal/sram"
 )
 
 // Observer receives per-layer execution events from Run. The verification
@@ -43,22 +44,20 @@ type Observer interface {
 	LayerExecuted(index int, layer models.ConvLayer, start, end time.Duration, refreshWords uint64) error
 }
 
-// Engine executes scheduled networks on functional models.
+// Engine executes scheduled networks on functional models: the
+// configuration's default buffer backend (internal/mem) at its nominal
+// point, in Q8.8 arithmetic.
 type Engine struct {
 	Config hw.Config
-	Dist   *retention.Distribution
-	// Format is the deployment fixed-point format.
-	Format fixed.Format
 	// Seed drives cell-retention sampling.
 	Seed uint64
 	// Observer, when non-nil, receives per-layer execution events.
 	Observer Observer
 }
 
-// New returns an engine for the configuration with the typical retention
-// distribution and Q8.8 arithmetic.
+// New returns an engine for the configuration, seeded with 1.
 func New(cfg hw.Config) *Engine {
-	return &Engine{Config: cfg, Dist: retention.Typical(), Format: fixed.Q88, Seed: 1}
+	return &Engine{Config: cfg, Seed: 1}
 }
 
 // Report is the outcome of one network execution.
@@ -72,8 +71,8 @@ type Report struct {
 	// ExecTime is the modeled wall time of the whole network.
 	ExecTime time.Duration
 	// Counts are the measured Eq. 14 operation coefficients: α from the
-	// arithmetic, βb from buffer counters, γ from the refresh issuer and
-	// βd from the DDR model.
+	// arithmetic, βb from the simulator's buffer reads and writes, γ
+	// from the refresh issuer and βd from the DDR model.
 	Counts energy.Counts
 	// Energy prices the measured counts.
 	Energy energy.Breakdown
@@ -95,49 +94,26 @@ func (e *Engine) Run(plan *sched.Plan, input []fixed.Word, weights [][]fixed.Wor
 	}
 	cfg := e.Config
 
-	// Functional buffer: eDRAM decays and needs the refresh machinery;
-	// SRAM retains unconditionally and runs without a controller.
-	var buf sim.Storage
-	var refresher *sim.Refresher
-	banks := cfg.Banks()
-	switch cfg.BufferTech {
-	case energy.EDRAM:
-		eb, err := edram.New(banks, cfg.BankWords, e.Dist, e.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("exec: %w", err)
-		}
-		div, err := memctrl.NewDivider(cfg.FrequencyHz, plan.Options.RefreshInterval)
-		if err != nil {
-			return nil, fmt.Errorf("exec: %w", err)
-		}
-		issuer, err := memctrl.NewIssuer(div, banks)
-		if err != nil {
-			return nil, fmt.Errorf("exec: %w", err)
-		}
-		buf = eb
-		refresher = &sim.Refresher{Issuer: issuer, Target: eb}
-	case energy.SRAM:
-		sb, err := sram.New(banks, cfg.BankWords)
-		if err != nil {
-			return nil, fmt.Errorf("exec: %w", err)
-		}
-		buf = sb
-	default:
-		return nil, fmt.Errorf("exec: unknown buffer technology %v", cfg.BufferTech)
+	// The functional buffer comes from the technology's default backend:
+	// eDRAM decays and brings the refresh machinery at the plan's
+	// interval; SRAM retains unconditionally and runs without one.
+	bk := mem.Default(cfg.BufferTech)
+	buf, refresher, err := sim.NewBuffer(bk, bk.Points()[0], cfg, plan.Options.RefreshInterval, e.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("exec: %w", err)
 	}
 
-	mem := ddr.New()
-	mem.Store("act0", input)
+	dram := ddr.New()
+	dram.Store("act0", input)
 	for i, ws := range weights {
 		l := plan.Network.Layers[i]
 		if uint64(len(ws)) != l.WeightWords() {
 			return nil, fmt.Errorf("exec: layer %d: %d weights, want %d", i, len(ws), l.WeightWords())
 		}
-		mem.Store(fmt.Sprintf("w%d", i), ws)
+		dram.Store(fmt.Sprintf("w%d", i), ws)
 	}
 
 	report := &Report{}
-	var macs uint64
 	ideal := append([]fixed.Word(nil), input...)
 	macsPerCycle := cfg.PEs()
 
@@ -149,27 +125,28 @@ func (e *Engine) Run(plan *sched.Plan, input []fixed.Word, weights [][]fixed.Wor
 		// per-type needs are mapped onto the engine's actual buffer
 		// layout ([inputs | weights | outputs]). SRAM needs none.
 		if refresher != nil {
-			if err := refresher.Issuer.SetFlags(functionalFlags(l, lp.Needs, cfg.BankWords, banks)); err != nil {
+			if err := refresher.Issuer.SetFlags(functionalFlags(l, lp.Needs, cfg.BankWords, cfg.Banks())); err != nil {
 				return nil, fmt.Errorf("exec: layer %d: %w", i, err)
 			}
 		}
 
-		acts, err := mem.Load(fmt.Sprintf("act%d", i))
+		acts, err := dram.Load(fmt.Sprintf("act%d", i))
 		if err != nil {
 			return nil, fmt.Errorf("exec: %w", err)
 		}
-		ws, err := mem.Load(fmt.Sprintf("w%d", i))
+		ws, err := dram.Load(fmt.Sprintf("w%d", i))
 		if err != nil {
 			return nil, fmt.Errorf("exec: %w", err)
 		}
 		layerStart := report.ExecTime
-		res, err := sim.RunFunctionalAt(l, e.Format, acts, ws, buf, refresher,
+		res, err := sim.RunFunctionalAt(l, fixed.Q88, acts, ws, buf, refresher,
 			macsPerCycle, cfg.FrequencyHz, report.ExecTime)
 		if err != nil {
 			return nil, fmt.Errorf("exec: layer %d (%s): %w", i, l.Name, err)
 		}
-		macs += l.MACs()
+		report.Counts.MACs += l.MACs()
 		report.ExecTime += res.ExecTime
+		report.Counts.BufferAccesses += res.BufferAccesses
 		if e.Observer != nil {
 			var issued uint64
 			if refresher != nil {
@@ -179,10 +156,10 @@ func (e *Engine) Run(plan *sched.Plan, input []fixed.Word, weights [][]fixed.Wor
 				return nil, fmt.Errorf("exec: layer %d (%s): invariant: %w", i, l.Name, err)
 			}
 		}
-		mem.Store(fmt.Sprintf("act%d", i+1), res.Output)
+		dram.Store(fmt.Sprintf("act%d", i+1), res.Output)
 
 		// Ideal path with perfect memory.
-		ideal = idealConv(l, e.Format, ideal, ws)
+		ideal = sim.ReferenceConv(l, fixed.Q88, ideal, ws)
 
 		if i == len(plan.Layers)-1 {
 			report.Output = res.Output
@@ -195,19 +172,9 @@ func (e *Engine) Run(plan *sched.Plan, input []fixed.Word, weights [][]fixed.Wor
 			report.WordErrors++
 		}
 	}
-	report.Counts = energy.Counts{
-		MACs:        macs,
-		DDRAccesses: mem.Accesses(),
-	}
+	report.Counts.DDRAccesses = dram.Accesses()
 	if refresher != nil {
 		report.Counts.Refreshes = refresher.Issuer.Issued()
-	}
-	switch b := buf.(type) {
-	case *edram.Buffer:
-		st := b.Stats()
-		report.Counts.BufferAccesses = st.Reads + st.Writes
-	case *sram.Buffer:
-		report.Counts.BufferAccesses = b.Reads() + b.Writes()
 	}
 	report.Energy = energy.System(report.Counts, cfg.BufferTech)
 	return report, nil
@@ -252,36 +219,4 @@ func validateChain(net models.Network) error {
 		}
 	}
 	return nil
-}
-
-// idealConv computes one layer with perfect memory (the oracle).
-func idealConv(l models.ConvLayer, f fixed.Format, inputs, weights []fixed.Word) []fixed.Word {
-	R, C := l.R(), l.C()
-	out := make([]fixed.Word, l.OutputWords())
-	inAt := func(n, r, c int) int { return (n*l.H+r)*l.L + c }
-	wAt := func(m, n, kr, kc int) int { return ((m*l.N+n)*l.K+kr)*l.K + kc }
-	for m := 0; m < l.M; m++ {
-		for or := 0; or < R; or++ {
-			for oc := 0; oc < C; oc++ {
-				var acc fixed.Acc
-				for n := 0; n < l.N; n++ {
-					for kr := 0; kr < l.K; kr++ {
-						ir := or*l.S + kr - l.P
-						if ir < 0 || ir >= l.H {
-							continue
-						}
-						for kc := 0; kc < l.K; kc++ {
-							ic := oc*l.S + kc - l.P
-							if ic < 0 || ic >= l.L {
-								continue
-							}
-							acc = fixed.MAC(acc, inputs[inAt(n, ir, ic)], weights[wAt(m, n, kr, kc)])
-						}
-					}
-				}
-				out[(m*R+or)*C+oc] = f.Fold(acc)
-			}
-		}
-	}
-	return out
 }

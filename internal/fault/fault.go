@@ -10,8 +10,9 @@
 // check reproducibility literally (same seed + same (backend, point,
 // plan) ⇒ byte-identical masks). They drive two consumers:
 //
-//   - the functional simulator, via Wrap's Storage adapter that XORs
-//     mask bits into reads at known addresses (sim.RunFunctional);
+//   - the functional simulator, via Wrap's overlay on a backend's
+//     mem.Buffer that XORs mask bits into reads at known addresses
+//     (sim.RunFunctional, verify.CompareFunctional);
 //   - the training substrate, via rate-matched bits.Injector fault
 //     models in the real nn forward pass (nn.FaultModel / nn.FaultPlan).
 //

@@ -4,25 +4,18 @@ import (
 	"time"
 
 	"rana/internal/fixed"
+	"rana/internal/mem"
 )
 
-// Storage is the word-addressed buffer contract the functional
-// simulator drives. It mirrors sim.Storage structurally so the wrapper
-// satisfies it without this package importing the simulator.
-type Storage interface {
-	Read(addr int, now time.Duration) fixed.Word
-	Write(addr int, w fixed.Word, now time.Duration)
-	Words() int
-}
-
-// FaultyStorage overlays a mask on a Storage: reads of masked addresses
-// come back with the mask's bits inverted, modeling cells stuck in the
-// flipped state for the run (every read of a failed word sees the same
-// corruption, as a decayed eDRAM cell would present until rewritten).
-// Writes and Words pass through untouched, so writing a masked address
-// re-arms the flip for the next read.
+// FaultyStorage overlays a mask on a mem.Buffer and is a mem.Buffer
+// itself: reads of masked addresses come back with the mask's bits
+// inverted, modeling cells stuck in the flipped state for the run (every
+// read of a failed word sees the same corruption, as a decayed eDRAM
+// cell would present until rewritten). Writes and Words pass through
+// untouched, so writing a masked address re-arms the flip for the next
+// read.
 type FaultyStorage struct {
-	inner Storage
+	inner mem.Buffer
 	// xors holds the per-word XOR patterns, offset by base.
 	xors map[int]uint16
 	base int
@@ -32,7 +25,7 @@ type FaultyStorage struct {
 
 // Wrap overlays mask onto s, with the mask's word 0 landing at address
 // base. Flips outside [0, s.Words()) never fire.
-func Wrap(s Storage, mask *Mask, base int) *FaultyStorage {
+func Wrap(s mem.Buffer, mask *Mask, base int) *FaultyStorage {
 	fs := &FaultyStorage{inner: s, xors: mask.XorWords(), base: base}
 	return fs
 }

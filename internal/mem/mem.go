@@ -97,10 +97,11 @@ func (p OperatingPoint) Table() energy.Table {
 	return energy.Table{AccessPJ: p.AccessPJ, RefreshPJ: p.RefreshPJ, WearPJ: p.WearPJ}
 }
 
-// Buffer is the functional word store a backend builds for word-accurate
-// simulation — the failure injector. *edram.Buffer and *sram.Buffer
-// satisfy it; it is a superset of sim.Storage so a backend buffer plugs
-// straight into sim.RunFunctional.
+// Buffer is the functional word store, the one interface the
+// word-accurate path reads and writes through: a backend builds one as
+// its failure injector (NewBuffer), sim.RunFunctional executes layers on
+// it and fault.Wrap overlays stuck bit flips on it. *edram.Buffer and
+// *sram.Buffer implement it.
 type Buffer interface {
 	Read(addr int, now time.Duration) fixed.Word
 	Write(addr int, w fixed.Word, now time.Duration)

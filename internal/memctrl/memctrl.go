@@ -294,3 +294,6 @@ func (is *Issuer) AdvanceTo(now time.Duration, buf BankRefresher) uint64 {
 
 // Issued returns the cumulative word-refresh count.
 func (is *Issuer) Issued() uint64 { return is.issued }
+
+// Period returns the achieved pulse period of the issuer's divider.
+func (is *Issuer) Period() time.Duration { return is.div.Period() }

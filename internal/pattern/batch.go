@@ -35,7 +35,6 @@ func AnalyzeBatch(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, batch int
 		return a, nil
 	}
 	b := uint64(batch)
-	single := a.ExecTime
 
 	a.MACs *= b
 	a.Cycles *= b
@@ -55,7 +54,6 @@ func AnalyzeBatch(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, batch int
 	} else {
 		a.DDRTraffic.Weights *= b
 		// Per-image residency and lifetimes are unchanged.
-		_ = single
 	}
 	a.FitsBuffer = a.BufferStorage.Total() <= cfg.BufferWords
 	return a, nil

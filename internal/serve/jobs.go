@@ -3,8 +3,8 @@ package serve
 // The async batch API. POST /v1/compile-batch validates every entry up
 // front, answers 202 with a job id, and runs the entries in the
 // background; GET /v1/jobs/{id} polls per-entry status and results,
-// DELETE cancels. Whole-zoo compiles stop holding an HTTP connection
-// open per network.
+// DELETE cancels and answers once the entries have settled. Whole-zoo
+// compiles stop holding an HTTP connection open per network.
 //
 // Entries go through exactly the pipeline sync requests use —
 // prepareSchedule/prepareCompile, then run: the deadline, the shard
@@ -293,15 +293,16 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		}(i, e)
 	}
 	wg.Wait()
+	// The job's final status is set here and nowhere else, once every
+	// entry has settled, so no poll sees a finished job with an entry
+	// still running.
 	j.mu.Lock()
-	if j.status == "running" {
-		if ctx.Err() != nil {
-			j.status = "canceled"
-			s.m.JobsCanceled.Add(1)
-		} else {
-			j.status = "done"
-			s.m.JobsDone.Add(1)
-		}
+	if ctx.Err() != nil {
+		j.status = "canceled"
+		s.m.JobsCanceled.Add(1)
+	} else {
+		j.status = "done"
+		s.m.JobsDone.Add(1)
 	}
 	close(j.done)
 	j.mu.Unlock()
@@ -354,39 +355,30 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		s.m.status(jobsLabels, s.error(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no such job %q", id)}))
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		body, err := marshalBody(j.snapshot())
-		if err != nil {
-			s.m.status(jobsLabels, s.error(w, err))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-		s.m.status(jobsLabels, http.StatusOK)
-	case http.MethodDelete:
-		j.mu.Lock()
-		running := j.status == "running"
-		if running {
-			j.status = "canceled"
-		}
-		j.mu.Unlock()
-		if running {
-			s.m.JobsCanceled.Add(1)
-			j.cancel()
-		}
-		body, err := marshalBody(j.snapshot())
-		if err != nil {
-			s.m.status(jobsLabels, s.error(w, err))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-		s.m.status(jobsLabels, http.StatusOK)
-	default:
+	if r.Method != http.MethodGet && r.Method != http.MethodDelete {
 		w.Header().Set("Allow", "GET, DELETE")
 		s.m.status(jobsLabels, s.error(w, &apiError{status: http.StatusMethodNotAllowed, msg: "use GET or DELETE"}))
+		return
 	}
+	if r.Method == http.MethodDelete {
+		// Cancel, then answer once the entries have settled and runJob
+		// has set the final status. An entry leading a flight that a sync
+		// request joined keeps computing for that joiner (DESIGN §8), so
+		// the wait can be that long; this request's context bounds it.
+		j.cancel()
+		select {
+		case <-j.done:
+		case <-r.Context().Done():
+		}
+	}
+	body, err := marshalBody(j.snapshot())
+	if err != nil {
+		s.m.status(jobsLabels, s.error(w, err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
+	s.m.status(jobsLabels, http.StatusOK)
 }
 
 // snapshot renders the job's current state.

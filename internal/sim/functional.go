@@ -5,23 +5,43 @@ import (
 	"time"
 
 	"rana/internal/fixed"
+	"rana/internal/hw"
+	"rana/internal/mem"
 	"rana/internal/memctrl"
 	"rana/internal/models"
 )
-
-// Storage is the word-addressable buffer the functional simulator drives;
-// *edram.Buffer and *sram.Buffer both satisfy it.
-type Storage interface {
-	Read(addr int, now time.Duration) fixed.Word
-	Write(addr int, w fixed.Word, now time.Duration)
-	Words() int
-}
 
 // Refresher pairs a refresh issuer with the bank-refreshable buffer it
 // drives; nil disables refresh entirely.
 type Refresher struct {
 	Issuer *memctrl.Issuer
 	Target memctrl.BankRefresher
+}
+
+// NewBuffer builds backend bk's functional buffer at operating point p
+// in cfg's bank geometry, its cells sampled from seed. A refreshing
+// backend's buffer comes with the Fig. 14 refresh machinery: a divider
+// from cfg's clock down to interval and an issuer over the buffer's
+// banks, every flag clear until the caller loads a layer's flags. A
+// non-refreshing backend gets a nil Refresher and interval is unused.
+func NewBuffer(bk mem.Backend, p mem.OperatingPoint, cfg hw.Config, interval time.Duration, seed uint64) (mem.Buffer, *Refresher, error) {
+	buf, err := bk.NewBuffer(cfg.Banks(), cfg.BankWords, seed, p)
+	if err != nil || !bk.Refreshes() {
+		return buf, nil, err
+	}
+	target, ok := buf.(memctrl.BankRefresher)
+	if !ok {
+		return nil, nil, fmt.Errorf("sim: refreshing backend %q built a non-refreshable buffer %T", bk.Name(), buf)
+	}
+	div, err := memctrl.NewDivider(cfg.FrequencyHz, interval)
+	if err != nil {
+		return nil, nil, err
+	}
+	issuer, err := memctrl.NewIssuer(div, target.Banks())
+	if err != nil {
+		return nil, nil, err
+	}
+	return buf, &Refresher{Issuer: issuer, Target: target}, nil
 }
 
 // FunctionalResult is the outcome of a word-accurate layer execution
@@ -39,6 +59,10 @@ type FunctionalResult struct {
 	ExecTime time.Duration
 	// RefreshWords counts word-refresh operations issued.
 	RefreshWords uint64
+	// BufferAccesses counts the buffer reads and writes the execution
+	// issued: every operand and output written once, two operand reads
+	// per MAC, one read-back per output.
+	BufferAccesses uint64
 }
 
 // RunFunctional executes one small convolution layer word-by-word through
@@ -52,7 +76,7 @@ type FunctionalResult struct {
 // outputs fit the buffer; macsPerCycle and frequencyHz set the time
 // scale (lower frequency → longer lifetimes → more decay).
 func RunFunctional(l models.ConvLayer, f fixed.Format, inputs, weights []fixed.Word,
-	buf Storage, refresh *Refresher, macsPerCycle int, frequencyHz float64) (*FunctionalResult, error) {
+	buf mem.Buffer, refresh *Refresher, macsPerCycle int, frequencyHz float64) (*FunctionalResult, error) {
 	return RunFunctionalAt(l, f, inputs, weights, buf, refresh, macsPerCycle, frequencyHz, 0)
 }
 
@@ -61,7 +85,7 @@ func RunFunctional(l models.ConvLayer, f fixed.Format, inputs, weights []fixed.W
 // decay state and the refresh issuer's schedule stay on a single
 // monotonic timeline (internal/exec).
 func RunFunctionalAt(l models.ConvLayer, f fixed.Format, inputs, weights []fixed.Word,
-	buf Storage, refresh *Refresher, macsPerCycle int, frequencyHz float64,
+	buf mem.Buffer, refresh *Refresher, macsPerCycle int, frequencyHz float64,
 	start time.Duration) (*FunctionalResult, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -106,7 +130,7 @@ func RunFunctionalAt(l models.ConvLayer, f fixed.Format, inputs, weights []fixed
 	inAt := func(n, r, c int) int { return (n*l.H+r)*l.L + c }
 	wAt := func(m, n, kr, kc int) int { return ((m*l.N+n)*l.K+kr)*l.K + kc }
 
-	ref := referenceConv(l, f, inputs, weights)
+	ref := ReferenceConv(l, f, inputs, weights)
 	var macs uint64
 	for m := 0; m < l.M; m++ {
 		for or := 0; or < R; or++ {
@@ -140,7 +164,11 @@ func RunFunctionalAt(l models.ConvLayer, f fixed.Format, inputs, weights []fixed
 
 	end := clock(macs / uint64(macsPerCycle))
 	sync(end)
-	res := &FunctionalResult{Reference: ref, ExecTime: end - start}
+	res := &FunctionalResult{
+		Reference:      ref,
+		ExecTime:       end - start,
+		BufferAccesses: uint64(din+dw+2*dout) + 2*macs,
+	}
 	res.Output = make([]fixed.Word, dout)
 	for i := range res.Output {
 		res.Output[i] = buf.Read(outBase+i, end)
@@ -154,8 +182,10 @@ func RunFunctionalAt(l models.ConvLayer, f fixed.Format, inputs, weights []fixed
 	return res, nil
 }
 
-// referenceConv computes the convolution directly on the word arrays.
-func referenceConv(l models.ConvLayer, f fixed.Format, inputs, weights []fixed.Word) []fixed.Word {
+// ReferenceConv computes the convolution directly on the word arrays:
+// what a perfect memory returns, the oracle every word-accurate run is
+// held to.
+func ReferenceConv(l models.ConvLayer, f fixed.Format, inputs, weights []fixed.Word) []fixed.Word {
 	R, C := l.R(), l.C()
 	out := make([]fixed.Word, l.OutputWords())
 	inAt := func(n, r, c int) int { return (n*l.H+r)*l.L + c }

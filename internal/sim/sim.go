@@ -14,6 +14,13 @@
 // are cross-validated against the closed-form model in internal/pattern
 // by this package's tests — the two are independent derivations of the
 // same loop semantics.
+//
+// The functional mode (RunFunctional) executes small layers word by
+// word through a backend's mem.Buffer, built with its refresh machinery
+// by NewBuffer, and holds the output to ReferenceConv, the
+// perfect-memory convolution: the one word-accurate path that
+// internal/exec chains into whole networks and verify.CompareFunctional
+// checks.
 package sim
 
 import (

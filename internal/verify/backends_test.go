@@ -57,13 +57,15 @@ func TestCompareBackendsSweepsNonNominalPoints(t *testing.T) {
 	}
 }
 
+// TestCompareBackendFunctional: one tiny layer runs word-accurately
+// through a point of each buffer backend, refreshing or not.
 func TestCompareBackendFunctional(t *testing.T) {
 	cfg := hw.TestAcceleratorEDRAM()
 	g := gen.New(3)
 	l := g.TinyLayer()
 	for _, spec := range []string{"edram", "approx-dram@v0.8", "sram", "reram@fast-write"} {
 		t.Run(spec, func(t *testing.T) {
-			r, err := CompareBackendFunctional(spec, l, cfg, 7, DefaultTolerances())
+			r, err := CompareFunctional(spec, l, cfg, 0, 7, DefaultTolerances())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,12 +76,16 @@ func TestCompareBackendFunctional(t *testing.T) {
 	}
 }
 
+// TestCompareBackendFunctionalRejectsBadSpecs: a spec that names no
+// buffer point is rejected, with and without a fault mask.
 func TestCompareBackendFunctionalRejectsBadSpecs(t *testing.T) {
 	cfg := hw.TestAcceleratorEDRAM()
 	l := gen.New(3).TinyLayer()
 	for _, spec := range []string{"", "ddr3", "edram@no-such-point", "nope"} {
-		if _, err := CompareBackendFunctional(spec, l, cfg, 1, DefaultTolerances()); err == nil {
-			t.Errorf("spec %q accepted", spec)
+		for _, rate := range []float64{0, 0.1} {
+			if _, err := CompareFunctional(spec, l, cfg, rate, 1, DefaultTolerances()); err == nil {
+				t.Errorf("spec %q at fault rate %g accepted", spec, rate)
+			}
 		}
 	}
 }

@@ -26,10 +26,10 @@ package verify
 //   - plan stability: attaching the per-layer budgets derived at the
 //     default constraint must leave default-path plan bytes untouched.
 //
-// CompareFaultFunctional closes the storage loop: a mask overlaid on a
-// backend's own functional buffer (fault.Wrap) must corrupt exactly the
-// words the mask names — the simulator's word-error count equals the
-// mask's distinct-word count, no more, no less.
+// CompareFunctional with a positive fault rate closes the storage loop:
+// a mask overlaid on a backend's own functional buffer (fault.Wrap) must
+// corrupt exactly the words the mask names — the simulator's word-error
+// count equals the mask's distinct-word count, no more, no less.
 
 import (
 	"encoding/json"
@@ -46,9 +46,7 @@ import (
 	"rana/internal/models"
 	"rana/internal/retention"
 	"rana/internal/sched"
-	"rana/internal/sim"
 	"rana/internal/training"
-	"rana/internal/verify/gen"
 )
 
 // maskWindow caps the per-layer mask extent: flip statistics are
@@ -291,71 +289,6 @@ func CompareFaults(net models.Network, cfg hw.Config, opts sched.Options, oracle
 				}
 			}
 		}
-	}
-	return r, nil
-}
-
-// CompareFaultFunctional drives a seeded fault mask through the
-// word-accurate simulator on a backend's own functional buffer: the
-// mask is drawn over the layer's output region and overlaid via
-// fault.Wrap, so every distinct masked word — and nothing else — must
-// come back corrupted. The simulator's word-error count is checked
-// against the mask's own accounting, as is the wrapper's injection
-// counter. Refreshing backends run the real issuer at the point's
-// scaled conventional rate, which also proves refresh traffic cannot
-// scrub a stuck overlay fault.
-func CompareFaultFunctional(spec string, l models.ConvLayer, cfg hw.Config, rate float64, seed uint64) (*Report, error) {
-	bk, pt, err := mem.ParseSpec(spec)
-	if err != nil {
-		return nil, fmt.Errorf("verify: %w", err)
-	}
-	if bk.Role() != mem.RoleBuffer {
-		return nil, fmt.Errorf("verify: backend %q is not a buffer technology", bk.Name())
-	}
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	r := &Report{Subject: fmt.Sprintf("%s fault-functional %s", spec, l.Name)}
-	banks, bankWords := cfg.Banks(), cfg.BankWords
-	din, dw, dout := int(l.InputWords()), int(l.WeightWords()), int(l.OutputWords())
-	if din+dw+dout > banks*bankWords {
-		return nil, fmt.Errorf("verify: layer needs %d words, buffer has %d", din+dw+dout, banks*bankWords)
-	}
-
-	buf, err := bk.NewBuffer(banks, bankWords, seed, pt)
-	if err != nil {
-		return nil, fmt.Errorf("verify: %w", err)
-	}
-	used := (din + dw + dout + bankWords - 1) / bankWords
-	refresher, _, err := pointRefresher(bk, buf, cfg, pt, used)
-	if err != nil {
-		return nil, err
-	}
-
-	outBase := din + dw
-	mask, err := fault.New(dout, rate, fault.MixSeed(seed, spec+"/"+l.Name))
-	if err != nil {
-		return nil, fmt.Errorf("verify: %w", err)
-	}
-	faulty := fault.Wrap(buf, mask, outBase)
-
-	g := gen.New(seed)
-	ins := g.Words(din)
-	ws := g.Words(dw)
-	res, err := sim.RunFunctional(l, fixed.Q88, ins, ws, faulty, refresher, cfg.PEs(), cfg.FrequencyHz)
-	if err != nil {
-		return nil, err
-	}
-
-	// Every masked word XORs a non-zero pattern into the final read-back,
-	// and outputs are read exactly once, at the end — so word errors and
-	// served injections both equal the mask's distinct-word count.
-	want := len(mask.XorWords())
-	if res.WordErrors != want {
-		r.diverge("fault-functional/word-errors", "mask", spec, want, res.WordErrors)
-	}
-	if got := faulty.Injections(); got != want {
-		r.diverge("fault-functional/injections", "mask", spec, want, got)
 	}
 	return r, nil
 }

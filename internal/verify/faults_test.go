@@ -106,22 +106,27 @@ func TestFaultOracleProbes(t *testing.T) {
 	}
 }
 
+// TestCompareFaultFunctional: a fault mask over refreshing and
+// non-refreshing buffers corrupts exactly the words it names, and is
+// inert at rate 0.
 func TestCompareFaultFunctional(t *testing.T) {
 	l := models.ConvLayer{Name: "spot", N: 2, H: 8, L: 8, M: 2, K: 3, S: 1, P: 1}
 	cfg := hw.TestAcceleratorEDRAM()
 	const rate, seed = 0.1, 5
-	// The checks must not be vacuous: the same derivation the oracle
-	// performs has to actually place flips in the output region.
-	m, err := fault.New(int(l.OutputWords()), rate, fault.MixSeed(seed, "sram/"+l.Name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.XorWords()) == 0 {
-		t.Fatal("test premise broken: empty mask")
-	}
-	// Non-refreshing (SRAM) and refreshing (approximate eDRAM) paths.
+	// Non-refreshing (SRAM) and refreshing (eDRAM, approximate eDRAM)
+	// paths.
 	for _, spec := range []string{"sram", "edram", "approx-dram@v0.9"} {
-		r, err := CompareFaultFunctional(spec, l, cfg, rate, seed)
+		// The checks must not be vacuous: the same derivation the
+		// oracle performs has to actually place flips in the output
+		// region.
+		m, err := fault.New(int(l.OutputWords()), rate, fault.MixSeed(seed, spec+"/"+l.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.XorWords()) == 0 {
+			t.Fatalf("%s: test premise broken: empty mask", spec)
+		}
+		r, err := CompareFunctional(spec, l, cfg, rate, seed, DefaultTolerances())
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
@@ -130,14 +135,14 @@ func TestCompareFaultFunctional(t *testing.T) {
 		}
 	}
 	// Rate 0: no flips, no errors — the overlay is inert.
-	r, err := CompareFaultFunctional("sram", l, cfg, 0, seed)
+	r, err := CompareFunctional("sram", l, cfg, 0, seed, DefaultTolerances())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.OK() {
 		t.Errorf("inert overlay diverged:\n%s", r)
 	}
-	if _, err := CompareFaultFunctional("ddr3", l, cfg, rate, seed); err == nil {
+	if _, err := CompareFunctional("ddr3", l, cfg, rate, seed, DefaultTolerances()); err == nil {
 		t.Error("off-chip backend accepted as a buffer")
 	}
 }

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"rana/internal/edram"
+	"rana/internal/fault"
 	"rana/internal/fixed"
 	"rana/internal/hw"
+	"rana/internal/mem"
 	"rana/internal/memctrl"
 	"rana/internal/models"
 	"rana/internal/pattern"
@@ -233,77 +234,123 @@ func inBoundsMACs(l models.ConvLayer) uint64 {
 	return perChannel * uint64(l.M) * uint64(l.N)
 }
 
-// CompareFunctional executes one small ungrouped layer word-by-word
-// through a decaying eDRAM buffer with the refresh machinery live, and
-// checks the functional outcome against the other models: the modeled
-// execution time must equal the in-bounds MAC count at the array's
-// throughput, the issued refresh words must equal the tick model's
-// prediction, and — when the refresh interval is at or below the
-// conventional 45 µs weakest-cell rate — the output must be word-exact
-// against the perfect-memory reference. The layer's working set must fit
-// the configured buffer.
-func CompareFunctional(l models.ConvLayer, cfg hw.Config, interval time.Duration, seed uint64, tol Tolerances) (*Report, error) {
+// CompareFunctional executes one small ungrouped layer word by word
+// through the functional buffer of spec ("backend" or "backend@point",
+// a buffer backend) at its operating point — on a refreshing backend
+// refreshed at the point's scaled conventional rate (the 45 µs
+// weakest-cell interval times the point's retention scale), with every
+// bank the layer's [inputs | weights | outputs] layout touches flagged —
+// and checks the run against the other models:
+//
+//   - execution time: the in-bounds MAC count at the array's
+//     throughput, whatever the technology;
+//   - refresh words, on a refreshing backend: the tick model's
+//     prediction, every flagged bank refreshed at each pulse of the
+//     issuer's achieved period;
+//   - word errors: the output equals the perfect-memory reference but
+//     for the words the fault mask names, so the error count is the
+//     mask's distinct-word count, zero without a mask;
+//   - injections, with a mask: the overlay served exactly that many
+//     corrupted reads (outputs are read back once, at the end).
+//
+// A positive faultRate draws that mask over the output region
+// (fault.New, seeded from seed, spec and the layer's name) and overlays
+// it with fault.Wrap; refresh traffic must not scrub it. The layer's
+// working set must fit cfg's buffer.
+func CompareFunctional(spec string, l models.ConvLayer, cfg hw.Config, faultRate float64, seed uint64, tol Tolerances) (*Report, error) {
+	return compareFunctional(spec, l, cfg, faultRate, seed, tol, nil)
+}
+
+// functionalRig is what one CompareFunctional run executes with: the
+// clock the simulator is timed by, the issuer's bank flags and the
+// overlay's mask. The checks derive what they expect from
+// CompareFunctional's arguments and the run's own span, never from the
+// rig, so a test that breaks one rig input sees the check guarding it
+// fire (TestOracleFunctionalMutants).
+type functionalRig struct {
+	clockHz float64
+	flags   []bool
+	mask    *fault.Mask
+}
+
+// compareFunctional is CompareFunctional with a hook that may break the
+// rig before the run; nil leaves it intact.
+func compareFunctional(spec string, l models.ConvLayer, cfg hw.Config, faultRate float64, seed uint64,
+	tol Tolerances, mutate func(*functionalRig)) (*Report, error) {
+	bk, pt, err := mem.ParseSpec(spec)
+	if err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
+	}
+	if bk.Role() != mem.RoleBuffer {
+		return nil, fmt.Errorf("verify: backend %q is not a buffer technology", bk.Name())
+	}
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Report{Subject: fmt.Sprintf("%s functional on %s", l.Name, cfg.Name)}
 	banks, bankWords := cfg.Banks(), cfg.BankWords
 	din, dw, dout := int(l.InputWords()), int(l.WeightWords()), int(l.OutputWords())
 	if din+dw+dout > banks*bankWords {
 		return nil, fmt.Errorf("verify: layer needs %d words, buffer has %d", din+dw+dout, banks*bankWords)
 	}
+	r := &Report{Subject: fmt.Sprintf("%s functional %s", spec, l.Name)}
 
-	buf, err := edram.New(banks, bankWords, retention.Typical(), seed)
+	// The weakest surviving cell of the point's scaled retention curve
+	// sets the no-error refresh interval, as 45 µs does at nominal.
+	interval := time.Duration(float64(retention.TypicalRetentionTime) * pt.RetentionScale)
+	buf, refresher, err := sim.NewBuffer(bk, pt, cfg, interval, seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("verify: %w", err)
 	}
-	div, err := memctrl.NewDivider(cfg.FrequencyHz, interval)
-	if err != nil {
-		return nil, err
-	}
-	issuer, err := memctrl.NewIssuer(div, banks)
-	if err != nil {
-		return nil, err
-	}
-	// Refresh every bank the layer's [inputs | weights | outputs] layout
-	// touches.
 	used := (din + dw + dout + bankWords - 1) / bankWords
-	flags := make([]bool, banks)
+	rig := functionalRig{clockHz: cfg.FrequencyHz, flags: make([]bool, banks)}
 	for i := 0; i < used; i++ {
-		flags[i] = true
+		rig.flags[i] = true
 	}
-	if err := issuer.SetFlags(flags); err != nil {
-		return nil, err
+	masked := 0
+	if faultRate > 0 {
+		if rig.mask, err = fault.New(dout, faultRate, fault.MixSeed(seed, spec+"/"+l.Name)); err != nil {
+			return nil, fmt.Errorf("verify: %w", err)
+		}
+		masked = len(rig.mask.XorWords())
+	}
+	if mutate != nil {
+		mutate(&rig)
+	}
+	if refresher != nil {
+		if err := refresher.Issuer.SetFlags(rig.flags); err != nil {
+			return nil, fmt.Errorf("verify: %w", err)
+		}
+	}
+	var faulty *fault.FaultyStorage
+	if rig.mask != nil {
+		faulty = fault.Wrap(buf, rig.mask, din+dw)
+		buf = faulty
 	}
 
 	g := gen.New(seed)
 	ins := g.Words(din)
 	ws := g.Words(dw)
-	res, err := sim.RunFunctional(l, fixed.Q88, ins, ws, buf,
-		&sim.Refresher{Issuer: issuer, Target: buf}, cfg.PEs(), cfg.FrequencyHz)
+	res, err := sim.RunFunctional(l, fixed.Q88, ins, ws, buf, refresher, cfg.PEs(), rig.clockHz)
 	if err != nil {
 		return nil, err
 	}
 
-	// Execution time: the functional clock advances one cycle per PEs()
-	// in-bounds MACs.
 	cycles := inBoundsMACs(l) / uint64(cfg.PEs())
 	want := time.Duration(float64(cycles) / cfg.FrequencyHz * float64(time.Second))
 	if !tol.closeDur(res.ExecTime, want) {
-		r.diverge("functional/exec-time", "analytical", "functional", want, res.ExecTime)
+		r.diverge("functional/exec-time", "analytical", spec, want, res.ExecTime)
 	}
-
-	// Refresh words: the issuer must have fired exactly the tick-model
-	// prediction over the execution span.
-	predicted := memctrl.Pulses(res.ExecTime, div.Period()) * uint64(used) * uint64(bankWords)
-	if res.RefreshWords != predicted {
-		r.diverge("functional/refresh-words", "tick", "functional", predicted, res.RefreshWords)
+	if refresher != nil {
+		predicted := memctrl.Pulses(res.ExecTime, refresher.Issuer.Period()) * uint64(used) * uint64(bankWords)
+		if res.RefreshWords != predicted {
+			r.diverge("functional/refresh-words", "tick", spec, predicted, res.RefreshWords)
+		}
 	}
-
-	// Correctness: refreshed at the conventional rate, the buffered
-	// execution must reproduce the perfect-memory reference exactly.
-	if interval <= retention.TypicalRetentionTime && res.WordErrors != 0 {
-		r.diverge("functional/word-errors", "reference", "functional", 0, res.WordErrors)
+	if res.WordErrors != masked {
+		r.diverge("functional/word-errors", "reference", spec, masked, res.WordErrors)
+	}
+	if faulty != nil && faulty.Injections() != masked {
+		r.diverge("functional/injections", "mask", spec, masked, faulty.Injections())
 	}
 	return r, nil
 }

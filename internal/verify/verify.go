@@ -12,7 +12,12 @@
 //     CompareFunctional) that runs two or more models on one
 //     (layer, pattern, tiling, config) and reports any disagreement on
 //     MAC counts, cycles, buffer traffic, data lifetimes, execution time
-//     and refresh-word counts within declared tolerances;
+//     and refresh-word counts within declared tolerances.
+//     CompareFunctional is the one functional oracle: a word-accurate
+//     run through any buffer backend point's own buffer, optionally
+//     under a fault mask, checked for execution time, refresh words,
+//     word errors and injections — what rana-verify's -functional,
+//     -backends and -faults spot checks all run;
 //
 //   - the differential matrix (Matrix): every scheduler setting that
 //     claims a relation to another — search strategy, worker count,

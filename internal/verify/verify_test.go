@@ -1,12 +1,14 @@
 package verify
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"rana/internal/energy"
 	"rana/internal/exec"
+	"rana/internal/fault"
 	"rana/internal/fixed"
 	"rana/internal/hw"
 	"rana/internal/memctrl"
@@ -77,21 +79,66 @@ func TestOracleRandomAgreement(t *testing.T) {
 }
 
 // TestOracleFunctional: the word-accurate simulator agrees with the tick
-// and analytical models on small layers, with refresh live at the
-// conventional interval.
+// and analytical models on small layers through an eDRAM buffer, with
+// refresh live at the conventional interval.
 func TestOracleFunctional(t *testing.T) {
 	g := gen.New(11)
 	cfg := gen.New(12).Config()
 	tol := DefaultTolerances()
 	for i := 0; i < 5; i++ {
 		l := g.TinyLayer()
-		r, err := CompareFunctional(l, cfg, 45*time.Microsecond, 100+uint64(i), tol)
+		r, err := CompareFunctional("edram", l, cfg, 0, 100+uint64(i), tol)
 		if err != nil {
 			t.Fatalf("layer %+v on %s: %v", l, cfg.Name, err)
 		}
 		if !r.OK() {
 			t.Errorf("layer %d: %s", i, r)
 		}
+	}
+}
+
+// TestOracleFunctionalMutants breaks one input of a functional run per
+// check and requires exactly that check to fire: the overlay letting
+// one masked word through, the issuer leaving one used bank unflagged,
+// and the simulator's clock one cycle slow, more than the 1 ns slack.
+// A check no mutant fires could never fail.
+func TestOracleFunctionalMutants(t *testing.T) {
+	// At 100 kHz the spot layer's 7 cycles span 70 µs, so the 45 µs
+	// refresh fires during the run and the unflagged bank shows.
+	cfg := hw.TestAcceleratorEDRAM()
+	cfg.FrequencyHz = 100e3
+	l := models.ConvLayer{Name: "spot", N: 2, H: 8, L: 8, M: 2, K: 3, S: 1, P: 1}
+	cycles := float64(inBoundsMACs(l) / uint64(cfg.PEs()))
+	for _, c := range []struct {
+		name   string
+		mutate func(*functionalRig)
+		want   []string
+	}{
+		{"intact", nil, nil},
+		{"flip-let-through", func(r *functionalRig) {
+			m := *r.mask
+			word := m.Flips[0].Word
+			m.Flips = slices.DeleteFunc(slices.Clone(m.Flips), func(f fault.Flip) bool { return f.Word == word })
+			r.mask = &m
+		}, []string{"functional/word-errors", "functional/injections"}},
+		{"unflagged-bank", func(r *functionalRig) { r.flags[0] = false },
+			[]string{"functional/refresh-words"}},
+		{"skewed-clock", func(r *functionalRig) { r.clockHz *= cycles / (cycles + 1) },
+			[]string{"functional/exec-time"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := compareFunctional("edram", l, cfg, 0.1, 5, DefaultTolerances(), c.mutate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fired []string
+			for _, d := range r.Divergences {
+				fired = append(fired, d.Check)
+			}
+			if !slices.Equal(fired, c.want) {
+				t.Errorf("fired %v, want %v\n%s", fired, c.want, r)
+			}
+		})
 	}
 }
 
