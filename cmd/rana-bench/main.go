@@ -13,11 +13,11 @@
 //	rana-bench -backends approx-dram,reram@fast-write  # backend cells
 //	rana-bench -o /tmp/b.json -regress BENCH_sched.json -axes=false
 //	                                   # CI regression gate: hard-fail on
-//	                                   # allocs/op growth and, between two
-//	                                   # GOMAXPROCS=1 snapshots, on any
-//	                                   # change in candidates evaluated or
-//	                                   # descending-sweep allocs/op; warn
-//	                                   # on ns/op
+//	                                   # allocs/op growth, on any change in
+//	                                   # candidates evaluated and, between
+//	                                   # two GOMAXPROCS=1 snapshots, on any
+//	                                   # change in descending-sweep
+//	                                   # allocs/op; warn on ns/op
 //
 // Each snapshot entry is keyed by (network, strategy, backend): the
 // default-adapter cell is always measured so trajectories stay
@@ -55,7 +55,6 @@ import (
 	"rana/internal/pattern"
 	"rana/internal/retention"
 	"rana/internal/sched"
-	"rana/internal/sched/search"
 )
 
 func main() {
@@ -158,10 +157,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	out := fs.String("o", "BENCH_sched.json", "output path for the benchmark snapshot")
 	iters := fs.Int("iters", 3, "timed compile iterations per configuration (the minimum is kept)")
 	modelsFlag := fs.String("models", "", "comma-separated zoo subset (default: every benchmark network)")
-	parallelism := fs.Int("parallelism", 0, "optimized run's search workers (0 = GOMAXPROCS)")
+	parallelism := fs.Int("parallelism", 0, "how many layers the optimized runs explore at once (0 = GOMAXPROCS)")
 	backendsFlag := fs.String("backends", "", `comma-separated memory backend specs ("name" or "name@point") measured per model; empty means the default technology adapter only`)
 	axes := fs.Bool("axes", true, "measure the traversal/mapping axis sweep section")
-	regress := fs.String("regress", "", "path to a prior snapshot: hard-fail when any cell's allocs/op exceed the prior value by more than 25%+32 or, both snapshots taken at GOMAXPROCS 1, its candidates evaluated or a sweep's descending allocs/op differ; warn when ns/op more than doubles")
+	regress := fs.String("regress", "", "path to a prior snapshot: hard-fail when any cell's allocs/op exceed the prior value by more than 25%+32, when its candidates evaluated differ or, both snapshots taken at GOMAXPROCS 1, when a sweep's descending allocs/op differ; warn when ns/op more than doubles")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -316,13 +315,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 // a committed prior one. Allocation counts are deterministic, so growth
 // beyond slack (25% + 32 allocs, absorbing measurement jitter from the
 // MemStats-delta estimator) is a hard failure; wall-clock is noisy on
-// shared CI machines, so ns/op regressions only warn. With one worker
-// the search's work is deterministic too, so when both snapshots ran at
-// GOMAXPROCS 1 any change in a cell's candidates evaluated — more or
-// fewer — is a hard failure: a change to one-worker pruning must
-// refresh the committed snapshot on purpose, and so is any change in a
-// sweep's descending-pass allocations, which measureSweep counts on one
-// fixed sweep with the collector off. Cells present on one side only
+// shared CI machines, so ns/op regressions only warn. Each layer's
+// search runs on one goroutine, so its work is deterministic at any
+// worker count: any change in a cell's candidates evaluated — more or
+// fewer — is a hard failure, and a change to pruning must refresh the
+// committed snapshot on purpose. So, when both snapshots ran at
+// GOMAXPROCS 1, is any change in a sweep's descending-pass allocations,
+// which measureSweep counts on one fixed sweep with the collector off
+// (more goroutines allocate more). Cells present on one side only
 // (new model, new backend) are skipped — trajectories are compared
 // where both snapshots measured the same thing. A sweep's ascending
 // pass must allocate nothing, prior snapshot or not.
@@ -383,8 +383,8 @@ func checkRegression(stdout io.Writer, path string, snap *Snapshot) (int, error)
 					cell, c.kind, c.old.AllocsPerOp, c.new.AllocsPerOp, limit)
 				fails++
 			}
-			if prior.GOMAXPROCS == 1 && snap.GOMAXPROCS == 1 && c.new.Evaluated != c.old.Evaluated {
-				fmt.Fprintf(stdout, "FAIL %s/%s: candidates evaluated %d -> %d (one worker: the count is deterministic)\n",
+			if c.new.Evaluated != c.old.Evaluated {
+				fmt.Fprintf(stdout, "FAIL %s/%s: candidates evaluated %d -> %d (the count is deterministic)\n",
 					cell, c.kind, c.old.Evaluated, c.new.Evaluated)
 				fails++
 			}
@@ -652,7 +652,7 @@ func measureAll(net models.Network, cfg hw.Config, variants []sched.Options, ite
 		if n := stats[j].MemoHits + stats[j].MemoMisses; n > 0 {
 			r.MemoHitRate = float64(stats[j].MemoHits) / float64(n)
 		}
-		r.Workers = search.EffectiveParallelism(variants[j].Parallelism)
+		r.Workers = sched.EffectiveParallelism(variants[j].Parallelism)
 	}
 	return runs, nil
 }

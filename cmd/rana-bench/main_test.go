@@ -82,10 +82,9 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
-// TestRegressPinsOneWorkerWorkCounts: between two GOMAXPROCS=1
-// snapshots a cell's candidates evaluated must not move in either
-// direction; when either side ran more workers the count is
-// timing-dependent and only allocations are gated.
+// TestRegressPinsOneWorkerWorkCounts: a cell's candidates evaluated
+// must not move in either direction, whatever GOMAXPROCS either
+// snapshot ran at: each layer's search runs on one goroutine.
 func TestRegressPinsOneWorkerWorkCounts(t *testing.T) {
 	cell := func(evaluated int) NetBench {
 		r := Run{Evaluated: evaluated}
@@ -97,8 +96,8 @@ func TestRegressPinsOneWorkerWorkCounts(t *testing.T) {
 		{1, 1, 100, 100, 0},
 		{1, 1, 100, 99, 3},
 		{1, 1, 100, 101, 3},
-		{2, 1, 100, 99, 0},
-		{1, 2, 100, 99, 0},
+		{2, 1, 100, 99, 3},
+		{1, 2, 100, 99, 3},
 	} {
 		prior, err := json.Marshal(Snapshot{GOMAXPROCS: c.priorProcs, Networks: []NetBench{cell(c.priorEvals)}})
 		if err != nil {

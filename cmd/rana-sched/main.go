@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	asJSON := fs.Bool("json", false, "emit the compiled plan in the shared wire format (the golden/serving encoding)")
 	server := fs.String("server", "", "compile on a ranad instance (base URL) instead of in process")
 	strategy := fs.String("search", "", `Stage 2 exploration strategy: "exhaustive", "pruned" or "beam" (default pruned)`)
-	parallelism := fs.Int("parallelism", 0, "per-layer search workers (0 = GOMAXPROCS; plans are identical at every level)")
+	parallelism := fs.Int("parallelism", 0, "how many layers to explore at once (0 = GOMAXPROCS; plans are identical at every level)")
 	backendSpec := fs.String("backend", "", `memory backend "name" or "name@point" (default: the platform's technology adapter; a bare name searches every point within the error budget)`)
 	traversal := fs.String("traversal", "", `tile-traversal axis spec: "linear", "rtc" or "blocked<n>", comma-separated (default: linear nest only)`)
 	mapping := fs.String("mapping", "", `data-mapping axis spec: "row-major", "interleave" or "all" (default: row-major only)`)
@@ -60,8 +60,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "rana-sched:", err)
 		return 2
 	}
-	if *parallelism < 0 || *parallelism > search.MaxParallelism {
-		fmt.Fprintf(stderr, "rana-sched: -parallelism %d outside [0, %d]\n", *parallelism, search.MaxParallelism)
+	if *parallelism < 0 || *parallelism > sched.MaxParallelism {
+		fmt.Fprintf(stderr, "rana-sched: -parallelism %d outside [0, %d]\n", *parallelism, sched.MaxParallelism)
 		return 2
 	}
 	backend, point, err := splitBackendSpec(*backendSpec)

@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	breakerBackoff := fs.Duration("breaker-backoff", time.Second, "first breaker open window; doubles per re-open")
 	degradeBudget := fs.Duration("degrade-budget", 200*time.Millisecond, "deadlines below this get the uniform fallback schedule (negative disables)")
 	beamBudget := fs.Duration("beam-budget", time.Second, "deadlines below this (but above -degrade-budget) run the beam search unless the request pins a strategy (negative disables)")
-	parallelism := fs.Int("parallelism", 0, "per-layer search workers for requests that do not pin one (0 = GOMAXPROCS)")
+	parallelism := fs.Int("parallelism", 0, "how many layers one computation explores at once, for requests that do not pin it (0 = GOMAXPROCS)")
 	memoEntries := fs.Int("memo-entries", 0, "server-wide layer-shape memo capacity in frontier records (0 = default, negative disables)")
 	chaosSpec := fs.String("chaos", "", `fault injection spec, e.g. "panic=7,latency=3:50ms,cancel=11,starve=13:200ms,seed=42" (testing only)`)
 	selfcheck := fs.Bool("selfcheck", false, "run the end-to-end robustness selfcheck instead of serving; exit 0 on pass")
@@ -167,7 +167,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		serverLogf = logf
 	}
 	srv := serve.New(serve.Config{
-		Addr:             *addr,
 		Workers:          *workers,
 		CacheEntries:     *cache,
 		RequestTimeout:   *timeout,

@@ -40,9 +40,9 @@ type Framework struct {
 	// Search selects Stage 2's exploration strategy (empty resolves to
 	// the branch-and-bound default, search.Pruned).
 	Search search.Strategy
-	// Parallelism bounds Stage 2's per-layer exploration worker pool
-	// (sched.Options.Parallelism): zero selects GOMAXPROCS; 1 runs the
-	// same loop inline. Plans are byte-identical at every level.
+	// Parallelism bounds how many layers Stage 2 explores at once
+	// (sched.Options.Parallelism): zero selects GOMAXPROCS; 1 explores
+	// on the calling goroutine. Plans are byte-identical at every level.
 	Parallelism int
 	// Memo, when non-nil, shares layer-shape exploration results across
 	// compiles (sched.Options.Memo); ranad installs a server-wide memo

@@ -82,6 +82,9 @@ type Report struct {
 // shape matches the previous layer's output) starting from input. The
 // plan's per-layer refresh flags program the controller; a nil plan entry
 // set is invalid. Weights are supplied per layer, indexed like the plan.
+// A plan compiled for another backend than the configuration's default,
+// or for a non-nominal operating point, is refused: the engine would run
+// and price it on other hardware than it was scheduled for.
 func (e *Engine) Run(plan *sched.Plan, input []fixed.Word, weights [][]fixed.Word) (*Report, error) {
 	if plan == nil || len(plan.Layers) == 0 {
 		return nil, fmt.Errorf("exec: empty plan")
@@ -93,6 +96,9 @@ func (e *Engine) Run(plan *sched.Plan, input []fixed.Word, weights [][]fixed.Wor
 		return nil, err
 	}
 	cfg := e.Config
+	if err := checkBackend(plan, cfg.BufferTech); err != nil {
+		return nil, err
+	}
 
 	// The functional buffer comes from the technology's default backend:
 	// eDRAM decays and brings the refresh machinery at the plan's
@@ -178,6 +184,26 @@ func (e *Engine) Run(plan *sched.Plan, input []fixed.Word, weights [][]fixed.Wor
 	}
 	report.Energy = energy.System(report.Counts, cfg.BufferTech)
 	return report, nil
+}
+
+// checkBackend reports the first layer the plan compiled for another
+// backend or operating point than the technology's default backend at
+// nominal, the only one Run simulates.
+func checkBackend(plan *sched.Plan, tech energy.BufferTech) error {
+	def, backend := mem.DefaultName(tech), plan.Options.Backend
+	if backend == "" {
+		backend = def
+	}
+	for i := range plan.Layers {
+		if point := plan.Layers[i].Point; backend != def || point != "" {
+			if point == "" {
+				point = mem.Nominal
+			}
+			return fmt.Errorf("exec: layer %d (%s) was compiled for %s@%s; the engine runs %s@%s",
+				i, plan.Network.Layers[i].Name, backend, point, def, mem.Nominal)
+		}
+	}
+	return nil
 }
 
 // functionalFlags maps the plan's per-type refresh needs onto the

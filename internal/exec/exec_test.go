@@ -191,6 +191,27 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunRefusesOtherBackends: the engine runs the configuration's
+// default backend at nominal, so a plan compiled for approx-dram@v0.8
+// is refused with the backend and point named, not priced as eDRAM.
+func TestRunRefusesOtherBackends(t *testing.T) {
+	cfg := tinyConfig(200e6)
+	plan, err := sched.Schedule(chainNet(), cfg, sched.Options{
+		Patterns:        []pattern.Kind{pattern.OD, pattern.WD},
+		RefreshInterval: retention.TolerableRetentionTime,
+		Controller:      memctrl.RefreshOptimized{},
+		Backend:         "approx-dram",
+		OperatingPoint:  "v0.8",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(cfg).Run(plan, randInput(chainNet(), 1), randWeights(t, chainNet(), 2))
+	if want := "exec: layer 0 (l0) was compiled for approx-dram@v0.8; the engine runs edram@nominal"; err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+}
+
 // TestSRAMExecution: the S+ID-style substrate runs without a controller
 // and is exact regardless of time scale.
 func TestSRAMExecution(t *testing.T) {

@@ -39,13 +39,12 @@ package sched
 // positive constant and addition are monotone under round-to-nearest,
 // and Total() sums components in one fixed order, so
 // lower(k, t) ≤ Evaluate(l, k, t, …).Energy.Total() holds exactly, not
-// just approximately — the search engine's pruning test (scanner.work
-// in search/scan.go: strictly greater than the incumbent) can therefore
+// just approximately — the search engine's pruning test (scan in
+// search/scan.go: strictly greater than the incumbent) can therefore
 // never discard the argmin or an exact tie.
 
 import (
 	"math"
-	"sync"
 
 	"rana/internal/energy"
 	"rana/internal/hw"
@@ -195,8 +194,8 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // lower() above re-derives every partial term per call, even though the
 // canonical enumeration order (tiling-major, kind/point/traversal/
 // mapping inner) repeats most of them across neighboring candidates. A
-// pricingCtx is the stateful variant one scan goroutine leases through
-// search.Problem.NewPricer: it factors the arithmetic into
+// pricingCtx is the stateful variant each explore arena owns and binds
+// as search.Problem.Bound: it factors the arithmetic into
 //
 //   - tilingTerms — kind-independent, invalidated when the scanned
 //     tiling changes;
@@ -274,9 +273,8 @@ type kindState struct {
 	pk       prefixSums
 }
 
-// pricingCtx is one scan goroutine's incremental bound evaluator. Not
-// safe for concurrent use — each worker leases its own via
-// search.Problem.NewPricer and returns it with Release.
+// pricingCtx is one explore arena's incremental bound evaluator. Not
+// safe for concurrent use: each exploring goroutine has its own.
 type pricingCtx struct {
 	b      *bound
 	prefix *PrefixMemo
@@ -286,32 +284,19 @@ type pricingCtx struct {
 	kinds  [kindSlots]kindState
 }
 
-// pricerPool recycles pricing contexts across scans and layers.
-var pricerPool = sync.Pool{New: func() any { return new(pricingCtx) }}
-
-// acquirePricer leases a pricing context bound to b (and to the
-// caller's prefix memo, when Options.Prefix set one) from the pool, with
-// every cache invalidated.
-func acquirePricer(b *bound, prefix *PrefixMemo) *pricingCtx {
-	pc := pricerPool.Get().(*pricingCtx)
+// reset binds the context to b (and to the caller's prefix memo, when
+// Options.Prefix set one), with every cache invalidated.
+func (pc *pricingCtx) reset(b *bound, prefix *PrefixMemo) {
 	pc.b, pc.prefix = b, prefix
 	pc.tValid = false
 	for i := range pc.kinds {
 		pc.kinds[i].ktValid = false
 		pc.kinds[i].pkValid = false
 	}
-	return pc
 }
 
-// Release implements search.Pricer: the context returns to the pool and
-// must not be used again.
-func (pc *pricingCtx) Release() {
-	pc.b, pc.prefix = nil, nil
-	pricerPool.Put(pc)
-}
-
-// Lower implements search.Pricer — bit-identical to (*bound).lower at
-// every cell, in any call order.
+// Lower is bit-identical to (*bound).lower at every cell, in any call
+// order.
 func (pc *pricingCtx) Lower(k pattern.Kind, t pattern.Tiling, cell search.Cell) float64 {
 	ki := int(k)
 	if ki < 0 || ki >= kindSlots {

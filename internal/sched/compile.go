@@ -9,10 +9,11 @@ package sched
 //     the frontiers the memo's peek found, the miss work list and the
 //     frontier queries' operating-point scratch;
 //   - an exploreState arena (one per exploring goroutine) holds the
-//     scratch the four tile-size lists are cut from, the pooled bound
-//     evaluator, the backend point/table scratch, the frontier build's
-//     record buffers and sort and sweep scratch, and the search
-//     closures, all created once and re-pointed per layer.
+//     scratch the four tile-size lists are cut from, the incremental
+//     pricing context, the search's scratch Outcome, the backend
+//     point/table scratch, the frontier build's record buffer and sort
+//     and sweep scratch, and the search closures, all created once and
+//     re-pointed per layer.
 //
 // Ownership: a leased arena belongs to exactly one compile (one
 // goroutine for exploreState) from Get to Put; nothing borrowed from an
@@ -27,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -81,7 +81,7 @@ func envFor(opts Options) (compileEnv, error) {
 }
 
 // exploreState is one exploring goroutine's reusable scratch arena. The
-// four search closures are created once per state and read the current
+// search closures are created once per state and read the current
 // layer through the state fields, so re-pointing the state at a new
 // layer costs no closure allocations.
 type exploreState struct {
@@ -97,18 +97,20 @@ type exploreState struct {
 	tables   []energy.Table
 	sizes    []int
 	b        bound
+	pc       pricingCtx
+	out      search.Outcome[LayerPlan]
 
-	admit     func(pattern.Tiling) bool
-	boundFn   func(pattern.Kind, pattern.Tiling, search.Cell) float64
-	newPricer func() search.Pricer
-	evaluate  func(pattern.Kind, pattern.Tiling, search.Cell, *search.Outcome[LayerPlan]) error
+	admit    func(pattern.Tiling) bool
+	lower    func(pattern.Kind, pattern.Tiling, search.Cell) float64
+	pcLower  func(pattern.Kind, pattern.Tiling, search.Cell) float64
+	evaluate func(pattern.Kind, pattern.Tiling, search.Cell, *search.Outcome[LayerPlan]) error
 
 	// recording makes the exploration collect its feasible candidates
 	// into build — set only by buildFrontier, for a shared memo that
 	// will store the frontier.
-	recording   bool
-	build       frontierBuild
-	newRecorder func() search.Recorder[LayerPlan]
+	recording bool
+	build     frontierBuild
+	record    func(search.Candidate, *search.Outcome[LayerPlan])
 }
 
 func newExploreState() *exploreState {
@@ -123,9 +125,9 @@ func newExploreState() *exploreState {
 			t.Tm*t.Tr*t.Tc <= cfg.LocalOutput &&
 			t.Tm*t.Tn*e.K*e.K <= cfg.LocalWeight
 	}
-	s.boundFn = s.b.lower
-	s.newPricer = func() search.Pricer { return acquirePricer(&s.b, s.env.prefix) }
-	s.newRecorder = s.build.recorder
+	s.lower = s.b.lower
+	s.pcLower = s.pc.Lower
+	s.record = s.build.rb.Record
 	s.evaluate = func(k pattern.Kind, t pattern.Tiling, cell search.Cell, out *search.Outcome[LayerPlan]) error {
 		if err := evaluateCellInto(&out.Value, &s.l, k, t, &s.cfg, &s.opts, s.bk,
 			&s.points[cell.Point], s.env.travs[cell.Trav], s.env.maps[cell.Map]); err != nil {
@@ -140,15 +142,6 @@ func newExploreState() *exploreState {
 
 var exploreStatePool = sync.Pool{New: func() any { return newExploreState() }}
 
-// outcomePool backs the search engine's per-goroutine scratch Outcome
-// (Problem.NewOutcome): the scratch crosses the Evaluate indirection,
-// so the engine cannot keep it on the stack, and pooling the buffer is
-// what keeps the per-scan lease off the steady-state allocation count.
-var outcomePool = sync.Pool{New: func() any { return new(search.Outcome[LayerPlan]) }}
-
-func getOutcome() *search.Outcome[LayerPlan]  { return outcomePool.Get().(*search.Outcome[LayerPlan]) }
-func putOutcome(o *search.Outcome[LayerPlan]) { outcomePool.Put(o) }
-
 // release drops the per-layer references (so a pooled state cannot
 // pin a network's layers or a caller's options alive) and returns the
 // state; the scratch slices keep their capacity.
@@ -157,8 +150,9 @@ func (s *exploreState) release() {
 	s.opts = Options{}
 	s.env = compileEnv{}
 	s.bk = nil
+	s.pc.prefix = nil
+	s.out = search.Outcome[LayerPlan]{}
 	s.recording = false
-	s.build.reset()
 	exploreStatePool.Put(s)
 }
 
@@ -203,6 +197,9 @@ func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, 
 	if s.recording && !s.build.admits(&s.e, &opts, len(s.points), &env, hw.BankCount(cfg.BufferWords, cfg.BankWords)) {
 		s.recording = false
 	}
+	if s.recording {
+		s.build.reset()
+	}
 	if opts.NaturalTiling {
 		lp, stats, err := naturalSchedule(l, cfg, opts, s.bk, s.points[0])
 		if err == nil && s.recording {
@@ -216,27 +213,27 @@ func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, 
 	s.tables = appendMappingTables(s.tables[:0], s.ptTables, env.maps)
 	s.b.init(l, cfg, s.tables, len(s.points), env.travs)
 	prob := search.Problem[LayerPlan]{
-		Tm:          tm,
-		Tn:          tn,
-		Tr:          tr,
-		Tc:          tc,
-		Kinds:       opts.Patterns,
-		Admit:       s.admit,
-		Points:      len(s.points),
-		Travs:       len(env.travs),
-		Maps:        len(env.maps),
-		Bound:       s.boundFn,
-		Evaluate:    s.evaluate,
-		NewOutcome:  getOutcome,
-		FreeOutcome: putOutcome,
+		Tm:       tm,
+		Tn:       tn,
+		Tr:       tr,
+		Tc:       tc,
+		Kinds:    opts.Patterns,
+		Admit:    s.admit,
+		Points:   len(s.points),
+		Travs:    len(env.travs),
+		Maps:     len(env.maps),
+		Bound:    s.lower,
+		Evaluate: s.evaluate,
+		Out:      &s.out,
 	}
 	if !opts.DisableIncremental {
-		prob.NewPricer = s.newPricer
+		s.pc.reset(&s.b, env.prefix)
+		prob.Bound = s.pcLower
 	}
 	if s.recording {
-		prob.NewRecorder = s.newRecorder
+		prob.Record = s.record
 	}
-	r, err := search.Run(prob, search.Options{Strategy: opts.Search, BeamWidth: opts.BeamWidth, Parallelism: opts.Parallelism})
+	r, err := search.Run(prob, search.Options{Strategy: opts.Search, BeamWidth: opts.BeamWidth})
 	if err != nil {
 		return LayerPlan{}, r.Stats, err
 	}
@@ -393,10 +390,11 @@ func (cs *compileState) runLayer(i int, l models.ConvLayer, cfg hw.Config, opts 
 	cs.plans[i], cs.stats[i], cs.hits[i], cs.errs[i] = memo.exploreEnv(cs.keys[i], l, cfg, opts, env)
 }
 
-// drainParallel fans the miss list across a bounded worker pool sharing
-// an atomic cursor. Workers claim indices until the list is exhausted or
-// the context cancels; the canceled claim records ctx.Err() on its layer
-// so the caller's error sweep reports how far the schedule got.
+// drainParallel fans the miss list across the given number of worker
+// goroutines sharing an atomic cursor; each explores the layers it
+// claims whole. Workers claim indices until the list is exhausted or the
+// context cancels; the canceled claim records ctx.Err() on its layer so
+// the caller's error sweep reports how far the schedule got.
 func (cs *compileState) drainParallel(ctx context.Context, net models.Network, cfg hw.Config,
 	opts Options, memo *Memo, env compileEnv, workers int) {
 	var wg sync.WaitGroup
@@ -439,9 +437,10 @@ func (cs *compileState) recoverLayer(i int) {
 // answers every other layer whose shape the shared memo holds a
 // frontier for at the options' refresh interval (the warm path — no
 // goroutines, no closures, no allocations), then only the first
-// remaining layer of each shape drains through a bounded worker
-// pool (inline on this goroutine when one worker suffices, which keeps
-// the single-threaded explore loop allocation-free too). The repeats
+// remaining layer of each shape drains through a pool of
+// EffectiveParallelism(opts.Parallelism) workers (inline on this
+// goroutine when one worker suffices, which keeps the single-threaded
+// explore loop allocation-free too). The repeats
 // are filled from their representative afterwards — the in-compile
 // dedup, which needs no memo table and so holds whether the shared
 // memo is absent, warm or saturated.
@@ -530,7 +529,7 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 	// reports how far the schedule got. A repeat records no error of its
 	// own: its representative comes earlier in layer order, so a failed
 	// representative is what the error sweep below reports.
-	if workers := min(runtime.GOMAXPROCS(0), len(cs.miss)); workers <= 1 {
+	if workers := min(EffectiveParallelism(opts.Parallelism), len(cs.miss)); workers <= 1 {
 		for _, i := range cs.miss {
 			if err := ctx.Err(); err != nil {
 				cs.errs[i] = err

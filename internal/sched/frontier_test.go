@@ -78,8 +78,8 @@ func TestFrontierDominanceKeepsCanonicalOrder(t *testing.T) {
 	x := k
 	x.e0, x.buf, x.kind = 2, 2, 0
 	var b frontierBuild
-	rb := b.recorder().(*recordBuf)
-	rb.recs = append(rb.recs, x, k)
+	b.reset()
+	b.rb.recs = append(b.rb.recs, x, k)
 	f := b.finish(math.Inf(1), iv)
 	if len(f.recs) != 2 {
 		t.Fatalf("frontier kept %d records, want both: k precedes x by E0 but not canonically", len(f.recs))

@@ -96,19 +96,18 @@ func TestIncrementalBoundBitIdentical(t *testing.T) {
 				if run.shuffle {
 					rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 				}
-				pc := acquirePricer(b, run.prefix)
+				var pc pricingCtx
+				pc.reset(b, run.prefix)
 				for _, idx := range order {
 					c := cases[idx]
 					got := pc.Lower(c.k, c.t, c.cell)
 					want := b.lower(c.k, c.t, c.cell)
 					if math.Float64bits(got) != math.Float64bits(want) {
-						pc.Release()
 						t.Fatalf("%s/%s %s: kind %v tiling %+v cell %+v: incremental %v (bits %x) != stateless %v (bits %x)",
 							net.Name, l.Name, run.name, c.k, c.t, c.cell,
 							got, math.Float64bits(got), want, math.Float64bits(want))
 					}
 				}
-				pc.Release()
 			}
 		}
 	}

@@ -311,19 +311,18 @@ func (f *frontier) query(lp *LayerPlan, l *models.ConvLayer, cfg *hw.Config, opt
 	return nil
 }
 
-// recordBuf is one scan goroutine's records during a frontier build
-// (a search.Recorder): appended without a lock, merged by the builder
-// once the exploration returns.
+// recordBuf is a frontier build's records: the exploration's
+// search.Problem.Record appends to it, and finish sweeps it.
 type recordBuf struct {
 	recs []record
 	macs uint64
-	// best is the least exact energy this goroutine priced. The winner's
-	// energy U is at most that, so a record whose E0 exceeds it can never
-	// enter the frontier and is not kept.
+	// best is the least exact energy the exploration priced so far. The
+	// winner's energy U is at most that, so a record whose E0 exceeds it
+	// can never enter the frontier and is not kept.
 	best float64
 }
 
-// Record implements search.Recorder.
+// Record keeps one feasible priced candidate (search.Problem.Record).
 func (rb *recordBuf) Record(c search.Candidate, out *search.Outcome[LayerPlan]) {
 	rb.best = min(rb.best, out.Energy)
 	e0 := refreshFree(out.Value.Energy)
@@ -349,10 +348,6 @@ func (rb *recordBuf) Record(c search.Candidate, out *search.Outcome[LayerPlan]) 
 	setRecord(&rb.recs[len(rb.recs)-1], c, &out.Value, e0)
 }
 
-// Release implements search.Recorder: the buffer stays with its build
-// until the merge.
-func (rb *recordBuf) Release() {}
-
 // refreshFree is E0: the exact total of a breakdown with its refresh
 // addend replaced by +0 — what SystemTable returns at zero refresh
 // words, and never more than the total itself.
@@ -376,16 +371,12 @@ func setRecord(r *record, c search.Candidate, lp *LayerPlan, e0 float64) {
 	r.kind, r.point, r.trav, r.mp = uint16(c.KindIdx), uint16(c.PointIdx), uint16(c.TravIdx), uint16(c.MapIdx)
 }
 
-// frontierBuild collects one exploration's records across its scan
-// goroutines and sweeps them into an envelope. It lives in the explore
-// arena, and so do its record buffers and scratch, so a build reuses
-// what the arena's last build grew. Its lock guards only the buffer
-// list, taken once per scan goroutine, never per evaluation.
+// frontierBuild collects one exploration's records and sweeps them
+// into an envelope. It lives in the explore arena, and so do its record
+// buffer and scratch, so a build reuses what the arena's last build
+// grew.
 type frontierBuild struct {
-	mu sync.Mutex
-	// bufs[:len] are this build's record buffers; the arena keeps the
-	// ones past len for the next build.
-	bufs []*recordBuf
+	rb recordBuf
 	// finish's and envelope's scratch: the sorted candidates, the kept
 	// records and their scan order, the records' interval-free addends
 	// and sweep bounds, and the pieces' breakpoints and winners.
@@ -410,20 +401,6 @@ func (b *frontierBuild) admits(e *models.ConvLayer, opts *Options, points int, e
 		max(e.M, e.N, e.R(), e.C(), banks) <= math.MaxInt32
 }
 
-// recorder leases a scan goroutine's buffer (search.Problem.NewRecorder).
-func (b *frontierBuild) recorder() search.Recorder[LayerPlan] {
-	b.mu.Lock()
-	n := len(b.bufs)
-	b.bufs = slices.Grow(b.bufs, 1)[:n+1]
-	if b.bufs[n] == nil {
-		b.bufs[n] = new(recordBuf)
-	}
-	rb := b.bufs[n]
-	b.mu.Unlock()
-	rb.recs, rb.macs, rb.best = rb.recs[:0], 0, math.Inf(1)
-	return rb
-}
-
 // finish turns the recorded candidates into the frontier's candidates
 // for intervals T ≥ lo, given the winner's exact energy u at lo: the
 // records with E0 ≤ u in (E0, canonical) order, minus the dominated
@@ -436,15 +413,9 @@ func (b *frontierBuild) recorder() search.Recorder[LayerPlan] {
 // envelope copies out what a frontier keeps.
 func (b *frontierBuild) finish(u float64, lo time.Duration) frontier {
 	order := b.order[:0]
-	var macs uint64
-	for _, rb := range b.bufs {
-		for i := range rb.recs {
-			if r := &rb.recs[i]; r.e0 <= u {
-				order = append(order, cellRecord{cell: uint32(r.point)<<16 | uint32(r.mp), e0: r.e0, r: r})
-			}
-		}
-		if len(rb.recs) > 0 {
-			macs = rb.macs
+	for i := range b.rb.recs {
+		if r := &b.rb.recs[i]; r.e0 <= u {
+			order = append(order, cellRecord{cell: uint32(r.point)<<16 | uint32(r.mp), e0: r.e0, r: r})
 		}
 	}
 	// Dominance runs per cell, each cell's records in frontier order,
@@ -478,8 +449,7 @@ func (b *frontierBuild) finish(u float64, lo time.Duration) frontier {
 	}
 	clear(order)
 	b.order, b.kept = order[:0], kept[:0]
-	b.reset()
-	return frontier{lo: lo, macs: macs, recs: kept}
+	return frontier{lo: lo, macs: b.rb.macs, recs: kept}
 }
 
 // addends are the parts of a record's Eq. 14 total that do not read the
@@ -663,13 +633,13 @@ func (b *frontierBuild) envelope(f frontier, opts *Options, pts []mem.OperatingP
 // first feasible one, whatever the interval.
 func (b *frontierBuild) natural(lp *LayerPlan, kinds []pattern.Kind) {
 	c := search.Candidate{Kind: lp.Analysis.Pattern, KindIdx: slices.Index(kinds, lp.Analysis.Pattern), Tiling: lp.Analysis.Tiling}
-	b.recorder().Record(c, &search.Outcome[LayerPlan]{Feasible: true, Energy: lp.Energy.Total(), Value: *lp})
+	b.rb.Record(c, &search.Outcome[LayerPlan]{Feasible: true, Energy: lp.Energy.Total(), Value: *lp})
 }
 
-// reset releases the build's record buffers to the arena — after a
-// merge, or with a failed build's records.
+// reset empties the record buffer for a new build, keeping its
+// capacity.
 func (b *frontierBuild) reset() {
-	b.bufs = b.bufs[:0]
+	b.rb.recs, b.rb.macs, b.rb.best = b.rb.recs[:0], 0, math.Inf(1)
 }
 
 // memoEntry is one in-flight or completed frontier. lo is the lowest

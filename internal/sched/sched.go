@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/debug"
 	"time"
 
@@ -119,11 +120,12 @@ type Options struct {
 	// cache key explicitly.
 	LayerBudgets map[string]float64 `json:"-"`
 
-	// Parallelism bounds the worker goroutines each layer's exploration
-	// fans out across its candidate space (search.Options.Parallelism).
-	// Zero selects GOMAXPROCS; 1 runs the same loop inline.
-	// Plans are byte-identical at every level, so Parallelism is a
-	// throughput knob, not a semantic one — it is excluded from the memo
+	// Parallelism bounds how many layers a network compile explores at
+	// once, each on its own goroutine (EffectiveParallelism resolves
+	// it): zero selects GOMAXPROCS, and 1 explores on the calling
+	// goroutine. Each layer's search runs on one goroutine, so plans and
+	// NetworkStats are identical at every level: Parallelism is a
+	// throughput knob, not a semantic one, and is excluded from the memo
 	// key and the serving cache key.
 	Parallelism int
 
@@ -215,15 +217,27 @@ type PanicError struct {
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
 // Recovered converts a value recovered at a scheduling boundary into a
-// PanicError. A panic the search engine re-raised from one of its
-// workers is unwrapped, so Value is the worker's own panic value and
-// Stack the worker's stack; any other value keeps the recovering
-// goroutine's stack. Call it from the deferred recover itself.
+// PanicError carrying the recovering goroutine's stack, which still
+// holds the panic site: a layer's exploration recovers on the goroutine
+// that explored it. Call it from the deferred recover itself.
 func Recovered(r any) *PanicError {
-	if wp, ok := r.(*search.WorkerPanic); ok {
-		return &PanicError{Value: wp.Value, Stack: wp.Stack}
-	}
 	return &PanicError{Value: r, Stack: debug.Stack()}
+}
+
+// MaxParallelism caps the layers one compile explores at once. The cap
+// bounds goroutine count against hostile or mistaken configuration;
+// beyond the machine's core count extra workers only add contention.
+const MaxParallelism = 256
+
+// EffectiveParallelism resolves a configured parallelism level: zero (or
+// negative) selects GOMAXPROCS, and every level is capped at
+// MaxParallelism. The result is the worker bound, not a promise — a
+// compile never starts more workers than it has layers to explore.
+func EffectiveParallelism(p int) int {
+	if p <= 0 {
+		p = runtime.GOMAXPROCS(0)
+	}
+	return min(p, MaxParallelism)
 }
 
 // Validate reports configuration errors.
@@ -359,7 +373,8 @@ func ScheduleContext(ctx context.Context, net models.Network, cfg hw.Config, opt
 // Search sums only the work actually performed — a memo hit contributes
 // nothing to it, exactly like the exploration it skipped.
 type NetworkStats struct {
-	// Search is the summed per-layer search work (Workers keeps the max).
+	// Search is the summed per-layer search work, the same at every
+	// Parallelism.
 	Search search.Stats
 	// MemoHits counts layers served without exploring: answered from a
 	// shared memo frontier (at any interval it covers, so a hit still

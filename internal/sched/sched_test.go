@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -407,7 +408,7 @@ func TestAdmitMatchesFitsCore(t *testing.T) {
 }
 
 // panicController poisons the exact evaluator: every refresh pricing
-// panics, inside whichever search worker reaches it.
+// panics, inside whichever layer worker reaches it.
 type panicController struct{}
 
 func (panicController) Name() string { return "panic" }
@@ -415,9 +416,9 @@ func (panicController) WordsPerPulse(memctrl.Allocation, memctrl.Needs, int, int
 	panic("poisoned controller")
 }
 
-// TestWorkerPanicUnwrapped: a panic inside a search worker surfaces as
+// TestWorkerPanicUnwrapped: a panic inside a layer worker surfaces as
 // a PanicError carrying the worker's own value and stack. The message
-// is "panic: <value>", never the re-raised wrapper with its stack bytes.
+// is "panic: <value>" of the first failing layer in layer order.
 func TestWorkerPanicUnwrapped(t *testing.T) {
 	opts := ranaOpts()
 	opts.Controller, opts.Parallelism, opts.DisableMemo = panicController{}, 2, true
@@ -432,9 +433,63 @@ func TestWorkerPanicUnwrapped(t *testing.T) {
 	if pe.Value != "poisoned controller" {
 		t.Fatalf("PanicError.Value = %#v, want the worker's panic value", pe.Value)
 	}
-	// Only the worker's stack holds the panic site; the goroutine that
-	// re-raised the panic never ran the controller.
+	// The worker recovers on its own goroutine, whose stack still holds
+	// the panic site; the compiling goroutine never ran the controller.
 	if !strings.Contains(string(pe.Stack), "panicController.WordsPerPulse") {
 		t.Fatalf("PanicError.Stack is not the worker's stack:\n%s", pe.Stack)
+	}
+}
+
+// TestLayerPoolDeterministic: each layer's search runs on one goroutine,
+// so a compile's plan bytes and NetworkStats are the same however many
+// layers it explores at once, on the default space and on RTC × all.
+func TestLayerPoolDeterministic(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	for _, space := range []struct{ name, traversal, mapping string }{
+		{"default", "", ""},
+		{"rtc-all", "rtc", "all"},
+	} {
+		for _, net := range models.Benchmarks() {
+			var want []byte
+			var wantStats NetworkStats
+			for _, workers := range []int{1, 2, 8} {
+				opts := ranaOpts()
+				opts.Traversal, opts.Mapping, opts.Parallelism = space.traversal, space.mapping, workers
+				p, ns, err := ExploreNetworkContext(context.Background(), net, cfg, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := AppendPlanJSON(nil, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if workers == 1 {
+					want, wantStats = raw, ns
+					continue
+				}
+				if string(raw) != string(want) {
+					t.Errorf("%s/%s: plan at Parallelism %d differs from Parallelism 1", space.name, net.Name, workers)
+				}
+				if ns != wantStats {
+					t.Errorf("%s/%s: stats at Parallelism %d %+v, Parallelism 1 %+v", space.name, net.Name, workers, ns, wantStats)
+				}
+			}
+		}
+	}
+}
+
+// TestEffectiveParallelism pins the knob's resolution rules.
+func TestEffectiveParallelism(t *testing.T) {
+	if got := EffectiveParallelism(0); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("EffectiveParallelism(0) = %d, want GOMAXPROCS", got)
+	}
+	if got := EffectiveParallelism(-3); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("EffectiveParallelism(-3) = %d, want GOMAXPROCS", got)
+	}
+	if got := EffectiveParallelism(5); got != 5 {
+		t.Errorf("EffectiveParallelism(5) = %d", got)
+	}
+	if got := EffectiveParallelism(MaxParallelism + 7); got != MaxParallelism {
+		t.Errorf("EffectiveParallelism(cap+7) = %d, want %d", got, MaxParallelism)
 	}
 }

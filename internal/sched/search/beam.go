@@ -1,9 +1,6 @@
 package search
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // scored is one candidate with its lower bound, awaiting exact pricing.
 type scored struct {
@@ -67,22 +64,8 @@ var keptPool = sync.Pool{New: func() any { return new(beamHeap) }}
 // spent on infeasible space — fall back to a branch-and-bound scan of the
 // same admitted list, so Beam never reports "no feasible tiling" when one
 // exists.
-//
-// Beam composes with parallelism: the bounding pass stays sequential
-// (it is the cheap part and keeps the kept set trivially deterministic),
-// while the expensive exact pricing of the kept set fans out across the
-// worker pool. The survivors are sorted into canonical order *before*
-// the fan-out and reduced in that same order afterwards, so the
-// first-wins strict-< rule sees them exactly as one worker would.
-func beam[T any](p Problem[T], admitted []tilingAt, width, workers int, r *Result[T]) error {
+func beam[T any](p *Problem[T], admitted []tilingAt, width int, r *Result[T]) error {
 	points, travs, maps := p.points(), p.travs(), p.maps()
-	// The bounding pass is sequential, so one pricing context covers it;
-	// the feasibility-fallback scan below acquires its own.
-	var pricer Pricer
-	if p.Bound != nil && p.NewPricer != nil {
-		pricer = p.NewPricer()
-		defer pricer.Release()
-	}
 	buf := keptPool.Get().(*beamHeap)
 	defer keptPool.Put(buf)
 	kept := (*buf)[:0]
@@ -95,11 +78,7 @@ func beam[T any](p Problem[T], admitted []tilingAt, width, workers int, r *Resul
 						s := scored{c: Candidate{Kind: k, KindIdx: ki, Tiling: ta.t, TilingIdx: ta.ti, PointIdx: pi, TravIdx: tv, MapIdx: mi}}
 						if p.Bound != nil {
 							r.Stats.Bounded++
-							if pricer != nil {
-								s.bound = pricer.Lower(k, ta.t, s.c.Cell())
-							} else {
-								s.bound = p.Bound(k, ta.t, s.c.Cell())
-							}
+							s.bound = p.Bound(k, ta.t, s.c.Cell())
 						}
 						switch {
 						case len(kept) < width:
@@ -123,61 +102,7 @@ func beam[T any](p Problem[T], admitted []tilingAt, width, workers int, r *Resul
 	// first-wins strict-< rule reproduces the shared tie-break. The heap
 	// is done with, so the survivors sort in place.
 	sortCanonical(kept)
-	if err := priceKept(p, kept, workers, r); err != nil || r.Found {
-		return err
-	}
-	return scan(p, admitted, true, workers, r)
-}
-
-// priceKept prices the canonically sorted survivors into r, keeping the
-// running best under the canonical preference order. One worker prices
-// into a single leased scratch Outcome; more fan out into index-aligned
-// outcomes and offer them in the same order.
-func priceKept[T any](p Problem[T], kept []scored, workers int, r *Result[T]) error {
-	rec := p.newRecorder()
-	if rec != nil {
-		defer rec.Release()
-	}
-	if workers = min(workers, len(kept)); workers > 1 {
-		// The workers capture the evaluator alone: a closure over the
-		// whole Problem, too large to capture by value, would move p to
-		// the heap on every call, the one-worker path's included.
-		evaluate := p.Evaluate
-		outs := make([]Outcome[T], len(kept))
-		errs := make([]error, len(kept))
-		var cursor atomic.Int64
-		var failed atomic.Bool
-		fanOut(workers, &failed, func(int) {
-			for !failed.Load() {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(kept) {
-					return
-				}
-				c := &kept[i].c
-				if errs[i] = evaluate(c.Kind, c.Tiling, c.Cell(), &outs[i]); errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		})
-		// Indices are claimed in order and a claimed one is always
-		// evaluated, so the first error in index (canonical) order is
-		// the one a single worker hits.
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		r.Stats.Evaluated += len(kept)
-		r.Stats.Workers = max(r.Stats.Workers, workers)
-		for i := range kept {
-			if outs[i].Feasible {
-				r.offer(rec, &kept[i].c, &outs[i])
-			}
-		}
-		return nil
-	}
-	out := p.newOutcome()
-	defer p.freeOutcome(out)
+	out := p.Out
 	for i := range kept {
 		c := &kept[i].c
 		if err := p.Evaluate(c.Kind, c.Tiling, c.Cell(), out); err != nil {
@@ -185,10 +110,13 @@ func priceKept[T any](p Problem[T], kept []scored, workers int, r *Result[T]) er
 		}
 		r.Stats.Evaluated++
 		if out.Feasible {
-			r.offer(rec, c, out)
+			r.offer(p.Record, c, out)
 		}
 	}
-	return nil
+	if r.Found {
+		return nil
+	}
+	return scan(p, admitted, true, r)
 }
 
 // sortCanonical orders survivors by canonical position — the order ties

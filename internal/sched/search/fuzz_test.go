@@ -5,8 +5,8 @@ package search
 // mapping). The table draws energies from six values so exact ties are
 // common, bounds are admissible (infeasible cells bound to +Inf), and
 // some tilings are not admitted. The brute force walks the candidates in
-// canonical order and keeps the first strict minimum; every strategy at
-// every worker count must agree with it.
+// canonical order and keeps the first strict minimum; every strategy
+// must agree with it.
 
 import (
 	"math"
@@ -151,49 +151,36 @@ func FuzzRunMatchesBruteForce(f *testing.F) {
 			}
 		}
 		for _, s := range []Strategy{Exhaustive, Pruned} {
-			for _, workers := range []int{1, 2, 5} {
-				r, err := Run(ft.problem(), Options{Strategy: s, Parallelism: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(string(s), r)
-				if st := r.Stats; st.Candidates != total || st.Candidates != st.Evaluated+st.Pruned {
-					t.Fatalf("%s/p%d: stats %+v, want %d candidates = evaluated + pruned", s, workers, st, total)
-				}
-			}
-		}
-		for _, workers := range []int{1, 3} {
-			r, err := Run(ft.problem(), Options{Strategy: Beam, BeamWidth: max(total, 1), Parallelism: workers})
+			r, err := Run(ft.problem(), Options{Strategy: s})
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("full beam", r)
+			check(string(s), r)
+			if st := r.Stats; st.Candidates != total || st.Candidates != st.Evaluated+st.Pruned {
+				t.Fatalf("%s: stats %+v, want %d candidates = evaluated + pruned", s, st, total)
+			}
 		}
+		r, err := Run(ft.problem(), Options{Strategy: Beam, BeamWidth: max(total, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("full beam", r)
 		if total <= 1 {
 			return
 		}
-		// A narrow beam may miss the optimum but never beats it, finds a
-		// feasible plan whenever one exists (its fallback rescans the
-		// admitted list, counted once), and picks the same at any worker
-		// count.
+		// A narrow beam may miss the optimum but never beats it, and finds
+		// a feasible plan whenever one exists (its fallback rescans the
+		// admitted list, counted once).
 		width := 1 + int(seed>>32)%(total-1)
-		var first Result[int]
-		for _, workers := range []int{1, 3} {
-			r, err := Run(ft.problem(), Options{Strategy: Beam, BeamWidth: width, Parallelism: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Found != found || found && (r.Outcome.Energy < wantE || !ft.feasible[r.Outcome.Value]) {
-				t.Fatalf("beam/%d/p%d: got %v at %v, brute force %v at %v", width, workers, r.Found, r.Outcome.Energy, found, wantE)
-			}
-			if r.Stats.Tilings != ft.tilings || r.Stats.Admitted != admitted {
-				t.Fatalf("beam/%d/p%d: stats %+v, want %d tilings, %d admitted", width, workers, r.Stats, ft.tilings, admitted)
-			}
-			if workers == 1 {
-				first = r
-			} else if r.Candidate != first.Candidate {
-				t.Fatalf("beam/%d: pool picked %+v, one worker %+v", width, r.Candidate, first.Candidate)
-			}
+		r, err = Run(ft.problem(), Options{Strategy: Beam, BeamWidth: width})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Found != found || found && (r.Outcome.Energy < wantE || !ft.feasible[r.Outcome.Value]) {
+			t.Fatalf("beam/%d: got %v at %v, brute force %v at %v", width, r.Found, r.Outcome.Energy, found, wantE)
+		}
+		if r.Stats.Tilings != ft.tilings || r.Stats.Admitted != admitted {
+			t.Fatalf("beam/%d: stats %+v, want %d tilings, %d admitted", width, r.Stats, ft.tilings, admitted)
 		}
 	})
 }

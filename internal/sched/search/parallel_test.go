@@ -2,8 +2,6 @@ package search
 
 import (
 	"errors"
-	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -47,40 +45,62 @@ func itoa(i int) string {
 	return string(b[p:])
 }
 
-// TestParallelMatchesSequentialRandomized is the core determinism check:
-// for randomized landscapes full of exact ties, every strategy at every
-// worker count returns the identical candidate and energy as one
-// worker, and the work accounting invariant
-// Candidates == Evaluated + Pruned holds on every run.
+// goRuns runs o on p from workers goroutines at once, as the scheduler's
+// layer pool runs one Run per layer, and returns each goroutine's result
+// and error.
+func goRuns(p func() Problem[string], o Options, workers int) ([]Result[string], []error) {
+	results := make([]Result[string], workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			results[w], errs[w] = Run(p(), o)
+		}(w)
+	}
+	wg.Wait()
+	return results, errs
+}
+
+// runConcurrently is goRuns for Runs that must not fail.
+func runConcurrently(t *testing.T, p func() Problem[string], o Options, workers int) []Result[string] {
+	t.Helper()
+	results, errs := goRuns(p, o, workers)
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return results
+}
+
+// TestParallelMatchesSequentialRandomized: on randomized landscapes full
+// of exact ties, Exhaustive and Pruned Runs on several goroutines at
+// once each return what one sequential Run returns — candidate, energy
+// and every Stats field — and Candidates == Evaluated + Pruned holds.
+// Under -race it also checks that concurrent Runs share no unsynchronized
+// state.
 func TestParallelMatchesSequentialRandomized(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD, pattern.WD}
 	for _, n := range []int{1, 2, 3, 17, 64, 257} {
 		for seed := uint64(0); seed < 4; seed++ {
 			table := pseudoTable(n, kinds, seed)
+			problem := func() Problem[string] { return synthetic(n, kinds, table, nil) }
 			for _, s := range []Strategy{Exhaustive, Pruned} {
-				ref, err := Run(synthetic(n, kinds, table, nil), Options{Strategy: s, Parallelism: 1})
+				ref, err := Run(problem(), Options{Strategy: s})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, workers := range []int{2, 3, 8, 16} {
-					got, err := Run(synthetic(n, kinds, table, nil), Options{Strategy: s, Parallelism: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
+				if st := ref.Stats; st.Candidates != st.Evaluated+st.Pruned {
+					t.Fatalf("%s n=%d seed=%d: accounting %d != %d evaluated + %d pruned",
+						s, n, seed, st.Candidates, st.Evaluated, st.Pruned)
+				}
+				for w, got := range runConcurrently(t, problem, Options{Strategy: s}, 4) {
 					if got.Found != ref.Found || got.Candidate != ref.Candidate ||
-						got.Outcome.Energy != ref.Outcome.Energy || got.Outcome.Value != ref.Outcome.Value {
-						t.Fatalf("%s n=%d seed=%d workers=%d: got %+v / %+v, want %+v / %+v",
-							s, n, seed, workers, got.Candidate, got.Outcome, ref.Candidate, ref.Outcome)
-					}
-					st := got.Stats
-					if st.Candidates != st.Evaluated+st.Pruned {
-						t.Fatalf("%s n=%d workers=%d: accounting %d != %d evaluated + %d pruned",
-							s, n, workers, st.Candidates, st.Evaluated, st.Pruned)
-					}
-					if st.Tilings != ref.Stats.Tilings || st.Admitted != ref.Stats.Admitted ||
-						st.Candidates != ref.Stats.Candidates {
-						t.Fatalf("%s n=%d workers=%d: deterministic stats moved: %+v vs %+v",
-							s, n, workers, st, ref.Stats)
+						got.Outcome != ref.Outcome || got.Stats != ref.Stats {
+						t.Fatalf("%s n=%d seed=%d goroutine %d: got %+v / %+v / %+v, want %+v / %+v / %+v",
+							s, n, seed, w, got.Candidate, got.Outcome, got.Stats, ref.Candidate, ref.Outcome, ref.Stats)
 					}
 				}
 			}
@@ -88,10 +108,11 @@ func TestParallelMatchesSequentialRandomized(t *testing.T) {
 	}
 }
 
-// TestParallelTieBreakAcrossPartitions pins the reduction: with every
-// candidate at the same energy, the earliest canonical candidate must
-// win no matter how the partitions race, including when an admit filter
-// shifts the canonical indices.
+// TestParallelTieBreakAcrossPartitions pins the reduction where a
+// compile partitions its layers across goroutines: with every candidate
+// at the same energy, the earliest canonical candidate must win under
+// every strategy, in one Run and in Runs on several goroutines at once,
+// including when an admit filter shifts the canonical indices.
 func TestParallelTieBreakAcrossPartitions(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD, pattern.WD}
 	const n = 100
@@ -102,200 +123,99 @@ func TestParallelTieBreakAcrossPartitions(t *testing.T) {
 		}
 	}
 	table["OD/0"] = entry{energy: 3, feasible: false, bound: 3}
-	for _, workers := range []int{2, 7, 33} {
+	problem := func() Problem[string] {
 		p := synthetic(n, kinds, table, nil)
 		p.Admit = func(ti pattern.Tiling) bool { return ti.Tm != 1 }
-		r, err := Run(p, Options{Strategy: Pruned, Parallelism: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// OD/0 is infeasible and Tm==1 is not admitted, so the earliest
-		// surviving canonical candidate is OD at tiling index 2.
-		if !r.Found || r.Outcome.Value != "OD/2" {
-			t.Fatalf("workers=%d: chose %q (found=%v), want OD/2", workers, r.Outcome.Value, r.Found)
-		}
-		if r.Candidate.KindIdx != 0 || r.Candidate.TilingIdx != 2 {
-			t.Fatalf("workers=%d: candidate %+v, want kind 0 tiling 2", workers, r.Candidate)
+		return p
+	}
+	for _, s := range Strategies() {
+		for _, workers := range []int{1, 4} {
+			for w, r := range runConcurrently(t, problem, Options{Strategy: s, BeamWidth: 10}, workers) {
+				// OD/0 is infeasible and Tm==1 is not admitted, so the
+				// earliest surviving canonical candidate is OD at tiling
+				// index 2.
+				if !r.Found || r.Outcome.Value != "OD/2" || r.Candidate.KindIdx != 0 || r.Candidate.TilingIdx != 2 {
+					t.Fatalf("%s workers=%d goroutine %d: chose %q at %+v (found=%v), want OD/2 at kind 0, tiling 2",
+						s, workers, w, r.Outcome.Value, r.Candidate, r.Found)
+				}
+			}
 		}
 	}
 }
 
 // TestParallelPropagatesEvaluatorErrors: a failing evaluator must fail
-// the whole run at every worker count, never return a partial result.
+// the whole Run under every strategy, in one Run and in Runs on several
+// goroutines at once, never with a partial result.
 func TestParallelPropagatesEvaluatorErrors(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD}
+	// Only OD/0 prices; every index >= 1 is missing from the table, so
+	// Evaluate errors.
 	table := map[string]entry{"OD/0": {energy: 1, feasible: true}}
-	// Every index >= 1 is missing from the table, so Evaluate errors.
-	for _, workers := range []int{2, 8} {
-		r, err := Run(synthetic(50, kinds, table, nil), Options{Strategy: Exhaustive, Parallelism: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: evaluator error swallowed", workers)
-		}
-		if !strings.Contains(err.Error(), "no entry for") {
-			t.Fatalf("workers=%d: unexpected error %v", workers, err)
-		}
-		if r.Found {
-			t.Fatalf("workers=%d: partial result alongside error", workers)
+	problem := func() Problem[string] { return synthetic(50, kinds, table, nil) }
+	for _, s := range Strategies() {
+		for _, workers := range []int{1, 4} {
+			results, errs := goRuns(problem, Options{Strategy: s, BeamWidth: 64}, workers)
+			for w, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "no entry for") {
+					t.Fatalf("%s workers=%d goroutine %d: error %v, want the evaluator error", s, workers, w, err)
+				}
+				if results[w].Found {
+					t.Fatalf("%s workers=%d goroutine %d: partial result alongside error", s, workers, w)
+				}
+			}
 		}
 	}
 }
 
-// TestPoolErrorIsTheOneWorkerError: when several workers fail, the pool
+// TestPoolErrorIsTheOneWorkerError: when several candidates fail, Run
 // returns the failure that comes first in scan order (tiling, then
 // kind) — the one a single worker hits — not the canonical-earliest,
-// which is kind-major. With kinds OD, WD over two tilings, (WD, tiling
-// 0) is scan-first and (OD, tiling 1) canonical-first; on the pool a
-// barrier holds each failing evaluation until both have started, so
-// neither worker can stop the other first.
+// which is kind-major, and Runs on several goroutines at once each
+// return that same error. With kinds OD, WD over two tilings, (WD,
+// tiling 0) is scan-first and (OD, tiling 1) canonical-first.
 func TestPoolErrorIsTheOneWorkerError(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		var barrier sync.WaitGroup
-		if workers > 1 {
-			barrier.Add(2)
-		}
-		p := Problem[string]{
+	problem := func() Problem[string] {
+		return Problem[string]{
 			Tm: upTo(2), Tn: one, Tr: one, Tc: one,
 			Kinds: []pattern.Kind{pattern.OD, pattern.WD},
 			Evaluate: func(k pattern.Kind, ti pattern.Tiling, _ Cell, out *Outcome[string]) error {
-				var err error
 				switch {
 				case k == pattern.WD && ti.Tm == 0:
-					err = errors.New("scan-first")
+					return errors.New("scan-first")
 				case k == pattern.OD && ti.Tm == 1:
-					err = errors.New("canonical-first")
-				default:
-					*out = Outcome[string]{Feasible: true, Energy: 1}
-					return nil
+					return errors.New("canonical-first")
 				}
-				if workers > 1 {
-					barrier.Done()
-					barrier.Wait()
-				}
-				return err
+				*out = Outcome[string]{Feasible: true, Energy: 1}
+				return nil
 			},
 		}
-		_, err := Run(p, Options{Strategy: Exhaustive, Parallelism: workers})
-		if err == nil || err.Error() != "scan-first" {
-			t.Errorf("workers=%d: error %v, want scan-first", workers, err)
-		}
 	}
-}
-
-// TestParallelRepanicsWorkerPanics: a panic inside a worker goroutine
-// must resurface on the calling goroutine (where sched's per-layer
-// recover can convert it) with the original value attached.
-func TestParallelRepanicsWorkerPanics(t *testing.T) {
-	kinds := []pattern.Kind{pattern.OD}
-	p := Problem[string]{
-		Tm: upTo(64), Tn: one, Tr: one, Tc: one,
-		Kinds: kinds,
-		Evaluate: func(k pattern.Kind, ti pattern.Tiling, _ Cell, out *Outcome[string]) error {
-			if ti.Tm == 40 {
-				panic("poisoned candidate")
+	for _, workers := range []int{1, 4} {
+		_, errs := goRuns(problem, Options{Strategy: Exhaustive}, workers)
+		for w, err := range errs {
+			if err == nil || err.Error() != "scan-first" {
+				t.Errorf("workers=%d goroutine %d: error %v, want scan-first", workers, w, err)
 			}
-			*out = Outcome[string]{Feasible: true, Energy: float64(ti.Tm)}
-			return nil
-		},
+		}
 	}
-	defer func() {
-		v := recover()
-		if v == nil {
-			t.Fatal("worker panic swallowed")
-		}
-		wp, ok := v.(*WorkerPanic)
-		if !ok {
-			t.Fatalf("recovered %T, want *WorkerPanic", v)
-		}
-		if wp.Value != "poisoned candidate" || len(wp.Stack) == 0 {
-			t.Fatalf("panic payload %+v lost the original value or stack", wp)
-		}
-	}()
-	_, _ = Run(p, Options{Strategy: Exhaustive, Parallelism: 8})
 }
 
-// TestBeamParallelMatchesSequential: the beam's fan-out pricing must
-// keep the pick, the priced count and the fallback behavior of the
-// sequential beam.
+// TestBeamParallelMatchesSequential: beam Runs on several goroutines at
+// once keep the sequential beam's pick, priced count and fallback.
 func TestBeamParallelMatchesSequential(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD, pattern.WD}
 	for seed := uint64(0); seed < 4; seed++ {
 		table := pseudoTable(64, kinds, seed)
-		ref, err := Run(synthetic(64, kinds, table, nil), Options{Strategy: Beam, BeamWidth: 9, Parallelism: 1})
+		problem := func() Problem[string] { return synthetic(64, kinds, table, nil) }
+		o := Options{Strategy: Beam, BeamWidth: 9}
+		ref, err := Run(problem(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 5} {
-			got, err := Run(synthetic(64, kinds, table, nil), Options{Strategy: Beam, BeamWidth: 9, Parallelism: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Found != ref.Found || got.Candidate != ref.Candidate || got.Outcome.Energy != ref.Outcome.Energy {
-				t.Fatalf("seed=%d workers=%d: beam pick moved: %+v vs %+v", seed, workers, got.Candidate, ref.Candidate)
-			}
-			if got.Stats.Evaluated != ref.Stats.Evaluated {
-				t.Fatalf("seed=%d workers=%d: beam priced %d, want %d", seed, workers, got.Stats.Evaluated, ref.Stats.Evaluated)
+		for w, got := range runConcurrently(t, problem, o, 4) {
+			if got.Found != ref.Found || got.Candidate != ref.Candidate || got.Outcome != ref.Outcome || got.Stats != ref.Stats {
+				t.Fatalf("seed=%d goroutine %d: beam moved: %+v / %+v, want %+v / %+v", seed, w, got.Candidate, got.Stats, ref.Candidate, ref.Stats)
 			}
 		}
-	}
-}
-
-// TestSharedBoundStress is the -race stress of the shared-bound pool:
-// many workers hammer the atomic incumbent over a tie-heavy landscape,
-// and the result must match one worker's every round.
-func TestSharedBoundStress(t *testing.T) {
-	kinds := []pattern.Kind{pattern.OD, pattern.WD, pattern.ID}
-	rounds := 8
-	if testing.Short() {
-		rounds = 3
-	}
-	for seed := uint64(0); seed < uint64(rounds); seed++ {
-		table := pseudoTable(150, kinds, seed+100)
-		ref, err := Run(synthetic(150, kinds, table, nil), Options{Strategy: Pruned, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{4, 16, 32} {
-			got, err := Run(synthetic(150, kinds, table, nil), Options{Strategy: Pruned, Parallelism: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Candidate != ref.Candidate || got.Outcome.Energy != ref.Outcome.Energy {
-				t.Fatalf("seed=%d workers=%d: argmin moved under contention", seed, workers)
-			}
-		}
-	}
-}
-
-// TestIncumbentBoundTighten covers the atomic min directly.
-func TestIncumbentBoundTighten(t *testing.T) {
-	var b incumbentBound
-	b.reset()
-	if !math.IsInf(b.load(), 1) {
-		t.Fatalf("fresh bound = %v, want +Inf", b.load())
-	}
-	b.tighten(5)
-	b.tighten(9) // higher value must not loosen
-	if b.load() != 5 {
-		t.Fatalf("bound = %v, want 5", b.load())
-	}
-	b.tighten(2)
-	if b.load() != 2 {
-		t.Fatalf("bound = %v, want 2", b.load())
-	}
-}
-
-// TestEffectiveParallelism pins the knob's resolution rules.
-func TestEffectiveParallelism(t *testing.T) {
-	if got := EffectiveParallelism(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("EffectiveParallelism(0) = %d, want GOMAXPROCS", got)
-	}
-	if got := EffectiveParallelism(-3); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("EffectiveParallelism(-3) = %d, want GOMAXPROCS", got)
-	}
-	if got := EffectiveParallelism(5); got != 5 {
-		t.Errorf("EffectiveParallelism(5) = %d", got)
-	}
-	if got := EffectiveParallelism(MaxParallelism + 7); got != MaxParallelism {
-		t.Errorf("EffectiveParallelism(cap+7) = %d, want %d", got, MaxParallelism)
 	}
 }

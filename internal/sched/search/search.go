@@ -23,17 +23,13 @@
 // first-wins rule of the historical loop, extended axis by axis so
 // single-valued axes change nothing.
 //
-// Every strategy also runs at any parallelism level with byte-identical
-// results: Exhaustive and Pruned share one candidate loop (scan.go) that
-// one worker runs inline and Options.Parallelism workers run on a pool,
-// sharing the incumbent's exact energy through an atomic bound; the
-// reduction re-applies the canonical preference order, so plans never
-// move with the worker count.
+// Run explores on the calling goroutine, in canonical order, so its
+// result and its Stats are a function of the problem alone. The
+// scheduler parallelizes across a network's layers, each layer one Run.
 package search
 
 import (
 	"fmt"
-	"runtime"
 
 	"rana/internal/pattern"
 )
@@ -89,25 +85,6 @@ func EffectiveWidth(w int) int {
 	return w
 }
 
-// MaxParallelism caps the worker pool one Run may fan out. The cap
-// bounds goroutine count against hostile or mistaken configuration;
-// beyond the machine's core count extra workers only add contention.
-const MaxParallelism = 256
-
-// EffectiveParallelism resolves a configured parallelism level: zero (or
-// negative) selects GOMAXPROCS, and every level is capped at
-// MaxParallelism. The result is the worker bound, not a promise — a Run
-// never spawns more workers than it has tilings to scan.
-func EffectiveParallelism(p int) int {
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > MaxParallelism {
-		p = MaxParallelism
-	}
-	return p
-}
-
 // Candidate identifies one (pattern kind, tiling, operating point,
 // traversal order, data mapping) cell of the space. KindIdx, TilingIdx,
 // PointIdx, TravIdx and MapIdx are the enumeration positions the
@@ -142,33 +119,6 @@ type Cell struct {
 	Point int
 	Trav  int
 	Map   int
-}
-
-// Pricer is a stateful per-goroutine bound evaluator: an incremental
-// pricing context that caches per-axis partial terms across the
-// candidates one scan goroutine scans, invalidating only what the
-// changed coordinate touches. Lower must return *exactly* the value the
-// problem's stateless Bound would return for the same candidate — bit
-// for bit, at any call order — so pruning decisions (and therefore
-// plans and work accounting) cannot depend on whether the incremental
-// or the stateless evaluator ran. Release hands the context back to its
-// owner's pool; the strategy calls it when the goroutine's scan ends
-// and never touches the pricer again.
-type Pricer interface {
-	Lower(k pattern.Kind, t pattern.Tiling, cell Cell) float64
-	Release()
-}
-
-// Recorder receives every feasible candidate one scan goroutine prices
-// exactly: the hook the scheduler's retention-parametric memo builds its
-// frontiers through. Record runs on the scanning goroutine, after the
-// exact evaluation, with the candidate and its outcome; it must not
-// retain out, which the engine reuses. Release runs once, when that
-// goroutine's scan ends. The engine never shares a Recorder across
-// goroutines, so an implementation needs no lock on the Record path.
-type Recorder[T any] interface {
-	Record(c Candidate, out *Outcome[T])
-	Release()
 }
 
 // Outcome is one candidate priced exactly by the caller's evaluator.
@@ -214,40 +164,33 @@ type Problem[T any] struct {
 	// the candidate at one value cell: it must never exceed the exact
 	// value, and must be much cheaper to compute. Nil disables pruning
 	// (Pruned degenerates to Exhaustive, Beam keeps
-	// arbitrary-but-deterministic candidates).
+	// arbitrary-but-deterministic candidates). Run calls it only on the
+	// goroutine that called Run, so it may be a stateful evaluator (the
+	// scheduler's incremental pricing context) as long as it returns the
+	// same value in any call order.
 	Bound func(k pattern.Kind, t pattern.Tiling, cell Cell) float64
-	// NewPricer, when non-nil, supplies a fresh incremental bound
-	// evaluator per scan goroutine, used in Bound's place wherever a
-	// bound is computed. Lower must be bit-identical to Bound (see
-	// Pricer); Bound stays the pruning gate and the stateless reference,
-	// so NewPricer without Bound is ignored.
-	NewPricer func() Pricer
 	// Evaluate prices one candidate exactly at one value cell, writing
-	// the result into *out. The engine reuses one scratch Outcome per
-	// scan goroutine, so on a nil error Evaluate must overwrite every
-	// Outcome field rather than assume zeroed input; on an error *out is
-	// unspecified and never read. The out-parameter form exists because
-	// T is the scheduler's several-hundred-byte LayerPlan, which a
-	// by-value return would copy on every exact evaluation; the
-	// scheduler's evaluator reads its inputs through pointers for the
-	// same reason.
+	// the result into *out. Run passes the same scratch Outcome on every
+	// call, so on a nil error Evaluate must overwrite every Outcome field
+	// rather than assume zeroed input; on an error *out is unspecified
+	// and never read. The out-parameter form exists because T is the
+	// scheduler's several-hundred-byte LayerPlan, which a by-value return
+	// would copy on every exact evaluation; the scheduler's evaluator
+	// reads its inputs through pointers for the same reason.
 	Evaluate func(k pattern.Kind, t pattern.Tiling, cell Cell, out *Outcome[T]) error
-	// NewOutcome / FreeOutcome, when non-nil, lease the per-goroutine
-	// scratch Outcome the engine passes to Evaluate. The engine cannot
-	// stack-allocate that scratch — its address crosses the Evaluate
-	// indirection, so escape analysis heap-allocates it once per scan —
-	// and a caller-pooled buffer is what keeps steady-state compiles
-	// allocation-free. Nil falls back to a plain allocation per scan
-	// goroutine. FreeOutcome is called exactly once per NewOutcome
-	// lease, after the goroutine's last read of the buffer.
-	NewOutcome  func() *Outcome[T]
-	FreeOutcome func(*Outcome[T])
-	// NewRecorder, when non-nil, supplies a fresh Recorder per scan
-	// goroutine. Exhaustive and Pruned record every feasible candidate
-	// they price; Beam records its feasible survivors, or its fallback
-	// scan's candidates when no survivor is feasible. Recording never
-	// changes what a run explores or returns.
-	NewRecorder func() Recorder[T]
+	// Out is the scratch Outcome Run passes to Evaluate. Its address
+	// crosses the Evaluate indirection, so Run cannot keep its own on the
+	// stack: a caller that owns one keeps steady-state runs
+	// allocation-free. Nil makes Run allocate one.
+	Out *Outcome[T]
+	// Record, when non-nil, receives every feasible candidate Run prices
+	// exactly, after the evaluation: the hook the scheduler's
+	// retention-parametric memo builds its frontiers through. Exhaustive
+	// and Pruned record every feasible candidate they price; Beam records
+	// its feasible survivors, or its fallback scan's candidates when no
+	// survivor is feasible. Record must not retain out, which Run reuses,
+	// and recording never changes what a run explores or returns.
+	Record func(c Candidate, out *Outcome[T])
 }
 
 // axisExtent resolves one value-axis extent (zero or negative → one).
@@ -256,30 +199,6 @@ func axisExtent(n int) int {
 		return 1
 	}
 	return n
-}
-
-// newOutcome leases one scan goroutine's scratch Outcome (see
-// NewOutcome); freeOutcome returns it.
-func (p Problem[T]) newOutcome() *Outcome[T] {
-	if p.NewOutcome != nil {
-		return p.NewOutcome()
-	}
-	return new(Outcome[T])
-}
-
-func (p Problem[T]) freeOutcome(o *Outcome[T]) {
-	if p.FreeOutcome != nil {
-		p.FreeOutcome(o)
-	}
-}
-
-// newRecorder leases one scan goroutine's Recorder, or nil when the
-// problem records nothing.
-func (p Problem[T]) newRecorder() Recorder[T] {
-	if p.NewRecorder == nil {
-		return nil
-	}
-	return p.NewRecorder()
 }
 
 // points resolves the operating-point axis extent (zero → one).
@@ -295,13 +214,6 @@ func (p Problem[T]) maps() int { return axisExtent(p.Maps) }
 type Options struct {
 	Strategy  Strategy
 	BeamWidth int // Beam only; 0 selects DefaultBeamWidth
-	// Parallelism bounds the worker goroutines one Run fans out across
-	// the candidate space. Zero selects GOMAXPROCS; 1 runs the same loop
-	// inline. Results are byte-identical at every level (see scan.go for
-	// the argument); only Stats work attribution (Bounded/Pruned/Evaluated
-	// splits) may shift, since how much pruning the shared bound achieves
-	// depends on timing.
-	Parallelism int
 }
 
 // Stats counts the work one Run performed — the currency the pruning
@@ -322,12 +234,9 @@ type Stats struct {
 	// Evaluated counts exact evaluations — the expensive operation the
 	// strategies exist to minimize.
 	Evaluated int
-	// Workers is the worker-pool size the run actually used (1 when the
-	// loop ran inline). Aggregation keeps the maximum, not a sum.
-	Workers int
 }
 
-// Add accumulates other into s: counters sum, Workers keeps the max.
+// Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
 	s.Tilings += other.Tilings
 	s.Admitted += other.Admitted
@@ -335,9 +244,6 @@ func (s *Stats) Add(other Stats) {
 	s.Bounded += other.Bounded
 	s.Pruned += other.Pruned
 	s.Evaluated += other.Evaluated
-	if other.Workers > s.Workers {
-		s.Workers = other.Workers
-	}
 }
 
 // Result is one Run's outcome.
@@ -355,19 +261,21 @@ func Run[T any](p Problem[T], o Options) (Result[T], error) {
 	if err := o.Strategy.Validate(); err != nil {
 		return Result[T]{}, err
 	}
-	r := Result[T]{Stats: Stats{Workers: 1}}
+	var r Result[T]
 	buf := admittedPool.Get().(*[]tilingAt)
 	defer admittedPool.Put(buf)
-	admitted := collectAdmitted(p, buf, &r.Stats)
-	workers := EffectiveParallelism(o.Parallelism)
+	admitted := collectAdmitted(&p, buf, &r.Stats)
+	if p.Out == nil {
+		p.Out = new(Outcome[T])
+	}
 	var err error
 	switch o.Strategy.Resolve() {
 	case Exhaustive:
-		err = scan(p, admitted, false, workers, &r)
+		err = scan(&p, admitted, false, &r)
 	case Pruned:
-		err = scan(p, admitted, true, workers, &r)
+		err = scan(&p, admitted, true, &r)
 	default: // Beam; Validate covered the rest
-		err = beam(p, admitted, EffectiveWidth(o.BeamWidth), workers, &r)
+		err = beam(&p, admitted, EffectiveWidth(o.BeamWidth), &r)
 	}
 	if err != nil {
 		return Result[T]{}, err
@@ -381,8 +289,8 @@ func Run[T any](p Problem[T], o Options) (Result[T], error) {
 // mapping index). This is exactly the argmin the historical
 // pattern-major loop's strict-< rule kept — the earliest candidate in
 // (kind, tiling, point, traversal, mapping) enumeration order among the
-// equal-energy minima — so every strategy and worker count agrees on
-// ties by construction.
+// equal-energy minima — so every strategy agrees on ties by
+// construction.
 func prefer(e float64, c *Candidate, be float64, bc *Candidate) bool {
 	return e < be || e == be && canonicalBefore(c, bc)
 }

@@ -3,7 +3,6 @@ package search
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"rana/internal/pattern"
@@ -88,7 +87,7 @@ func TestRunEnumeratesTilingsTmMajor(t *testing.T) {
 				return nil
 			},
 		}
-		r, err := Run(p, Options{Strategy: s, BeamWidth: 64, Parallelism: 1})
+		r, err := Run(p, Options{Strategy: s, BeamWidth: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +98,7 @@ func TestRunEnumeratesTilingsTmMajor(t *testing.T) {
 			t.Errorf("%s: chose %v at index %d, want %v at 5", s, r.Candidate.Tiling, r.Candidate.TilingIdx, want[5])
 		}
 		if s == Exhaustive {
-			// One worker prices the admitted tilings in canonical order.
+			// Exhaustive prices the admitted tilings in canonical order.
 			if len(got) != 7 {
 				t.Fatalf("priced %d tilings, want 7: %v", len(got), got)
 			}
@@ -181,8 +180,8 @@ var one = []int{1}
 // pinning deterministic tie-breaking: among equal-energy feasible
 // candidates, every strategy returns the earliest in canonical
 // (kind-major, then tiling) enumeration order — the legacy pattern-major
-// strict-< rule — so Pruned or any parallel variant can never silently
-// flip equal-energy argmins.
+// strict-< rule — so Pruned or Beam can never silently flip
+// equal-energy argmins.
 func TestTieBreakKeepsEarliestCanonicalCandidate(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD, pattern.WD}
 	// Equal minimum energy at three points; canonical order is
@@ -231,11 +230,9 @@ func TestPrunedSkipsBoundedCandidatesButKeepsArgmin(t *testing.T) {
 		"OD/2": {energy: 10, feasible: true, bound: 10}, // bound == incumbent: must be priced
 		"OD/3": {energy: 4, feasible: true, bound: 3},   // new argmin
 	}
-	// One worker: the evaluated list pins the sequential scan's pruning
-	// order, which a worker pool makes timing-dependent (and the
-	// recording evaluator is not safe for concurrent use).
+	// The evaluated list pins the scan's pruning order.
 	var evaluated []string
-	r, err := Run(synthetic(4, kinds, table, &evaluated), Options{Strategy: Pruned, Parallelism: 1})
+	r, err := Run(synthetic(4, kinds, table, &evaluated), Options{Strategy: Pruned})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +264,9 @@ func TestBeamPricesOnlyTheMostPromising(t *testing.T) {
 		"OD/2": {energy: 7, feasible: true, bound: 4},
 		"OD/3": {energy: 8, feasible: true, bound: 6},
 	}
-	// One worker, as above: the evaluated list is in pricing order.
+	// The evaluated list is in pricing order.
 	var evaluated []string
-	r, err := Run(synthetic(4, kinds, table, &evaluated), Options{Strategy: Beam, BeamWidth: 2, Parallelism: 1})
+	r, err := Run(synthetic(4, kinds, table, &evaluated), Options{Strategy: Beam, BeamWidth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,6 +300,8 @@ func TestBeamFallsBackWhenBudgetAllInfeasible(t *testing.T) {
 	}
 }
 
+// TestRunPropagatesEvaluatorErrors: a failing evaluator fails the run
+// under every strategy.
 func TestRunPropagatesEvaluatorErrors(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD}
 	for _, s := range Strategies() {
@@ -340,43 +339,11 @@ func TestAdmitFiltersBeforeKinds(t *testing.T) {
 	}
 }
 
-// collector gathers what every scan goroutine's Recorder saw, and how
-// many were leased but not yet released.
-type collector struct {
-	mu   sync.Mutex
-	seen []string
-	open int
-}
-
-type collectingRecorder struct {
-	c    *collector
-	seen []string
-}
-
-func (r *collectingRecorder) Record(_ Candidate, out *Outcome[string]) {
-	r.seen = append(r.seen, out.Value)
-}
-
-func (r *collectingRecorder) Release() {
-	r.c.mu.Lock()
-	r.c.seen = append(r.c.seen, r.seen...)
-	r.c.open--
-	r.c.mu.Unlock()
-}
-
-func (c *collector) lease() Recorder[string] {
-	c.mu.Lock()
-	c.open++
-	c.mu.Unlock()
-	return &collectingRecorder{c: c}
-}
-
-// TestRecorderSeesEachFeasiblePricedCandidateOnce: on every strategy
-// and worker count, recording leaves the result alone, every leased
-// Recorder is released, and the recorded candidates are feasible,
-// distinct, include the winner and number no more than the exact
-// evaluations — exactly the feasible ones under Exhaustive, and under a
-// beam wide enough to keep every candidate.
+// TestRecorderSeesEachFeasiblePricedCandidateOnce: on every strategy,
+// recording leaves the result alone, and the recorded candidates are
+// feasible, distinct, include the winner and number no more than the
+// exact evaluations — exactly the feasible ones under Exhaustive, and
+// under a beam wide enough to keep every candidate.
 func TestRecorderSeesEachFeasiblePricedCandidateOnce(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD, pattern.WD}
 	table := map[string]entry{}
@@ -392,38 +359,33 @@ func TestRecorderSeesEachFeasiblePricedCandidateOnce(t *testing.T) {
 		}
 	}
 	for _, s := range Strategies() {
-		for _, workers := range []int{1, 4} {
-			o := Options{Strategy: s, BeamWidth: 64, Parallelism: workers}
-			plain, err := Run(synthetic(12, kinds, table, nil), o)
-			if err != nil {
-				t.Fatal(err)
+		o := Options{Strategy: s, BeamWidth: 64}
+		plain, err := Run(synthetic(12, kinds, table, nil), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen []string
+		p := synthetic(12, kinds, table, nil)
+		p.Record = func(_ Candidate, out *Outcome[string]) { seen = append(seen, out.Value) }
+		r, err := Run(p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Outcome != plain.Outcome || r.Candidate != plain.Candidate || r.Stats != plain.Stats {
+			t.Errorf("%s: recording changed the result %+v -> %+v", s, plain.Outcome, r.Outcome)
+		}
+		distinct := map[string]bool{}
+		for _, id := range seen {
+			if distinct[id] || !table[id].feasible {
+				t.Errorf("%s: recorded %s twice or infeasible", s, id)
 			}
-			var c collector
-			p := synthetic(12, kinds, table, nil)
-			p.NewRecorder = c.lease
-			r, err := Run(p, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Outcome != plain.Outcome || r.Candidate != plain.Candidate {
-				t.Errorf("%s/p%d: recording changed the result %+v -> %+v", s, workers, plain.Outcome, r.Outcome)
-			}
-			if c.open != 0 {
-				t.Errorf("%s/p%d: %d recorders never released", s, workers, c.open)
-			}
-			distinct := map[string]bool{}
-			for _, id := range c.seen {
-				if distinct[id] || !table[id].feasible {
-					t.Errorf("%s/p%d: recorded %s twice or infeasible", s, workers, id)
-				}
-				distinct[id] = true
-			}
-			if !distinct[r.Outcome.Value] || len(c.seen) > r.Stats.Evaluated {
-				t.Errorf("%s/p%d: recorded %d (winner %v) of %d evaluated", s, workers, len(c.seen), distinct[r.Outcome.Value], r.Stats.Evaluated)
-			}
-			if s != Pruned && len(c.seen) != feasible {
-				t.Errorf("%s/p%d: recorded %d, want all %d feasible candidates", s, workers, len(c.seen), feasible)
-			}
+			distinct[id] = true
+		}
+		if !distinct[r.Outcome.Value] || len(seen) > r.Stats.Evaluated {
+			t.Errorf("%s: recorded %d (winner %v) of %d evaluated", s, len(seen), distinct[r.Outcome.Value], r.Stats.Evaluated)
+		}
+		if s != Pruned && len(seen) != feasible {
+			t.Errorf("%s: recorded %d, want all %d feasible candidates", s, len(seen), feasible)
 		}
 	}
 }

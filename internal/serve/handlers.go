@@ -282,8 +282,8 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 	// Parallelism and the shared memo ride along *outside* the cache key:
 	// plans are byte-identical at every worker count, so requests
 	// differing only here must share one entry. The ladder composes with
-	// both — a beam-rung (or degraded) computation still fans its pricing
-	// across the workers and still hits the shared memo.
+	// both — a beam-rung (or degraded) computation still explores its
+	// layers across the workers and still hits the shared memo.
 	if opts.Parallelism == 0 {
 		opts.Parallelism = s.cfg.Parallelism
 	}
@@ -298,7 +298,7 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 	w.key = scheduleKey(op, net, cfg, opts)
 	ladder := w.rung
 	w.compute = func(ctx context.Context) ([]byte, error) {
-		s.m.computed(search.EffectiveParallelism(opts.Parallelism))
+		s.m.computed(sched.EffectiveParallelism(opts.Parallelism))
 		plan, err := s.scheduleFn(ctx, net, cfg, opts)
 		if err != nil {
 			return nil, wrapComputeErr(ctx, err)
@@ -366,7 +366,7 @@ func (s *Server) prepareCompile(req CompileRequest) (*work, error) {
 	}
 	w := &work{path: "/v1/compile", key: compileKey(net, strategy)}
 	w.compute = func(ctx context.Context) ([]byte, error) {
-		s.m.computed(search.EffectiveParallelism(parallelism))
+		s.m.computed(sched.EffectiveParallelism(parallelism))
 		out, err := s.compileFn(ctx, net, strategy, parallelism)
 		if err != nil {
 			return nil, wrapComputeErr(ctx, err)

@@ -56,9 +56,10 @@ type metrics struct {
 	// concurrency-safe).
 	Statuses expvar.Map
 
-	// Parallelism counts computations per effective search worker count
-	// (key = the resolved level, e.g. "4"). Only actual computations are
-	// counted — cache hits and dedup joins did no search work.
+	// Parallelism counts computations per effective layer worker count,
+	// how many layers a computation may explore at once (key = the
+	// resolved level, e.g. "4"). Only actual computations are counted —
+	// cache hits and dedup joins did no search work.
 	Parallelism expvar.Map
 
 	mu   sync.Mutex

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rana/internal/sched"
 	"rana/internal/sched/search"
 )
 
@@ -22,9 +23,9 @@ func TestParallelismValidation(t *testing.T) {
 		name, url, body string
 	}{
 		{"schedule negative", "/v1/schedule", `{"model": "AlexNet", "options": {"parallelism": -1}}`},
-		{"schedule over cap", "/v1/schedule", fmt.Sprintf(`{"model": "AlexNet", "options": {"parallelism": %d}}`, search.MaxParallelism+1)},
+		{"schedule over cap", "/v1/schedule", fmt.Sprintf(`{"model": "AlexNet", "options": {"parallelism": %d}}`, sched.MaxParallelism+1)},
 		{"compile negative", "/v1/compile", `{"model": "AlexNet", "parallelism": -2}`},
-		{"compile over cap", "/v1/compile", fmt.Sprintf(`{"model": "AlexNet", "parallelism": %d}`, search.MaxParallelism+1)},
+		{"compile over cap", "/v1/compile", fmt.Sprintf(`{"model": "AlexNet", "parallelism": %d}`, sched.MaxParallelism+1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

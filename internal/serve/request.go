@@ -105,11 +105,11 @@ type OptionsSpec struct {
 	// BeamWidth bounds the beam's per-layer exact evaluations; only
 	// valid with search "beam". Zero selects the default width.
 	BeamWidth int `json:"beam_width,omitempty"`
-	// Parallelism bounds the per-layer search worker pool. Zero selects
-	// the server's default (its -parallelism flag, or GOMAXPROCS). Plans
-	// are byte-identical at every level, so the field never enters the
-	// cache key: requests differing only here share one entry, and the
-	// response body does not echo it.
+	// Parallelism bounds how many layers the compile explores at once.
+	// Zero selects the server's default (its -parallelism flag, or
+	// GOMAXPROCS). Plans are byte-identical at every level, so the field
+	// never enters the cache key: requests differing only here share one
+	// entry, and the response body does not echo it.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Backend names a memory-technology backend from the registry (see
 	// /v1/catalog's "backends"); empty selects the configuration's
@@ -160,7 +160,7 @@ type CompileRequest struct {
 	// Search pins Stage 2's exploration strategy ("exhaustive", "pruned"
 	// or "beam"); empty selects the pruned default.
 	Search string `json:"search,omitempty"`
-	// Parallelism bounds Stage 2's per-layer search worker pool; zero
+	// Parallelism bounds how many layers Stage 2 explores at once; zero
 	// selects the server default. Excluded from the cache key (plans are
 	// byte-identical at every level).
 	Parallelism int `json:"parallelism,omitempty"`
@@ -516,14 +516,14 @@ func resolveOptions(spec *OptionsSpec, cfg hw.Config) (sched.Options, []mem.Oper
 
 // validateParallelism gates a request's worker-count knob: zero defers
 // to the server default, and the cap bounds goroutine fan-out against
-// hostile values (the search engine clamps again, but a clearly absurd
+// hostile values (the scheduler clamps again, but a clearly absurd
 // request deserves a 400, not a silent clamp).
 func validateParallelism(p int) error {
 	if p < 0 {
 		return badRequest("negative parallelism %d", p)
 	}
-	if p > search.MaxParallelism {
-		return badRequest("parallelism %d above the maximum %d", p, search.MaxParallelism)
+	if p > sched.MaxParallelism {
+		return badRequest("parallelism %d above the maximum %d", p, sched.MaxParallelism)
 	}
 	return nil
 }

@@ -44,10 +44,6 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Addr is the listen address, e.g. ":8080". Used by ListenAndServe;
-	// Serve takes an explicit listener.
-	Addr string
-
 	// Workers bounds concurrently executing schedule computations.
 	// Defaults to GOMAXPROCS. Requests beyond the bound queue until a
 	// slot frees or their timeout expires.
@@ -93,12 +89,12 @@ type Config struct {
 	// Defaults to 1 s; negative disables the rung.
 	BeamBudget time.Duration
 
-	// Parallelism is the default per-layer search worker count applied
-	// to computations whose request does not pin one. Zero selects
-	// GOMAXPROCS (search.EffectiveParallelism). Plans are byte-identical
-	// at every level, so this is a throughput knob only — it is excluded
-	// from cache keys, and requests differing only in parallelism share
-	// cache entries.
+	// Parallelism is the default number of layers one computation
+	// explores at once, applied to computations whose request does not
+	// pin one. Zero selects GOMAXPROCS (sched.EffectiveParallelism).
+	// Plans are byte-identical at every level, so this is a throughput
+	// knob only — it is excluded from cache keys, and requests differing
+	// only in parallelism share cache entries.
 	Parallelism int
 
 	// MemoEntries bounds the server-wide layer-shape memo shared across
@@ -349,7 +345,6 @@ func New(cfg Config) *Server {
 	}
 	s.vars = vars
 	s.httpSrv = &http.Server{
-		Addr:              cfg.Addr,
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -372,15 +367,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/v1/jobs/", s.handleJob)
 	}
 	return mux
-}
-
-// ListenAndServe serves on cfg.Addr until Shutdown.
-func (s *Server) ListenAndServe() error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Serve serves on ln until Shutdown. Like http.Server.Serve it returns

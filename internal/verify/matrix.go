@@ -2,7 +2,7 @@ package verify
 
 // The differential matrix. Every axis the Fig. 13 loop grew makes one of
 // a handful of claims against another configuration of the same loop:
-// the pruned branch-and-bound, the worker pool, the layer-shape memo,
+// the pruned branch-and-bound, the layer pool, the layer-shape memo,
 // incremental bound pricing and the spelled-out defaults claim the
 // reference plan's exact wire bytes; a shared memo swept across refresh
 // intervals claims the bytes of the same setting compiled cold, also at
@@ -35,9 +35,9 @@ import (
 // knobs a variant may turn on top of the caller's scheduling frame.
 type Setting struct {
 	Strategy search.Strategy
-	// Workers is the per-layer search parallelism; DefaultMatrix
-	// resolves GOMAXPROCS when it is built, so a setting's name says
-	// what actually ran.
+	// Workers is how many layers a compile explores at once
+	// (sched.Options.Parallelism); DefaultMatrix resolves GOMAXPROCS when
+	// it is built, so a setting's name says what actually ran.
 	Workers int
 	// Memo enables the scheduler's in-compile shape dedup (repeated
 	// layer shapes explored once per compile).
@@ -128,7 +128,7 @@ const (
 	// never beat it, and schedules whatever the reference schedules.
 	NeverCheaper
 	// SameWork: identical per-layer search.Stats, so every pruning
-	// decision matched, not just the winners. Deterministic at Workers 1.
+	// decision matched, not just the winners.
 	SameWork
 	// PrunedWork: per layer, the reference's candidate count, evaluated
 	// plus pruned accounting for every candidate, and no more exact
@@ -194,7 +194,7 @@ func DefaultMatrix(tol Tolerances) Matrix {
 	add := func(group string, s, ref Setting, rel Relation) {
 		m.Variants = append(m.Variants, newVariant(group, s, ref, rel))
 	}
-	// The worker pool and the memo are throughput knobs: the same bytes
+	// The layer pool and the memo are throughput knobs: the same bytes
 	// at every worker count, memo on or off, exhaustive or pruned.
 	for _, w := range levels {
 		for _, st := range []search.Strategy{search.Exhaustive, search.Pruned} {
@@ -259,8 +259,8 @@ func DefaultMatrix(tol Tolerances) Matrix {
 // listed worker count, and the same per-layer work — every pruning
 // decision, not just the winners — at Workers 1. DefaultMatrix runs them
 // on the default space; on the enlarged space the production setting's
-// bytes against the exhaustive reference already cover the pooled
-// pricers, and the full set is a test-time matrix.
+// bytes against the exhaustive reference already cover the incremental
+// pricer, and the full set is a test-time matrix.
 func incrementalVariants(axes bool, workers []int) []Variant {
 	var vs []Variant
 	twin := func(st search.Strategy, w int) (on, off Setting) {

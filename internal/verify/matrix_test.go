@@ -144,7 +144,7 @@ func TestCompareStrategiesFlagsABrokenBound(t *testing.T) {
 	}
 }
 
-// parallelGroup is the worker pool's and the memo's slice of the
+// parallelGroup is the layer pool's and the memo's slice of the
 // matrix: the sequential exhaustive bytes at every worker level, memo on
 // and off, exhaustive and pruned.
 func parallelGroup() Matrix { return group(DefaultMatrix(DefaultTolerances()), "parallel") }

@@ -11,9 +11,11 @@ import (
 	"rana/internal/fault"
 	"rana/internal/fixed"
 	"rana/internal/hw"
+	"rana/internal/mem"
 	"rana/internal/memctrl"
 	"rana/internal/models"
 	"rana/internal/pattern"
+	"rana/internal/retention"
 	"rana/internal/sched"
 	"rana/internal/verify/gen"
 )
@@ -139,6 +141,52 @@ func TestOracleFunctionalMutants(t *testing.T) {
 				t.Errorf("fired %v, want %v\n%s", fired, c.want, r)
 			}
 		})
+	}
+}
+
+// TestOracleFunctionalRefreshPulses: on every point of every refreshing
+// buffer backend, with and without a fault mask, the functional oracle
+// holds while refresh pulses land during the run. At the test
+// accelerator's 200 MHz the spot layer runs for nanoseconds and no
+// pulse fires, so each case clocks it to span two of the point's
+// scaled 45 µs refresh periods. An ok report's refresh-words check
+// holds the words the simulator issued to the pulses its divider
+// predicts over the run, so a predicted pulse is an issued one.
+func TestOracleFunctionalRefreshPulses(t *testing.T) {
+	l := models.ConvLayer{Name: "spot", N: 2, H: 8, L: 8, M: 2, K: 3, S: 1, P: 1}
+	cfg := hw.TestAcceleratorEDRAM()
+	cycles := float64(inBoundsMACs(l) / uint64(cfg.PEs()))
+	cases := 0
+	for _, bk := range mem.Buffers() {
+		if !bk.Refreshes() {
+			continue
+		}
+		for _, pt := range bk.Points() {
+			interval := time.Duration(float64(retention.TypicalRetentionTime) * pt.RetentionScale)
+			cfg.FrequencyHz = cycles / (2 * interval.Seconds())
+			div, err := memctrl.NewDivider(cfg.FrequencyHz, interval)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := time.Duration(cycles / cfg.FrequencyHz * float64(time.Second))
+			spec := bk.Name() + "@" + pt.Name
+			if pulses := memctrl.Pulses(run, div.Period()); pulses < 1 {
+				t.Errorf("%s: a %v run at a %v period issues no pulse", spec, run, div.Period())
+			}
+			for _, rate := range []float64{0, 0.1} {
+				r, err := CompareFunctional(spec, l, cfg, rate, 5, DefaultTolerances())
+				if err != nil {
+					t.Fatalf("%s at fault rate %g: %v", spec, rate, err)
+				}
+				if !r.OK() {
+					t.Errorf("%s at fault rate %g: %s", spec, rate, r)
+				}
+				cases++
+			}
+		}
+	}
+	if cases == 0 {
+		t.Fatal("no refreshing buffer backend is registered")
 	}
 }
 
