@@ -408,9 +408,11 @@ func (b *frontierBuild) admits(e *models.ConvLayer, opts *Options, points int, e
 // sorts before it, so one pass per cell against the records kept so
 // far is complete. The build adds no exact evaluation: every candidate
 // with E0 ≤ u was priced, because its bound is ≤ E0 ≤ u ≤ every
-// incumbent and a branch-and-bound never prunes it. The returned
-// records are the build's scratch, valid until its next finish;
-// envelope copies out what a frontier keeps.
+// incumbent and a branch-and-bound never prunes it. That holds in any
+// scan order, since no incumbent is ever below u whichever candidates
+// the search prices first (FuzzRunMatchesBruteForce checks it). The
+// returned records are the build's scratch, valid until its next
+// finish; envelope copies out what a frontier keeps.
 func (b *frontierBuild) finish(u float64, lo time.Duration) frontier {
 	order := b.order[:0]
 	for i := range b.rb.recs {

@@ -6,7 +6,11 @@ package search
 // common, bounds are admissible (infeasible cells bound to +Inf), and
 // some tilings are not admitted. The brute force walks the candidates in
 // canonical order and keeps the first strict minimum; every strategy
-// must agree with it.
+// must agree with it. Exhaustive and Pruned must also record what the
+// scheduler's frontier build relies on, whatever order they scan in:
+// Exhaustive every feasible admitted candidate, Pruned at least those
+// whose bound is at or below the optimum, and neither any candidate
+// twice.
 
 import (
 	"math"
@@ -125,12 +129,37 @@ func (ft *fuzzTable) argmin() (Candidate, float64, bool) {
 	return best, bestE, found
 }
 
+// mustRecord reports which table cells a run must record: every feasible
+// admitted candidate whose bound is at most limit (+Inf: all of them).
+func (ft *fuzzTable) mustRecord(limit float64) []bool {
+	must := make([]bool, len(ft.energy))
+	for ki := range ft.kinds {
+		for ti := 0; ti < ft.tilings; ti++ {
+			if !ft.admitted[ti] {
+				continue
+			}
+			for pi := 0; pi < ft.extP; pi++ {
+				for tv := 0; tv < ft.extTv; tv++ {
+					for mi := 0; mi < ft.extMaps; mi++ {
+						i := ft.index(ki, ti, Cell{Point: pi, Trav: tv, Map: mi})
+						must[i] = ft.feasible[i] && ft.bound[i] <= limit
+					}
+				}
+			}
+		}
+	}
+	return must
+}
+
 func FuzzRunMatchesBruteForce(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(2), uint8(11), uint8(2), uint8(3), uint8(3), uint8(3))
 	f.Add(uint64(3), uint8(5), uint8(1), uint8(2), uint8(0), uint8(3))
 	f.Add(uint64(4), uint8(7), uint8(2), uint8(0), uint8(2), uint8(1))
 	f.Add(uint64(0xdeadbeef), uint8(9), uint8(1), uint8(1), uint8(3), uint8(2))
+	// The unique optimum sits at tiling index 0, which the scan reaches
+	// last.
+	f.Add(uint64(1805), uint8(11), uint8(2), uint8(2), uint8(1), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, nt, nk, np, ntv, nm uint8) {
 		ft := newFuzzTable(seed, nt, nk, np, ntv, nm)
 		want, wantE, found := ft.argmin()
@@ -151,13 +180,33 @@ func FuzzRunMatchesBruteForce(f *testing.F) {
 			}
 		}
 		for _, s := range []Strategy{Exhaustive, Pruned} {
-			r, err := Run(ft.problem(), Options{Strategy: s})
+			// With no feasible candidate nothing must be recorded, so
+			// wantE's zero value is never read as an optimum.
+			limit := wantE
+			if s == Exhaustive {
+				limit = math.Inf(1)
+			}
+			recorded := make([]bool, len(ft.energy))
+			p := ft.problem()
+			p.Record = func(c Candidate, out *Outcome[int]) {
+				i := ft.index(c.KindIdx, c.TilingIdx, c.Cell())
+				if i != out.Value || !ft.feasible[i] || recorded[i] {
+					t.Fatalf("%s: recorded %+v (cell %d, priced as %d) infeasible, misindexed or twice", s, c, i, out.Value)
+				}
+				recorded[i] = true
+			}
+			r, err := Run(p, Options{Strategy: s})
 			if err != nil {
 				t.Fatal(err)
 			}
 			check(string(s), r)
 			if st := r.Stats; st.Candidates != total || st.Candidates != st.Evaluated+st.Pruned {
 				t.Fatalf("%s: stats %+v, want %d candidates = evaluated + pruned", s, st, total)
+			}
+			for i, must := range ft.mustRecord(limit) {
+				if must && !recorded[i] {
+					t.Fatalf("%s: feasible cell %d (energy %v, bound %v) not recorded; optimum %v", s, i, ft.energy[i], ft.bound[i], wantE)
+				}
 			}
 		}
 		r, err := Run(ft.problem(), Options{Strategy: Beam, BeamWidth: max(total, 1)})

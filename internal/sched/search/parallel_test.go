@@ -168,11 +168,12 @@ func TestParallelPropagatesEvaluatorErrors(t *testing.T) {
 }
 
 // TestPoolErrorIsTheOneWorkerError: when several candidates fail, Run
-// returns the failure that comes first in scan order (tiling, then
-// kind) — the one a single worker hits — not the canonical-earliest,
-// which is kind-major, and Runs on several goroutines at once each
-// return that same error. With kinds OD, WD over two tilings, (WD,
-// tiling 0) is scan-first and (OD, tiling 1) canonical-first.
+// returns the failure that comes first in scan order (tilings last to
+// first, then kind) — the one a single worker hits — not the
+// canonical-earliest, which is kind-major with tilings first to last,
+// and Runs on several goroutines at once each return that same error.
+// With kinds OD, WD over two tilings, (WD, tiling 1) is scan-first and
+// (OD, tiling 0) canonical-first.
 func TestPoolErrorIsTheOneWorkerError(t *testing.T) {
 	problem := func() Problem[string] {
 		return Problem[string]{
@@ -180,9 +181,9 @@ func TestPoolErrorIsTheOneWorkerError(t *testing.T) {
 			Kinds: []pattern.Kind{pattern.OD, pattern.WD},
 			Evaluate: func(k pattern.Kind, ti pattern.Tiling, _ Cell, out *Outcome[string]) error {
 				switch {
-				case k == pattern.WD && ti.Tm == 0:
+				case k == pattern.WD && ti.Tm == 1:
 					return errors.New("scan-first")
-				case k == pattern.OD && ti.Tm == 1:
+				case k == pattern.OD && ti.Tm == 0:
 					return errors.New("canonical-first")
 				}
 				*out = Outcome[string]{Feasible: true, Energy: 1}

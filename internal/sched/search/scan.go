@@ -1,16 +1,24 @@
 package search
 
 // The Exhaustive / Pruned candidate loop. Run enumerates the tiling
-// space once into the admitted-tiling list, and scan walks it in
-// canonical order on the calling goroutine, with the incumbent's exact
-// energy as the pruning bound.
+// space once into the admitted-tiling list, in canonical order, and
+// scan walks that list from its last entry to its first on the calling
+// goroutine — largest tiles first — with the incumbent's exact energy
+// as the pruning bound. Large tiles reuse the most data on chip, so the
+// first few candidates priced set an incumbent near the optimum and
+// most of the rest are pruned unpriced. Each candidate keeps its
+// canonical index, and prefer breaks ties by it, so the walk's
+// direction moves the work and the Stats, never the result.
 //
 // Pruning never moves the argmin: a candidate is pruned only when its
 // admissible lower bound is STRICTLY greater than the bound, and the
 // bound is only ever the exact energy of some feasible, already-evaluated
 // candidate. The argmin's energy is at most that, so a pruned candidate
-// can neither win nor tie. The invariant Candidates == Evaluated + Pruned
-// holds on every error-free run.
+// can neither win nor tie. And since no incumbent is ever below the
+// optimum, every candidate whose bound is at or below the optimum is
+// priced, in any walk order: the scheduler's frontier build rests on
+// that. The invariant Candidates == Evaluated + Pruned holds on every
+// error-free run.
 
 import (
 	"math"
@@ -57,15 +65,16 @@ func collectAdmitted[T any](p *Problem[T], buf *[]tilingAt, stats *Stats) []tili
 }
 
 // scan runs Exhaustive (prune false) or Pruned over the admitted tilings,
-// accumulating into r. It prunes a candidate only when its bound is
-// strictly above the incumbent's energy (an exact tie could still win
-// the canonical tie-break), and prices, records and offers every other
-// one.
+// last to first, accumulating into r. It prunes a candidate only when
+// its bound is strictly above the incumbent's energy (an exact tie could
+// still win the canonical tie-break), and prices, records and offers
+// every other one.
 func scan[T any](p *Problem[T], admitted []tilingAt, prune bool, r *Result[T]) error {
 	prune = prune && p.Bound != nil
 	points, travs, maps := p.points(), p.travs(), p.maps()
 	out, best := p.Out, math.Inf(1)
-	for _, ta := range admitted {
+	for i := len(admitted) - 1; i >= 0; i-- {
+		ta := &admitted[i]
 		for ki, k := range p.Kinds {
 			for pi := 0; pi < points; pi++ {
 				for tv := 0; tv < travs; tv++ {

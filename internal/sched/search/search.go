@@ -23,9 +23,13 @@
 // first-wins rule of the historical loop, extended axis by axis so
 // single-valued axes change nothing.
 //
-// Run explores on the calling goroutine, in canonical order, so its
-// result and its Stats are a function of the problem alone. The
-// scheduler parallelizes across a network's layers, each layer one Run.
+// Run enumerates the admitted tilings in canonical order and explores
+// on the calling goroutine, so its result and its Stats are a function
+// of the problem alone. Exhaustive and Pruned walk the admitted list
+// from its last entry to its first, largest tiles first (scan.go); ties
+// break by canonical index, so the walk moves only the work, never the
+// result. The scheduler parallelizes across a network's layers, each
+// layer one Run.
 package search
 
 import (
@@ -224,7 +228,8 @@ type Stats struct {
 	Tilings int
 	// Admitted counts tilings that passed the core constraints.
 	Admitted int
-	// Candidates counts (kind, tiling) pairs considered.
+	// Candidates counts the candidates considered: (kind, tiling,
+	// point, traversal, mapping) cells over the admitted tilings.
 	Candidates int
 	// Bounded counts lower-bound computations.
 	Bounded int

@@ -57,7 +57,8 @@ func TestAxis(t *testing.T) {
 // TestRunEnumeratesTilingsTmMajor: Run enumerates the cross product of
 // the four tile-size lists once, Tm outermost and Tc innermost, and a
 // tiling's canonical index is its position in that order whether or not
-// the tilings before it were admitted.
+// the tilings before it were admitted. Exhaustive then prices the
+// admitted tilings last to first, each under its canonical index.
 func TestRunEnumeratesTilingsTmMajor(t *testing.T) {
 	want := []pattern.Tiling{
 		{Tm: 1, Tn: 3, Tr: 4, Tc: 6}, {Tm: 1, Tn: 3, Tr: 4, Tc: 7},
@@ -75,17 +76,17 @@ func TestRunEnumeratesTilingsTmMajor(t *testing.T) {
 		return -1
 	}
 	for _, s := range Strategies() {
-		var got []pattern.Tiling
+		var got []Candidate
 		p := Problem[string]{
 			Tm: []int{1, 2}, Tn: []int{3}, Tr: []int{4, 5}, Tc: []int{6, 7},
 			Kinds: []pattern.Kind{pattern.OD},
 			Admit: func(ti pattern.Tiling) bool { return ti != want[0] },
 			Evaluate: func(_ pattern.Kind, ti pattern.Tiling, _ Cell, out *Outcome[string]) error {
-				got = append(got, ti)
 				// The cheapest tiling is the sixth.
 				*out = Outcome[string]{Feasible: true, Energy: float64(max(pos(ti)-5, 5-pos(ti)))}
 				return nil
 			},
+			Record: func(c Candidate, _ *Outcome[string]) { got = append(got, c) },
 		}
 		r, err := Run(p, Options{Strategy: s, BeamWidth: 64})
 		if err != nil {
@@ -97,14 +98,19 @@ func TestRunEnumeratesTilingsTmMajor(t *testing.T) {
 		if r.Candidate.Tiling != want[5] || r.Candidate.TilingIdx != 5 {
 			t.Errorf("%s: chose %v at index %d, want %v at 5", s, r.Candidate.Tiling, r.Candidate.TilingIdx, want[5])
 		}
+		for _, c := range got {
+			if c.Tiling != want[c.TilingIdx] {
+				t.Fatalf("%s: tiling %v at canonical index %d, want %v there (Tm-major nesting)", s, c.Tiling, c.TilingIdx, want[c.TilingIdx])
+			}
+		}
 		if s == Exhaustive {
-			// Exhaustive prices the admitted tilings in canonical order.
+			// Exhaustive prices every admitted tiling, last to first.
 			if len(got) != 7 {
 				t.Fatalf("priced %d tilings, want 7: %v", len(got), got)
 			}
-			for i, ti := range got {
-				if ti != want[i+1] {
-					t.Fatalf("tiling %d = %v, want %v (Tm-major nesting)", i+1, ti, want[i+1])
+			for i, c := range got {
+				if wi := 7 - i; c.TilingIdx != wi {
+					t.Fatalf("priced #%d at canonical index %d, want %d (last to first)", i, c.TilingIdx, wi)
 				}
 			}
 		}
@@ -221,14 +227,15 @@ func TestTieBreakKeepsEarliestCanonicalCandidate(t *testing.T) {
 // TestPrunedSkipsBoundedCandidatesButKeepsArgmin: candidates whose
 // bound exceeds the incumbent are never priced; candidates whose bound
 // merely *equals* the incumbent still are (they could tie and win the
-// tie-break).
+// tie-break). The scan walks the tilings last to first, so the table
+// reads bottom up.
 func TestPrunedSkipsBoundedCandidatesButKeepsArgmin(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD}
 	table := map[string]entry{
-		"OD/0": {energy: 10, feasible: true, bound: 1},
-		"OD/1": {energy: 30, feasible: true, bound: 20}, // bound > incumbent 10: pruned
-		"OD/2": {energy: 10, feasible: true, bound: 10}, // bound == incumbent: must be priced
-		"OD/3": {energy: 4, feasible: true, bound: 3},   // new argmin
+		"OD/0": {energy: 4, feasible: true, bound: 3},   // new argmin
+		"OD/1": {energy: 10, feasible: true, bound: 10}, // bound == incumbent: must be priced
+		"OD/2": {energy: 30, feasible: true, bound: 20}, // bound > incumbent 10: pruned
+		"OD/3": {energy: 10, feasible: true, bound: 1},  // first priced: incumbent 10
 	}
 	// The evaluated list pins the scan's pruning order.
 	var evaluated []string
@@ -236,10 +243,10 @@ func TestPrunedSkipsBoundedCandidatesButKeepsArgmin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Outcome.Value != "OD/3" {
-		t.Errorf("argmin = %q, want OD/3", r.Outcome.Value)
+	if r.Outcome.Value != "OD/0" {
+		t.Errorf("argmin = %q, want OD/0", r.Outcome.Value)
 	}
-	want := []string{"OD/0", "OD/2", "OD/3"}
+	want := []string{"OD/3", "OD/1", "OD/0"}
 	if len(evaluated) != len(want) {
 		t.Fatalf("evaluated %v, want %v", evaluated, want)
 	}

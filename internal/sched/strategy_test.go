@@ -2,7 +2,9 @@ package sched
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
+	"time"
 
 	"rana/internal/hw"
 	"rana/internal/models"
@@ -63,6 +65,57 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 		}
 		t.Logf("%s: exhaustive priced %d candidates, pruned %d (%.1f%% skipped)",
 			net.Name, exEvals, prEvals, 100*float64(exEvals-prEvals)/float64(exEvals))
+	}
+}
+
+// TestPrunedPricesNearTheBoundMinimum pins the pruned scan's work, not
+// its time. No incumbent is ever below a layer's optimal energy, so a
+// candidate whose admissible bound is at or below it is priced in any
+// scan order: their count is the fewest exact evaluations any order
+// makes. Walking the largest tilings first sets an incumbent near the
+// optimum early, so on test-edram, summed over every distinct zoo shape
+// on both spaces at 734 µs and at 45 µs, Pruned prices at most 1.2×
+// that count. Short mode and the race detector check every seventh
+// shape.
+func TestPrunedPricesNearTheBoundMinimum(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	for name, base := range envelopeOptions() {
+		for _, us := range []time.Duration{734, 45} {
+			opts := base
+			opts.RefreshInterval = us * time.Microsecond
+			t.Run(fmt.Sprintf("%s/%dus", name, us), func(t *testing.T) {
+				t.Parallel()
+				env, err := envFor(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := newExploreState()
+				evaluated, floor := 0, 0
+				for i, l := range distinctShapes(cfg, opts) {
+					if (testing.Short() || raceEnabled) && i%7 != 0 {
+						continue
+					}
+					// explore leaves the layer's bound, points and
+					// admission filter in s.
+					lp, st, err := s.explore(l, cfg, opts, env)
+					if err != nil {
+						t.Fatal(err)
+					}
+					optimum := lp.Energy.Total()
+					for _, c := range enumerateCases(l, cfg, opts.Patterns, len(s.points), len(env.travs), len(env.maps)) {
+						if s.admit(c.t) && s.b.lower(c.k, c.t, c.cell) <= optimum {
+							floor++
+						}
+					}
+					evaluated += st.Evaluated
+				}
+				if float64(evaluated) > 1.2*float64(floor) {
+					t.Errorf("pruned priced %d candidates, %.2f× the %d whose bound is at or below their layer's optimum",
+						evaluated, float64(evaluated)/float64(floor), floor)
+				}
+				t.Logf("pruned priced %d, bound floor %d (%.2f×)", evaluated, floor, float64(evaluated)/float64(floor))
+			})
+		}
 	}
 }
 
