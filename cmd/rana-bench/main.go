@@ -188,12 +188,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, net := range nets {
 		for _, spec := range backends {
-			// The baseline is the historical stateless path: sequential,
-			// no memo, no incremental bound pricing.
+			// The baseline is sequential, with no shared memo and no
+			// in-compile dedup.
 			base := benchOpts(spec)
 			base.Parallelism = 1
 			base.DisableMemo = true
-			base.DisableIncremental = true
 			opt := benchOpts(spec)
 			opt.Parallelism = *parallelism
 			// The warm run shares one memo across compiles: measure's

@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	random := fs.Int("random", 0, "number of additional randomized differential cases")
 	seed := fs.Uint64("seed", 1, "seed for the randomized cases")
 	functional := fs.Int("functional", 0, "number of word-accurate functional cross-checks")
-	matrix := fs.Int("matrix", -1, "differential matrix: every strategy, worker-count, memo, incremental-pricing, axes and spelling variant against its shared reference, on the selected networks plus this many random networks (-1 skips it)")
+	matrix := fs.Int("matrix", -1, "differential matrix: every strategy, worker-count, memo, axes, spelling and memo-envelope variant against its shared reference, on the selected networks plus this many random networks (-1 skips it)")
 	backends := fs.Bool("backends", false, "backend differential: sweep the memory-backend registry (invariants and bounds at every admissible operating point, functional spot checks)")
 	faults := fs.Bool("faults", false, "fault differential: empirically validate error-budget admission under backend-derived bit flips (per-layer budgets, seeded mask stability, pretrained oracle, negative over-budget check, faulty-storage spot checks)")
 	nodesList := fs.String("nodes", "", "cross-node conformance: comma-separated fleet node URLs; every node must answer the zoo byte-identically to -reference (runs only this sweep)")

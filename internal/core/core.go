@@ -49,9 +49,10 @@ type Framework struct {
 	// here. Repeated shapes inside one compile explore once either way
 	// (the scheduler's in-compile dedup), nil, warm or full.
 	Memo *sched.Memo
-	// Prefix, when non-nil, makes Stage 2's bound pricing read prefix
-	// sums through this shared memo (sched.Options.Prefix); nil, the
-	// default, computes them. Like Memo it never changes plan bytes.
+	// Prefix, when non-nil, makes Stage 2's lower bound read its
+	// (kind, Tm, Tn) prefix sums through this shared memo
+	// (sched.Options.Prefix); nil, the default, has each exploring
+	// bound compute them. Like Memo it never changes plan bytes.
 	Prefix *sched.PrefixMemo
 	// Backend names the memory-technology backend Stage 2 prices buffers
 	// with (sched.Options.Backend); empty selects the platform's default

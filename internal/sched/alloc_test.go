@@ -6,9 +6,10 @@ package sched
 //   - the warm-memo compile: every layer served from a shared Memo's
 //     completed entries through the peek pass;
 //   - the steady-state explore loop: an un-memoized sequential compile
-//     whose scratch (explore arenas, bound, pricing contexts, compile
-//     state) is all pooled — under the default pruned strategy and
-//     under beam, whose survivor scratch is pooled too;
+//     whose scratch (explore arenas, bound, compile state) is all
+//     pooled — under the default pruned strategy and under beam, whose
+//     survivor and bound scratch is pooled with the search's run
+//     scratch;
 //   - the saturated-memo compile: ranad's shared Memo, too full to
 //     record anything, so the in-compile dedup alone serves repeated
 //     shapes.

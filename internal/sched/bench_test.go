@@ -52,7 +52,7 @@ func BenchmarkCompileNetwork(b *testing.B) {
 		name string
 		tune func(*Options)
 	}{
-		{"baseline", func(o *Options) { o.Parallelism = 1; o.DisableMemo = true; o.DisableIncremental = true }},
+		{"baseline", func(o *Options) { o.Parallelism = 1; o.DisableMemo = true }},
 		{"optimized", func(o *Options) {}},
 	}
 	for _, net := range models.Benchmarks() {

@@ -27,9 +27,9 @@ import (
 // the beam width counts only under the beam; the guard band is the
 // effective one; the default backend's explicit spelling folds onto the
 // empty one for cfg's technology; the axis specs appear in canonical
-// spelling. Parallelism, Memo, DisableMemo, Prefix and
-// DisableIncremental are absent: none changes a plan byte. cfg and o
-// must be validated; a non-finite float panics.
+// spelling. Parallelism, Memo, DisableMemo and Prefix are absent: none
+// changes a plan byte. cfg and o must be validated; a non-finite float
+// panics.
 func AppendCanonical(b []byte, cfg *hw.Config, o *Options) []byte {
 	b = jsonenc.OmitString(b, `,"config_name":`, cfg.Name)
 	b = jsonenc.OmitInt(b, `,"array_m":`, int64(cfg.ArrayM))

@@ -77,7 +77,6 @@ var frameFields = []frameField{
 	{name: "Options.Memo", runtime: true, set: func(_ *hw.Config, o *Options) { o.Memo = NewMemo(1) }},
 	{name: "Options.DisableMemo", runtime: true, set: func(_ *hw.Config, o *Options) { o.DisableMemo = true }},
 	{name: "Options.Prefix", runtime: true, set: func(_ *hw.Config, o *Options) { o.Prefix = NewPrefixMemo(1) }},
-	{name: "Options.DisableIncremental", runtime: true, set: func(_ *hw.Config, o *Options) { o.DisableIncremental = true }},
 }
 
 // fieldFrame returns the fixture under f.base, and the same with f.set
@@ -287,7 +286,7 @@ func FuzzCanonicalFrame(f *testing.F) {
 			opts.LayerBudgets = map[string]float64{text: f2, "conv1": f1}
 		}
 		if on(18) {
-			opts.Parallelism, opts.DisableMemo, opts.DisableIncremental = v&7, true, true
+			opts.Parallelism, opts.DisableMemo = v&7, true
 		}
 		if cfg.Validate() != nil || opts.Validate() != nil {
 			return

@@ -9,9 +9,9 @@ package sched
 //     the frontiers the memo's peek found, the miss work list and the
 //     frontier queries' operating-point scratch;
 //   - an exploreState arena (one per exploring goroutine) holds the
-//     scratch the four tile-size lists are cut from, the incremental
-//     pricing context, the search's scratch Outcome, the backend
-//     point/table scratch, the frontier build's record buffer and sort
+//     scratch the four tile-size lists are cut from, the layer's lower
+//     bound, the search's scratch Outcome, the backend point/table
+//     scratch, the frontier build's record buffer and sort
 //     and sweep scratch, and the search closures, all created once and
 //     re-pointed per layer.
 //
@@ -42,7 +42,8 @@ import (
 
 // compileEnv is the per-compile exploration environment resolved once
 // from the options: the parsed traversal and mapping axes, and the
-// caller's prefix memo when incremental pricing should read through one.
+// caller's prefix memo when the bound should read its prefix sums
+// through one.
 type compileEnv struct {
 	travs  []pattern.Traversal
 	maps   []MappingPolicy
@@ -97,12 +98,10 @@ type exploreState struct {
 	tables   []energy.Table
 	sizes    []int
 	b        bound
-	pc       pricingCtx
 	out      search.Outcome[LayerPlan]
 
 	admit    func(pattern.Tiling) bool
-	lower    func(pattern.Kind, pattern.Tiling, search.Cell) float64
-	pcLower  func(pattern.Kind, pattern.Tiling, search.Cell) float64
+	fill     func(pattern.Tiling, []float64)
 	evaluate func(pattern.Kind, pattern.Tiling, search.Cell, *search.Outcome[LayerPlan]) error
 
 	// recording makes the exploration collect its feasible candidates
@@ -125,8 +124,7 @@ func newExploreState() *exploreState {
 			t.Tm*t.Tr*t.Tc <= cfg.LocalOutput &&
 			t.Tm*t.Tn*e.K*e.K <= cfg.LocalWeight
 	}
-	s.lower = s.b.lower
-	s.pcLower = s.pc.Lower
+	s.fill = s.b.fill
 	s.record = s.build.rb.Record
 	s.evaluate = func(k pattern.Kind, t pattern.Tiling, cell search.Cell, out *search.Outcome[LayerPlan]) error {
 		if err := evaluateCellInto(&out.Value, &s.l, k, t, &s.cfg, &s.opts, s.bk,
@@ -150,7 +148,7 @@ func (s *exploreState) release() {
 	s.opts = Options{}
 	s.env = compileEnv{}
 	s.bk = nil
-	s.pc.prefix = nil
+	s.b.prefix = nil
 	s.out = search.Outcome[LayerPlan]{}
 	s.recording = false
 	exploreStatePool.Put(s)
@@ -211,7 +209,7 @@ func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, 
 	tm, tn, tr, tc := tileSizes(&s.sizes, &s.e, &s.cfg, opts.FixedTiling)
 	s.ptTables = appendPointTables(s.ptTables[:0], s.points)
 	s.tables = appendMappingTables(s.tables[:0], s.ptTables, env.maps)
-	s.b.init(l, cfg, s.tables, len(s.points), env.travs)
+	s.b.init(l, cfg, opts.Patterns, s.tables, len(s.points), env.travs, env.prefix)
 	prob := search.Problem[LayerPlan]{
 		Tm:       tm,
 		Tn:       tn,
@@ -222,13 +220,9 @@ func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, 
 		Points:   len(s.points),
 		Travs:    len(env.travs),
 		Maps:     len(env.maps),
-		Bound:    s.lower,
+		Bound:    s.fill,
 		Evaluate: s.evaluate,
 		Out:      &s.out,
-	}
-	if !opts.DisableIncremental {
-		s.pc.reset(&s.b, env.prefix)
-		prob.Bound = s.pcLower
 	}
 	if s.recording {
 		prob.Record = s.record
@@ -459,12 +453,9 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 	if err != nil {
 		return ns, err
 	}
-	// Incremental pricing reads bound prefix sums through the caller's
-	// prefix memo when one is set, and computes them in each pricing
-	// context otherwise. The stateless bound never looks them up.
-	if !opts.DisableIncremental {
-		env.prefix = opts.Prefix
-	}
+	// The bound reads its prefix sums through the caller's prefix memo
+	// when one is set, and computes them itself otherwise.
+	env.prefix = opts.Prefix
 	// Default-on in-compile dedup: repeated shapes inside one network
 	// (ResNet bottlenecks, inception branches) explore once. Shared
 	// cross-compile memos are opt-in via Options.Memo.

@@ -56,7 +56,7 @@ func TestRefreshEnergyMonotoneInInterval(t *testing.T) {
 		prev := math.Inf(1)
 		for _, iv := range ivs {
 			opts.RefreshInterval = iv
-			e, e0, err := sched.CellEnergiesForTest(l, k, tl, cfg, opts, point, trav, mapping)
+			e, e0, _, err := sched.CellEnergiesForTest(l, k, tl, cfg, opts, point, trav, mapping)
 			if err != nil {
 				t.Fatalf("case %d: %v", i, err)
 			}

@@ -4,9 +4,9 @@ package sched
 // Tn) and the layer's (N, K, H, L) sub-shape — never M, the output
 // geometry, the tiling tail, the config or the pricing tables — so a
 // memo keyed on precisely those inputs is sound by construction. No
-// compile uses one unless Options.Prefix installs it: each pricing
-// context already reuses a (kind, Tm, Tn) entry while the scan stays on
-// it (kindState), and a locked map lookup costs about what the integer
+// compile uses one unless Options.Prefix installs it: each exploring
+// bound already keeps its (Tm, Tn) prefix terms while the scan stays on
+// that coordinate, and a locked map lookup costs about what the integer
 // arithmetic it would replace does.
 
 import (

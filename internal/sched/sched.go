@@ -145,19 +145,11 @@ type Options struct {
 	// consulted.
 	DisableMemo bool
 
-	// Prefix, when non-nil, makes the network entry points' incremental
-	// bound pricing read its prefix sums through this shared PrefixMemo.
-	// When nil (the default) each pricing context computes them. Plans
-	// are byte-identical either way; DisableIncremental bypasses it.
+	// Prefix, when non-nil, makes the network entry points' lower bound
+	// read its (kind, Tm, Tn) prefix sums through this shared
+	// PrefixMemo. When nil (the default) each exploring goroutine's bound
+	// computes them. Plans are byte-identical either way.
 	Prefix *PrefixMemo `json:"-"`
-
-	// DisableIncremental turns off incremental bound pricing (the
-	// per-goroutine pricing contexts and any Prefix memo), forcing every
-	// lower-bound computation through the stateless reference evaluator.
-	// Plans are bit-identical either way — this is the baseline the
-	// differential matrix (verify.Matrix) and the benchmark harness
-	// compare against, not a semantic knob.
-	DisableIncremental bool
 }
 
 // Guard returns the effective guard-band factor (the override, or the
@@ -387,9 +379,10 @@ type NetworkStats struct {
 	MemoMisses int
 	// PrefixHits and PrefixMisses count the bound prefix-sum lookups the
 	// compile's exploration served from (respectively computed into)
-	// Options.Prefix. Zero when Prefix is nil or incremental pricing is
-	// disabled. The counts are deltas over the shared memo's counters
-	// and may include a concurrent compile's lookups.
+	// Options.Prefix: one lookup per pattern kind each time an exploring
+	// bound's (Tm, Tn) prefix moves. Zero when Prefix is nil. The counts
+	// are deltas over the shared memo's counters and may include a
+	// concurrent compile's lookups.
 	PrefixHits   uint64
 	PrefixMisses uint64
 }

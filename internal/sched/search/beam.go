@@ -1,7 +1,5 @@
 package search
 
-import "sync"
-
 // scored is one candidate with its lower bound, awaiting exact pricing.
 type scored struct {
 	c     Candidate
@@ -54,31 +52,33 @@ func (h beamHeap) down(i int) {
 	}
 }
 
-// keptPool recycles the survivor scratch across beam runs, so the
-// steady-state beam allocates no per-layer slice.
-var keptPool = sync.Pool{New: func() any { return new(beamHeap) }}
-
 // beam runs the budgeted top-K strategy over the admitted tilings: bound
 // every candidate, keep the width most promising, price only those. If
 // none of the kept candidates turns out feasible, the bound budget was
 // spent on infeasible space — fall back to a branch-and-bound scan of the
-// same admitted list, so Beam never reports "no feasible tiling" when one
-// exists.
-func beam[T any](p *Problem[T], admitted []tilingAt, width int, r *Result[T]) error {
+// same admitted list, reading the bounds this pass left in sc.bounds, so
+// Beam never reports "no feasible tiling" when one exists and never
+// bounds a tiling twice.
+func beam[T any](p *Problem[T], sc *scratch, width int, r *Result[T]) error {
 	points, travs, maps := p.points(), p.travs(), p.maps()
-	buf := keptPool.Get().(*beamHeap)
-	defer keptPool.Put(buf)
-	kept := (*buf)[:0]
-	for _, ta := range admitted {
+	n := p.cells()
+	sc.bounds = sized(sc.bounds, len(sc.admitted)*n)
+	kept := sc.kept[:0]
+	for i, ta := range sc.admitted {
+		bounds := sc.bounds[i*n : (i+1)*n]
+		if p.Bound != nil {
+			p.Bound(ta.t, bounds)
+		}
+		j := 0 // the candidate's position in bounds
 		for ki, k := range p.Kinds {
 			for pi := 0; pi < points; pi++ {
 				for tv := 0; tv < travs; tv++ {
-					for mi := 0; mi < maps; mi++ {
+					for mi := 0; mi < maps; mi, j = mi+1, j+1 {
 						r.Stats.Candidates++
 						s := scored{c: Candidate{Kind: k, KindIdx: ki, Tiling: ta.t, TilingIdx: ta.ti, PointIdx: pi, TravIdx: tv, MapIdx: mi}}
 						if p.Bound != nil {
 							r.Stats.Bounded++
-							s.bound = p.Bound(k, ta.t, s.c.Cell())
+							s.bound = bounds[j]
 						}
 						switch {
 						case len(kept) < width:
@@ -96,7 +96,7 @@ func beam[T any](p *Problem[T], admitted []tilingAt, width int, r *Result[T]) er
 			}
 		}
 	}
-	*buf = kept
+	sc.kept = kept
 
 	// Price the survivors in canonical preference order so the plain
 	// first-wins strict-< rule reproduces the shared tie-break. The heap
@@ -116,7 +116,7 @@ func beam[T any](p *Problem[T], admitted []tilingAt, width int, r *Result[T]) er
 	if r.Found {
 		return nil
 	}
-	return scan(p, admitted, true, r)
+	return scan(p, sc, true, true, r)
 }
 
 // sortCanonical orders survivors by canonical position — the order ties

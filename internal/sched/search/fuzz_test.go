@@ -6,13 +6,15 @@ package search
 // common, bounds are admissible (infeasible cells bound to +Inf), and
 // some tilings are not admitted. The brute force walks the candidates in
 // canonical order and keeps the first strict minimum; every strategy
-// must agree with it. Exhaustive and Pruned must also record what the
+// must agree with it, and bound each admitted tiling at most once
+// (Exhaustive never). Exhaustive and Pruned must also record what the
 // scheduler's frontier build relies on, whatever order they scan in:
 // Exhaustive every feasible admitted candidate, Pruned at least those
 // whose bound is at or below the optimum, and neither any candidate
 // twice.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -91,14 +93,49 @@ func (ft *fuzzTable) problem() Problem[int] {
 		Points: ft.points,
 		Travs:  ft.travs,
 		Maps:   ft.maps,
-		Bound: func(k pattern.Kind, t pattern.Tiling, c Cell) float64 {
-			return ft.bound[ft.index(ft.kindIdx(k), t.Tm, c)]
+		Bound: func(t pattern.Tiling, out []float64) {
+			j := 0
+			for ki := range ft.kinds {
+				for pi := 0; pi < ft.extP; pi++ {
+					for tv := 0; tv < ft.extTv; tv++ {
+						for mi := 0; mi < ft.extMaps; mi++ {
+							out[j] = ft.bound[ft.index(ki, t.Tm, Cell{Point: pi, Trav: tv, Map: mi})]
+							j++
+						}
+					}
+				}
+			}
 		},
 		Evaluate: func(k pattern.Kind, t pattern.Tiling, c Cell, out *Outcome[int]) error {
 			i := ft.index(ft.kindIdx(k), t.Tm, c)
 			*out = Outcome[int]{Feasible: ft.feasible[i], Energy: ft.energy[i], Value: i}
 			return nil
 		},
+	}
+}
+
+// countBounds wraps p's Bound to count its calls per tiling, and fails
+// t on a call whose out slice is not one slot per candidate of the
+// tiling. checkBounds then requires at most one call per admitted
+// tiling, none for the others, and none at all when want is false.
+func (ft *fuzzTable) countBounds(t *testing.T, p *Problem[int]) (checkBounds func(name string, want bool)) {
+	calls := make([]int, ft.tilings)
+	cells := len(ft.kinds) * ft.extP * ft.extTv * ft.extMaps
+	inner := p.Bound
+	p.Bound = func(ti pattern.Tiling, out []float64) {
+		if len(out) != cells {
+			t.Fatalf("Bound(%v) got %d slots, want %d", ti, len(out), cells)
+		}
+		calls[ti.Tm]++
+		inner(ti, out)
+	}
+	return func(name string, want bool) {
+		t.Helper()
+		for ti, n := range calls {
+			if n > 1 || n > 0 && (!want || !ft.admitted[ti]) {
+				t.Fatalf("%s: Bound called %d times on tiling %d (admitted %v)", name, n, ti, ft.admitted[ti])
+			}
+		}
 	}
 }
 
@@ -188,6 +225,7 @@ func FuzzRunMatchesBruteForce(f *testing.F) {
 			}
 			recorded := make([]bool, len(ft.energy))
 			p := ft.problem()
+			checkBounds := ft.countBounds(t, &p)
 			p.Record = func(c Candidate, out *Outcome[int]) {
 				i := ft.index(c.KindIdx, c.TilingIdx, c.Cell())
 				if i != out.Value || !ft.feasible[i] || recorded[i] {
@@ -200,6 +238,7 @@ func FuzzRunMatchesBruteForce(f *testing.F) {
 				t.Fatal(err)
 			}
 			check(string(s), r)
+			checkBounds(string(s), s != Exhaustive)
 			if st := r.Stats; st.Candidates != total || st.Candidates != st.Evaluated+st.Pruned {
 				t.Fatalf("%s: stats %+v, want %d candidates = evaluated + pruned", s, st, total)
 			}
@@ -209,11 +248,14 @@ func FuzzRunMatchesBruteForce(f *testing.F) {
 				}
 			}
 		}
-		r, err := Run(ft.problem(), Options{Strategy: Beam, BeamWidth: max(total, 1)})
+		p := ft.problem()
+		checkBounds := ft.countBounds(t, &p)
+		r, err := Run(p, Options{Strategy: Beam, BeamWidth: max(total, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		check("full beam", r)
+		checkBounds("full beam", true)
 		if total <= 1 {
 			return
 		}
@@ -221,10 +263,13 @@ func FuzzRunMatchesBruteForce(f *testing.F) {
 		// a feasible plan whenever one exists (its fallback rescans the
 		// admitted list, counted once).
 		width := 1 + int(seed>>32)%(total-1)
-		r, err = Run(ft.problem(), Options{Strategy: Beam, BeamWidth: width})
+		p = ft.problem()
+		checkBounds = ft.countBounds(t, &p)
+		r, err = Run(p, Options{Strategy: Beam, BeamWidth: width})
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkBounds(fmt.Sprintf("beam/%d", width), true)
 		if r.Found != found || found && (r.Outcome.Energy < wantE || !ft.feasible[r.Outcome.Value]) {
 			t.Fatalf("beam/%d: got %v at %v, brute force %v at %v", width, r.Found, r.Outcome.Energy, found, wantE)
 		}

@@ -33,18 +33,22 @@ type tilingAt struct {
 	ti int
 }
 
-// admittedPool recycles the admitted-tiling scratch across runs so a
-// steady-state Run allocates no per-layer slice.
-var admittedPool = sync.Pool{
-	New: func() any { return new([]tilingAt) },
+// scratch is one Run's working memory: the admitted tilings, the
+// candidate bounds Bound fills, and the beam's survivors. It is pooled
+// across runs, so a steady-state Run allocates no per-layer slice.
+type scratch struct {
+	admitted []tilingAt
+	bounds   []float64
+	kept     beamHeap
 }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // collectAdmitted enumerates the tiling space once, sequentially, Tm
 // outermost and Tc innermost — so Tilings and Admitted are deterministic
-// and every tiling keeps its canonical index — into the pooled scratch
-// buf, and returns the admitted list.
-func collectAdmitted[T any](p *Problem[T], buf *[]tilingAt, stats *Stats) []tilingAt {
-	admitted := (*buf)[:0]
+// and every tiling keeps its canonical index — into sc.admitted.
+func collectAdmitted[T any](p *Problem[T], sc *scratch, stats *Stats) {
+	admitted := sc.admitted[:0]
 	ti := 0
 	for _, tm := range p.Tm {
 		for _, tn := range p.Tn {
@@ -60,30 +64,52 @@ func collectAdmitted[T any](p *Problem[T], buf *[]tilingAt, stats *Stats) []tili
 		}
 	}
 	stats.Tilings, stats.Admitted = ti, len(admitted)
-	*buf = admitted
-	return admitted
+	sc.admitted = admitted
+}
+
+// sized returns xs resized to n, reusing its storage when it can.
+func sized(xs []float64, n int) []float64 {
+	if cap(xs) < n {
+		return make([]float64, n)
+	}
+	return xs[:n]
 }
 
 // scan runs Exhaustive (prune false) or Pruned over the admitted tilings,
 // last to first, accumulating into r. It prunes a candidate only when
 // its bound is strictly above the incumbent's energy (an exact tie could
 // still win the canonical tie-break), and prices, records and offers
-// every other one.
-func scan[T any](p *Problem[T], admitted []tilingAt, prune bool, r *Result[T]) error {
+// every other one. A tiling's bounds are filled when the first of its
+// candidates is compared, or, when bounded is set, read from sc.bounds,
+// where the beam left every admitted tiling's.
+func scan[T any](p *Problem[T], sc *scratch, prune, bounded bool, r *Result[T]) error {
 	prune = prune && p.Bound != nil
 	points, travs, maps := p.points(), p.travs(), p.maps()
+	n := p.cells()
+	if !bounded {
+		sc.bounds = sized(sc.bounds, n)
+	}
 	out, best := p.Out, math.Inf(1)
-	for i := len(admitted) - 1; i >= 0; i-- {
-		ta := &admitted[i]
+	for i := len(sc.admitted) - 1; i >= 0; i-- {
+		ta := &sc.admitted[i]
+		bounds, filled := sc.bounds[:n], bounded
+		if bounded {
+			bounds = sc.bounds[i*n : (i+1)*n]
+		}
+		j := 0 // the candidate's position in bounds
 		for ki, k := range p.Kinds {
 			for pi := 0; pi < points; pi++ {
 				for tv := 0; tv < travs; tv++ {
-					for mi := 0; mi < maps; mi++ {
+					for mi := 0; mi < maps; mi, j = mi+1, j+1 {
 						r.Stats.Candidates++
 						cell := Cell{Point: pi, Trav: tv, Map: mi}
 						if prune && !math.IsInf(best, 1) {
+							if !filled {
+								p.Bound(ta.t, bounds)
+								filled = true
+							}
 							r.Stats.Bounded++
-							if p.Bound(k, ta.t, cell) > best {
+							if bounds[j] > best {
 								r.Stats.Pruned++
 								continue
 							}

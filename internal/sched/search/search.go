@@ -2,8 +2,9 @@
 // scheduler: it decouples candidate *generation* (the cross product of
 // four tile-size lists, enumerated once and shared across pattern
 // kinds, and the value axes given as extents) from candidate
-// *evaluation* (a cheap admissible lower bound plus the exact pricer,
-// both supplied by the caller) from the search *strategy*:
+// *evaluation* (a cheap admissible lower bound, filled for all of one
+// tiling's candidates at once, plus the exact pricer, both supplied by
+// the caller) from the search *strategy*:
 //
 //   - Exhaustive prices every admitted candidate — the reference,
 //     bit-identical to the historical scheduler loop;
@@ -164,15 +165,19 @@ type Problem[T any] struct {
 	// each cell is considered at every mapping index in [0, Maps). Zero
 	// (or negative) means the single implicit row-major policy.
 	Maps int
-	// Bound returns an admissible lower bound on Evaluate's Energy for
-	// the candidate at one value cell: it must never exceed the exact
-	// value, and must be much cheaper to compute. Nil disables pruning
-	// (Pruned degenerates to Exhaustive, Beam keeps
-	// arbitrary-but-deterministic candidates). Run calls it only on the
-	// goroutine that called Run, so it may be a stateful evaluator (the
-	// scheduler's incremental pricing context) as long as it returns the
-	// same value in any call order.
-	Bound func(k pattern.Kind, t pattern.Tiling, cell Cell) float64
+	// Bound fills out with admissible lower bounds on Evaluate's Energy
+	// for every candidate of one admitted tiling, in scan order: kind,
+	// then operating point, traversal and mapping, so kind index ki at
+	// cell c sits at ((ki·points+c.Point)·travs+c.Trav)·maps+c.Map with
+	// each extent resolved to at least one, and len(out) is their
+	// product. A bound must never exceed the exact value, and must be
+	// much cheaper to compute. Nil disables pruning (Pruned degenerates
+	// to Exhaustive, Beam keeps arbitrary-but-deterministic candidates).
+	// Run calls it at most once per admitted tiling, only when some
+	// candidate of the tiling is compared against its bound, and only on
+	// the goroutine that called Run, so it may keep state across calls as
+	// long as each call's values depend on its tiling alone.
+	Bound func(t pattern.Tiling, out []float64)
 	// Evaluate prices one candidate exactly at one value cell, writing
 	// the result into *out. Run passes the same scratch Outcome on every
 	// call, so on a nil error Evaluate must overwrite every Outcome field
@@ -214,6 +219,10 @@ func (p Problem[T]) travs() int { return axisExtent(p.Travs) }
 // maps resolves the data-mapping axis extent (zero → one).
 func (p Problem[T]) maps() int { return axisExtent(p.Maps) }
 
+// cells is the candidate count of one admitted tiling: the length of
+// the slice Bound fills.
+func (p Problem[T]) cells() int { return len(p.Kinds) * p.points() * p.travs() * p.maps() }
+
 // Options tunes one Run.
 type Options struct {
 	Strategy  Strategy
@@ -231,7 +240,7 @@ type Stats struct {
 	// Candidates counts the candidates considered: (kind, tiling,
 	// point, traversal, mapping) cells over the admitted tilings.
 	Candidates int
-	// Bounded counts lower-bound computations.
+	// Bounded counts candidates compared against their lower bound.
 	Bounded int
 	// Pruned counts candidates skipped because their bound already
 	// exceeded the incumbent.
@@ -267,20 +276,20 @@ func Run[T any](p Problem[T], o Options) (Result[T], error) {
 		return Result[T]{}, err
 	}
 	var r Result[T]
-	buf := admittedPool.Get().(*[]tilingAt)
-	defer admittedPool.Put(buf)
-	admitted := collectAdmitted(&p, buf, &r.Stats)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	collectAdmitted(&p, sc, &r.Stats)
 	if p.Out == nil {
 		p.Out = new(Outcome[T])
 	}
 	var err error
 	switch o.Strategy.Resolve() {
 	case Exhaustive:
-		err = scan(&p, admitted, false, &r)
+		err = scan(&p, sc, false, false, &r)
 	case Pruned:
-		err = scan(&p, admitted, true, &r)
+		err = scan(&p, sc, true, false, &r)
 	default: // Beam; Validate covered the rest
-		err = beam(&p, admitted, EffectiveWidth(o.BeamWidth), &r)
+		err = beam(&p, sc, EffectiveWidth(o.BeamWidth), &r)
 	}
 	if err != nil {
 		return Result[T]{}, err

@@ -152,7 +152,11 @@ func synthetic(n int, kinds []pattern.Kind, table map[string]entry, evaluated *[
 	return Problem[string]{
 		Tm: upTo(n), Tn: one, Tr: one, Tc: one,
 		Kinds: kinds,
-		Bound: func(k pattern.Kind, t pattern.Tiling, _ Cell) float64 { return table[key(k, t)].bound },
+		Bound: func(t pattern.Tiling, out []float64) {
+			for ki, k := range kinds {
+				out[ki] = table[key(k, t)].bound
+			}
+		},
 		Evaluate: func(k pattern.Kind, t pattern.Tiling, _ Cell, out *Outcome[string]) error {
 			id := key(k, t)
 			e, ok := table[id]

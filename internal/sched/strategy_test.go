@@ -102,9 +102,16 @@ func TestPrunedPricesNearTheBoundMinimum(t *testing.T) {
 						t.Fatal(err)
 					}
 					optimum := lp.Energy.Total()
-					for _, c := range enumerateCases(l, cfg, opts.Patterns, len(s.points), len(env.travs), len(env.maps)) {
-						if s.admit(c.t) && s.b.lower(c.k, c.t, c.cell) <= optimum {
-							floor++
+					bounds := make([]float64, len(opts.Patterns)*len(s.points)*len(env.travs)*len(env.maps))
+					for _, tl := range candidateTilings(l, cfg, opts) {
+						if !s.admit(tl) {
+							continue
+						}
+						s.b.fill(tl, bounds)
+						for _, lb := range bounds {
+							if lb <= optimum {
+								floor++
+							}
 						}
 					}
 					evaluated += st.Evaluated

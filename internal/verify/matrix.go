@@ -2,13 +2,12 @@ package verify
 
 // The differential matrix. Every axis the Fig. 13 loop grew makes one of
 // a handful of claims against another configuration of the same loop:
-// the pruned branch-and-bound, the layer pool, the layer-shape memo,
-// incremental bound pricing and the spelled-out defaults claim the
-// reference plan's exact wire bytes; a shared memo swept across refresh
-// intervals claims the bytes of the same setting compiled cold, also at
-// the interval where a layer's plan changes and the nanosecond before
-// it; the budgeted beam claims it never
-// beats the exact optimum; the RTC traversal × PENDRAM mapping space
+// the pruned branch-and-bound, the layer pool, the layer-shape memo and
+// the spelled-out defaults claim the reference plan's exact wire bytes;
+// a shared memo swept across refresh intervals claims the bytes of the
+// same setting compiled cold, also at the interval where a layer's plan
+// changes and the nanosecond before it; the budgeted beam claims it
+// never beats the exact optimum; the RTC traversal × PENDRAM mapping space
 // claims it never loses to the default-only one. Matrix states each
 // claim once, as a declarative variant: the setting it runs, the setting
 // it is compared against, and the relation between them. A setting is
@@ -42,8 +41,6 @@ type Setting struct {
 	// Memo enables the scheduler's in-compile shape dedup (repeated
 	// layer shapes explored once per compile).
 	Memo bool
-	// Incremental enables incremental bound pricing.
-	Incremental bool
 	// Axes searches traversal "rtc" × mapping "all" instead of the
 	// default axes.
 	Axes bool
@@ -70,9 +67,6 @@ func (s Setting) Name() string {
 	name := fmt.Sprintf("%s/p%d", s.Strategy, s.Workers)
 	if s.Memo {
 		name += "/memo"
-	}
-	if !s.Incremental {
-		name += "/stateless"
 	}
 	if s.Axes {
 		name += "/axes"
@@ -101,7 +95,7 @@ func (s Setting) options(base sched.Options, cfg hw.Config) sched.Options {
 	o.Search = s.Strategy
 	o.Parallelism = s.Workers
 	o.Memo, o.DisableMemo = nil, !s.Memo
-	o.Prefix, o.DisableIncremental = nil, !s.Incremental
+	o.Prefix = nil
 	o.NaturalTiling = s.Natural
 	o.Traversal, o.Mapping = "", ""
 	if s.Axes {
@@ -127,9 +121,6 @@ const (
 	// NeverCheaper: a budgeted search may lose to the exact optimum but
 	// never beat it, and schedules whatever the reference schedules.
 	NeverCheaper
-	// SameWork: identical per-layer search.Stats, so every pruning
-	// decision matched, not just the winners.
-	SameWork
 	// PrunedWork: per layer, the reference's candidate count, evaluated
 	// plus pruned accounting for every candidate, and no more exact
 	// evaluations than the reference.
@@ -176,19 +167,17 @@ func workerLevels() []int {
 }
 
 // DefaultMatrix is the matrix rana-verify -matrix and the tests run.
-// Its references are the sequential exhaustive stateless un-memoized
-// compile on the default space and on the enlarged one, plus the
-// stateless twin of every incremental setting; the cycle-walker check
-// runs on the enlarged-space reference's plan.
+// Its references are the sequential exhaustive un-memoized compile on
+// the default space and on the enlarged one; the cycle-walker check runs
+// on the enlarged-space reference's plan.
 func DefaultMatrix(tol Tolerances) Matrix {
 	levels := workerLevels()
 	top := levels[len(levels)-1]
 	ref := Setting{Strategy: search.Exhaustive, Workers: 1}
 	axesRef := ref
 	axesRef.Axes = true
-	// prod is what a server compiles: pruned, every worker, memo and
-	// incremental pricing on.
-	prod := Setting{Strategy: search.Pruned, Workers: top, Memo: true, Incremental: true}
+	// prod is what a server compiles: pruned, every worker, memo on.
+	prod := Setting{Strategy: search.Pruned, Workers: top, Memo: true}
 
 	var m Matrix
 	add := func(group string, s, ref Setting, rel Relation) {
@@ -199,23 +188,23 @@ func DefaultMatrix(tol Tolerances) Matrix {
 	for _, w := range levels {
 		for _, st := range []search.Strategy{search.Exhaustive, search.Pruned} {
 			for _, memo := range []bool{false, true} {
-				add("parallel", Setting{Strategy: st, Workers: w, Memo: memo, Incremental: true}, ref, SameBytes)
+				if s := (Setting{Strategy: st, Workers: w, Memo: memo}); s != ref {
+					add("parallel", s, ref, SameBytes)
+				}
 			}
 		}
 	}
 	// The branch-and-bound streams the exhaustive candidate set, accounts
 	// for every candidate and prices no more of them; the beam never wins.
 	for _, w := range []int{1, top} {
-		add("strategy", Setting{Strategy: search.Pruned, Workers: w, Incremental: true}, ref, PrunedWork)
+		add("strategy", Setting{Strategy: search.Pruned, Workers: w}, ref, PrunedWork)
 	}
 	beam := prod
 	beam.Strategy = search.Beam
 	add("strategy", beam, ref, NeverCheaper)
-	// Incremental pricing is invisible against its stateless twin.
-	m.Variants = append(m.Variants, incrementalVariants(false, []int{1, top})...)
 	// The enlarged space: never worse than the default-only optimum,
-	// pruned ≡ exhaustive on it (with incremental pricing at full
-	// parallelism), and the beam never beats it there.
+	// pruned ≡ exhaustive on it (at full parallelism), and the beam never
+	// beats it there.
 	add("axes", axesRef, ref, NeverWorse)
 	axes := prod
 	axes.Axes = true
@@ -230,7 +219,7 @@ func DefaultMatrix(tol Tolerances) Matrix {
 	// a cold compile: the pruned search, the beam and the natural-tiling
 	// baseline, on both spaces.
 	for _, axes := range []bool{false, true} {
-		for _, cold := range []Setting{prod, beam, {Strategy: search.Pruned, Workers: top, Memo: true, Incremental: true, Natural: true}} {
+		for _, cold := range []Setting{prod, beam, {Strategy: search.Pruned, Workers: top, Memo: true, Natural: true}} {
 			cold.Axes = axes
 			swept := cold
 			swept.Parametric = true
@@ -252,31 +241,6 @@ func DefaultMatrix(tol Tolerances) Matrix {
 
 	m.Checks = []PlanCheck{walkerCheck(axesRef, tol)}
 	return m
-}
-
-// incrementalVariants holds incremental bound pricing to its stateless
-// twin on one space: the same bytes at every bound-consuming strategy and
-// listed worker count, and the same per-layer work — every pruning
-// decision, not just the winners — at Workers 1. DefaultMatrix runs them
-// on the default space; on the enlarged space the production setting's
-// bytes against the exhaustive reference already cover the incremental
-// pricer, and the full set is a test-time matrix.
-func incrementalVariants(axes bool, workers []int) []Variant {
-	var vs []Variant
-	twin := func(st search.Strategy, w int) (on, off Setting) {
-		on = Setting{Strategy: st, Workers: w, Incremental: true, Axes: axes}
-		off = on
-		off.Incremental = false
-		return on, off
-	}
-	for _, st := range []search.Strategy{search.Pruned, search.Beam} {
-		for _, w := range workers {
-			on, off := twin(st, w)
-			vs = append(vs, newVariant("incremental", on, off, SameBytes))
-		}
-	}
-	on, off := twin(search.Pruned, 1)
-	return append(vs, newVariant("incremental", on, off, SameWork))
 }
 
 // newVariant names a variant after its group and setting.
@@ -364,8 +328,7 @@ func edgeInterval(net models.Network, cfg hw.Config, opts sched.Options) time.Du
 // every variant whose relation fails, plus the plug-in checks' findings.
 // opts is the shared scheduling frame (patterns, refresh interval,
 // controller, backend); the settings override the search strategy,
-// parallelism, memo, incremental pricing and the traversal and mapping
-// axes.
+// parallelism, memo and the traversal and mapping axes.
 func (m Matrix) Run(net models.Network, cfg hw.Config, opts sched.Options) (*Report, error) {
 	return m.run(direct, net, cfg, opts)
 }
@@ -464,7 +427,7 @@ func (x *matrixRun) work(s Setting) []layerWork {
 // check applies one variant's relation.
 func (x *matrixRun) check(r *Report, v Variant) error {
 	refName, name := v.Ref.Name(), v.Setting.Name()
-	if v.Relation == SameWork || v.Relation == PrunedWork {
+	if v.Relation == PrunedWork {
 		x.checkWork(r, v, refName, name)
 		return nil
 	}
@@ -518,7 +481,7 @@ func (x *matrixRun) check(r *Report, v Variant) error {
 	return nil
 }
 
-// checkWork applies a per-layer work relation.
+// checkWork applies the PrunedWork relation, layer by layer.
 func (x *matrixRun) checkWork(r *Report, v Variant, refName, name string) {
 	want, got := x.work(v.Ref), x.work(v.Setting)
 	evaluated, exhaustive := 0, 0
@@ -529,13 +492,6 @@ func (x *matrixRun) checkWork(r *Report, v Variant, refName, name string) {
 			continue
 		}
 		if a.err != nil {
-			continue
-		}
-		if v.Relation == SameWork {
-			if a.stats != b.stats {
-				r.diverge(v.Name+"/stats/"+l.Name, refName, name,
-					fmt.Sprintf("%+v", a.stats), fmt.Sprintf("%+v", b.stats))
-			}
 			continue
 		}
 		evaluated += b.stats.Evaluated
@@ -551,9 +507,7 @@ func (x *matrixRun) checkWork(r *Report, v Variant, refName, name string) {
 			r.diverge(v.Name+"/work/"+l.Name, refName, name, a.stats.Evaluated, b.stats.Evaluated)
 		}
 	}
-	if v.Relation == PrunedWork {
-		r.note("%s evaluated %d of %d", v.Name, evaluated, exhaustive)
-	}
+	r.note("%s evaluated %d of %d", v.Name, evaluated, exhaustive)
 }
 
 // walkerCheck is the cycle-walker plug-in: every layer of the plan the

@@ -129,7 +129,7 @@ func TestCompareStrategiesOnGeneratedNetworks(t *testing.T) {
 // reference.
 func TestCompareStrategiesFlagsABrokenBound(t *testing.T) {
 	m := strategyGroup()
-	pruned := Setting{Strategy: search.Pruned, Workers: 1, Incremental: true}
+	pruned := Setting{Strategy: search.Pruned, Workers: 1}
 	broken := mutateSchedule(pruned, editPlan(func(p *sched.Plan) { p.Layers[0].Analysis.Tiling.Tm++ }))
 	r, err := m.run(broken(direct), alexNetHead(), hw.TestAcceleratorEDRAM(), zooOptions())
 	if err != nil {
@@ -138,7 +138,7 @@ func TestCompareStrategiesFlagsABrokenBound(t *testing.T) {
 	if r.OK() {
 		t.Fatal("a broken bound left the report OK")
 	}
-	want := "parallel/pruned/p1/plan-bytes: exhaustive/p1/stateless="
+	want := "parallel/pruned/p1/plan-bytes: exhaustive/p1="
 	if s := r.String(); !strings.Contains(s, want) {
 		t.Errorf("rendering lacks %q:\n%s", want, s)
 	}
@@ -172,55 +172,21 @@ func TestParallelismReportRendering(t *testing.T) {
 	if s := r.String(); s != want {
 		t.Fatalf("clean rendering %q, want %q", s, want)
 	}
-	pooled := Setting{Strategy: search.Pruned, Workers: 2, Memo: true, Incremental: true}
+	pooled := Setting{Strategy: search.Pruned, Workers: 2, Memo: true}
 	drift := mutateSchedule(pooled, editPlan(func(p *sched.Plan) { p.Layers[1].Analysis.Tiling.Tn++ }))
 	r, err = m.run(drift(direct), net, cfg, zooOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = "AlexNet-head matrix: 1 divergences\n  parallel/pruned/p2/memo/plan-bytes: exhaustive/p1/stateless="
+	want = "AlexNet-head matrix: 1 divergences\n  parallel/pruned/p2/memo/plan-bytes: exhaustive/p1="
 	if s := r.String(); !strings.HasPrefix(s, want) || !strings.Contains(s, ", pruned/p2/memo=") {
 		t.Errorf("rendering %q, want prefix %q", s, want)
 	}
 }
 
-// incrementalGroup is incremental pricing's slice of the matrix: the
-// stateless twin's bytes at every bound-consuming strategy, sequentially
-// and pooled, and its per-layer work at Workers 1.
-func incrementalGroup() Matrix { return group(DefaultMatrix(DefaultTolerances()), "incremental") }
-
-func TestCompareIncrementalOnZoo(t *testing.T) { runZoo(t, incrementalGroup()) }
-
-func TestCompareIncrementalOnGeneratedNetworks(t *testing.T) {
-	runGenerated(t, incrementalGroup(), 11, 10)
-}
-
-// TestIncrementalReportRendering: a work divergence renders per layer,
-// with both sides' full search.Stats.
-func TestIncrementalReportRendering(t *testing.T) {
-	inc := Setting{Strategy: search.Pruned, Workers: 1, Incremental: true}
-	skew := mutateStats(inc, func(st *search.Stats) { st.Bounded++ })
-	net := alexNetHead()
-	r, err := incrementalGroup().run(skew(direct), net, hw.TestAcceleratorEDRAM(), zooOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Divergences) != len(net.Layers) {
-		t.Fatalf("want one divergence per layer, got:\n%s", r)
-	}
-	s := r.String()
-	for _, l := range net.Layers {
-		want := "  incremental/pruned/p1/stats/" + l.Name + ": pruned/p1/stateless={Tilings:"
-		if !strings.Contains(s, want) || !strings.Contains(s, ", pruned/p1={Tilings:") {
-			t.Errorf("rendering lacks %q:\n%s", want, s)
-		}
-	}
-}
-
-// TestMatrixIncrementalWithAxes re-runs the incremental-pricing variants
-// on the enlarged space, where the pricing context's per-cell branches
-// (blocked-ID DDR, per-map tables) actually exercise, at every worker
-// level.
+// envelopeGroup is the memo envelopes' slice of the matrix: swept
+// compiles at a network's first plan change and the nanosecond before
+// it hold the cold compile's bytes.
 func envelopeGroup() Matrix { return group(DefaultMatrix(DefaultTolerances()), "envelope") }
 
 func TestCompareEnvelopeOnZoo(t *testing.T) { runZoo(t, envelopeGroup()) }
@@ -237,24 +203,13 @@ func TestEdgeIntervalIsAPlanChange(t *testing.T) {
 	cfg := hw.TestAcceleratorEDRAM()
 	for _, net := range models.Benchmarks() {
 		for _, axes := range []bool{false, true} {
-			opts := Setting{Strategy: search.Pruned, Workers: 1, Memo: true, Incremental: true, Axes: axes}.options(zooOptions(), cfg)
+			opts := Setting{Strategy: search.Pruned, Workers: 1, Memo: true, Axes: axes}.options(zooOptions(), cfg)
 			if got := edgeInterval(net, cfg, opts); got == opts.RefreshInterval {
 				t.Errorf("%s (axes %v): no plan change found between %v and %v", net.Name, axes, opts.RefreshInterval/4, 64*opts.RefreshInterval)
 			} else {
 				t.Logf("%s (axes %v): plans change at %v", net.Name, axes, got)
 			}
 		}
-	}
-}
-
-func TestMatrixIncrementalWithAxes(t *testing.T) {
-	m := Matrix{Variants: incrementalVariants(true, workerLevels())}
-	r, err := m.Run(models.AlexNet(), hw.TestAcceleratorEDRAM(), zooOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.OK() {
-		t.Error(r)
 	}
 }
 
@@ -266,11 +221,11 @@ func TestReportRendering(t *testing.T) {
 	if !r.OK() || r.String() != "x: ok (3 variants)" {
 		t.Fatalf("clean report: OK=%v %q", r.OK(), r)
 	}
-	r.diverge("parallel/pruned/p2/plan-bytes", "exhaustive/p1/stateless", "pruned/p2", "a", "b")
+	r.diverge("parallel/pruned/p2/plan-bytes", "exhaustive/p1", "pruned/p2", "a", "b")
 	if r.OK() {
 		t.Fatal("report with a divergence claims OK")
 	}
-	want := "x: 1 divergences\n  parallel/pruned/p2/plan-bytes: exhaustive/p1/stateless=a, pruned/p2=b"
+	want := "x: 1 divergences\n  parallel/pruned/p2/plan-bytes: exhaustive/p1=a, pruned/p2=b"
 	if s := r.String(); s != want {
 		t.Fatalf("rendering %q, want %q", s, want)
 	}
@@ -322,7 +277,7 @@ func failWith(msg string) func(*sched.Plan, error) (*sched.Plan, error) {
 }
 
 // TestMatrixMutants is the coverage inventory: one mutant through the
-// compile seam per check the four retired oracles enforced, each of
+// compile seam per check the retired oracles enforced, each of
 // which must turn the matrix red under that check's name. The mutants
 // touch only the seam — sched and search are the production code.
 func TestMatrixMutants(t *testing.T) {
@@ -346,13 +301,11 @@ func TestMatrixMutants(t *testing.T) {
 	p := func(format string) string { return fmt.Sprintf(format, top) }
 
 	parallel := find(p("parallel/pruned/p%d/memo"), SameBytes)
-	incBytes := find("incremental/beam/p1", SameBytes)
-	incWork := find("incremental/pruned/p1", SameWork)
 	axesBytes := find(p("axes/pruned/p%d/memo/axes"), SameBytes)
 	pruned := find("strategy/pruned/p1", PrunedWork)
 	beam := find(p("strategy/beam/p%d/memo"), NeverCheaper)
 	axesBeam := find(p("axes/beam/p%d/memo/axes"), NeverCheaper)
-	neverWorse := find("axes/exhaustive/p1/stateless/axes", NeverWorse)
+	neverWorse := find("axes/exhaustive/p1/axes", NeverWorse)
 	spelled := find(p("spelling/pruned/p%d/memo/spelled"), SameBytes)
 	swept := find(p("parametric/pruned/p%d/memo/parametric"), SameBytes)
 	sweptAxes := find(p("parametric/pruned/p%d/memo/axes/parametric"), SameBytes)
@@ -393,7 +346,6 @@ func TestMatrixMutants(t *testing.T) {
 		want   string
 	}{
 		{"strategy/plan-bytes, parallel/plan-bytes/*", mutateSchedule(parallel.Setting, retile), parallel.Name + "/plan-bytes"},
-		{"incremental/plan-bytes/*", mutateSchedule(incBytes.Setting, retile), incBytes.Name + "/plan-bytes"},
 		{"traversal/plan-bytes", mutateSchedule(axesBytes.Setting, retile), axesBytes.Name + "/plan-bytes"},
 		{"*/error", mutateSchedule(parallel.Setting, failWith("injected")), parallel.Name + "/error"},
 		{"*/error-text", func(c compiler) compiler {
@@ -403,7 +355,6 @@ func TestMatrixMutants(t *testing.T) {
 		{"strategy/candidates", mutateStats(pruned.Setting, func(st *search.Stats) { st.Candidates++ }), pruned.Name + "/candidates/"},
 		{"strategy/accounting", mutateStats(pruned.Setting, func(st *search.Stats) { st.Pruned-- }), pruned.Name + "/accounting/"},
 		{"strategy/work", mutateStats(pruned.Setting, func(st *search.Stats) { st.Evaluated = st.Candidates + 1 }), pruned.Name + "/work/"},
-		{"incremental/work", mutateStats(incWork.Setting, func(st *search.Stats) { st.Bounded++ }), incWork.Name + "/stats/"},
 		{"strategy/beam-energy", mutateSchedule(beam.Setting, editPlan(func(p *sched.Plan) { p.Energy = energy.Breakdown{} })), beam.Name + "/beam-energy"},
 		{"traversal/beam-energy", mutateSchedule(axesBeam.Setting, editPlan(func(p *sched.Plan) { p.Energy = energy.Breakdown{} })), axesBeam.Name + "/beam-energy"},
 		{"*/beam-error", mutateSchedule(beam.Setting, failWith("beam failure")), beam.Name + "/beam-error"},

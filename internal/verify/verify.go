@@ -21,8 +21,8 @@
 //
 //   - the differential matrix (Matrix): every scheduler setting that
 //     claims a relation to another — search strategy, worker count,
-//     memo, incremental pricing, enlarged axes, spelled defaults — is
-//     one declarative variant compiled against a shared reference;
+//     memo, enlarged axes, spelled defaults, memo envelopes — is one
+//     declarative variant compiled against a shared reference;
 //
 //   - runtime invariant checkers: CheckPlan validates every structural
 //     invariant of a schedule (bank allocations within the buffer,
