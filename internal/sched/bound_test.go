@@ -124,6 +124,43 @@ func TestBoundIsAdmissibleAtEveryCell(t *testing.T) {
 	t.Logf("%d zoo cells over %d shapes and %d generated cells matched", zoo, len(seen), generated)
 }
 
+// TestBoundOfUnknownKindIsZero: a kind the bound has no formula for
+// bounds to zero at every cell — never pruned, so the exact evaluator
+// still sees (and rejects) it — and the known kinds on either side of
+// it fill exactly the slots they fill without it.
+func TestBoundOfUnknownKindIsZero(t *testing.T) {
+	l, cfg := models.AlexNet().Layers[1], hw.TestAcceleratorEDRAM()
+	fillWith, cells, tilings, err := sched.BoundForTest(l, cfg, everyCellOptions(pattern.ID, pattern.Kind(97), pattern.WD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillWithout, _, _, err := sched.BoundForTest(l, cfg, everyCellOptions(pattern.ID, pattern.WD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := cells / 3
+	got, want := make([]float64, cells), make([]float64, 2*n)
+	for _, tl := range tilings {
+		for j := range got {
+			got[j] = math.NaN()
+		}
+		fillWith(tl, got)
+		fillWithout(tl, want)
+		for j, lb := range got {
+			w := 0.0
+			switch {
+			case j < n:
+				w = want[j]
+			case j >= 2*n:
+				w = want[j-n]
+			}
+			if lb != w {
+				t.Fatalf("%v slot %d: bound %v, want %v", tl, j, lb, w)
+			}
+		}
+	}
+}
+
 // FuzzBoundAdmissible is TestBoundIsAdmissibleAtEveryCell's property on
 // random layer dimensions, stride, padding, groups, buffer capacity,
 // tiling and kind, at every cell of the (kind, tiling).

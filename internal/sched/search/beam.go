@@ -56,16 +56,15 @@ func (h beamHeap) down(i int) {
 // every candidate, keep the width most promising, price only those. If
 // none of the kept candidates turns out feasible, the bound budget was
 // spent on infeasible space — fall back to a branch-and-bound scan of the
-// same admitted list, reading the bounds this pass left in sc.bounds, so
-// Beam never reports "no feasible tiling" when one exists and never
-// bounds a tiling twice.
+// same admitted list, so Beam never reports "no feasible tiling" when one
+// exists. With a bound that is +Inf at every infeasible candidate, the
+// fallback runs only when no candidate is feasible, so it never compares
+// a bound and never bounds a tiling again.
 func beam[T any](p *Problem[T], sc *scratch, width int, r *Result[T]) error {
 	points, travs, maps := p.points(), p.travs(), p.maps()
-	n := p.cells()
-	sc.bounds = sized(sc.bounds, len(sc.admitted)*n)
+	bounds := sc.boundSlots(p.cells())
 	kept := sc.kept[:0]
-	for i, ta := range sc.admitted {
-		bounds := sc.bounds[i*n : (i+1)*n]
+	for _, ta := range sc.admitted {
 		if p.Bound != nil {
 			p.Bound(ta.t, bounds)
 		}
@@ -116,7 +115,7 @@ func beam[T any](p *Problem[T], sc *scratch, width int, r *Result[T]) error {
 	if r.Found {
 		return nil
 	}
-	return scan(p, sc, true, true, r)
+	return scan(p, sc, true, r)
 }
 
 // sortCanonical orders survivors by canonical position — the order ties

@@ -33,9 +33,10 @@ type tilingAt struct {
 	ti int
 }
 
-// scratch is one Run's working memory: the admitted tilings, the
-// candidate bounds Bound fills, and the beam's survivors. It is pooled
-// across runs, so a steady-state Run allocates no per-layer slice.
+// scratch is one Run's working memory: the admitted tilings, the bounds
+// Bound fills for one tiling's candidates, and the beam's survivors. It
+// is pooled across runs, so a steady-state Run allocates no per-layer
+// slice.
 type scratch struct {
 	admitted []tilingAt
 	bounds   []float64
@@ -67,12 +68,13 @@ func collectAdmitted[T any](p *Problem[T], sc *scratch, stats *Stats) {
 	sc.admitted = admitted
 }
 
-// sized returns xs resized to n, reusing its storage when it can.
-func sized(xs []float64, n int) []float64 {
-	if cap(xs) < n {
-		return make([]float64, n)
+// boundSlots returns the bounds scratch resized to n slots, one per
+// candidate of a tiling, reusing its storage when it can.
+func (sc *scratch) boundSlots(n int) []float64 {
+	if cap(sc.bounds) < n {
+		sc.bounds = make([]float64, n)
 	}
-	return xs[:n]
+	return sc.bounds[:n]
 }
 
 // scan runs Exhaustive (prune false) or Pruned over the admitted tilings,
@@ -80,22 +82,15 @@ func sized(xs []float64, n int) []float64 {
 // its bound is strictly above the incumbent's energy (an exact tie could
 // still win the canonical tie-break), and prices, records and offers
 // every other one. A tiling's bounds are filled when the first of its
-// candidates is compared, or, when bounded is set, read from sc.bounds,
-// where the beam left every admitted tiling's.
-func scan[T any](p *Problem[T], sc *scratch, prune, bounded bool, r *Result[T]) error {
+// candidates is compared.
+func scan[T any](p *Problem[T], sc *scratch, prune bool, r *Result[T]) error {
 	prune = prune && p.Bound != nil
 	points, travs, maps := p.points(), p.travs(), p.maps()
-	n := p.cells()
-	if !bounded {
-		sc.bounds = sized(sc.bounds, n)
-	}
+	bounds := sc.boundSlots(p.cells())
 	out, best := p.Out, math.Inf(1)
 	for i := len(sc.admitted) - 1; i >= 0; i-- {
 		ta := &sc.admitted[i]
-		bounds, filled := sc.bounds[:n], bounded
-		if bounded {
-			bounds = sc.bounds[i*n : (i+1)*n]
-		}
+		filled := false
 		j := 0 // the candidate's position in bounds
 		for ki, k := range p.Kinds {
 			for pi := 0; pi < points; pi++ {

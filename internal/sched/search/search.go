@@ -171,12 +171,17 @@ type Problem[T any] struct {
 	// cell c sits at ((ki·points+c.Point)·travs+c.Trav)·maps+c.Map with
 	// each extent resolved to at least one, and len(out) is their
 	// product. A bound must never exceed the exact value, and must be
-	// much cheaper to compute. Nil disables pruning (Pruned degenerates
-	// to Exhaustive, Beam keeps arbitrary-but-deterministic candidates).
-	// Run calls it at most once per admitted tiling, only when some
-	// candidate of the tiling is compared against its bound, and only on
-	// the goroutine that called Run, so it may keep state across calls as
-	// long as each call's values depend on its tiling alone.
+	// much cheaper to compute. It should be +Inf at every infeasible
+	// candidate (vacuously admissible): Beam then keeps a feasible
+	// candidate whenever one exists, and its fallback scan never compares
+	// a bound. Nil disables pruning (Pruned degenerates to Exhaustive,
+	// Beam keeps arbitrary-but-deterministic candidates). Run calls it
+	// only when some candidate of the tiling is compared against its
+	// bound, at most once per admitted tiling (a finite bound on an
+	// infeasible candidate can make Beam's fallback bound a tiling
+	// again), and only on the goroutine that called Run, so it may keep
+	// state across calls as long as each call's values depend on its
+	// tiling alone.
 	Bound func(t pattern.Tiling, out []float64)
 	// Evaluate prices one candidate exactly at one value cell, writing
 	// the result into *out. Run passes the same scratch Outcome on every
@@ -285,9 +290,9 @@ func Run[T any](p Problem[T], o Options) (Result[T], error) {
 	var err error
 	switch o.Strategy.Resolve() {
 	case Exhaustive:
-		err = scan(&p, sc, false, false, &r)
+		err = scan(&p, sc, false, &r)
 	case Pruned:
-		err = scan(&p, sc, true, false, &r)
+		err = scan(&p, sc, true, &r)
 	default: // Beam; Validate covered the rest
 		err = beam(&p, sc, EffectiveWidth(o.BeamWidth), &r)
 	}
